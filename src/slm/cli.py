@@ -214,12 +214,13 @@ def cmd_gradcheck(args) -> int:
     import numpy as np
 
     from .config import resolve_config
-    from .masking import MaskingConfig, apply_span_masking
+    from .masking import apply_span_masking
     from .model import init_params
     from .objectives import pretrain_bundle
     from .shuffling import apply_shuffle, sample_permutation
     from .tensor import grad_check
-    from .textpipe import Document, pack_example
+    from .textpipe import NUM_SPECIALS, Document, pack_example
+    from .trainer import masking_config
 
     # the check instance stays small so the finite-difference sweep over
     # every parameter finishes quickly; --set can resize it
@@ -232,15 +233,12 @@ def cmd_gradcheck(args) -> int:
     rng = np.random.default_rng(cfg.seed)
     params = init_params(cfg, rng, dtype)
 
-    from .textpipe import NUM_SPECIALS
     doc = Document([
         [int(w) for w in rng.integers(NUM_SPECIALS, cfg.vocab_size,
                                       size=int(rng.integers(3, 7)))]
         for _ in range(cfg.max_sentences)])
     ex = pack_example(doc, cfg.seq_len, cfg.max_sentences, rng)
-    mask_cfg = MaskingConfig(p_geom=cfg.p_geom, max_span=cfg.max_span,
-                             mask_rate=cfg.mask_rate).validate()
-    ex = apply_span_masking(ex, mask_cfg, rng, cfg.vocab_size)
+    ex = apply_span_masking(ex, masking_config(cfg), rng, cfg.vocab_size)
     ex = apply_shuffle(ex, sample_permutation(ex.num_sentences, rng))
 
     def f():

@@ -9,6 +9,10 @@ every context word twice (answer start, answer end) and every context
 sentence once, each with its own learned vector, and the task loss is
 the plain sum of the three cross-entropies.
 
+Inputs are laid out by ``textpipe.pack_segments``: pairs as one segment
+per text, QA as the question followed by the context. The ``textpipe``
+module docstring shows both layouts.
+
 Data formats: classification reads TSV lines `label<TAB>text_a` with an
 optional third column for pair tasks; QA reads JSON lines with keys
 context, question, answer_start_token, answer_end_token (token indices
@@ -28,8 +32,8 @@ from .errors import ContractError, DataError
 from .model import INIT_STD, trunc_normal
 from .optim import AdamState, adam_update, clip_global_norm, zero_grads
 from .tensor import Tensor, backward, no_grad
-from .textpipe import (CLS, SENT, SEP, PackedExample, Vocab,
-                       document_from_text, segment_sentences, tokenize)
+from .textpipe import (PackedExample, Vocab, document_from_text,
+                       pack_segments, tokenize)
 
 
 @dataclass
@@ -50,73 +54,22 @@ class QaExample:
     gold_sentence: int
 
 
-def _encode_sentences(text: str, vocab: Vocab) -> list[list[int]]:
-    doc = document_from_text(text, vocab)
-    return [s for s in doc.sentences if s]
-
-
 def pack_pair(text_a: str, text_b: str | None, vocab: Vocab,
               cfg: RunConfig) -> ClsExample:
     """[CLS] a-sentences [SEP] (b-sentences [SEP]) with BERT segments."""
     texts = [t for t in (text_a, text_b) if t is not None]
-    sent_groups = [_encode_sentences(t, vocab) for t in texts]
+    sent_groups = [document_from_text(t, vocab).sentences for t in texts]
     if any(not g for g in sent_groups):
         raise DataError("classification text has no words")
-
-    marker = 1 if cfg.sentence_reps_enabled else 0
-    token_ids = np.full(cfg.seq_len, 0, dtype=np.int64)
-    sentence_ids = np.full(cfg.seq_len, cfg.max_sentences, dtype=np.int64)
-    segment_ids = np.zeros(cfg.seq_len, dtype=np.int64)
-    markers: list[int] = []
-    spans = []
-    pos = 0
-    token_ids[pos] = CLS
-    pos += 1
-    sent_slot = 0
-    for seg, group in enumerate(sent_groups):
-        first_of_text = True
-        for words in group:
-            if sent_slot >= cfg.max_sentences:
-                break
-            room = cfg.seq_len - pos - 1 - (len(sent_groups) - seg)
-            take_n = min(len(words), room - marker)
-            if take_n <= 0:
-                break
-            if marker:
-                if first_of_text:
-                    markers.append(pos)
-                token_ids[pos] = SENT
-                sentence_ids[pos] = sent_slot
-                segment_ids[pos] = seg
-                sent_pos = pos
-                pos += 1
-            else:
-                sent_pos = -1
-            start = pos
-            for w in words[:take_n]:
-                token_ids[pos] = w
-                sentence_ids[pos] = sent_slot
-                segment_ids[pos] = seg
-                pos += 1
-            spans.append((sent_pos, start, pos))
-            sent_slot += 1
-            first_of_text = False
-        token_ids[pos] = SEP
-        segment_ids[pos] = seg
-        pos += 1
+    packed = pack_segments(sent_groups, cfg.seq_len, cfg.max_sentences,
+                           cfg.sentence_reps_enabled)
+    # the first [SENT] of each segment stands for its text
+    markers = []
+    for sent_pos, _, _ in packed.sentence_spans:
+        if sent_pos >= 0 and packed.segment_ids[sent_pos] == len(markers):
+            markers.append(sent_pos)
     if cfg.sentence_reps_enabled and len(markers) != len(texts):
         raise DataError("no room to pack every text in the pair")
-
-    packed = PackedExample(
-        token_ids=token_ids,
-        position_ids=np.concatenate([np.arange(pos),
-                                     np.zeros(cfg.seq_len - pos, np.int64)]),
-        sentence_ids=sentence_ids,
-        segment_ids=segment_ids,
-        sentence_spans=spans,
-        attention_len=pos,
-        num_sentences=sent_slot,
-    )
     return ClsExample(packed=packed, markers=markers, label=0.0,
                       num_texts=len(texts))
 
@@ -254,7 +207,7 @@ def pack_qa(context: str, question: str, gold_start: int, gold_end: int,
     if not cfg.sentence_reps_enabled:
         raise ContractError("QA needs sentence representations enabled")
     q_words = vocab.encode(tokenize(question))
-    sents = _encode_sentences(context, vocab)
+    sents = document_from_text(context, vocab).sentences
     if not sents or not q_words:
         raise DataError("QA example needs a non-empty question and context")
     n_context_words = sum(len(s) for s in sents)
@@ -263,73 +216,20 @@ def pack_qa(context: str, question: str, gold_start: int, gold_end: int,
             f"gold span [{gold_start},{gold_end}] outside context "
             f"of {n_context_words} words")
 
-    token_ids = np.full(cfg.seq_len, 0, dtype=np.int64)
-    sentence_ids = np.full(cfg.seq_len, cfg.max_sentences, dtype=np.int64)
-    segment_ids = np.zeros(cfg.seq_len, dtype=np.int64)
-    pos = 0
-    token_ids[pos] = CLS
-    pos += 1
-    # leave room for [CLS], both [SEP]s and at least [SENT] + one word
-    q_keep = q_words[:cfg.seq_len - 5]
-    for w in q_keep:
-        token_ids[pos] = w
-        pos += 1
-    token_ids[pos] = SEP
-    pos += 1
-
-    word_positions: list[int] = []
-    marker_positions: list[int] = []
-    sentence_of_word: list[int] = []
-    spans = []
-    slot = 0
-    for words in sents:
-        if slot >= cfg.max_sentences:
-            break
-        room = cfg.seq_len - pos - 1
-        take_n = min(len(words), room - 1)
-        if take_n <= 0:
-            break
-        token_ids[pos] = SENT
-        sentence_ids[pos] = slot
-        segment_ids[pos] = 1
-        marker_positions.append(pos)
-        sent_pos = pos
-        pos += 1
-        start = pos
-        for w in words[:take_n]:
-            token_ids[pos] = w
-            sentence_ids[pos] = slot
-            segment_ids[pos] = 1
-            word_positions.append(pos)
-            sentence_of_word.append(slot)
-            pos += 1
-        spans.append((sent_pos, start, pos))
-        slot += 1
-        if take_n < len(words):
-            break
-    token_ids[pos] = SEP
-    segment_ids[pos] = 1
-    pos += 1
-    if gold_end >= len(word_positions):
+    packed = pack_segments([sents], cfg.seq_len, cfg.max_sentences,
+                           lead=q_words)
+    spans = packed.sentence_spans
+    if gold_end >= sum(end - start for _, start, end in spans):
         raise DataError("gold span truncated away while packing")
-
-    packed = PackedExample(
-        token_ids=token_ids,
-        position_ids=np.concatenate([np.arange(pos),
-                                     np.zeros(cfg.seq_len - pos, np.int64)]),
-        sentence_ids=sentence_ids,
-        segment_ids=segment_ids,
-        sentence_spans=spans,
-        attention_len=pos,
-        num_sentences=slot,
-    )
+    word_positions = np.concatenate(
+        [np.arange(start, end) for _, start, end in spans])
     return QaExample(
         packed=packed,
-        word_positions=np.asarray(word_positions),
-        marker_positions=np.asarray(marker_positions),
+        word_positions=word_positions,
+        marker_positions=np.asarray([sent_pos for sent_pos, _, _ in spans]),
         gold_start=gold_start,
         gold_end=gold_end,
-        gold_sentence=sentence_of_word[gold_start],
+        gold_sentence=int(packed.sentence_ids[word_positions[gold_start]]),
     )
 
 

@@ -95,11 +95,6 @@ def parameter_counts(cfg: RunConfig) -> tuple[int, int]:
     return enc, dec
 
 
-def no_decay(name: str, shape) -> bool:
-    """Weight decay skips layer-norm parameters and every bias."""
-    return len(shape) == 1
-
-
 def multi_head_attention(params: dict, prefix: str, x_q: Tensor, x_kv: Tensor,
                          bias, cfg: RunConfig, rng, training: bool) -> Tensor:
     """Scaled dot-product attention over the last two axes.

@@ -22,7 +22,7 @@ from .config import RunConfig
 from .encoder import encode_batch
 from .errors import ContractError, DataError, FormatError
 from .tensor import no_grad
-from .textpipe import Vocab, pack_example, tokenize, Document
+from .textpipe import Document, Vocab, merge_to_max, pack_example, tokenize
 
 
 @dataclass
@@ -33,19 +33,6 @@ class EmbeddingIndex:
     def __post_init__(self):
         if len(self.records) != self.matrix.shape[0]:
             raise ContractError("index records out of step with matrix rows")
-
-
-def _merge_with_texts(token_sents, text_sents, max_sentences, rng):
-    """Uniform adjacent-pair merging applied to tokens and texts alike."""
-    tokens = list(token_sents)
-    texts = list(text_sents)
-    while len(tokens) > max_sentences:
-        i = int(rng.integers(0, len(tokens) - 1))
-        tokens[i] = tokens[i] + tokens[i + 1]
-        texts[i] = texts[i] + " " + texts[i + 1]
-        del tokens[i + 1]
-        del texts[i + 1]
-    return tokens, texts
 
 
 def export_reps(params: dict, cfg: RunConfig,
@@ -63,11 +50,13 @@ def export_reps(params: dict, cfg: RunConfig,
                     if tok]
             if not keep:
                 continue
-            token_sents, sent_texts = zip(*keep)
-            token_sents, sent_texts = _merge_with_texts(
-                token_sents, sent_texts, cfg.max_sentences, rng)
-            ex = pack_example(Document(list(token_sents)), cfg.seq_len,
-                              cfg.max_sentences, rng)
+            # merge sentence indices, so tokens and texts merge alike
+            groups = merge_to_max(Document([[i] for i in range(len(keep))]),
+                                  cfg.max_sentences, rng).sentences
+            texts = [" ".join(keep[i][1] for i in g) for g in groups]
+            merged = Document([[w for i in g for w in keep[i][0]]
+                               for g in groups])
+            ex = pack_example(merged, cfg.seq_len, cfg.max_sentences, rng)
             if ex is None:
                 continue
             h = encode_batch(params, cfg, [ex])
@@ -76,8 +65,8 @@ def export_reps(params: dict, cfg: RunConfig,
                 records.append({
                     "doc": doc_id,
                     "sent": k,
-                    "text": sent_texts[k],
-                    "prev": sent_texts[k - 1] if k > 0 else "",
+                    "text": texts[k],
+                    "prev": texts[k - 1] if k > 0 else "",
                 })
     if not rows:
         raise DataError("corpus produced no sentence representations")

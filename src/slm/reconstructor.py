@@ -23,6 +23,23 @@ def causal_bias(steps: int, dtype=np.float32) -> Tensor:
     return Tensor(bias.reshape(1, 1, steps, steps))
 
 
+def decoder_stack(params: dict, cfg: RunConfig, x: Tensor, c: Tensor,
+                  bias: Tensor, rng=None, training: bool = False) -> Tensor:
+    """The decoder layers over input rows ``x``: masked self-attention
+    under ``bias``, cross-attention to all of ``c``, then the FFN, each
+    followed by its residual layer norm."""
+    for i in range(cfg.decoder_layers):
+        attn = multi_head_attention(
+            params, f"dec.{i}.self", x, x, bias, cfg, rng, training)
+        x = post_norm(params, f"dec.{i}.ln1", x, attn, cfg, rng, training)
+        cross = multi_head_attention(
+            params, f"dec.{i}.cross", x, c, None, cfg, rng, training)
+        x = post_norm(params, f"dec.{i}.ln2", x, cross, cfg, rng, training)
+        ffn = feed_forward(params, f"dec.{i}.ffn", x)
+        x = post_norm(params, f"dec.{i}.ln3", x, ffn, cfg, rng, training)
+    return x
+
+
 def decode_sequence(params: dict, cfg: RunConfig, c: Tensor,
                     targets: np.ndarray, rng=None,
                     training: bool = False) -> Tensor:
@@ -40,16 +57,7 @@ def decode_sequence(params: dict, cfg: RunConfig, c: Tensor,
     input_idx = np.concatenate([[0], targets[:n]])
     x = T.take(c, input_idx, axis=1)
     bias = causal_bias(n + 1, dtype=c.data.dtype)
-    for i in range(cfg.decoder_layers):
-        attn = multi_head_attention(
-            params, f"dec.{i}.self", x, x, bias, cfg, rng, training)
-        x = post_norm(params, f"dec.{i}.ln1", x, attn, cfg, rng, training)
-        cross = multi_head_attention(
-            params, f"dec.{i}.cross", x, c, None, cfg, rng, training)
-        x = post_norm(params, f"dec.{i}.ln2", x, cross, cfg, rng, training)
-        ffn = feed_forward(params, f"dec.{i}.ffn", x)
-        x = post_norm(params, f"dec.{i}.ln3", x, ffn, cfg, rng, training)
-    return x
+    return decoder_stack(params, cfg, x, c, bias, rng, training)
 
 
 def pointer_logits(w: Tensor, c: Tensor) -> Tensor:
@@ -104,16 +112,7 @@ def greedy_unshuffle(params: dict, cfg: RunConfig, c: Tensor) -> np.ndarray:
         for _ in range(n):
             x = T.take(c, np.asarray(input_idx), axis=1)
             bias = causal_bias(len(input_idx), dtype=c.data.dtype)
-            w = x
-            for i in range(cfg.decoder_layers):
-                attn = multi_head_attention(
-                    params, f"dec.{i}.self", w, w, bias, cfg, None, False)
-                w = post_norm(params, f"dec.{i}.ln1", w, attn, cfg, None, False)
-                cross = multi_head_attention(
-                    params, f"dec.{i}.cross", w, c, None, cfg, None, False)
-                w = post_norm(params, f"dec.{i}.ln2", w, cross, cfg, None, False)
-                ffn = feed_forward(params, f"dec.{i}.ffn", w)
-                w = post_norm(params, f"dec.{i}.ln3", w, ffn, cfg, None, False)
+            w = decoder_stack(params, cfg, x, c, bias)
             scores = w.data[0, -1] @ c.data[0].T
             scores[0] = -np.inf
             for used in chosen:

@@ -19,7 +19,7 @@ two must produce identical losses.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -27,13 +27,6 @@ from .errors import ContractError
 from .textpipe import PackedExample
 
 POSITION_MODES = ("resequence", "travel")
-
-
-@dataclass
-class ShuffleRecord:
-    perm: np.ndarray
-    shuffled: bool
-    order_targets: np.ndarray
 
 
 def sample_permutation(n: int, rng) -> np.ndarray:

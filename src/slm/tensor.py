@@ -252,11 +252,6 @@ def take(a: Tensor, indices, axis: int = 0) -> Tensor:
     return _make(out_data, (a,), bw)
 
 
-def take_rows(a: Tensor, row_idx) -> Tensor:
-    """out[i] = a[row_idx[i]] for a 2-D tensor and 1-D int rows."""
-    return take(a, row_idx, axis=0)
-
-
 def gather_elements(a: Tensor, col_idx) -> Tensor:
     """out[i] = a[i, col_idx[i]] for a 2-D tensor."""
     idx = np.asarray(col_idx)

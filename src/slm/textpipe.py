@@ -3,13 +3,27 @@
 A corpus file is UTF-8 text with documents separated by blank lines.
 Documents are segmented into sentences, tokenized into lowercased
 word/punctuation tokens, merged down to at most M sentences, and packed
-into fixed-length examples laid out as
+into fixed-length examples.
+
+``pack_segments`` lays out every model input; nothing else writes a
+layout array. Pretraining packs one segment:
 
     [CLS] [SENT] w w ... [SENT] w w ... [SEP] [PAD] ...
 
-with one [SENT] marker in front of every sentence. Sentence ids address
-a table of M+1 rows whose last row is reserved for [CLS], [SEP], [PAD]
-and any other token that belongs to no sentence.
+Sentence-pair classification packs one segment per text, each closed
+by its own [SEP], with BERT segment ids 0 and 1:
+
+    [CLS] [SENT] a a ... [SENT] a ... [SEP] [SENT] b b ... [SEP] [PAD] ...
+
+Extractive QA puts the question in front as an unmarked lead block,
+segment 0, and the context sentences after it as segment 1:
+
+    [CLS] q q ... [SEP] [SENT] c c ... [SENT] c ... [SEP] [PAD] ...
+
+One [SENT] marker stands in front of every sentence (none when sentence
+tokens are off). Sentence ids address a table of M+1 rows whose last
+row is reserved for [CLS], [SEP], [PAD], question words and any other
+token that belongs to no sentence.
 """
 from __future__ import annotations
 
@@ -238,9 +252,73 @@ class PackedExample:
     perm: np.ndarray | None = None
 
 
+def pack_segments(segments: list[list[list[int]]], seq_len: int,
+                  max_sentences: int, use_sentence_tokens: bool = True,
+                  lead=()) -> PackedExample:
+    """Lay out segments of sentences in the one input layout.
+
+    Writes [CLS], then the unmarked ``lead`` words closed by [SEP] when
+    there are any, then each segment's sentences closed by that
+    segment's own [SEP]. Segment ids count the [SEP]-closed blocks from
+    zero; every kept sentence takes the next sentence-id slot. A
+    sentence keeps as many words as fit before the [SEP]s still to be
+    written (and its own marker); packing stops at ``max_sentences`` or
+    when no word fits. Empty sentences are skipped, and the lead is cut
+    so one marked word of the first segment still fits.
+    """
+    marker = 1 if use_sentence_tokens else 0
+    token_ids = np.full(seq_len, PAD, dtype=np.int64)
+    sentence_ids = np.full(seq_len, max_sentences, dtype=np.int64)
+    segment_ids = np.zeros(seq_len, dtype=np.int64)
+    spans: list[tuple[int, int, int]] = []
+
+    token_ids[0] = CLS
+    pos = 1
+    first_segment = 0
+    if len(lead):
+        lead = lead[:max(0, seq_len - 3 - len(segments) - marker)]
+        token_ids[pos:pos + len(lead)] = lead
+        pos += len(lead)
+        token_ids[pos] = SEP
+        pos += 1
+        first_segment = 1
+    for i, sentences in enumerate(segments):
+        seps_left = len(segments) - i
+        block_start = pos
+        for words in sentences:
+            if not len(words):
+                continue
+            take = min(len(words), seq_len - pos - seps_left - marker)
+            if len(spans) >= max_sentences or take <= 0:
+                break
+            if marker:
+                token_ids[pos] = SENT
+            start = pos + marker
+            token_ids[start:start + take] = words[:take]
+            sentence_ids[pos:start + take] = len(spans)
+            spans.append((pos if marker else -1, start, start + take))
+            pos = start + take
+        token_ids[pos] = SEP
+        pos += 1
+        segment_ids[block_start:pos] = first_segment + i
+    position_ids = np.zeros(seq_len, dtype=np.int64)
+    position_ids[:pos] = np.arange(pos)
+
+    return PackedExample(
+        token_ids=token_ids,
+        position_ids=position_ids,
+        sentence_ids=sentence_ids,
+        segment_ids=segment_ids,
+        sentence_spans=spans,
+        attention_len=pos,
+        num_sentences=len(spans),
+    )
+
+
 def pack_example(doc: Document, seq_len: int, max_sentences: int, rng,
                  use_sentence_tokens: bool = True) -> PackedExample | None:
-    """Lay out a document; returns None when nothing fits.
+    """Merge a document to at most M sentences and lay it out as one
+    segment; returns None when nothing fits.
 
     Sentences beyond the length budget are dropped from the tail, and
     the last kept sentence is truncated to the remaining room (a
@@ -249,61 +327,9 @@ def pack_example(doc: Document, seq_len: int, max_sentences: int, rng,
     if seq_len < 4:
         raise ContractError("seq_len must allow [CLS] [SENT] w [SEP]")
     merged = merge_to_max(doc, max_sentences, rng)
-    sents = [s for s in merged.sentences if s]
-    if not sents:
-        return None
-
-    marker = 1 if use_sentence_tokens else 0
-    budget = seq_len - 2  # [CLS], [SEP]
-    kept: list[list[int]] = []
-    for words in sents:
-        room = budget - (marker + 1)
-        if room < 0:
-            break
-        take_n = min(len(words), budget - marker)
-        if take_n <= 0:
-            break
-        kept.append(words[:take_n])
-        budget -= marker + take_n
-    if not kept:
-        return None
-
-    n = len(kept)
-    token_ids = np.full(seq_len, PAD, dtype=np.int64)
-    sentence_ids = np.full(seq_len, max_sentences, dtype=np.int64)
-    position_ids = np.zeros(seq_len, dtype=np.int64)
-    spans: list[tuple[int, int, int]] = []
-
-    pos = 0
-    token_ids[pos] = CLS
-    pos += 1
-    for k, words in enumerate(kept):
-        if use_sentence_tokens:
-            token_ids[pos] = SENT
-            sentence_ids[pos] = k
-            sent_pos = pos
-            pos += 1
-        else:
-            sent_pos = -1
-        start = pos
-        for w in words:
-            token_ids[pos] = w
-            sentence_ids[pos] = k
-            pos += 1
-        spans.append((sent_pos, start, pos))
-    token_ids[pos] = SEP
-    attention_len = pos + 1
-    position_ids[:attention_len] = np.arange(attention_len)
-
-    return PackedExample(
-        token_ids=token_ids,
-        position_ids=position_ids,
-        sentence_ids=sentence_ids,
-        segment_ids=np.zeros(seq_len, dtype=np.int64),
-        sentence_spans=spans,
-        attention_len=attention_len,
-        num_sentences=n,
-    )
+    ex = pack_segments([merged.sentences], seq_len, max_sentences,
+                       use_sentence_tokens)
+    return ex if ex.num_sentences else None
 
 
 def unpack_words(ex: PackedExample) -> list[int]:

@@ -30,7 +30,7 @@ from .reconstructor import greedy_unshuffle
 from .shuffling import (apply_shuffle, batch_shuffle_mask, identity_record,
                         sample_permutation)
 from .tensor import backward, no_grad
-from .textpipe import Document, PackedExample, Vocab, merge_to_max, pack_example
+from .textpipe import Document, PackedExample, Vocab, pack_example
 
 log = logging.getLogger(__name__)
 
@@ -45,7 +45,6 @@ def pack_corpus(docs: list[Document], cfg: RunConfig) -> list[PackedExample]:
     rng = np.random.default_rng([cfg.seed, _PACK])
     out = []
     for doc in docs:
-        doc = merge_to_max(doc, cfg.max_sentences, rng)
         ex = pack_example(doc, cfg.seq_len, cfg.max_sentences, rng,
                           use_sentence_tokens=cfg.sentence_reps_enabled)
         if ex is not None:

@@ -163,6 +163,11 @@ def test_gradcheck_passes_on_small_model(capsys):
     assert "float64" in out
 
 
+def test_gradcheck_rejects_bad_replacement_fractions(capsys):
+    assert run(["gradcheck", "--set", "replace_mask=0.5"]) == 2
+    assert "replacement fractions" in capsys.readouterr().err
+
+
 def test_seed_changes_training_outcome(workspace, tmp_path, capsys):
     base = SMALL_MODEL + [f"vocab_size=64", f"corpus={workspace['prepared']}",
                           f"vocab={workspace['vocab']}", "steps=3"]

@@ -172,3 +172,38 @@ def test_empty_corpus_is_data_error():
     params, cfg, _, vocab = probe_setup()
     with pytest.raises(DataError):
         export_reps(params, cfg, [[""]], vocab)
+
+
+def test_merged_sentences_keep_their_texts_and_rows():
+    from slm.textpipe import Document, pack_example, tokenize
+    vocab = probe_vocab()
+    cfg = small_config(vocab_size=len(vocab.id_to_token), seq_len=64,
+                       max_sentences=3)
+    params = build_params(cfg, seed=1)
+    docs = [["The cat sat.", "The dog ran.", "The sun rose.", "The bird flew.",
+             "The cat ran home.", "The dog sat now."],
+            ["The sun rose fast.", "The bird sat.", "The dog flew home.",
+             "The cat ran."]]
+    index = export_reps(params, cfg, docs, vocab)
+    for doc_id, sents in enumerate(docs):
+        rows = [n for n, r in enumerate(index.records) if r["doc"] == doc_id]
+        texts = [index.records[n]["text"] for n in rows]
+        assert len(texts) == cfg.max_sentences
+        # each text joins a run of adjacent source sentences, and the
+        # runs tile the document in order
+        rest = list(sents)
+        for text in texts:
+            runs = [k for k in range(1, len(rest) + 1)
+                    if " ".join(rest[:k]) == text]
+            assert runs, text
+            rest = rest[runs[0]:]
+        assert not rest
+        assert [index.records[n]["prev"] for n in rows] == [""] + texts[:-1]
+        # each row is the encoder output at its merged sentence's [SENT]
+        doc = Document([vocab.encode(tokenize(t)) for t in texts])
+        ex = pack_example(doc, cfg.seq_len, cfg.max_sentences,
+                          np.random.default_rng(0))
+        h = encode_batch(params, cfg, [ex])
+        for n, (sent_pos, _, _) in zip(rows, ex.sentence_spans, strict=True):
+            np.testing.assert_allclose(index.matrix[n], h.data[0, sent_pos],
+                                       atol=1e-6)
