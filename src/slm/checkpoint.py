@@ -3,12 +3,15 @@ optimizer state, step counter.
 
 All integers are little-endian; tensor payloads are row-major 32-bit
 floats. Tensors are written sorted by name so identical states produce
-identical bytes. Loading verifies the header and, when the caller
-passes the expected tensor names, reports any missing or unexpected
-ones by name.
+identical bytes. Saving writes a temporary file next to the target,
+syncs it and renames it into place, so a failed or interrupted save
+leaves the previous checkpoint at that path intact. Loading verifies
+the header and, when the caller passes the expected tensor names,
+reports any missing or unexpected ones by name.
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -70,26 +73,40 @@ class Checkpoint:
 
 def save_checkpoint(path: str, cfg: RunConfig, params: dict, step: int,
                     opt_state: AdamState | None = None) -> None:
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<Q", step))
-        echo = "\n".join(f"{k}={v}" for k, v in config_echo(cfg))
-        _write_bytes(fh, echo.encode("utf-8"))
-        names = sorted(params)
-        fh.write(struct.pack("<I", len(names)))
-        for name in names:
-            _write_tensor(fh, name, params[name].data)
-        if opt_state is None:
-            fh.write(struct.pack("<B", 0))
-        else:
-            fh.write(struct.pack("<B", 1))
-            fh.write(struct.pack("<Q", opt_state.t))
-            moment_names = sorted(opt_state.m)
-            fh.write(struct.pack("<I", len(moment_names)))
-            for name in moment_names:
-                _write_tensor(fh, "m:" + name, opt_state.m[name])
-                _write_tensor(fh, "v:" + name, opt_state.v[name])
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            _write_checkpoint(fh, cfg, params, step, opt_state)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _write_checkpoint(fh, cfg: RunConfig, params: dict, step: int,
+                      opt_state: AdamState | None) -> None:
+    fh.write(MAGIC)
+    fh.write(struct.pack("<I", FORMAT_VERSION))
+    fh.write(struct.pack("<Q", step))
+    echo = "\n".join(f"{k}={v}" for k, v in config_echo(cfg))
+    _write_bytes(fh, echo.encode("utf-8"))
+    names = sorted(params)
+    fh.write(struct.pack("<I", len(names)))
+    for name in names:
+        _write_tensor(fh, name, params[name].data)
+    if opt_state is None:
+        fh.write(struct.pack("<B", 0))
+    else:
+        fh.write(struct.pack("<B", 1))
+        fh.write(struct.pack("<Q", opt_state.t))
+        moment_names = sorted(opt_state.m)
+        fh.write(struct.pack("<I", len(moment_names)))
+        for name in moment_names:
+            _write_tensor(fh, "m:" + name, opt_state.m[name])
+            _write_tensor(fh, "v:" + name, opt_state.v[name])
 
 
 def load_checkpoint(path: str, expected_names=None) -> Checkpoint:

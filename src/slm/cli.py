@@ -3,7 +3,10 @@
 Subcommands: prepare, build-vocab, pretrain, eval-unshuffle,
 finetune-cls, finetune-qa, probe, gradcheck. Exit codes: 0 success,
 1 data problems (missing/bad files, aborted training), 2 contract or
-format violations (argparse also exits 2 on bad flags).
+format violations (argparse also exits 2 on bad flags). ``-v`` /
+``--log-level LEVEL`` on any subcommand sends log records (the
+trainer's step lines at ``info``) to stderr; the default, ``warning``,
+keeps a run quiet.
 
 Heavy imports happen inside main() so SLM_THREADS can cap the BLAS
 thread pools before numpy loads.
@@ -11,6 +14,8 @@ thread pools before numpy loads.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import logging
 import os
 import sys
 
@@ -53,7 +58,29 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("pretrain", "eval-unshuffle", "finetune-cls",
                  "finetune-qa", "probe", "gradcheck"):
         _add_common(subs.add_parser(name))
+    for sub in subs.choices.values():
+        sub.add_argument("-v", "--log-level", nargs="?", const="info",
+                         default="warning",
+                         choices=("debug", "info", "warning", "error"),
+                         help="log to stderr at this level (-v alone: info)")
     return parser
+
+
+@contextlib.contextmanager
+def _log_to_stderr(level: str):
+    """Send the package's log records at ``level`` and up to stderr for
+    the duration of one command."""
+    logger = logging.getLogger("slm")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    saved = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(level.upper())
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(saved)
 
 
 def _resolve(args):
@@ -266,14 +293,15 @@ _COMMANDS = {
 def main(argv=None) -> int:
     _cap_threads()
     args = build_parser().parse_args(argv)
-    try:
-        return _COMMANDS[args.command](args)
-    except (DataError, TrainingAbort) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ContractError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with _log_to_stderr(args.log_level):
+        try:
+            return _COMMANDS[args.command](args)
+        except (DataError, TrainingAbort) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except (ContractError, FormatError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -84,6 +84,12 @@ class RunConfig:
     gradcheck_dtype: str = "float64"
 
     def validate(self) -> "RunConfig":
+        for key in ("heads", "batch_size", "steps", "accum_steps"):
+            if getattr(self, key) < 1:
+                raise ContractError(f"{key} must be >= 1")
+        for key in ("dropout", "attn_dropout"):
+            if not 0 <= getattr(self, key) < 1:
+                raise ContractError(f"{key} must lie in [0, 1)")
         if self.hidden % self.heads:
             raise ContractError("hidden size must divide evenly across heads")
         if self.seq_len < 4:

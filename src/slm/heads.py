@@ -63,13 +63,14 @@ def pack_pair(text_a: str, text_b: str | None, vocab: Vocab,
         raise DataError("classification text has no words")
     packed = pack_segments(sent_groups, cfg.seq_len, cfg.max_sentences,
                            cfg.sentence_reps_enabled)
-    # the first [SENT] of each segment stands for its text
-    markers = []
-    for sent_pos, _, _ in packed.sentence_spans:
-        if sent_pos >= 0 and packed.segment_ids[sent_pos] == len(markers):
-            markers.append(sent_pos)
-    if cfg.sentence_reps_enabled and len(markers) != len(texts):
+    # the first [SENT] of each segment stands for its text; a text that
+    # kept no word is an error with or without markers
+    first = {}
+    for sent_pos, start, _ in packed.sentence_spans:
+        first.setdefault(int(packed.segment_ids[start]), sent_pos)
+    if len(first) != len(texts):
         raise DataError("no room to pack every text in the pair")
+    markers = list(first.values()) if cfg.sentence_reps_enabled else []
     return ClsExample(packed=packed, markers=markers, label=0.0,
                       num_texts=len(texts))
 
@@ -326,12 +327,14 @@ def qa_metrics(params: dict, head: dict, cfg: RunConfig,
     em = 0
     consistent = 0
     with no_grad():
-        for ex in examples:
-            h = encode_batch(params, cfg, [ex.packed])
-            _, (ps, pe, psent) = qa_forward(h, ex, head, cfg)
-            em += int(ps == ex.gold_start and pe == ex.gold_end)
-            span_sents = ex.packed.sentence_ids[ex.word_positions[ps]], \
-                ex.packed.sentence_ids[ex.word_positions[pe]]
-            consistent += int(span_sents[0] == psent == span_sents[1])
+        for lo in range(0, len(examples), cfg.batch_size):
+            batch = examples[lo:lo + cfg.batch_size]
+            h = encode_batch(params, cfg, [ex.packed for ex in batch])
+            for b, ex in enumerate(batch):
+                _, (ps, pe, psent) = qa_forward(h, ex, head, cfg, b)
+                em += int(ps == ex.gold_start and pe == ex.gold_end)
+                span_sents = ex.packed.sentence_ids[ex.word_positions[ps]], \
+                    ex.packed.sentence_ids[ex.word_positions[pe]]
+                consistent += int(span_sents[0] == psent == span_sents[1])
     n = len(examples)
     return {"n": n, "em": em / n, "sentence_consistency": consistent / n}

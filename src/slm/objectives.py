@@ -65,7 +65,7 @@ def pretrain_bundle(params: dict, cfg: RunConfig,
     labels = np.stack([
         ex.mlm_labels if ex.mlm_labels is not None
         else np.full_like(ex.token_ids, IGNORE)
-        for ex in examples])
+        for ex in examples])[:, :h.shape[1]]  # no_grad stops at L_max
     l_mlm, masked_count = mlm_loss(h, params, labels)
 
     pointer_dists: list[np.ndarray] = []

@@ -37,37 +37,45 @@ class EmbeddingIndex:
 
 def export_reps(params: dict, cfg: RunConfig,
                 docs: list[list[str]], vocab: Vocab) -> EmbeddingIndex:
-    """One row per packed sentence of every document, in corpus order."""
+    """One row per packed sentence of every document, in corpus order.
+
+    Every document is packed first (one rng stream, corpus order), then
+    the packed inputs are encoded ``cfg.batch_size`` at a time.
+    """
     if not cfg.sentence_reps_enabled:
         raise ContractError("export needs sentence representations enabled")
     rng = np.random.default_rng([cfg.seed, 5])
+    packed = []                 # (doc id, example, text per sentence)
+    for doc_id, sent_texts in enumerate(docs):
+        token_sents = [vocab.encode(tokenize(t)) for t in sent_texts]
+        keep = [(tok, txt) for tok, txt in zip(token_sents, sent_texts)
+                if tok]
+        if not keep:
+            continue
+        # merge sentence indices, so tokens and texts merge alike
+        groups = merge_to_max(Document([[i] for i in range(len(keep))]),
+                              cfg.max_sentences, rng).sentences
+        texts = [" ".join(keep[i][1] for i in g) for g in groups]
+        merged = Document([[w for i in g for w in keep[i][0]]
+                           for g in groups])
+        ex = pack_example(merged, cfg.seq_len, cfg.max_sentences, rng)
+        if ex is not None:
+            packed.append((doc_id, ex, texts))
     rows = []
     records = []
     with no_grad():
-        for doc_id, sent_texts in enumerate(docs):
-            token_sents = [vocab.encode(tokenize(t)) for t in sent_texts]
-            keep = [(tok, txt) for tok, txt in zip(token_sents, sent_texts)
-                    if tok]
-            if not keep:
-                continue
-            # merge sentence indices, so tokens and texts merge alike
-            groups = merge_to_max(Document([[i] for i in range(len(keep))]),
-                                  cfg.max_sentences, rng).sentences
-            texts = [" ".join(keep[i][1] for i in g) for g in groups]
-            merged = Document([[w for i in g for w in keep[i][0]]
-                               for g in groups])
-            ex = pack_example(merged, cfg.seq_len, cfg.max_sentences, rng)
-            if ex is None:
-                continue
-            h = encode_batch(params, cfg, [ex])
-            for k, (sent_pos, _, _) in enumerate(ex.sentence_spans):
-                rows.append(h.data[0, sent_pos].astype(np.float32))
-                records.append({
-                    "doc": doc_id,
-                    "sent": k,
-                    "text": texts[k],
-                    "prev": texts[k - 1] if k > 0 else "",
-                })
+        for lo in range(0, len(packed), cfg.batch_size):
+            chunk = packed[lo:lo + cfg.batch_size]
+            h = encode_batch(params, cfg, [ex for _, ex, _ in chunk]).data
+            for b, (doc_id, ex, texts) in enumerate(chunk):
+                for k, (sent_pos, _, _) in enumerate(ex.sentence_spans):
+                    rows.append(h[b, sent_pos].astype(np.float32))
+                    records.append({
+                        "doc": doc_id,
+                        "sent": k,
+                        "text": texts[k],
+                        "prev": texts[k - 1] if k > 0 else "",
+                    })
     if not rows:
         raise DataError("corpus produced no sentence representations")
     return EmbeddingIndex(matrix=np.stack(rows), records=records)

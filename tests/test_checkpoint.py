@@ -110,3 +110,24 @@ def test_checkpoint_without_optimizer_state(tmp_path):
     ck = load_checkpoint(path)
     assert ck.opt_state is None
     assert ck.step == 5
+
+
+class _FailingTensor:
+    """A parameter whose payload cannot be read: the save fails partway,
+    after the header and the tensors sorted before it were written."""
+
+    @property
+    def data(self):
+        raise OSError("disk full")
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path):
+    cfg, params, state, path = save_small(tmp_path)
+    before = open(path, "rb").read()
+    broken = dict(params)
+    broken["zz.broken"] = _FailingTensor()
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, cfg, broken, step=124, opt_state=state)
+    assert open(path, "rb").read() == before
+    assert load_checkpoint(path, expected_names=params.keys()).step == 123
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin"]

@@ -181,3 +181,37 @@ def test_seed_changes_training_outcome(workspace, tmp_path, capsys):
     rows_a = (out_a / "metrics.csv").read_text().splitlines()[-1]
     rows_b = (out_b / "metrics.csv").read_text().splitlines()[-1]
     assert rows_a != rows_b
+
+
+@pytest.mark.parametrize("bad", [
+    ["accum_steps=0"], ["batch_size=0"], ["steps=0", "warmup=0"],
+    ["heads=0"], ["dropout=1.5"], ["dropout=-0.1"], ["attn_dropout=1.0"],
+], ids=",".join)
+def test_out_of_range_config_exits_two_without_traceback(
+        bad, workspace, tmp_path, capsys):
+    args = (["pretrain", "--out", str(tmp_path / "run")]
+            + sets(SMALL_MODEL + ["vocab_size=64",
+                                  f"corpus={workspace['prepared']}",
+                                  f"vocab={workspace['vocab']}"] + bad))
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and bad[0].split("=")[0] in err
+    assert "Traceback" not in err
+
+
+def test_log_level_shows_trainer_step_lines(workspace, tmp_path, capsys):
+    base = sets(SMALL_MODEL + ["vocab_size=64", "steps=2", "log_every=1",
+                               f"corpus={workspace['prepared']}",
+                               f"vocab={workspace['vocab']}"])
+    assert run(["pretrain", "--out", str(tmp_path / "quiet")] + base) == 0
+    quiet = capsys.readouterr()
+    assert "step 0" not in quiet.err
+    assert run(["pretrain", "--out", str(tmp_path / "loud"), "-v"]
+               + base) == 0
+    loud = capsys.readouterr()
+    assert "INFO slm.trainer: step 0 lr" in loud.err
+    assert "step 1 lr" in loud.err
+    assert loud.out.replace("loud", "quiet") == quiet.out
+    assert run(["pretrain", "--out", str(tmp_path / "debug"),
+                "--log-level", "debug"] + base) == 0
+    assert "step 1 lr" in capsys.readouterr().err

@@ -151,3 +151,26 @@ def test_decoder_encoder_parameter_ratio_paper_profile():
     assert shapes["emb.token"] == (30522, 768)
     assert shapes["dec.2.cross.wq"] == (768, 768)
     assert enc > 100_000_000
+
+
+
+def test_no_grad_encode_stops_at_longest_real_row():
+    cfg = small_config()
+    params = build_params(cfg)
+    rng = np.random.default_rng(7)
+    batch = [identity_record(masked_example(cfg, rng, n_sents=n))
+             for n in (1, 4, 2)]
+    full = encode_batch(params, cfg, batch)   # records a graph
+    with T.no_grad():
+        short = encode_batch(params, cfg, batch)
+    width = max(ex.attention_len for ex in batch)
+    assert len({ex.attention_len for ex in batch}) > 1
+    assert width < cfg.seq_len
+    assert full.shape == (3, cfg.seq_len, cfg.hidden)
+    assert short.shape == (3, width, cfg.hidden)
+    for b, ex in enumerate(batch):
+        np.testing.assert_allclose(short.data[b, :ex.attention_len],
+                                   full.data[b, :ex.attention_len], atol=1e-5)
+        np.testing.assert_allclose(extract_summary(short, ex, b).data,
+                                   extract_summary(full, ex, b).data,
+                                   atol=1e-5)

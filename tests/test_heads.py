@@ -67,6 +67,16 @@ def test_pack_pair_without_sentence_reps():
     assert SENT not in ex.packed.token_ids[:ex.packed.attention_len]
 
 
+@pytest.mark.parametrize("markers", [True, False])
+def test_pair_whose_second_text_gets_no_room_is_rejected(markers):
+    # the first text fills the budget before the second keeps a word
+    vocab = toy_vocab()
+    cfg = cfg_for(vocab, seq_len=8, sentence_reps_enabled=markers,
+                  sr_enabled=markers)
+    with pytest.raises(DataError, match="no room"):
+        pack_pair("cat dog cat dog cat dog cat dog", "dog cat", vocab, cfg)
+
+
 def test_zero_projection_gives_uniform_probabilities():
     vocab = toy_vocab()
     cfg = cfg_for(vocab)
@@ -271,3 +281,31 @@ def test_qa_jsonl_reader(tmp_path):
     bad.write_text('{"context": "x"}\n')
     with pytest.raises(DataError):
         read_qa_jsonl(str(bad), vocab, cfg)
+
+
+def test_batched_qa_metrics_match_per_example_scoring():
+    """qa_metrics encodes batch_size examples per call under no_grad;
+    scoring one full-length example at a time gives the same numbers."""
+    vocab = toy_vocab()
+    cfg = cfg_for(vocab, batch_size=3, finetune_lr=5e-3)
+    params = build_params(cfg, seed=6)
+    data = [
+        ("the cat sat. the dog ran.", "the cat", 1, 1),
+        ("the sun rose. the bird flew home now.", "the sun", 4, 5),
+        ("one cat ran. two dog sat. red sun.", "one cat", 4, 4),
+        ("red sun home.", "red sun", 2, 2),
+        ("blue bird now. the cat sat fast. one dog ran.", "the cat", 5, 6),
+    ]
+    examples = [pack_qa(c, q, s, e, vocab, cfg) for c, q, s, e in data]
+    head = finetune_qa(params, cfg, examples, steps=20, seed=6)
+    em = consistent = 0
+    for ex in examples:
+        h = encode_batch(params, cfg, [ex.packed])
+        assert h.shape[1] == cfg.seq_len
+        _, (ps, pe, psent) = qa_forward(h, ex, head, cfg)
+        em += int((ps, pe) == (ex.gold_start, ex.gold_end))
+        sent_ids = ex.packed.sentence_ids[ex.word_positions[[ps, pe]]]
+        consistent += int(sent_ids[0] == psent == sent_ids[1])
+    scores = qa_metrics(params, head, cfg, examples)
+    assert scores == {"n": 5, "em": em / 5,
+                      "sentence_consistency": consistent / 5}

@@ -157,3 +157,22 @@ def test_unshuffled_batch_still_trains_pointer():
     assert bundle.l_slm > 0.0
     for ex in bundle_inputs(cfg, seed=14, shuffle=False):
         np.testing.assert_array_equal(ex.order_targets, [1, 2, 3, 4])
+
+
+def test_no_grad_bundle_matches_graph_recording_bundle():
+    """Under no_grad the encoder output is cut to the longest real row;
+    the MLM labels follow it and the losses agree with the full pass."""
+    from slm import tensor as T
+    cfg = small_config()
+    params = build_params(cfg, seed=2)
+    rng = np.random.default_rng(9)
+    batch = []
+    for n in (1, 3, 2):
+        ex = masked_example(cfg, rng, n_sents=n)
+        batch.append(apply_shuffle(ex, sample_permutation(n, rng)))
+    full = pretrain_bundle(params, cfg, batch)
+    with T.no_grad():
+        short = pretrain_bundle(params, cfg, batch)
+    assert short.masked_count == full.masked_count
+    np.testing.assert_allclose(short.l_mlm, full.l_mlm, atol=1e-5)
+    np.testing.assert_allclose(short.l_slm, full.l_slm, atol=1e-5)

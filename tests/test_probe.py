@@ -207,3 +207,34 @@ def test_merged_sentences_keep_their_texts_and_rows():
         for n, (sent_pos, _, _) in zip(rows, ex.sentence_spans, strict=True):
             np.testing.assert_allclose(index.matrix[n], h.data[0, sent_pos],
                                        atol=1e-6)
+
+
+def test_batched_export_matches_per_document_full_length_encoding():
+    """Chunked, trimmed export against one full-length encode per doc."""
+    from dataclasses import replace
+
+    from slm.textpipe import Document, pack_example, tokenize
+    params, cfg, docs, vocab = probe_setup()
+    docs = docs + [["The dog sat."], [""],
+                   ["The sun rose home now.", "The cat ran.",
+                    "The bird sat fast.", "The dog flew."],
+                   ["The bird ran home."]]
+    batched = export_reps(params, replace(cfg, batch_size=2), docs, vocab)
+    single = export_reps(params, replace(cfg, batch_size=1), docs, vocab)
+    assert batched.records == single.records
+
+    rows, records = [], []
+    for doc_id, sents in enumerate(docs):
+        tokens = [vocab.encode(tokenize(t)) for t in sents]
+        if not any(tokens):
+            continue
+        ex = pack_example(Document(tokens), cfg.seq_len, cfg.max_sentences,
+                          np.random.default_rng(0))
+        h = encode_batch(params, cfg, [ex])   # records a graph: full length
+        assert h.shape[1] == cfg.seq_len
+        for k, (sent_pos, _, _) in enumerate(ex.sentence_spans):
+            rows.append(h.data[0, sent_pos])
+            records.append({"doc": doc_id, "sent": k, "text": sents[k],
+                            "prev": sents[k - 1] if k else ""})
+    assert batched.records == records
+    np.testing.assert_allclose(batched.matrix, np.stack(rows), atol=1e-5)
