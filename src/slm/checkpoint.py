@@ -140,16 +140,22 @@ def load_checkpoint(path: str, expected_names=None) -> Checkpoint:
                 opt_state.m[m_name[2:]] = m_data
                 opt_state.v[v_name[2:]] = v_data
 
+    ck = Checkpoint(step=step, config=cfg, params=params, opt_state=opt_state)
     if expected_names is not None:
-        have = set(params)
-        want = set(expected_names)
-        missing = sorted(want - have)
-        extra = sorted(have - want)
-        if missing or extra:
-            parts = []
-            if missing:
-                parts.append("missing tensors: " + ", ".join(missing))
-            if extra:
-                parts.append("unexpected tensors: " + ", ".join(extra))
-            raise FormatError(f"{path}: " + "; ".join(parts))
-    return Checkpoint(step=step, config=cfg, params=params, opt_state=opt_state)
+        check_tensor_names(path, ck, expected_names)
+    return ck
+
+
+def check_tensor_names(path: str, ck: Checkpoint, expected_names) -> None:
+    """Raise FormatError naming every missing and unexpected tensor."""
+    have = set(ck.params)
+    want = set(expected_names)
+    missing = sorted(want - have)
+    extra = sorted(have - want)
+    if missing or extra:
+        parts = []
+        if missing:
+            parts.append("missing tensors: " + ", ".join(missing))
+        if extra:
+            parts.append("unexpected tensors: " + ", ".join(extra))
+        raise FormatError(f"{path}: " + "; ".join(parts))

@@ -111,7 +111,7 @@ def _load_checkpoint_and_config(args):
     """
     from dataclasses import asdict
 
-    from .checkpoint import load_checkpoint
+    from .checkpoint import check_tensor_names, load_checkpoint
     from .config import RunConfig, resolve_config
     from .model import param_shapes
 
@@ -123,11 +123,12 @@ def _load_checkpoint_and_config(args):
     baseline = asdict(resolve_config(args.profile, args.config, [], None))
     explicit = {k: v for k, v in asdict(merged).items()
                 if v != baseline.get(k)}
-    stored = asdict(load_checkpoint(path).config)
+    ck = load_checkpoint(path)
+    stored = asdict(ck.config)
     stored.update(explicit)
     cfg = RunConfig(**stored).validate()
-    expected = [name for name, _ in param_shapes(cfg)]
-    return load_checkpoint(path, expected_names=expected), cfg
+    check_tensor_names(path, ck, [name for name, _ in param_shapes(cfg)])
+    return ck, cfg
 
 
 def cmd_prepare(args) -> int:

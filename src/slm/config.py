@@ -9,6 +9,7 @@ peak rate 1.5e-4).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ContractError, DataError
@@ -84,28 +85,50 @@ class RunConfig:
     gradcheck_dtype: str = "float64"
 
     def validate(self) -> "RunConfig":
-        for key in ("heads", "batch_size", "steps", "accum_steps"):
-            if getattr(self, key) < 1:
-                raise ContractError(f"{key} must be >= 1")
-        for key in ("dropout", "attn_dropout"):
-            if not 0 <= getattr(self, key) < 1:
-                raise ContractError(f"{key} must lie in [0, 1)")
+        for keys, in_range, rule in _RANGES:
+            for key in keys:
+                if not in_range(getattr(self, key)):
+                    raise ContractError(f"{key} {rule}")
         if self.hidden % self.heads:
             raise ContractError("hidden size must divide evenly across heads")
         if self.seq_len < 4:
             raise ContractError("seq_len too small for [CLS] [SENT] w [SEP]")
-        if self.max_sentences < 1:
-            raise ContractError("max_sentences must be >= 1")
-        if self.position_mode not in ("resequence", "travel"):
-            raise ContractError(f"unknown position_mode {self.position_mode!r}")
-        if not 0 <= self.shuffle_fraction <= 1:
-            raise ContractError("shuffle_fraction must lie in [0, 1]")
+        for key, choices in _CHOICES:
+            if getattr(self, key) not in choices:
+                raise ContractError(f"unknown {key} {getattr(self, key)!r}")
         if self.warmup > self.steps:
             raise ContractError("warmup cannot exceed total steps")
         if self.sr_enabled and not self.sentence_reps_enabled:
             raise ContractError(
                 "the reconstructor needs sentence representations enabled")
         return self
+
+
+# (fields, test, what the test demands). Comparisons are written so that
+# NaN fails every one. grad_clip has no range: <= 0 turns clipping off.
+# The masking fields are checked by masking.MaskingConfig.validate.
+_RANGES = (
+    (("heads", "hidden", "ffn", "vocab_size", "batch_size", "steps",
+      "accum_steps", "max_sentences", "max_answer_len", "top_k"),
+     lambda v: v >= 1, "must be >= 1"),
+    (("encoder_layers", "decoder_layers", "warmup", "finetune_epochs",
+      "checkpoint_every", "log_every"),
+     lambda v: v >= 0, "must be >= 0"),
+    (("query_row",), lambda v: v >= -1, "must be >= -1 (-1: no query)"),
+    (("dropout", "attn_dropout", "beta1", "beta2"),
+     lambda v: 0 <= v < 1, "must lie in [0, 1)"),
+    (("shuffle_fraction",), lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
+    (("layer_norm_eps", "adam_eps", "gradcheck_tol"),
+     lambda v: 0 < v < math.inf, "must be positive and finite"),
+    (("peak_lr", "finetune_lr", "weight_decay"),
+     lambda v: 0 <= v < math.inf, "must be >= 0 and finite"),
+)
+
+_CHOICES = (
+    ("position_mode", ("resequence", "travel")),
+    ("task_type", ("classification", "regression")),
+    ("gradcheck_dtype", ("float32", "float64")),
+)
 
 
 PROFILES = {

@@ -172,7 +172,7 @@ def finetune_cls(params: dict, cfg: RunConfig, examples: list[ClsExample],
         batch = [examples[(lo + k) % n] for k in range(min(cfg.batch_size, n))]
         zero_grads(trained)
         h = encode_batch(params, cfg, [ex.packed for ex in batch],
-                         rng, training=True)
+                         rng, training=True, trim=True)
         _, loss = classify(h, batch, head, cfg)
         backward(loss)
         clip_global_norm(trained, cfg.grad_clip)
@@ -283,15 +283,21 @@ def qa_forward(h: Tensor, ex: QaExample, head: dict, cfg: RunConfig,
 
 def best_span(start_logits: np.ndarray, end_logits: np.ndarray,
               max_answer_len: int) -> tuple[int, int]:
-    """Highest-scoring (start, end) with start <= end < start + window."""
-    best, pair = -np.inf, (0, 0)
-    for i in range(len(start_logits)):
-        j_hi = min(len(end_logits), i + max_answer_len)
-        for j in range(i, j_hi):
-            score = start_logits[i] + end_logits[j]
-            if score > best:
-                best, pair = score, (i, j)
-    return pair
+    """Highest-scoring (start, end) with start <= end < start + window.
+
+    Ties go to the first pair in row-major order; (0, 0) when no legal
+    pair scores above -inf.
+    """
+    scores = np.add.outer(start_logits, end_logits)
+    if scores.size == 0:
+        return 0, 0
+    gap = np.arange(scores.shape[1]) - np.arange(scores.shape[0])[:, None]
+    # a NaN score never wins, exactly as under a strict ">" scan
+    legal = (gap >= 0) & (gap < max_answer_len) & ~np.isnan(scores)
+    # argmax returns the first maximum, which is (0, 0) when all are -inf
+    i, j = np.unravel_index(np.argmax(np.where(legal, scores, -np.inf)),
+                            scores.shape)
+    return int(i), int(j)
 
 
 def finetune_qa(params: dict, cfg: RunConfig, examples: list[QaExample],
@@ -309,7 +315,7 @@ def finetune_qa(params: dict, cfg: RunConfig, examples: list[QaExample],
         batch = [examples[(lo + k) % n] for k in range(min(cfg.batch_size, n))]
         zero_grads(trained)
         h = encode_batch(params, cfg, [ex.packed for ex in batch],
-                         rng, training=True)
+                         rng, training=True, trim=True)
         acc = None
         for b, ex in enumerate(batch):
             loss, _ = qa_forward(h, ex, head, cfg, b)

@@ -9,6 +9,8 @@ corpus write byte-identical metrics when timing is disabled.
 
 Metrics are an append-only CSV (step,lr,l_mlm,l_slm,total,shuffled,
 tokens_per_s) preceded by `# key=value` lines echoing the full config.
+With `accum_steps > 1` a row's losses are means over the step's
+micro-batches and `shuffled` counts its shuffled micro-batches.
 """
 from __future__ import annotations
 
@@ -114,15 +116,22 @@ def train_loop(docs: list[Document], cfg: RunConfig, out_dir: str,
             t0 = time.perf_counter() if cfg.timing_enabled else 0.0
             zero_grads(params)
             tokens = 0
-            shuffled = False
+            shuffled = 0
+            losses = []
             drop_rng = np.random.default_rng([cfg.seed, _DROPOUT, step])
             for micro in range(cfg.accum_steps):
-                batch, shuffled = prepare_batch(
+                batch, micro_shuffled = prepare_batch(
                     packed, step * cfg.accum_steps + micro, cfg, mask_cfg)
                 bundle = pretrain_bundle(params, cfg, batch, drop_rng,
                                          training=True)
                 backward(bundle.loss)
                 tokens += sum(ex.attention_len for ex in batch)
+                shuffled += int(micro_shuffled)
+                losses.append((bundle.l_mlm, bundle.l_slm, bundle.total))
+            # mean over micro-batches; with one micro-batch each mean is
+            # that batch's value, bit for bit
+            l_mlm, l_slm, total = (sum(col) / len(losses)
+                                   for col in zip(*losses))
             if cfg.accum_steps > 1:
                 for p in params.values():
                     if p.grad is not None:
@@ -130,21 +139,20 @@ def train_loop(docs: list[Document], cfg: RunConfig, out_dir: str,
             clip_global_norm(params, cfg.grad_clip)
             lr = lr_schedule(step, cfg)
             adam_update(params, state, lr, cfg)
-            shuffled_batches += int(shuffled)
+            shuffled_batches += shuffled
 
             if cfg.timing_enabled:
                 dt = max(time.perf_counter() - t0, 1e-9)
                 tokens_per_s = tokens / dt
             else:
                 tokens_per_s = 0.0
-            metrics.write(f"{step},{lr:.10g},{bundle.l_mlm:.6f},"
-                          f"{bundle.l_slm:.6f},{bundle.total:.6f},"
-                          f"{int(shuffled)},{tokens_per_s:.6g}\n")
+            metrics.write(f"{step},{lr:.10g},{l_mlm:.6f},{l_slm:.6f},"
+                          f"{total:.6f},{shuffled},{tokens_per_s:.6g}\n")
             if cfg.log_every and step % cfg.log_every == 0:
                 log.info("step %d lr %.3g mlm %.4f slm %.4f total %.4f",
-                         step, lr, bundle.l_mlm, bundle.l_slm, bundle.total)
-            last = {"step": step, "l_mlm": bundle.l_mlm,
-                    "l_slm": bundle.l_slm, "total": bundle.total}
+                         step, lr, l_mlm, l_slm, total)
+            last = {"step": step, "l_mlm": l_mlm, "l_slm": l_slm,
+                    "total": total}
             if cfg.checkpoint_every and (step + 1) % cfg.checkpoint_every == 0:
                 save_checkpoint(os.path.join(out_dir, f"ckpt-{step + 1}.bin"),
                                 cfg, params, step + 1, state)

@@ -215,3 +215,56 @@ def test_log_level_shows_trainer_step_lines(workspace, tmp_path, capsys):
     assert run(["pretrain", "--out", str(tmp_path / "debug"),
                 "--log-level", "debug"] + base) == 0
     assert "step 1 lr" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [
+    "hidden=0", "layer_norm_eps=-1", "beta2=1", "peak_lr=nan",
+    "encoder_layers=-1", "decoder_layers=-1", "peak_lr=-1",
+    "finetune_lr=-1", "beta1=1.5", "weight_decay=-1", "warmup=-1",
+])
+def test_more_out_of_range_values_exit_two_without_traceback(
+        bad, workspace, tmp_path, capsys):
+    args = (["pretrain", "--out", str(tmp_path / "run")]
+            + sets(SMALL_MODEL + ["vocab_size=64",
+                                  f"corpus={workspace['prepared']}",
+                                  f"vocab={workspace['vocab']}", bad]))
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and bad.split("=")[0] in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_checkpoint_commands_read_the_file_once(workspace, capsys,
+                                                monkeypatch):
+    from slm import checkpoint
+    reads = []
+    load = checkpoint.load_checkpoint
+
+    def counting_load(path, *args, **kwargs):
+        reads.append(path)
+        return load(path, *args, **kwargs)
+
+    monkeypatch.setattr(checkpoint, "load_checkpoint", counting_load)
+    args = (["eval-unshuffle"]
+            + sets(SMALL_MODEL + [f"vocab={workspace['vocab']}",
+                                  f"eval_corpus={workspace['prepared']}",
+                                  f"checkpoint={workspace['ckpt']}"]))
+    assert run(args) == 0
+    assert reads == [str(workspace["ckpt"])]
+    capsys.readouterr()
+
+
+def test_checkpoint_with_wrong_tensors_still_names_them(workspace, tmp_path,
+                                                        capsys):
+    from slm.checkpoint import load_checkpoint, save_checkpoint
+    ck = load_checkpoint(str(workspace["ckpt"]))
+    del ck.params["mlm.bias"]
+    bad = tmp_path / "partial.bin"
+    save_checkpoint(str(bad), ck.config, ck.params, ck.step)
+    args = (["eval-unshuffle"]
+            + sets(SMALL_MODEL + [f"vocab={workspace['vocab']}",
+                                  f"eval_corpus={workspace['prepared']}",
+                                  f"checkpoint={bad}"]))
+    assert run(args) == 2
+    assert "missing tensors: mlm.bias" in capsys.readouterr().err

@@ -1,0 +1,173 @@
+"""Fine-tuning encodes each batch at its longest real sequence.
+
+Each check runs one optimizer step of a fine-tuning loop twice on a
+float64 model and a batch of mixed lengths: once as shipped (trimmed to
+``max(attention_len)``) and once with the encoder forced to the full
+``seq_len``. The loss and every parameter gradient must agree to float64
+round-off. Dropout is off because its masks are drawn per position, so
+the two widths draw different masks.
+"""
+import numpy as np
+import pytest
+
+from slm import heads, objectives
+from slm.heads import finetune_cls, finetune_qa, pack_pair, pack_qa
+from slm.objectives import pretrain_bundle
+from slm.shuffling import apply_shuffle, sample_permutation
+from slm.textpipe import SPECIAL_TOKENS, Vocab
+
+from util import build_params, masked_example, small_config
+
+WORDS = ["the", "cat", "sat", "dog", "ran", "fast", "sun", "rose", "red",
+         "blue", "one", "two", "bird", "flew", "home", "now"]
+
+
+def setup():
+    vocab = Vocab(SPECIAL_TOKENS + WORDS)
+    cfg = small_config(vocab_size=len(vocab.id_to_token), seq_len=48,
+                       batch_size=4)
+    return vocab, cfg
+
+
+def fresh_params(cfg):
+    # each run needs its own: the fine-tuning loops update them in place
+    return build_params(cfg, seed=11, dtype=np.float64)
+
+
+def one_step(monkeypatch, run, full_width: bool):
+    """Run one fine-tuning step; return (encoder widths, loss, grads)."""
+    widths, losses, grads = [], [], {}
+    encode, backward, clip = (heads.encode_batch, heads.backward,
+                              heads.clip_global_norm)
+
+    def spy_encode(*args, **kwargs):
+        if full_width:
+            kwargs["trim"] = False
+        h = encode(*args, **kwargs)
+        widths.append(h.shape[1])
+        return h
+
+    def spy_backward(loss):
+        losses.append(float(loss.data))
+        return backward(loss)
+
+    def spy_clip(params, max_norm):
+        grads.update({n: p.grad.copy() for n, p in params.items()
+                      if p.grad is not None})
+        return clip(params, max_norm)
+
+    with monkeypatch.context() as m:
+        m.setattr(heads, "encode_batch", spy_encode)
+        m.setattr(heads, "backward", spy_backward)
+        m.setattr(heads, "clip_global_norm", spy_clip)
+        run()
+    return widths, losses, grads
+
+
+def assert_same_step(monkeypatch, make_run, examples, seq_len):
+    trim = one_step(monkeypatch, make_run(), full_width=False)
+    full = one_step(monkeypatch, make_run(), full_width=True)
+    longest = max(ex.packed.attention_len for ex in examples)
+    assert len({ex.packed.attention_len for ex in examples}) > 1
+    assert longest < seq_len
+    assert trim[0] == [longest] and full[0] == [seq_len]
+    np.testing.assert_allclose(trim[1], full[1], rtol=0, atol=1e-10)
+    assert set(trim[2]) == set(full[2]) and full[2]
+    for name, grad in full[2].items():
+        np.testing.assert_allclose(trim[2][name], grad, rtol=0, atol=1e-10,
+                                   err_msg=name)
+
+
+@pytest.mark.parametrize("pair", [False, True], ids=["single", "pair"])
+def test_finetune_cls_step_matches_full_width(monkeypatch, pair):
+    vocab, cfg = setup()
+    texts = [("the cat sat", "the dog ran fast now"),
+             ("one red sun rose. the bird flew home now.", "two"),
+             ("blue", "the cat sat home. one dog ran."),
+             ("the sun rose fast", "red bird")]
+    examples = []
+    for i, (a, b) in enumerate(texts):
+        ex = pack_pair(a, b if pair else None, vocab, cfg)
+        ex.label = float(i % 3)
+        examples.append(ex)
+
+    def make_run():
+        params = fresh_params(cfg)
+        return lambda: finetune_cls(params, cfg, examples, 3, steps=1, seed=4)
+
+    assert_same_step(monkeypatch, make_run, examples, cfg.seq_len)
+
+
+def test_finetune_qa_step_matches_full_width(monkeypatch):
+    vocab, cfg = setup()
+    data = [("the cat sat. the dog ran.", "the cat", 1, 1),
+            ("the sun rose. the bird flew home now. one red sun.",
+             "the sun", 4, 6),
+            ("red sun home.", "red sun", 2, 2),
+            ("blue bird now. the cat sat fast.", "the cat", 3, 5)]
+    examples = [pack_qa(c, q, s, e, vocab, cfg) for c, q, s, e in data]
+
+    def make_run():
+        params = fresh_params(cfg)
+        return lambda: finetune_qa(params, cfg, examples, steps=1, seed=4)
+
+    assert_same_step(monkeypatch, make_run, examples, cfg.seq_len)
+
+
+def test_pretraining_under_a_graph_keeps_full_length(monkeypatch):
+    # the seeded learning check (acceptance criterion 5) depends on
+    # pretraining's exact float bits, so its width must not change
+    cfg = small_config(seq_len=48)
+    params = build_params(cfg, seed=2)
+    for p in params.values():
+        p.requires_grad = True
+    rng = np.random.default_rng(5)
+    batch = []
+    for n in (1, 2, 4):
+        ex = masked_example(cfg, rng, n_sents=n)
+        batch.append(apply_shuffle(ex, sample_permutation(n, rng)))
+    assert max(ex.attention_len for ex in batch) < cfg.seq_len
+
+    widths = []
+    encode = objectives.encode_batch
+
+    def spy(*args, **kwargs):
+        h = encode(*args, **kwargs)
+        widths.append(h.shape[1])
+        return h
+
+    monkeypatch.setattr(objectives, "encode_batch", spy)
+    bundle = pretrain_bundle(params, cfg, batch, np.random.default_rng(0),
+                             training=True)
+    assert widths == [cfg.seq_len]
+    assert bundle.loss.requires_grad
+
+
+def loop_best_span(start_logits, end_logits, max_answer_len):
+    """The original scan: first pair with strictly the highest score."""
+    best, pair = -np.inf, (0, 0)
+    for i in range(len(start_logits)):
+        j_hi = min(len(end_logits), i + max_answer_len)
+        for j in range(i, j_hi):
+            score = start_logits[i] + end_logits[j]
+            if score > best:
+                best, pair = score, (i, j)
+    return pair
+
+
+def test_best_span_picks_the_loop_pair_including_ties():
+    rng = np.random.default_rng(0)
+    for trial in range(3000):
+        n = int(rng.integers(0, 14))
+        window = int(rng.integers(-1, 16))
+        dtype = (np.float32, np.float64)[trial % 2]
+        if trial % 3 == 0:  # few distinct values: many tied pairs
+            s, e = rng.integers(-2, 3, size=(2, n)).astype(dtype)
+        else:
+            s, e = rng.normal(size=(2, n)).astype(dtype)
+        if trial % 5 == 0 and n:
+            e[rng.integers(n)] = -np.inf
+        if trial % 7 == 0 and n:
+            s[rng.integers(n)] = np.nan
+        assert heads.best_span(s, e, window) == loop_best_span(s, e, window)
+    assert heads.best_span(np.full(3, -np.inf), np.zeros(3), 5) == (0, 0)

@@ -200,3 +200,35 @@ def test_loss_moves_within_a_short_run(tmp_path):
     first, final = float(rows[0][4]), float(rows[-1][4])
     assert first != final
     assert np.isfinite(final)
+
+
+def test_accumulated_rows_report_mean_losses_and_shuffled_count(tmp_path):
+    from slm.model import init_params
+    from slm.objectives import pretrain_bundle
+    from slm.trainer import _DROPOUT
+    docs = tiny_corpus(n_docs=8, seed=6)
+    cfg = run_config(steps=6, accum_steps=3, shuffle_fraction=0.5)
+    result = train_loop(docs, cfg, str(tmp_path / "run"))
+    _, rows = read_metrics(result["metrics"])
+
+    # the shuffled column counts the step's shuffled micro-batches
+    packed = pack_corpus(docs, cfg)
+    mask_cfg = masking_config(cfg)
+    counts = [sum(prepare_batch(packed, step * 3 + micro, cfg, mask_cfg)[1]
+                  for micro in range(3)) for step in range(cfg.steps)]
+    assert [int(r[5]) for r in rows] == counts
+    assert result["shuffled_batches"] == sum(counts)
+    assert any(0 < c < 3 for c in counts)
+
+    # step 0 starts from the initial parameters: its losses are the
+    # means of the three micro-batch losses
+    params = init_params(cfg, np.random.default_rng(cfg.seed))
+    drop_rng = np.random.default_rng([cfg.seed, _DROPOUT, 0])
+    bundles = [pretrain_bundle(params, cfg,
+                               prepare_batch(packed, micro, cfg, mask_cfg)[0],
+                               drop_rng, training=True)
+               for micro in range(3)]
+    for col, attr in ((2, "l_mlm"), (3, "l_slm"), (4, "total")):
+        mean = np.mean([getattr(b, attr) for b in bundles])
+        assert float(rows[0][col]) == pytest.approx(mean, abs=2e-6)
+    assert float(rows[-1][4]) == pytest.approx(result["total"], abs=1e-6)
