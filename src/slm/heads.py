@@ -75,15 +75,24 @@ def pack_pair(text_a: str, text_b: str | None, vocab: Vocab,
                       num_texts=len(texts))
 
 
-def read_cls_tsv(path: str, vocab: Vocab, cfg: RunConfig):
-    """Returns (examples, label_names). Regression keeps label_names=None."""
+def _nonblank_lines(path: str) -> list[tuple[int, str]]:
+    """(line number, line) for each non-blank line of a fine-tuning file,
+    which must have at least one."""
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    except OSError as exc:
+            lines = [(ln, line.rstrip("\n"))
+                     for ln, line in enumerate(fh, 1) if line.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    if not lines:
+        raise DataError(f"{path}: no examples")
+    return lines
+
+
+def read_cls_tsv(path: str, vocab: Vocab, cfg: RunConfig):
+    """Returns (examples, label_names). Regression keeps label_names=None."""
     rows = []
-    for ln, line in enumerate(lines, 1):
+    for ln, line in _nonblank_lines(path):
         cols = line.split("\t")
         if len(cols) not in (2, 3):
             raise DataError(f"{path}:{ln}: expected 2 or 3 tab-separated columns")
@@ -92,25 +101,20 @@ def read_cls_tsv(path: str, vocab: Vocab, cfg: RunConfig):
     if len(n_texts) != 1:
         raise DataError(f"{path}: mixed single-text and pair rows")
 
-    examples = []
     if cfg.task_type == "regression":
-        label_names = None
-        for cols in rows:
-            ex = pack_pair(cols[1], cols[2] if len(cols) == 3 else None,
-                           vocab, cfg)
-            try:
-                ex.label = float(cols[0])
-            except ValueError as exc:
-                raise DataError(f"{path}: bad regression target {cols[0]!r}") from exc
-            examples.append(ex)
+        label_names, parse = None, float
     else:
         label_names = sorted({c[0] for c in rows})
-        index = {name: i for i, name in enumerate(label_names)}
-        for cols in rows:
-            ex = pack_pair(cols[1], cols[2] if len(cols) == 3 else None,
-                           vocab, cfg)
-            ex.label = float(index[cols[0]])
-            examples.append(ex)
+        parse = {name: float(i) for i, name in enumerate(label_names)}.get
+    examples = []
+    for cols in rows:
+        ex = pack_pair(cols[1], cols[2] if len(cols) == 3 else None,
+                       vocab, cfg)
+        try:
+            ex.label = parse(cols[0])
+        except ValueError as exc:
+            raise DataError(f"{path}: bad regression target {cols[0]!r}") from exc
+        examples.append(ex)
     return examples, label_names
 
 
@@ -156,13 +160,12 @@ def classify(h: Tensor, examples: list[ClsExample], head: dict,
     return out, T.cross_entropy(out, labels)
 
 
-def finetune_cls(params: dict, cfg: RunConfig, examples: list[ClsExample],
-                 n_outputs: int, steps: int, seed: int = 0) -> dict:
-    """Joint fine-tuning of the encoder and a fresh classifier head."""
-    rng = np.random.default_rng([seed, 90])
-    head = init_cls_head(cfg, n_outputs, examples[0].num_texts, rng)
-    trained = dict(params)
-    trained.update(head)
+def _finetune(params: dict, cfg: RunConfig, examples: list, head: dict,
+              steps: int, rng, batch_loss) -> dict:
+    """The fine-tuning loop of both heads: ``steps`` Adam steps on the
+    encoder and ``head`` jointly, cycling through ``examples`` in order;
+    ``batch_loss(h, batch)`` is the scalar loss of one encoded batch."""
+    trained = {**params, **head}
     for p in trained.values():
         p.requires_grad = True
     state = AdamState()
@@ -173,11 +176,23 @@ def finetune_cls(params: dict, cfg: RunConfig, examples: list[ClsExample],
         zero_grads(trained)
         h = encode_batch(params, cfg, [ex.packed for ex in batch],
                          rng, training=True, trim=True)
-        _, loss = classify(h, batch, head, cfg)
-        backward(loss)
+        backward(batch_loss(h, batch))
         clip_global_norm(trained, cfg.grad_clip)
         adam_update(trained, state, cfg.finetune_lr, cfg)
     return head
+
+
+def finetune_cls(params: dict, cfg: RunConfig, examples: list[ClsExample],
+                 n_outputs: int, steps: int, seed: int = 0) -> dict:
+    """Joint fine-tuning of the encoder and a fresh classifier head.
+
+    Trains the caller's encoder Tensors in ``params`` in place and
+    returns only the new head; score with ``params`` plus the head.
+    """
+    rng = np.random.default_rng([seed, 90])
+    head = init_cls_head(cfg, n_outputs, examples[0].num_texts, rng)
+    return _finetune(params, cfg, examples, head, steps, rng,
+                     lambda h, batch: classify(h, batch, head, cfg)[1])
 
 
 def cls_accuracy(params: dict, head: dict, cfg: RunConfig,
@@ -235,13 +250,8 @@ def pack_qa(context: str, question: str, gold_start: int, gold_end: int,
 
 
 def read_qa_jsonl(path: str, vocab: Vocab, cfg: RunConfig) -> list[QaExample]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
     out = []
-    for ln, line in enumerate(lines, 1):
+    for ln, line in _nonblank_lines(path):
         try:
             rec = json.loads(line)
             ctx, q = rec["context"], rec["question"]
@@ -302,28 +312,20 @@ def best_span(start_logits: np.ndarray, end_logits: np.ndarray,
 
 def finetune_qa(params: dict, cfg: RunConfig, examples: list[QaExample],
                 steps: int, seed: int = 0) -> dict:
+    """Joint fine-tuning of the encoder and a fresh QA head on the mean
+    ``qa_forward`` loss of each batch. Like ``finetune_cls``, trains the
+    caller's encoder Tensors in place and returns only the new head."""
     rng = np.random.default_rng([seed, 91])
     head = init_qa_head(cfg, rng)
-    trained = dict(params)
-    trained.update(head)
-    for p in trained.values():
-        p.requires_grad = True
-    state = AdamState()
-    n = len(examples)
-    for step in range(steps):
-        lo = (step * cfg.batch_size) % n
-        batch = [examples[(lo + k) % n] for k in range(min(cfg.batch_size, n))]
-        zero_grads(trained)
-        h = encode_batch(params, cfg, [ex.packed for ex in batch],
-                         rng, training=True, trim=True)
+
+    def batch_loss(h, batch):
         acc = None
         for b, ex in enumerate(batch):
             loss, _ = qa_forward(h, ex, head, cfg, b)
             acc = loss if acc is None else acc + loss
-        backward(T.mul(acc, 1.0 / len(batch)))
-        clip_global_norm(trained, cfg.grad_clip)
-        adam_update(trained, state, cfg.finetune_lr, cfg)
-    return head
+        return T.mul(acc, 1.0 / len(batch))
+
+    return _finetune(params, cfg, examples, head, steps, rng, batch_loss)
 
 
 def qa_metrics(params: dict, head: dict, cfg: RunConfig,

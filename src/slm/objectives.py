@@ -8,7 +8,7 @@ the batch. The two terms add with no weighting.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .config import RunConfig
 from .encoder import encode_batch, extract_summary
 from .errors import TrainingAbort
 from .masking import IGNORE
-from .reconstructor import decode_sequence, pointer_logits, pointer_nll
+from .reconstructor import decode_sequence, pointer_nll
 from .tensor import Tensor
 from .textpipe import PackedExample
 
@@ -32,7 +32,6 @@ class LossBundle:
     masked_count: int
     slm_steps: int
     loss: Tensor
-    pointer_distributions: list[np.ndarray] = field(default_factory=list)
 
 
 def mlm_loss(h: Tensor, params: dict, labels: np.ndarray) -> tuple[Tensor, int]:
@@ -56,8 +55,7 @@ def total_loss(l_mlm: Tensor, l_slm: Tensor) -> Tensor:
 
 def pretrain_bundle(params: dict, cfg: RunConfig,
                     examples: list[PackedExample], rng=None,
-                    training: bool = False,
-                    collect_pointers: bool = False) -> LossBundle:
+                    training: bool = False) -> LossBundle:
     """Forward pass over one batch of masked (and possibly shuffled)
     examples, returning losses plus the scalar graph root."""
     h = encode_batch(params, cfg, examples, rng, training)
@@ -68,7 +66,6 @@ def pretrain_bundle(params: dict, cfg: RunConfig,
         for ex in examples])[:, :h.shape[1]]  # no_grad stops at L_max
     l_mlm, masked_count = mlm_loss(h, params, labels)
 
-    pointer_dists: list[np.ndarray] = []
     slm_steps = 0
     if cfg.sr_enabled:
         per_example = []
@@ -80,11 +77,6 @@ def pretrain_bundle(params: dict, cfg: RunConfig,
             w = decode_sequence(params, cfg, c, ex.order_targets, rng, training)
             per_example.append(pointer_nll(w, c, ex.order_targets))
             slm_steps += len(ex.order_targets)
-            if collect_pointers:
-                logits = pointer_logits(w, c).data
-                shifted = logits - logits.max(axis=-1, keepdims=True)
-                e = np.exp(shifted)
-                pointer_dists.append(e / e.sum(axis=-1, keepdims=True))
         acc = per_example[0]
         for term in per_example[1:]:
             acc = acc + term
@@ -102,5 +94,4 @@ def pretrain_bundle(params: dict, cfg: RunConfig,
         masked_count=masked_count,
         slm_steps=slm_steps,
         loss=loss,
-        pointer_distributions=pointer_dists,
     )

@@ -102,9 +102,24 @@ def load_index(path: str) -> EmbeddingIndex:
         if len(raw) != 4 * n * hidden:
             raise FormatError(f"{path}: truncated index payload")
         with open(path + ".jsonl", encoding="utf-8") as fh:
-            records = [json.loads(line) for line in fh if line.strip()]
+            lines = fh.readlines()
     except OSError as exc:
         raise DataError(f"cannot read index {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}.jsonl: not UTF-8 text: {exc}") from exc
+    records = []
+    for ln, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}.jsonl:{ln}: malformed record: {exc}") from exc
+        if not (isinstance(rec, dict)
+                and {"doc", "sent", "text", "prev"} <= rec.keys()):
+            raise FormatError(f"{path}.jsonl:{ln}: record lacks doc, sent, "
+                              "text or prev")
+        records.append(rec)
     matrix = np.frombuffer(raw, dtype="<f4").reshape(n, hidden)
     return EmbeddingIndex(matrix=matrix.astype(np.float32), records=records)
 

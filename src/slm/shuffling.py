@@ -53,8 +53,7 @@ def order_targets(perm: np.ndarray, n: int) -> np.ndarray:
 
 
 def apply_shuffle(ex: PackedExample, perm: np.ndarray,
-                  position_mode: str = "resequence",
-                  shuffled: bool = True) -> PackedExample:
+                  position_mode: str = "resequence") -> PackedExample:
     """Re-identify an example's sentences according to ``perm``.
 
     Token memory (and MLM labels) never move. [CLS] keeps position 0
@@ -90,21 +89,20 @@ def apply_shuffle(ex: PackedExample, perm: np.ndarray,
         position_ids=position_ids,
         sentence_ids=sentence_ids,
         order_targets=order_targets(perm, n),
-        shuffled=shuffled,
         perm=perm.copy(),
     )
 
 
 def identity_record(ex: PackedExample) -> PackedExample:
     """Unshuffled view: identity permutation, targets still emitted."""
-    return apply_shuffle(ex, np.arange(ex.num_sentences), shuffled=False)
+    return apply_shuffle(ex, np.arange(ex.num_sentences))
 
 
-def batch_shuffle_mask(batch_index: int, fraction: float, rng) -> bool:
-    """Seeded Bernoulli(fraction) decision for one batch."""
+def batch_shuffle_mask(fraction: float, rng) -> bool:
+    """Seeded Bernoulli(fraction) decision for one batch; the caller's
+    rng stream already encodes which batch it is."""
     if not 0 <= fraction <= 1:
         raise ContractError("shuffle fraction must lie in [0, 1]")
-    del batch_index  # the caller's rng stream already encodes it
     return bool(rng.random() < fraction)
 
 

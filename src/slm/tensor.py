@@ -369,13 +369,11 @@ def gelu(x: Tensor) -> Tensor:
     return _make(out_data, (x,), bw)
 
 
-def cross_entropy(logits: Tensor, target, mask=None) -> Tensor:
+def cross_entropy(logits: Tensor, target) -> Tensor:
     """Softmax cross-entropy, fused for numerical stability.
 
     With 1-D logits and an int target, returns -log softmax(logits)[target].
-    With [m, n] logits and [m] targets, returns the mean loss over rows;
-    an optional boolean mask restricts both the mean and the gradient to
-    the selected rows (at least one row must be selected).
+    With [m, n] logits and [m] targets, returns the mean loss over rows.
     Gradient w.r.t. logits is softmax minus one-hot (scaled by the mean).
     """
     if logits.ndim == 1:
@@ -401,28 +399,18 @@ def cross_entropy(logits: Tensor, target, mask=None) -> Tensor:
     m, n = logits.shape
     if tgt.shape != (m,):
         raise ContractError("cross_entropy targets must be [m] for [m,n] logits")
-    if mask is None:
-        sel = np.arange(m)
-    else:
-        sel = np.flatnonzero(np.asarray(mask))
-        if sel.size == 0:
-            raise ContractError("cross_entropy mask selects no rows")
-    tsel = tgt[sel]
-    if tsel.size and (tsel.min() < 0 or tsel.max() >= n):
+    if tgt.size and (tgt.min() < 0 or tgt.max() >= n):
         raise IndexError("cross_entropy target out of range")
-    rows = logits.data[sel]
-    shifted = rows - rows.max(axis=-1, keepdims=True)
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1))
-    losses = lse - shifted[np.arange(sel.size), tsel]
+    losses = lse - shifted[np.arange(m), tgt]
     out_data = np.asarray(losses.mean(), dtype=logits.data.dtype)
 
     def bw(out):
         if logits.requires_grad:
             p = np.exp(shifted - lse[:, None])
-            p[np.arange(sel.size), tsel] -= 1.0
-            if logits.grad is None:
-                logits.grad = np.zeros_like(logits.data)
-            logits.grad[sel] += out.grad * p / sel.size
+            p[np.arange(m), tgt] -= 1.0
+            logits._accumulate(out.grad * p / m)
 
     return _make(out_data, (logits,), bw)
 

@@ -248,7 +248,6 @@ class PackedExample:
     num_sentences: int
     mlm_labels: np.ndarray | None = None
     order_targets: np.ndarray | None = None
-    shuffled: bool = False
     perm: np.ndarray | None = None
 
 

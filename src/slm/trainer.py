@@ -8,9 +8,10 @@ is reproducible end to end and two runs with the same seed, config and
 corpus write byte-identical metrics when timing is disabled.
 
 Metrics are an append-only CSV (step,lr,l_mlm,l_slm,total,shuffled,
-tokens_per_s) preceded by `# key=value` lines echoing the full config.
-With `accum_steps > 1` a row's losses are means over the step's
+tokens_per_s,grad_norm) preceded by `# key=value` lines echoing the full
+config. With `accum_steps > 1` a row's losses are means over the step's
 micro-batches and `shuffled` counts its shuffled micro-batches.
+`grad_norm` is the global gradient norm before clipping.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ log = logging.getLogger(__name__)
 # rng stream tags: keep the packing, sampling and dropout streams apart
 _PACK, _SAMPLE, _DROPOUT, _EVAL = 1, 2, 3, 4
 
-METRICS_COLUMNS = "step,lr,l_mlm,l_slm,total,shuffled,tokens_per_s"
+METRICS_COLUMNS = "step,lr,l_mlm,l_slm,total,shuffled,tokens_per_s,grad_norm"
 
 
 def pack_corpus(docs: list[Document], cfg: RunConfig) -> list[PackedExample]:
@@ -70,7 +71,7 @@ def prepare_batch(packed: list[PackedExample], step: int, cfg: RunConfig,
     # shuffling needs the sentence markers, so without them the batch
     # coin is never flipped
     shuffle_batch = (cfg.sentence_reps_enabled
-                     and batch_shuffle_mask(step, cfg.shuffle_fraction, rng))
+                     and batch_shuffle_mask(cfg.shuffle_fraction, rng))
     batch = []
     for k in range(cfg.batch_size):
         ex = packed[(start + k) % n]
@@ -136,7 +137,7 @@ def train_loop(docs: list[Document], cfg: RunConfig, out_dir: str,
                 for p in params.values():
                     if p.grad is not None:
                         p.grad /= cfg.accum_steps
-            clip_global_norm(params, cfg.grad_clip)
+            grad_norm = clip_global_norm(params, cfg.grad_clip)
             lr = lr_schedule(step, cfg)
             adam_update(params, state, lr, cfg)
             shuffled_batches += shuffled
@@ -147,7 +148,8 @@ def train_loop(docs: list[Document], cfg: RunConfig, out_dir: str,
             else:
                 tokens_per_s = 0.0
             metrics.write(f"{step},{lr:.10g},{l_mlm:.6f},{l_slm:.6f},"
-                          f"{total:.6f},{shuffled},{tokens_per_s:.6g}\n")
+                          f"{total:.6f},{shuffled},{tokens_per_s:.6g},"
+                          f"{grad_norm:.8g}\n")
             if cfg.log_every and step % cfg.log_every == 0:
                 log.info("step %d lr %.3g mlm %.4f slm %.4f total %.4f",
                          step, lr, l_mlm, l_slm, total)

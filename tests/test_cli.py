@@ -268,3 +268,36 @@ def test_checkpoint_with_wrong_tensors_still_names_them(workspace, tmp_path,
                                   f"checkpoint={bad}"]))
     assert run(args) == 2
     assert "missing tensors: mlm.bias" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,name", [("finetune-cls", "train.tsv"),
+                                          ("finetune-qa", "train.jsonl")])
+def test_empty_finetune_file_exits_one_naming_it(command, name, workspace,
+                                                 tmp_path, capsys):
+    empty = tmp_path / name
+    empty.write_text("\n  \n", encoding="utf-8")
+    args = ([command]
+            + sets(SMALL_MODEL + [f"vocab={workspace['vocab']}",
+                                  f"train_file={empty}",
+                                  f"checkpoint={workspace['ckpt']}"]))
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {empty}: no examples\n"
+
+
+def test_malformed_probe_index_sidecar_exits_two(workspace, tmp_path, capsys):
+    index = tmp_path / "sent.idx"
+    base = sets(SMALL_MODEL + [f"vocab={workspace['vocab']}",
+                               f"corpus={workspace['prepared']}",
+                               f"checkpoint={workspace['ckpt']}",
+                               f"index={index}", "query_row=0", "top_k=2"])
+    assert run(["probe"] + base) == 0
+    capsys.readouterr()
+    sidecar = tmp_path / "sent.idx.jsonl"
+    lines = sidecar.read_text(encoding="utf-8").splitlines()
+    lines[1] = lines[1][:-3]
+    sidecar.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run(["probe"] + base) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {sidecar}:2: malformed record")
+    assert "Traceback" not in err

@@ -131,6 +131,28 @@ def test_tsv_reader_rejects_mixed_shapes(tmp_path):
         read_cls_tsv(str(path), vocab, cfg_for(vocab))
 
 
+def test_finetune_readers_name_empty_and_undecodable_files(tmp_path):
+    vocab = toy_vocab()
+    cfg = cfg_for(vocab)
+    for reader in (read_cls_tsv, read_qa_jsonl):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("\n \n", encoding="utf-8")
+        with pytest.raises(DataError, match="empty.txt: no examples"):
+            reader(str(empty), vocab, cfg)
+        binary = tmp_path / "binary.txt"
+        binary.write_bytes(b"pos\t\xff cat\n")
+        with pytest.raises(DataError, match="cannot read .*binary.txt"):
+            reader(str(binary), vocab, cfg)
+
+
+def test_reader_errors_count_blank_lines(tmp_path):
+    vocab = toy_vocab()
+    path = tmp_path / "train.tsv"
+    path.write_text("pos\tthe cat sat\n\nneg\n", encoding="utf-8")
+    with pytest.raises(DataError, match="train.tsv:3: expected 2 or 3"):
+        read_cls_tsv(str(path), vocab, cfg_for(vocab))
+
+
 def test_classification_overfits_tiny_task():
     vocab = toy_vocab()
     cfg = cfg_for(vocab, batch_size=8, finetune_lr=5e-3)
@@ -309,3 +331,33 @@ def test_batched_qa_metrics_match_per_example_scoring():
     scores = qa_metrics(params, head, cfg, examples)
     assert scores == {"n": 5, "em": em / 5,
                       "sentence_consistency": consistent / 5}
+
+
+def test_finetuning_trains_callers_encoder_and_returns_only_the_head():
+    """cli scores ``ck.params`` with the returned head, so both loops must
+    update the caller's encoder Tensors in place and return just the head."""
+    vocab = toy_vocab()
+    cfg = cfg_for(vocab, batch_size=2)
+    cls_examples = []
+    for i, t in enumerate(("the cat sat", "the dog ran")):
+        ex = pack_pair(t, None, vocab, cfg)
+        ex.label = float(i)
+        cls_examples.append(ex)
+    qa_examples = [pack_qa("the cat sat. the dog ran.", "the cat", 1, 1,
+                           vocab, cfg)]
+    runs = [
+        (lambda p: finetune_cls(p, cfg, cls_examples, 2, steps=1),
+         {"cls.w", "cls.b"}),
+        (lambda p: finetune_qa(p, cfg, qa_examples, steps=1),
+         {"qa.start", "qa.end", "qa.sent"}),
+    ]
+    for finetune, head_keys in runs:
+        params = build_params(cfg, seed=3)
+        token = params["emb.token"]
+        before = token.data.copy()
+        names = set(params)
+        head = finetune(params)
+        assert set(head) == head_keys
+        assert set(params) == names
+        assert params["emb.token"] is token
+        assert not np.array_equal(token.data, before)

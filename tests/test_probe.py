@@ -238,3 +238,31 @@ def test_batched_export_matches_per_document_full_length_encoding():
                             "prev": sents[k - 1] if k else ""})
     assert batched.records == records
     np.testing.assert_allclose(batched.matrix, np.stack(rows), atol=1e-5)
+
+
+@pytest.mark.parametrize("bad,message", [
+    ('{"doc": 0, "sent": 2, "text": "s2"', "malformed record"),
+    ("not json", "malformed record"),
+    ('{"doc": 0, "sent": 2, "text": "s2"}', "record lacks doc, sent, text or prev"),
+    ('["doc", "sent", "text", "prev"]', "record lacks doc, sent, text or prev"),
+], ids=["truncated", "not-json", "missing-key", "not-an-object"])
+def test_bad_sidecar_record_is_format_error_naming_line(tmp_path, bad,
+                                                        message):
+    path = str(tmp_path / "sent.idx")
+    save_index(path, random_index(5, hidden=4, seed=8))
+    with open(path + ".jsonl", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    lines[2] = bad
+    with open(path + ".jsonl", "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=f"sent.idx.jsonl:3: {message}"):
+        load_index(path)
+
+
+def test_sidecar_that_is_not_utf8_is_format_error(tmp_path):
+    path = str(tmp_path / "sent.idx")
+    save_index(path, random_index(3, hidden=4, seed=9))
+    with open(path + ".jsonl", "ab") as fh:
+        fh.write(b'{"text": "\xff"}\n')
+    with pytest.raises(FormatError, match="sent.idx.jsonl: not UTF-8"):
+        load_index(path)

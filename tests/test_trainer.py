@@ -232,3 +232,36 @@ def test_accumulated_rows_report_mean_losses_and_shuffled_count(tmp_path):
         mean = np.mean([getattr(b, attr) for b in bundles])
         assert float(rows[0][col]) == pytest.approx(mean, abs=2e-6)
     assert float(rows[-1][4]) == pytest.approx(result["total"], abs=1e-6)
+
+
+def test_grad_norm_column_is_the_pre_clip_norm(tmp_path):
+    from slm.model import init_params
+    from slm.objectives import pretrain_bundle
+    from slm.tensor import backward
+    from slm.trainer import _DROPOUT
+
+    docs = tiny_corpus()
+    cfg = run_config()
+    _, rows = read_metrics(train_loop(docs, cfg, str(tmp_path / "a"))["metrics"])
+    col = METRICS_COLUMNS.split(",").index("grad_norm")
+    norms = [float(r[col]) for r in rows]
+    assert len(norms) == cfg.steps
+    assert all(np.isfinite(n) and n > 0 for n in norms)
+
+    # one step, with the norm taken by hand from the same batch and init
+    one = run_config(steps=1, warmup=0, grad_clip=0.01)
+    _, rows = read_metrics(train_loop(docs, one, str(tmp_path / "b"))["metrics"])
+    params = init_params(one, np.random.default_rng(one.seed))
+    for p in params.values():
+        p.requires_grad = True
+    batch, _ = prepare_batch(pack_corpus(docs, one), 0, one,
+                             masking_config(one))
+    bundle = pretrain_bundle(params, one, batch,
+                             np.random.default_rng([one.seed, _DROPOUT, 0]),
+                             training=True)
+    backward(bundle.loss)
+    grads = [p.grad.astype(np.float64).ravel() for p in params.values()
+             if p.grad is not None]
+    expected = float(np.linalg.norm(np.concatenate(grads)))
+    assert expected > one.grad_clip  # the row reports the norm before clipping
+    assert float(rows[0][col]) == pytest.approx(expected, rel=1e-6)

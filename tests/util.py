@@ -92,6 +92,5 @@ def physical_shuffle(ex: PackedExample, perm: np.ndarray) -> PackedExample:
         num_sentences=n,
         mlm_labels=labels,
         order_targets=order_targets(np.asarray(perm), n),
-        shuffled=True,
         perm=np.arange(n),
     )
