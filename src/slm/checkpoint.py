@@ -7,7 +7,9 @@ identical bytes. Saving writes a temporary file next to the target,
 syncs it and renames it into place, so a failed or interrupted save
 leaves the previous checkpoint at that path intact. Loading verifies
 the header and, when the caller passes the expected tensor names,
-reports any missing or unexpected ones by name.
+reports any missing or unexpected ones by name. A path that cannot be
+opened is a DataError; a file that is not a well-formed checkpoint is a
+FormatError.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig, config_echo, config_from_echo
-from .errors import FormatError
+from .errors import ContractError, DataError, FormatError
 from .optim import AdamState
 from .tensor import Tensor
 
@@ -110,40 +112,52 @@ def _write_checkpoint(fh, cfg: RunConfig, params: dict, step: int,
 
 
 def load_checkpoint(path: str, expected_names=None) -> Checkpoint:
-    with open(path, "rb") as fh:
-        if _read(fh, len(MAGIC)) != MAGIC:
-            raise FormatError(f"{path}: bad magic, not a checkpoint")
-        (version,) = struct.unpack("<I", _read(fh, 4))
-        if version != FORMAT_VERSION:
-            raise FormatError(
-                f"{path}: format version {version}, expected {FORMAT_VERSION}")
-        (step,) = struct.unpack("<Q", _read(fh, 8))
-        echo = _read_bytes(fh).decode("utf-8")
-        pairs = [line.partition("=")[::2] for line in echo.splitlines() if line]
-        cfg = config_from_echo(pairs)
-        (n_tensors,) = struct.unpack("<I", _read(fh, 4))
-        params = {}
-        for _ in range(n_tensors):
-            name, data = _read_tensor(fh)
-            params[name] = Tensor(data, requires_grad=True)
-        (has_opt,) = struct.unpack("<B", _read(fh, 1))
-        opt_state = None
-        if has_opt:
-            opt_state = AdamState()
-            (opt_state.t,) = struct.unpack("<Q", _read(fh, 8))
-            (n_moments,) = struct.unpack("<I", _read(fh, 4))
-            for _ in range(n_moments):
-                m_name, m_data = _read_tensor(fh)
-                v_name, v_data = _read_tensor(fh)
-                if not (m_name.startswith("m:") and v_name.startswith("v:")):
-                    raise FormatError(f"{path}: malformed optimizer record")
-                opt_state.m[m_name[2:]] = m_data
-                opt_state.v[v_name[2:]] = v_data
-
-    ck = Checkpoint(step=step, config=cfg, params=params, opt_state=opt_state)
+    try:
+        with open(path, "rb") as fh:
+            ck = _read_checkpoint(fh, path)
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: undecodable text: {exc}") from exc
     if expected_names is not None:
         check_tensor_names(path, ck, expected_names)
     return ck
+
+
+def _read_checkpoint(fh, path: str) -> Checkpoint:
+    if _read(fh, len(MAGIC)) != MAGIC:
+        raise FormatError(f"{path}: bad magic, not a checkpoint")
+    (version,) = struct.unpack("<I", _read(fh, 4))
+    if version != FORMAT_VERSION:
+        raise FormatError(
+            f"{path}: format version {version}, expected {FORMAT_VERSION}")
+    (step,) = struct.unpack("<Q", _read(fh, 8))
+    echo = _read_bytes(fh).decode("utf-8")
+    pairs = [line.partition("=")[::2] for line in echo.splitlines() if line]
+    try:
+        cfg = config_from_echo(pairs)
+    except ContractError as exc:
+        raise FormatError(f"{path}: stored config: {exc}") from exc
+    (n_tensors,) = struct.unpack("<I", _read(fh, 4))
+    params = {}
+    for _ in range(n_tensors):
+        name, data = _read_tensor(fh)
+        params[name] = Tensor(data, requires_grad=True)
+    (has_opt,) = struct.unpack("<B", _read(fh, 1))
+    opt_state = None
+    if has_opt:
+        opt_state = AdamState()
+        (opt_state.t,) = struct.unpack("<Q", _read(fh, 8))
+        (n_moments,) = struct.unpack("<I", _read(fh, 4))
+        for _ in range(n_moments):
+            m_name, m_data = _read_tensor(fh)
+            v_name, v_data = _read_tensor(fh)
+            if not (m_name.startswith("m:") and v_name.startswith("v:")):
+                raise FormatError(f"{path}: malformed optimizer record")
+            opt_state.m[m_name[2:]] = m_data
+            opt_state.v[v_name[2:]] = v_data
+    return Checkpoint(step=step, config=cfg, params=params,
+                      opt_state=opt_state)
 
 
 def check_tensor_names(path: str, ck: Checkpoint, expected_names) -> None:
@@ -159,3 +173,14 @@ def check_tensor_names(path: str, ck: Checkpoint, expected_names) -> None:
         if extra:
             parts.append("unexpected tensors: " + ", ".join(extra))
         raise FormatError(f"{path}: " + "; ".join(parts))
+
+
+def check_param_shapes(path: str, ck: Checkpoint, shapes) -> None:
+    """check_tensor_names, then a FormatError naming the first tensor
+    whose stored shape differs from its (name, shape) pair."""
+    check_tensor_names(path, ck, [name for name, _ in shapes])
+    for name, shape in shapes:
+        stored = ck.params[name].shape
+        if stored != tuple(shape):
+            raise FormatError(f"{path}: tensor {name} is stored with shape "
+                              f"{stored}, the config needs {tuple(shape)}")

@@ -103,31 +103,28 @@ def _require(cfg, field: str) -> str:
 
 
 def _load_checkpoint_and_config(args):
-    """Model and config from the checkpoint, with CLI overrides on top.
+    """Model and config from the checkpoint, with the command line on top.
 
-    The checkpoint's embedded config defines the model; the command line
-    only contributes keys it explicitly changed relative to what the
-    profile/config file alone would give (paths, eval knobs, and so on).
+    The stored config takes the place of the profile (a known
+    ``--profile`` has no effect): every key that ``--config``, ``--set``
+    or ``--seed`` names is laid on it, in that order, as other commands
+    lay them on the profile. The result must name and shape the stored
+    tensors exactly, else FormatError.
     """
-    from dataclasses import asdict
+    from dataclasses import replace
 
-    from .checkpoint import check_tensor_names, load_checkpoint
-    from .config import RunConfig, resolve_config
+    from .checkpoint import check_param_shapes, load_checkpoint
+    from .config import PROFILES, command_line_keys
     from .model import param_shapes
 
-    merged = resolve_config(args.profile, args.config, args.overrides,
-                            args.seed)
-    path = _require(merged, "checkpoint")
-    if not os.path.exists(path):
-        raise DataError(f"checkpoint not found: {path}")
-    baseline = asdict(resolve_config(args.profile, args.config, [], None))
-    explicit = {k: v for k, v in asdict(merged).items()
-                if v != baseline.get(k)}
-    ck = load_checkpoint(path)
-    stored = asdict(ck.config)
-    stored.update(explicit)
-    cfg = RunConfig(**stored).validate()
-    check_tensor_names(path, ck, [name for name, _ in param_shapes(cfg)])
+    if args.profile not in PROFILES:
+        raise ContractError(f"unknown profile {args.profile!r}")
+    keys = command_line_keys(args.config, args.overrides, args.seed)
+    if not keys.get("checkpoint"):
+        raise ContractError("this command needs --set checkpoint=PATH")
+    ck = load_checkpoint(keys["checkpoint"])
+    cfg = replace(ck.config, **keys).validate()
+    check_param_shapes(cfg.checkpoint, ck, param_shapes(cfg))
     return ck, cfg
 
 
@@ -248,7 +245,6 @@ def cmd_gradcheck(args) -> int:
     from .shuffling import apply_shuffle, sample_permutation
     from .tensor import grad_check
     from .textpipe import NUM_SPECIALS, Document, pack_example
-    from .trainer import masking_config
 
     # the check instance stays small so the finite-difference sweep over
     # every parameter finishes quickly; --set can resize it
@@ -266,7 +262,7 @@ def cmd_gradcheck(args) -> int:
                                       size=int(rng.integers(3, 7)))]
         for _ in range(cfg.max_sentences)])
     ex = pack_example(doc, cfg.seq_len, cfg.max_sentences, rng)
-    ex = apply_span_masking(ex, masking_config(cfg), rng, cfg.vocab_size)
+    ex = apply_span_masking(ex, cfg, rng)
     ex = apply_shuffle(ex, sample_permutation(ex.num_sentences, rng))
 
     def f():

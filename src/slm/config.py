@@ -6,13 +6,19 @@ Every knob lives in one flat dataclass so a config file is just
 published pretraining setup (12/3 layer encoder/decoder, hidden 768,
 30522-token vocabulary, 256x512 batches, 1M steps with 10k warmup at
 peak rate 1.5e-4).
+
+``RunConfig`` is the only config object and ``RunConfig.validate`` the
+only check of its fields. ``command_line_keys`` gives the keys that
+``--config``, ``--set`` and ``--seed`` set; ``resolve_config`` lays them
+on a profile, the CLI on a checkpoint's stored config.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
-from .errors import ContractError, DataError
+from .errors import ContractError, read_text
+from .textpipe import NUM_SPECIALS
 
 
 @dataclass
@@ -101,23 +107,30 @@ class RunConfig:
         if self.sr_enabled and not self.sentence_reps_enabled:
             raise ContractError(
                 "the reconstructor needs sentence representations enabled")
+        total = self.replace_mask + self.replace_random + self.replace_keep
+        if abs(total - 1.0) > 1e-9:
+            raise ContractError("replacement fractions must sum to 1")
         return self
 
 
 # (fields, test, what the test demands). Comparisons are written so that
 # NaN fails every one. grad_clip has no range: <= 0 turns clipping off.
-# The masking fields are checked by masking.MaskingConfig.validate.
 _RANGES = (
-    (("heads", "hidden", "ffn", "vocab_size", "batch_size", "steps",
-      "accum_steps", "max_sentences", "max_answer_len", "top_k"),
+    (("heads", "hidden", "ffn", "batch_size", "steps", "accum_steps",
+      "max_sentences", "max_answer_len", "top_k", "max_span"),
      lambda v: v >= 1, "must be >= 1"),
+    (("vocab_size",), lambda v: v > NUM_SPECIALS,
+     f"must exceed the {NUM_SPECIALS} special tokens"),
     (("encoder_layers", "decoder_layers", "warmup", "finetune_epochs",
       "checkpoint_every", "log_every"),
      lambda v: v >= 0, "must be >= 0"),
     (("query_row",), lambda v: v >= -1, "must be >= -1 (-1: no query)"),
     (("dropout", "attn_dropout", "beta1", "beta2"),
      lambda v: 0 <= v < 1, "must lie in [0, 1)"),
-    (("shuffle_fraction",), lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
+    (("shuffle_fraction", "mask_rate", "replace_mask", "replace_random",
+      "replace_keep"),
+     lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
+    (("p_geom",), lambda v: 0 < v < 1, "must lie in (0, 1)"),
     (("layer_norm_eps", "adam_eps", "gradcheck_tol"),
      lambda v: 0 < v < math.inf, "must be positive and finite"),
     (("peak_lr", "finetune_lr", "weight_decay"),
@@ -181,13 +194,8 @@ def _coerce(key: str, raw: str):
 
 
 def parse_config_file(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise DataError(f"cannot read config {path}: {exc}") from exc
     out = {}
-    for ln, line in enumerate(lines, 1):
+    for ln, line in enumerate(read_text(path, "config").split("\n"), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -199,23 +207,30 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
+def command_line_keys(config_path: str | None = None,
+                      overrides: list[str] | None = None,
+                      seed: int | None = None) -> dict:
+    """The keys the command line sets: the config file's, then each
+    --set pair's, then --seed; a later source wins."""
+    keys = parse_config_file(config_path) if config_path else {}
+    for pair in overrides or []:
+        if "=" not in pair:
+            raise ContractError(f"--set expects key=value, got {pair!r}")
+        key, _, value = pair.partition("=")
+        keys[key.strip()] = _coerce(key.strip(), value)
+    if seed is not None:
+        keys["seed"] = seed
+    return keys
+
+
 def resolve_config(profile: str = "tiny", config_path: str | None = None,
                    overrides: list[str] | None = None,
                    seed: int | None = None) -> RunConfig:
     """Profile defaults, then config file, then --set pairs, then --seed."""
     if profile not in PROFILES:
         raise ContractError(f"unknown profile {profile!r}")
-    cfg = replace(RunConfig(), **PROFILES[profile])
-    if config_path:
-        cfg = replace(cfg, **parse_config_file(config_path))
-    for pair in overrides or []:
-        if "=" not in pair:
-            raise ContractError(f"--set expects key=value, got {pair!r}")
-        key, _, value = pair.partition("=")
-        cfg = replace(cfg, **{key.strip(): _coerce(key.strip(), value)})
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    return cfg.validate()
+    keys = command_line_keys(config_path, overrides, seed)
+    return RunConfig(**{**PROFILES[profile], **keys}).validate()
 
 
 def config_echo(cfg: RunConfig) -> list[tuple[str, str]]:
@@ -232,5 +247,4 @@ def config_echo(cfg: RunConfig) -> list[tuple[str, str]]:
 
 def config_from_echo(pairs) -> RunConfig:
     """Inverse of config_echo."""
-    return replace(RunConfig(),
-                   **{k: _coerce(k, v) for k, v in pairs}).validate()
+    return RunConfig(**{k: _coerce(k, v) for k, v in pairs}).validate()

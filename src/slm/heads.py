@@ -28,7 +28,7 @@ import numpy as np
 from . import tensor as T
 from .config import RunConfig
 from .encoder import encode_batch
-from .errors import ContractError, DataError
+from .errors import ContractError, DataError, read_text
 from .model import INIT_STD, trunc_normal
 from .optim import AdamState, adam_update, clip_global_norm, zero_grads
 from .tensor import Tensor, backward, no_grad
@@ -78,12 +78,9 @@ def pack_pair(text_a: str, text_b: str | None, vocab: Vocab,
 def _nonblank_lines(path: str) -> list[tuple[int, str]]:
     """(line number, line) for each non-blank line of a fine-tuning file,
     which must have at least one."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [(ln, line.rstrip("\n"))
-                     for ln, line in enumerate(fh, 1) if line.strip()]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    lines = [(ln, line) for ln, line
+             in enumerate(read_text(path, "training file").split("\n"), 1)
+             if line.strip()]
     if not lines:
         raise DataError(f"{path}: no examples")
     return lines

@@ -6,49 +6,30 @@ mass is (0.40984, 0.32787, 0.26230). Spans never cover [CLS], [SEP],
 [SENT] or padding: starts are drawn from word positions only and a span
 is clipped at its sentence's word boundary. Selected positions receive
 the usual 80/10/10 treatment ([MASK] / random non-special id / kept).
+
+Every function reads a ``RunConfig`` and trusts the ranges that
+``RunConfig.validate`` checked when the config was built.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .errors import ContractError
+from .config import RunConfig
 from .textpipe import MASK, NUM_SPECIALS, PackedExample
 
 IGNORE = -1
 
 
-@dataclass
-class MaskingConfig:
-    p_geom: float = 0.2
-    max_span: int = 3
-    mask_rate: float = 0.15
-    replace_mask: float = 0.8
-    replace_random: float = 0.1
-    replace_keep: float = 0.1
-
-    def validate(self):
-        if not 0 < self.p_geom < 1:
-            raise ContractError("p_geom must lie in (0, 1)")
-        if self.max_span < 1:
-            raise ContractError("max_span must be >= 1")
-        if not 0 <= self.mask_rate <= 1:
-            raise ContractError("mask_rate must lie in [0, 1]")
-        total = self.replace_mask + self.replace_random + self.replace_keep
-        if abs(total - 1.0) > 1e-9:
-            raise ContractError("replacement fractions must sum to 1")
-        return self
-
-
-def span_length_pmf(cfg: MaskingConfig) -> np.ndarray:
+def span_length_pmf(cfg: RunConfig) -> np.ndarray:
     """Probability of each span length 1..max_span."""
     k = np.arange(1, cfg.max_span + 1)
     w = cfg.p_geom * (1 - cfg.p_geom) ** (k - 1)
     return w / w.sum()
 
 
-def sample_span_length(cfg: MaskingConfig, rng) -> int:
+def sample_span_length(cfg: RunConfig, rng) -> int:
     """Draw a span length from the truncated, renormalized geometric."""
     pmf = span_length_pmf(cfg)
     u = rng.random()
@@ -60,8 +41,8 @@ def sample_span_length(cfg: MaskingConfig, rng) -> int:
     return cfg.max_span
 
 
-def apply_span_masking(ex: PackedExample, cfg: MaskingConfig, rng,
-                       vocab_size: int) -> PackedExample:
+def apply_span_masking(ex: PackedExample, cfg: RunConfig,
+                       rng) -> PackedExample:
     """Return a copy of ``ex`` with masked tokens and MLM labels.
 
     Repeatedly samples a span length and a uniform eligible start until
@@ -70,10 +51,6 @@ def apply_span_masking(ex: PackedExample, cfg: MaskingConfig, rng,
     candidates are resampled rather than clipped so the budget is never
     double-counted.
     """
-    cfg.validate()
-    if vocab_size <= NUM_SPECIALS:
-        raise ContractError("vocab has no maskable ids")
-
     word_positions = []
     sentence_of = {}
     for si, (_, start, end) in enumerate(ex.sentence_spans):
@@ -107,7 +84,7 @@ def apply_span_masking(ex: PackedExample, cfg: MaskingConfig, rng,
         if u < cfg.replace_mask:
             tokens[p] = MASK
         elif u < cfg.replace_mask + cfg.replace_random:
-            tokens[p] = int(rng.integers(NUM_SPECIALS, vocab_size))
+            tokens[p] = int(rng.integers(NUM_SPECIALS, cfg.vocab_size))
         # else: keep the original token
 
     return replace(ex, token_ids=tokens, mlm_labels=labels)

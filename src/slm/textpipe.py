@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DataError
+from .errors import ContractError, read_text
 
 PAD, UNK, CLS, SEP, MASK, SENT = 0, 1, 2, 3, 4, 5
 SPECIAL_TOKENS = ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]", "[SENT]"]
@@ -115,12 +115,7 @@ def _is_abbreviation(text: str, dot: int) -> bool:
 
 def read_corpus(path: str) -> list[str]:
     """Documents from a UTF-8 file, separated by blank lines."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read corpus {path}: {exc}") from exc
-    docs = [d.strip() for d in re.split(r"\n\s*\n", raw)]
+    docs = [d.strip() for d in re.split(r"\n\s*\n", read_text(path, "corpus"))]
     return [d for d in docs if d]
 
 
@@ -136,13 +131,8 @@ def write_corpus(path: str, docs: list[list[str]]) -> None:
 
 def read_prepared(path: str) -> list[list[str]]:
     """Documents as sentence lists from a prepare-formatted file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read corpus {path}: {exc}") from exc
     docs = []
-    for block in re.split(r"\n\s*\n", raw):
+    for block in re.split(r"\n\s*\n", read_text(path, "corpus")):
         sents = [l.strip() for l in block.split("\n") if l.strip()]
         if sents:
             docs.append(sents)
@@ -174,12 +164,8 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str) -> "Vocab":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                tokens = [line.rstrip("\n") for line in fh if line.strip()]
-        except OSError as exc:
-            raise DataError(f"cannot read vocab {path}: {exc}") from exc
-        return cls(tokens)
+        lines = read_text(path, "vocab").split("\n")
+        return cls([line for line in lines if line.strip()])
 
 
 def build_vocab(docs: list[str], size: int) -> Vocab:
@@ -206,12 +192,13 @@ class Document:
 
 
 def document_from_text(text: str, vocab: Vocab) -> Document:
-    sents = segment_sentences(text)
-    return Document([vocab.encode(tokenize(s)) for s in sents if tokenize(s)])
+    return document_from_sentences(segment_sentences(text), vocab)
 
 
 def document_from_sentences(sentences: list[str], vocab: Vocab) -> Document:
-    return Document([vocab.encode(tokenize(s)) for s in sentences if tokenize(s)])
+    """Encode each sentence that has a token; sentences without one drop."""
+    tokenized = (tokenize(s) for s in sentences)
+    return Document([vocab.encode(toks) for toks in tokenized if toks])
 
 
 def merge_to_max(doc: Document, max_sentences: int, rng) -> Document:

@@ -25,7 +25,7 @@ from .checkpoint import save_checkpoint
 from .config import RunConfig, config_echo
 from .encoder import encode_batch, extract_summary
 from .errors import DataError
-from .masking import MaskingConfig, apply_span_masking
+from .masking import apply_span_masking
 from .model import init_params, param_shapes
 from .objectives import pretrain_bundle
 from .optim import AdamState, adam_update, clip_global_norm, lr_schedule, zero_grads
@@ -57,8 +57,8 @@ def pack_corpus(docs: list[Document], cfg: RunConfig) -> list[PackedExample]:
     return out
 
 
-def prepare_batch(packed: list[PackedExample], step: int, cfg: RunConfig,
-                  mask_cfg: MaskingConfig) -> tuple[list[PackedExample], bool]:
+def prepare_batch(packed: list[PackedExample], step: int,
+                  cfg: RunConfig) -> tuple[list[PackedExample], bool]:
     """Mask and (for a coin-flip fraction of batches) shuffle one batch.
 
     Examples cycle in packed order; the per-step rng is seeded with the
@@ -75,7 +75,7 @@ def prepare_batch(packed: list[PackedExample], step: int, cfg: RunConfig,
     batch = []
     for k in range(cfg.batch_size):
         ex = packed[(start + k) % n]
-        ex = apply_span_masking(ex, mask_cfg, rng, cfg.vocab_size)
+        ex = apply_span_masking(ex, cfg, rng)
         if cfg.sentence_reps_enabled:
             if shuffle_batch:
                 perm = sample_permutation(ex.num_sentences, rng)
@@ -86,19 +86,11 @@ def prepare_batch(packed: list[PackedExample], step: int, cfg: RunConfig,
     return batch, shuffle_batch
 
 
-def masking_config(cfg: RunConfig) -> MaskingConfig:
-    return MaskingConfig(p_geom=cfg.p_geom, max_span=cfg.max_span,
-                         mask_rate=cfg.mask_rate, replace_mask=cfg.replace_mask,
-                         replace_random=cfg.replace_random,
-                         replace_keep=cfg.replace_keep).validate()
-
-
 def train_loop(docs: list[Document], cfg: RunConfig, out_dir: str,
                params: dict | None = None) -> dict:
     """Run cfg.steps optimizer steps and return summary statistics."""
     os.makedirs(out_dir, exist_ok=True)
     packed = pack_corpus(docs, cfg)
-    mask_cfg = masking_config(cfg)
     if params is None:
         params = init_params(cfg, np.random.default_rng(cfg.seed))
     for p in params.values():
@@ -122,7 +114,7 @@ def train_loop(docs: list[Document], cfg: RunConfig, out_dir: str,
             drop_rng = np.random.default_rng([cfg.seed, _DROPOUT, step])
             for micro in range(cfg.accum_steps):
                 batch, micro_shuffled = prepare_batch(
-                    packed, step * cfg.accum_steps + micro, cfg, mask_cfg)
+                    packed, step * cfg.accum_steps + micro, cfg)
                 bundle = pretrain_bundle(params, cfg, batch, drop_rng,
                                          training=True)
                 backward(bundle.loss)

@@ -18,7 +18,7 @@ from slm.config import config_echo, resolve_config
 from slm.encoder import encode_batch
 from slm.heads import (cls_accuracy, finetune_cls, init_qa_head, pack_pair,
                        pack_qa, qa_forward)
-from slm.masking import MaskingConfig, apply_span_masking, sample_span_length
+from slm.masking import apply_span_masking, sample_span_length
 from slm.model import parameter_counts
 from slm.objectives import pretrain_bundle
 from slm.probe import EmbeddingIndex, nearest_neighbors
@@ -124,24 +124,23 @@ def test_criterion_3_shuffle_semantics_equivalence():
 
 def test_criterion_4_masking_statistics():
     with criterion(4, "span masking statistics") as info:
-        mask_cfg = MaskingConfig().validate()
+        # long documents keep the integer span budget close to the rate;
+        # a ten-word example cannot hit 15% with whole spans
+        cfg = small_config(seq_len=128, max_sentences=8)
         rng = np.random.default_rng(4)
 
         counts = np.zeros(3)
         for _ in range(100_000):
-            counts[sample_span_length(mask_cfg, rng) - 1] += 1
+            counts[sample_span_length(cfg, rng) - 1] += 1
         pmf = counts / counts.sum()
         pmf_dev = float(np.abs(pmf - (0.40984, 0.32787, 0.26230)).max())
 
-        # long documents keep the integer span budget close to the rate;
-        # a ten-word example cannot hit 15% with whole spans
-        cfg = small_config(seq_len=128, max_sentences=8)
         masked = maskable = specials_hit = 0
         for i in range(10_000):
             ex = pack_example(random_document(rng, n_sents=6, max_words=12),
                               cfg.seq_len, cfg.max_sentences, rng)
             before = ex.token_ids.copy()
-            mx = apply_span_masking(ex, mask_cfg, rng, cfg.vocab_size)
+            mx = apply_span_masking(ex, cfg, rng)
             word = np.zeros(cfg.seq_len, dtype=bool)
             for _, start, end in mx.sentence_spans:
                 word[start:end] = True

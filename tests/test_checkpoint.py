@@ -87,6 +87,20 @@ def test_truncation_is_a_format_error(tmp_path):
             load_checkpoint(str(bad))
 
 
+@pytest.mark.parametrize("old,new,message", [
+    (b"p_geom=0.2", b"p_geom=\xff.2", "undecodable"),
+    (b"emb.token", b"emb.\xffoken", "undecodable"),
+    (b"p_geom=0.2", b"p_geom=2.0", "stored config: p_geom must lie in"),
+])
+def test_undecodable_or_invalid_stored_text_is_a_format_error(
+        tmp_path, old, new, message):
+    _, _, _, path = save_small(tmp_path)
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(open(path, "rb").read().replace(old, new, 1))
+    with pytest.raises(FormatError, match=f"{bad}: {message}"):
+        load_checkpoint(str(bad))
+
+
 def test_missing_tensor_names_are_listed(tmp_path):
     cfg, params, _, _ = save_small(tmp_path)
     partial = {n: p for n, p in params.items() if n != "emb.token"}

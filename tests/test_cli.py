@@ -221,6 +221,7 @@ def test_log_level_shows_trainer_step_lines(workspace, tmp_path, capsys):
     "hidden=0", "layer_norm_eps=-1", "beta2=1", "peak_lr=nan",
     "encoder_layers=-1", "decoder_layers=-1", "peak_lr=-1",
     "finetune_lr=-1", "beta1=1.5", "weight_decay=-1", "warmup=-1",
+    "p_geom=7", "max_span=0", "mask_rate=2", "replace_mask=1.5",
 ])
 def test_more_out_of_range_values_exit_two_without_traceback(
         bad, workspace, tmp_path, capsys):
@@ -300,4 +301,104 @@ def test_malformed_probe_index_sidecar_exits_two(workspace, tmp_path, capsys):
     assert run(["probe"] + base) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {sidecar}:2: malformed record")
+    assert "Traceback" not in err
+
+
+def stored_with(workspace, tmp_path, **changes):
+    """A copy of the workspace checkpoint whose stored config differs."""
+    from dataclasses import replace
+
+    from slm.checkpoint import load_checkpoint, save_checkpoint
+    ck = load_checkpoint(str(workspace["ckpt"]))
+    path = tmp_path / "stored.bin"
+    save_checkpoint(str(path), replace(ck.config, **changes), ck.params,
+                    ck.step)
+    return path
+
+
+def test_config_file_keys_reach_checkpoint_commands(workspace, tmp_path,
+                                                    capsys):
+    cfg_file = tmp_path / "e.cfg"
+    cfg_file.write_text(f"checkpoint={workspace['ckpt']}\n"
+                        f"eval_corpus={workspace['prepared']}\n"
+                        f"vocab={workspace['vocab']}\n", encoding="utf-8")
+    assert run(["eval-unshuffle", "--config", str(cfg_file)]) == 0
+    assert capsys.readouterr().out.startswith("n=2 ")
+
+
+def test_seed_flag_overrides_the_stored_seed(workspace, tmp_path, capsys,
+                                             monkeypatch):
+    from slm import trainer
+    seeds = []
+    evaluate = trainer.evaluate_unshuffle
+
+    def recording(params, cfg, packed, seed=0):
+        seeds.append(seed)
+        return evaluate(params, cfg, packed, seed=seed)
+
+    monkeypatch.setattr(trainer, "evaluate_unshuffle", recording)
+    ckpt = stored_with(workspace, tmp_path, seed=7)
+    base = ["eval-unshuffle"] + sets([f"checkpoint={ckpt}",
+                                      f"eval_corpus={workspace['prepared']}"])
+    assert run(base) == 0
+    assert run(base + ["--seed", "0"]) == 0
+    assert run(base + ["--set", "seed=0"]) == 0
+    assert seeds == [7, 0, 0]
+    capsys.readouterr()
+
+
+def test_set_top_k_overrides_the_stored_value(workspace, tmp_path, capsys):
+    ckpt = stored_with(workspace, tmp_path, top_k=2, query_row=0)
+    base = sets([f"checkpoint={ckpt}", f"corpus={workspace['prepared']}",
+                 f"index={tmp_path / 'sent.idx'}"])
+    assert run(["probe"] + base) == 0
+    stored = capsys.readouterr().out
+    assert "2. sim=" in stored and "3. sim=" not in stored
+    assert run(["probe"] + base + ["--set", "top_k=5"]) == 0
+    assert "5. sim=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("change,tensor,stored,wanted", [
+    ("hidden=32", "emb.token", "16)", "32)"),
+    ("ffn=64", "enc.0.ffn.w1", "(16, 32)", "(16, 64)"),
+])
+def test_config_that_misdescribes_the_tensors_exits_two(
+        change, tensor, stored, wanted, workspace, capsys):
+    args = ["eval-unshuffle"] + sets([
+        f"checkpoint={workspace['ckpt']}",
+        f"eval_corpus={workspace['prepared']}", change])
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"tensor {tensor} " in err and stored in err and wanted in err
+
+
+def test_directory_checkpoint_exits_one_naming_it(workspace, tmp_path,
+                                                  capsys):
+    args = ["eval-unshuffle"] + sets([
+        f"checkpoint={tmp_path}", f"eval_corpus={workspace['prepared']}"])
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read checkpoint {tmp_path}")
+
+
+@pytest.mark.parametrize("case", ["prepare", "build-vocab", "corpus",
+                                  "vocab", "config"])
+def test_non_utf8_input_exits_one_naming_it(case, workspace, tmp_path,
+                                            capsys):
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"The cat sat \xff home.\n")
+    pretrain = ["pretrain", "--out", str(tmp_path / "run")]
+    paths = SMALL_MODEL + ["vocab_size=64", f"corpus={workspace['prepared']}",
+                           f"vocab={workspace['vocab']}"]
+    args = {
+        "prepare": ["prepare", str(binary), str(tmp_path / "out.txt")],
+        "build-vocab": ["build-vocab", str(binary), str(tmp_path / "v.txt")],
+        "corpus": pretrain + sets(paths + [f"corpus={binary}"]),
+        "vocab": pretrain + sets(paths + [f"vocab={binary}"]),
+        "config": pretrain + ["--config", str(binary)] + sets(paths),
+    }[case]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read ") and str(binary) in err
     assert "Traceback" not in err

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from slm.config import RunConfig
 from slm.errors import ContractError
-from slm.masking import (IGNORE, MaskingConfig, apply_span_masking,
-                         sample_span_length, span_length_pmf)
+from slm.masking import (IGNORE, apply_span_masking, sample_span_length,
+                         span_length_pmf)
 from slm.textpipe import MASK, NUM_SPECIALS, SENT, Document, pack_example
 
 V = 60
@@ -18,19 +19,19 @@ def make_example(n_sents=4, words_per=20, seed=0):
 
 
 def test_pmf_frozen_values():
-    pmf = span_length_pmf(MaskingConfig())
+    pmf = span_length_pmf(RunConfig())
     np.testing.assert_allclose(pmf, [0.40984, 0.32787, 0.26230], atol=1e-5)
 
 
 def test_pmf_sums_to_one():
     for p in (0.1, 0.2, 0.5):
         for m in (1, 2, 3, 5):
-            pmf = span_length_pmf(MaskingConfig(p_geom=p, max_span=m))
+            pmf = span_length_pmf(RunConfig(p_geom=p, max_span=m))
             assert abs(pmf.sum() - 1.0) < 1e-12
 
 
 def test_sample_lengths_match_pmf_100k():
-    cfg = MaskingConfig()
+    cfg = RunConfig(vocab_size=V)
     r = np.random.default_rng(42)
     draws = np.array([sample_span_length(cfg, r) for _ in range(100_000)])
     counts = np.bincount(draws, minlength=4)[1:4]
@@ -41,22 +42,22 @@ def test_sample_lengths_match_pmf_100k():
 
 
 def test_budget_window_100_eligible():
-    cfg = MaskingConfig()
+    cfg = RunConfig(vocab_size=V)
     r = np.random.default_rng(3)
     for seed in range(50):
         ex = make_example(n_sents=5, words_per=20, seed=seed)
-        masked = apply_span_masking(ex, cfg, r, V)
+        masked = apply_span_masking(ex, cfg, r)
         n = int((masked.mlm_labels != IGNORE).sum())
         assert 15 <= n <= 17  # budget 15, overshoot at most max_span-1
 
 
 def test_specials_never_masked_10k():
-    cfg = MaskingConfig()
+    cfg = RunConfig(vocab_size=V)
     r = np.random.default_rng(9)
     hits = 0
     for i in range(10_000):
         ex = make_example(n_sents=2, words_per=6, seed=i % 37)
-        masked = apply_span_masking(ex, cfg, r, V)
+        masked = apply_span_masking(ex, cfg, r)
         special_pos = masked.token_ids[ex.token_ids < NUM_SPECIALS]
         labeled_specials = (masked.mlm_labels != IGNORE) & (ex.token_ids < NUM_SPECIALS)
         hits += int(labeled_specials.sum())
@@ -67,34 +68,34 @@ def test_specials_never_masked_10k():
 
 
 def test_masked_fraction_in_window_10k():
-    cfg = MaskingConfig()
+    cfg = RunConfig(vocab_size=V)
     r = np.random.default_rng(17)
     labeled = total = 0
     for i in range(10_000):
         ex = make_example(n_sents=3, words_per=12, seed=i % 53)
-        masked = apply_span_masking(ex, cfg, r, V)
+        masked = apply_span_masking(ex, cfg, r)
         labeled += int((masked.mlm_labels != IGNORE).sum())
         total += sum(end - start for _, start, end in ex.sentence_spans)
     assert 0.13 <= labeled / total <= 0.17
 
 
 def test_labels_carry_original_ids():
-    cfg = MaskingConfig()
+    cfg = RunConfig(vocab_size=V)
     r = np.random.default_rng(5)
     ex = make_example()
-    masked = apply_span_masking(ex, cfg, r, V)
+    masked = apply_span_masking(ex, cfg, r)
     sel = masked.mlm_labels != IGNORE
     np.testing.assert_array_equal(masked.mlm_labels[sel], ex.token_ids[sel])
     np.testing.assert_array_equal(masked.token_ids[~sel], ex.token_ids[~sel])
 
 
 def test_replacement_mix_80_10_10():
-    cfg = MaskingConfig()
+    cfg = RunConfig(vocab_size=V)
     r = np.random.default_rng(23)
     n_mask = n_keep = n_rand = 0
     for i in range(4000):
         ex = make_example(n_sents=3, words_per=12, seed=i % 31)
-        masked = apply_span_masking(ex, cfg, r, V)
+        masked = apply_span_masking(ex, cfg, r)
         sel = masked.mlm_labels != IGNORE
         got, orig = masked.token_ids[sel], ex.token_ids[sel]
         n_mask += int((got == MASK).sum())
@@ -111,18 +112,18 @@ def test_replacement_mix_80_10_10():
 
 
 def test_zero_word_example_masks_nothing():
-    cfg = MaskingConfig()
+    cfg = RunConfig(vocab_size=V)
     ex = make_example(n_sents=1, words_per=1)
-    ex2 = apply_span_masking(ex, cfg, np.random.default_rng(0), V)
+    ex2 = apply_span_masking(ex, cfg, np.random.default_rng(0))
     assert int((ex2.mlm_labels != IGNORE).sum()) <= 1
 
 
 def test_spans_stay_within_sentences():
-    cfg = MaskingConfig(mask_rate=0.5)
+    cfg = RunConfig(vocab_size=V, mask_rate=0.5)
     r = np.random.default_rng(29)
     for i in range(200):
         ex = make_example(n_sents=4, words_per=3, seed=i)
-        masked = apply_span_masking(ex, cfg, r, V)
+        masked = apply_span_masking(ex, cfg, r)
         for pos in np.flatnonzero(masked.mlm_labels != IGNORE):
             ok = any(start <= pos < end for _, start, end in ex.sentence_spans)
             assert ok
@@ -130,7 +131,7 @@ def test_spans_stay_within_sentences():
 
 def test_invalid_config_rejected():
     with pytest.raises(ContractError):
-        MaskingConfig(p_geom=0.0).validate()
+        RunConfig(p_geom=0.0).validate()
     with pytest.raises(ContractError):
-        MaskingConfig(replace_mask=0.5, replace_random=0.1,
-                      replace_keep=0.1).validate()
+        RunConfig(replace_mask=0.5, replace_random=0.1,
+                  replace_keep=0.1).validate()

@@ -5,8 +5,7 @@ from slm.config import RunConfig
 from slm.errors import DataError
 from slm.textpipe import Document
 from slm.trainer import (METRICS_COLUMNS, evaluate_unshuffle, kendall_tau,
-                         masking_config, pack_corpus, prepare_batch,
-                         train_loop)
+                         pack_corpus, prepare_batch, train_loop)
 
 from util import build_params, random_document, small_config
 
@@ -106,8 +105,7 @@ def test_sr_disabled_reports_zero_slm(tmp_path):
 def test_shuffled_column_tracks_fraction():
     cfg = run_config(steps=400, shuffle_fraction=0.5)
     packed = pack_corpus(tiny_corpus(), cfg)
-    mask_cfg = masking_config(cfg)
-    flags = [prepare_batch(packed, s, cfg, mask_cfg)[1] for s in range(400)]
+    flags = [prepare_batch(packed, s, cfg)[1] for s in range(400)]
     k = sum(flags)
     # binomial 3 sigma around 200
     assert abs(k - 200) <= 3 * np.sqrt(400 * 0.25)
@@ -115,21 +113,19 @@ def test_shuffled_column_tracks_fraction():
 
 def test_shuffle_fraction_extremes():
     packed = pack_corpus(tiny_corpus(), run_config())
-    mask_cfg = masking_config(run_config())
     all_on = run_config(shuffle_fraction=1.0)
     all_off = run_config(shuffle_fraction=0.0)
-    assert all(prepare_batch(packed, s, all_on, mask_cfg)[1] for s in range(50))
-    assert not any(prepare_batch(packed, s, all_off, mask_cfg)[1]
+    assert all(prepare_batch(packed, s, all_on)[1] for s in range(50))
+    assert not any(prepare_batch(packed, s, all_off)[1]
                    for s in range(50))
 
 
 def test_batches_cycle_through_epochs():
     cfg = run_config(batch_size=3)
     packed = pack_corpus(tiny_corpus(n_docs=4), cfg)
-    mask_cfg = masking_config(cfg)
     # 4 examples, batch 3: step 1 wraps into the second epoch
-    batch0, _ = prepare_batch(packed, 0, cfg, mask_cfg)
-    batch1, _ = prepare_batch(packed, 1, cfg, mask_cfg)
+    batch0, _ = prepare_batch(packed, 0, cfg)
+    batch1, _ = prepare_batch(packed, 1, cfg)
     assert np.array_equal(batch1[0].position_ids, packed[3].position_ids)
     assert len(batch0) == len(batch1) == 3
 
@@ -137,10 +133,9 @@ def test_batches_cycle_through_epochs():
 def test_epochs_redraw_masks():
     cfg = run_config(batch_size=4)
     packed = pack_corpus(tiny_corpus(n_docs=4), cfg)
-    mask_cfg = masking_config(cfg)
     # steps 0 and 1 both start at example 0 but sit in different epochs
-    first, _ = prepare_batch(packed, 0, cfg, mask_cfg)
-    second, _ = prepare_batch(packed, 1, cfg, mask_cfg)
+    first, _ = prepare_batch(packed, 0, cfg)
+    second, _ = prepare_batch(packed, 1, cfg)
     assert not np.array_equal(first[0].token_ids, second[0].token_ids) or \
         not np.array_equal(first[0].mlm_labels, second[0].mlm_labels)
 
@@ -213,8 +208,7 @@ def test_accumulated_rows_report_mean_losses_and_shuffled_count(tmp_path):
 
     # the shuffled column counts the step's shuffled micro-batches
     packed = pack_corpus(docs, cfg)
-    mask_cfg = masking_config(cfg)
-    counts = [sum(prepare_batch(packed, step * 3 + micro, cfg, mask_cfg)[1]
+    counts = [sum(prepare_batch(packed, step * 3 + micro, cfg)[1]
                   for micro in range(3)) for step in range(cfg.steps)]
     assert [int(r[5]) for r in rows] == counts
     assert result["shuffled_batches"] == sum(counts)
@@ -225,7 +219,7 @@ def test_accumulated_rows_report_mean_losses_and_shuffled_count(tmp_path):
     params = init_params(cfg, np.random.default_rng(cfg.seed))
     drop_rng = np.random.default_rng([cfg.seed, _DROPOUT, 0])
     bundles = [pretrain_bundle(params, cfg,
-                               prepare_batch(packed, micro, cfg, mask_cfg)[0],
+                               prepare_batch(packed, micro, cfg)[0],
                                drop_rng, training=True)
                for micro in range(3)]
     for col, attr in ((2, "l_mlm"), (3, "l_slm"), (4, "total")):
@@ -254,8 +248,7 @@ def test_grad_norm_column_is_the_pre_clip_norm(tmp_path):
     params = init_params(one, np.random.default_rng(one.seed))
     for p in params.values():
         p.requires_grad = True
-    batch, _ = prepare_batch(pack_corpus(docs, one), 0, one,
-                             masking_config(one))
+    batch, _ = prepare_batch(pack_corpus(docs, one), 0, one)
     bundle = pretrain_bundle(params, one, batch,
                              np.random.default_rng([one.seed, _DROPOUT, 0]),
                              training=True)

@@ -3,7 +3,7 @@ independent physical-shuffle constructor used as the equivalence oracle."""
 import numpy as np
 
 from slm.config import RunConfig
-from slm.masking import MaskingConfig, apply_span_masking
+from slm.masking import apply_span_masking
 from slm.model import init_params
 from slm.shuffling import order_targets
 from slm.textpipe import CLS, NUM_SPECIALS, PAD, SEP, Document, PackedExample, pack_example
@@ -32,9 +32,7 @@ def build_params(cfg: RunConfig, seed=0, dtype=np.float32):
 def masked_example(cfg: RunConfig, rng, n_sents=3):
     doc = random_document(rng, n_sents=n_sents, vocab_size=cfg.vocab_size)
     ex = pack_example(doc, cfg.seq_len, cfg.max_sentences, rng)
-    mask_cfg = MaskingConfig(p_geom=cfg.p_geom, max_span=cfg.max_span,
-                             mask_rate=cfg.mask_rate)
-    return apply_span_masking(ex, mask_cfg, rng, cfg.vocab_size)
+    return apply_span_masking(ex, cfg, rng)
 
 
 def physical_shuffle(ex: PackedExample, perm: np.ndarray) -> PackedExample:
