@@ -1,12 +1,13 @@
 """Command-line entry point.
 
 Subcommands: prepare, build-vocab, pretrain, eval-unshuffle,
-finetune-cls, finetune-qa, probe, gradcheck. Exit codes: 0 success,
-1 data problems (missing/bad files, aborted training), 2 contract or
-format violations (argparse also exits 2 on bad flags). ``-v`` /
-``--log-level LEVEL`` on any subcommand sends log records (the
-trainer's step lines at ``info``) to stderr; the default, ``warning``,
-keeps a run quiet.
+finetune-cls, finetune-qa, probe, gradcheck. Only pretrain and
+gradcheck take ``--profile``, only pretrain ``--out``. Exit codes: 0
+success, 1 data problems (missing/bad files, aborted training), 2
+contract or format violations (argparse also exits 2 on a flag the
+command does not take). ``-v`` / ``--log-level LEVEL`` on any
+subcommand sends log records (the trainer's step lines at ``info``) to
+stderr; the default, ``warning``, keeps a run quiet.
 
 Heavy imports happen inside main() so SLM_THREADS can cap the BLAS
 thread pools before numpy loads.
@@ -36,8 +37,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                      dest="overrides", help="override one config key")
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--out", default="runs/latest", help="output directory")
-    sub.add_argument("--profile", default="tiny", help="config profile name")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,6 +57,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("pretrain", "eval-unshuffle", "finetune-cls",
                  "finetune-qa", "probe", "gradcheck"):
         _add_common(subs.add_parser(name))
+    # the checkpoint commands start from the stored config, not a profile
+    for name in ("pretrain", "gradcheck"):
+        subs.choices[name].add_argument("--profile", default="tiny",
+                                        help="config profile name")
+    subs.choices["pretrain"].add_argument("--out", default="runs/latest",
+                                          help="output directory")
     for sub in subs.choices.values():
         sub.add_argument("-v", "--log-level", nargs="?", const="info",
                          default="warning",
@@ -83,11 +88,6 @@ def _log_to_stderr(level: str):
         logger.setLevel(saved)
 
 
-def _resolve(args):
-    from .config import resolve_config
-    return resolve_config(args.profile, args.config, args.overrides, args.seed)
-
-
 def _load_corpus_documents(path: str, vocab):
     from .textpipe import document_from_sentences, read_prepared
     docs = [document_from_sentences(sents, vocab)
@@ -105,20 +105,17 @@ def _require(cfg, field: str) -> str:
 def _load_checkpoint_and_config(args):
     """Model and config from the checkpoint, with the command line on top.
 
-    The stored config takes the place of the profile (a known
-    ``--profile`` has no effect): every key that ``--config``, ``--set``
-    or ``--seed`` names is laid on it, in that order, as other commands
-    lay them on the profile. The result must name and shape the stored
-    tensors exactly, else FormatError.
+    The stored config takes the place of the profile: every key that
+    ``--config``, ``--set`` or ``--seed`` names is laid on it, in that
+    order, as pretrain lays them on the profile. The result must name
+    and shape the stored tensors exactly, else FormatError.
     """
     from dataclasses import replace
 
     from .checkpoint import check_param_shapes, load_checkpoint
-    from .config import PROFILES, command_line_keys
+    from .config import command_line_keys
     from .model import param_shapes
 
-    if args.profile not in PROFILES:
-        raise ContractError(f"unknown profile {args.profile!r}")
     keys = command_line_keys(args.config, args.overrides, args.seed)
     if not keys.get("checkpoint"):
         raise ContractError("this command needs --set checkpoint=PATH")
@@ -149,10 +146,15 @@ def cmd_build_vocab(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
+    from .config import resolve_config
     from .textpipe import Vocab
     from .trainer import train_loop
-    cfg = _resolve(args)
-    vocab = Vocab.load(_require(cfg, "vocab"))
+    cfg = resolve_config(args.profile, args.config, args.overrides, args.seed)
+    path = _require(cfg, "vocab")
+    vocab = Vocab.load(path)
+    if len(vocab) != cfg.vocab_size:
+        raise ContractError(f"{path} holds {len(vocab)} tokens but "
+                            f"vocab_size is {cfg.vocab_size}")
     docs = _load_corpus_documents(_require(cfg, "corpus"), vocab)
     result = train_loop(docs, cfg, args.out)
     print(f"finished {cfg.steps} steps; total {result['total']:.4f} "

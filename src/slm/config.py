@@ -10,7 +10,9 @@ peak rate 1.5e-4).
 ``RunConfig`` is the only config object and ``RunConfig.validate`` the
 only check of its fields. ``command_line_keys`` gives the keys that
 ``--config``, ``--set`` and ``--seed`` set; ``resolve_config`` lays them
-on a profile, the CLI on a checkpoint's stored config.
+on a profile, the CLI on a checkpoint's stored config. A key that no
+command reads is deleted: ``--set`` rejects it like any unknown key and
+``config_from_echo`` drops it from older checkpoints (``_RETIRED``).
 """
 from __future__ import annotations
 
@@ -75,7 +77,6 @@ class RunConfig:
     eval_corpus: str = ""
     checkpoint: str = ""
     train_file: str = ""
-    dev_file: str = ""
     index: str = ""
 
     # fine-tuning
@@ -245,6 +246,11 @@ def config_echo(cfg: RunConfig) -> list[tuple[str, str]]:
     return out
 
 
+_RETIRED = ("dev_file",)
+
+
 def config_from_echo(pairs) -> RunConfig:
-    """Inverse of config_echo."""
-    return RunConfig(**{k: _coerce(k, v) for k, v in pairs}).validate()
+    """Inverse of config_echo; retired keys of older checkpoints are
+    dropped."""
+    return RunConfig(**{k: _coerce(k, v) for k, v in pairs
+                        if k not in _RETIRED}).validate()

@@ -10,6 +10,10 @@ order and accumulates gradients into the leaves.
 Arrays stay in 32-bit floats by default; passing float64 arrays into
 the leaves promotes the whole graph, which the finite-difference
 checker uses to keep its own roundoff below the tolerance it asserts.
+A Python or numpy scalar operand becomes a constant of the other
+operand's dtype, so it neither promotes a float32 graph nor rounds a
+float64 one. Each op has one kernel: 1-D ``cross_entropy`` is its
+one-row case and ``gather_elements`` a ``take`` over the flattened rows.
 Forward results are deterministic for fixed inputs: all reductions run
 through sequential numpy kernels with a fixed ordering.
 """
@@ -96,8 +100,6 @@ class Tensor:
         return mul(self, -1.0)
 
     def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, mul(other, -1.0))
         return add(self, -other)
 
     def __matmul__(self, other):
@@ -116,8 +118,15 @@ class Tensor:
         return tmean(self, axis)
 
 
-def _wrap(other) -> Tensor:
-    return other if isinstance(other, Tensor) else Tensor(other)
+def _wrap(other, like: Tensor) -> Tensor:
+    """A constant Tensor for a non-Tensor operand. A Python or numpy
+    scalar takes ``like``'s dtype, so a float32 graph stays float32 and a
+    float64 one keeps the constant exact; arrays keep their own dtype."""
+    if isinstance(other, Tensor):
+        return other
+    if np.isscalar(other):
+        return Tensor(np.asarray(other, dtype=like.data.dtype))
+    return Tensor(other)
 
 
 def _make(data: np.ndarray, prev, backward) -> Tensor:
@@ -152,14 +161,7 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def add(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor) and np.isscalar(b):
-
-        def bw_s(out):
-            if a.requires_grad:
-                a._accumulate(out.grad)
-
-        return _make(a.data + float(b), (a,), bw_s)
-    b = _wrap(b)
+    b = _wrap(b, a)
     out_data = a.data + b.data
 
     def bw(out):
@@ -172,15 +174,7 @@ def add(a: Tensor, b) -> Tensor:
 
 
 def mul(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor) and np.isscalar(b):
-        s = float(b)
-
-        def bw_s(out):
-            if a.requires_grad:
-                a._accumulate(out.grad * s)
-
-        return _make(a.data * s, (a,), bw_s)
-    b = _wrap(b)
+    b = _wrap(b, a)
     out_data = a.data * b.data
 
     def bw(out):
@@ -193,7 +187,7 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    b = _wrap(b)
+    b = _wrap(b, a)
     if a.ndim < 2 or b.ndim < 2:
         raise ContractError("matmul operands must have ndim >= 2")
     if a.shape[-1] != b.shape[-2]:
@@ -257,16 +251,10 @@ def gather_elements(a: Tensor, col_idx) -> Tensor:
     idx = np.asarray(col_idx)
     if a.ndim != 2 or idx.ndim != 1 or idx.shape[0] != a.shape[0]:
         raise ContractError("gather_elements expects [m,n] data and [m] indices")
-    rows = np.arange(a.shape[0])
-    out_data = a.data[rows, idx]
-
-    def bw(out):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            np.add.at(a.grad, (rows, idx), out.grad)
-
-    return _make(out_data, (a,), bw)
+    m, n = a.shape
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise IndexError("gather_elements index out of range")
+    return take(reshape(a, (m * n,)), np.arange(m) * n + idx)
 
 
 # -- reductions ---------------------------------------------------------
@@ -372,27 +360,14 @@ def gelu(x: Tensor) -> Tensor:
 def cross_entropy(logits: Tensor, target) -> Tensor:
     """Softmax cross-entropy, fused for numerical stability.
 
-    With 1-D logits and an int target, returns -log softmax(logits)[target].
     With [m, n] logits and [m] targets, returns the mean loss over rows.
-    Gradient w.r.t. logits is softmax minus one-hot (scaled by the mean).
+    1-D logits with an int target are the one-row case: the loss is
+    -log softmax(logits)[target]. Gradient w.r.t. logits is softmax minus
+    one-hot (scaled by the mean).
     """
     if logits.ndim == 1:
-        t = int(target)
-        n = logits.shape[0]
-        if not 0 <= t < n:
-            raise IndexError(f"cross_entropy target {t} out of range [0,{n})")
-        shifted = logits.data - logits.data.max()
-        lse = np.log(np.exp(shifted).sum())
-        out_data = np.asarray(lse - shifted[t], dtype=logits.data.dtype)
-
-        def bw1(out):
-            if logits.requires_grad:
-                p = np.exp(shifted - lse)
-                p[t] -= 1.0
-                logits._accumulate(out.grad * p)
-
-        return _make(out_data, (logits,), bw1)
-
+        logits = reshape(logits, (1, logits.shape[0]))
+        target = [int(target)]
     if logits.ndim != 2:
         raise ContractError("cross_entropy expects 1-D or 2-D logits")
     tgt = np.asarray(target)

@@ -1,12 +1,19 @@
-"""The traced benchmark wraps program functions by module attribute name
-(``perfbench/spans.py``). A renamed or deleted attribute would crash a
-traced run, so every name it hooks must exist in the module it names."""
+"""The benchmark wraps program functions by module attribute name
+(``perfbench/spans.py``) and calls the program's API (``perfbench/bench.py``).
+A renamed or deleted attribute would crash a traced run, and a renamed
+parameter any run, so every name it hooks must exist in the module it
+names and every call it makes must bind to the current signature."""
+import ast
+import importlib
 import importlib.util
+import inspect
 import pathlib
 
 from slm import reconstructor, tensor, trainer
 
-SPANS_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+SPANS_PATH = PERFBENCH / "spans.py"
+BENCH_PATH = PERFBENCH / "bench.py"
 
 
 def load_spans():
@@ -26,3 +33,58 @@ def test_every_hooked_attribute_exists():
     missing = [f"{module.__name__}.{attr}" for module, attr in hooks
                if not callable(getattr(module, attr, None))]
     assert not missing, missing
+
+
+def slm_calls(tree):
+    """(line, dotted name, function, call node) for every call the file
+    makes to a name it imports from the ``slm`` package."""
+    names = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[0] == "slm"):
+            source = importlib.import_module(node.module)
+            for alias in node.names:
+                dotted = f"{node.module}.{alias.name}"
+                target = getattr(source, alias.name, None)
+                if target is None:  # a submodule not imported yet
+                    target = importlib.import_module(dotted)
+                names[alias.asname or alias.name] = (dotted, target)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in names:
+            dotted, fn = names[func.id]
+        elif (isinstance(func, ast.Attribute)
+              and isinstance(func.value, ast.Name)
+              and func.value.id in names
+              and inspect.ismodule(names[func.value.id][1])):
+            dotted, module = names[func.value.id]
+            dotted = f"{dotted}.{func.attr}"
+            fn = getattr(module, func.attr, None)
+        else:
+            continue
+        yield node.lineno, dotted, fn, node
+
+
+def test_every_benchmark_call_binds_to_the_current_signature():
+    tree = ast.parse(BENCH_PATH.read_text(encoding="utf-8"))
+    calls = list(slm_calls(tree))
+    assert any(name == "slm.checkpoint.load_checkpoint"
+               for _, name, _, _ in calls)
+    broken = []
+    for line, name, fn, call in calls:
+        if not callable(fn):
+            broken.append(f"bench.py:{line}: {name} does not exist")
+            continue
+        # a starred argument's length is unknown, so such a call is only
+        # checked for the existence of its target
+        if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                k.arg is None for k in call.keywords):
+            continue
+        try:
+            inspect.signature(fn).bind(*[None] * len(call.args),
+                                       **{k.arg: None for k in call.keywords})
+        except TypeError as exc:
+            broken.append(f"bench.py:{line}: {name}: {exc}")
+    assert not broken, broken

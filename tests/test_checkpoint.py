@@ -145,3 +145,21 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path):
     assert open(path, "rb").read() == before
     assert load_checkpoint(path, expected_names=params.keys()).step == 123
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin"]
+
+
+def test_stored_config_with_the_retired_dev_file_key_loads(tmp_path,
+                                                           monkeypatch):
+    """Checkpoints written while RunConfig had ``dev_file`` still load."""
+    from slm import checkpoint
+    from slm.config import config_echo
+    monkeypatch.setattr(checkpoint, "config_echo", lambda cfg: sorted(
+        config_echo(cfg) + [("dev_file", "dev.txt")]))
+    cfg, params, _, path = save_small(tmp_path, with_opt=False)
+    monkeypatch.undo()
+    ck = load_checkpoint(path, expected_names=params.keys())
+
+    def current(c):
+        return [pair for pair in config_echo(c) if pair[0] != "dev_file"]
+    assert current(ck.config) == current(cfg)
+    for name in params:
+        assert ck.params[name].data.tobytes() == params[name].data.tobytes()

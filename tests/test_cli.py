@@ -46,7 +46,8 @@ def workspace(tmp_path_factory):
                                   f"corpus={prepared}", f"vocab={vocab}"]))
     assert run(args) == 0
     return {"root": root, "prepared": prepared, "vocab": vocab,
-            "ckpt": out / "ckpt-final.bin", "metrics": out / "metrics.csv"}
+            "n_vocab": n_vocab, "ckpt": out / "ckpt-final.bin",
+            "metrics": out / "metrics.csv"}
 
 
 def test_prepare_splits_documents_and_sentences(tmp_path, capsys):
@@ -169,7 +170,8 @@ def test_gradcheck_rejects_bad_replacement_fractions(capsys):
 
 
 def test_seed_changes_training_outcome(workspace, tmp_path, capsys):
-    base = SMALL_MODEL + [f"vocab_size=64", f"corpus={workspace['prepared']}",
+    base = SMALL_MODEL + [f"vocab_size={workspace['n_vocab']}",
+                          f"corpus={workspace['prepared']}",
                           f"vocab={workspace['vocab']}", "steps=3"]
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -200,7 +202,8 @@ def test_out_of_range_config_exits_two_without_traceback(
 
 
 def test_log_level_shows_trainer_step_lines(workspace, tmp_path, capsys):
-    base = sets(SMALL_MODEL + ["vocab_size=64", "steps=2", "log_every=1",
+    base = sets(SMALL_MODEL + [f"vocab_size={workspace['n_vocab']}",
+                               "steps=2", "log_every=1",
                                f"corpus={workspace['prepared']}",
                                f"vocab={workspace['vocab']}"])
     assert run(["pretrain", "--out", str(tmp_path / "quiet")] + base) == 0
@@ -389,7 +392,8 @@ def test_non_utf8_input_exits_one_naming_it(case, workspace, tmp_path,
     binary = tmp_path / "binary.txt"
     binary.write_bytes(b"The cat sat \xff home.\n")
     pretrain = ["pretrain", "--out", str(tmp_path / "run")]
-    paths = SMALL_MODEL + ["vocab_size=64", f"corpus={workspace['prepared']}",
+    paths = SMALL_MODEL + [f"vocab_size={workspace['n_vocab']}",
+                           f"corpus={workspace['prepared']}",
                            f"vocab={workspace['vocab']}"]
     args = {
         "prepare": ["prepare", str(binary), str(tmp_path / "out.txt")],
@@ -402,3 +406,42 @@ def test_non_utf8_input_exits_one_naming_it(case, workspace, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read ") and str(binary) in err
     assert "Traceback" not in err
+
+
+CHECKPOINT_COMMANDS = ["eval-unshuffle", "finetune-cls", "finetune-qa",
+                       "probe"]
+UNREAD_FLAGS = ([(c, "--out") for c in CHECKPOINT_COMMANDS + ["gradcheck"]]
+                + [(c, "--profile") for c in CHECKPOINT_COMMANDS])
+
+
+@pytest.mark.parametrize("command,flag", UNREAD_FLAGS,
+                         ids=[" ".join(case) for case in UNREAD_FLAGS])
+def test_flag_the_command_does_not_read_is_a_usage_error(command, flag,
+                                                         capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([command, flag, "x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} x" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["pretrain", "eval-unshuffle"])
+def test_retired_dev_file_key_exits_two(command, capsys):
+    assert run([command, "--set", "dev_file=x"]) == 2
+    assert capsys.readouterr().err == "error: unknown config key 'dev_file'\n"
+
+
+@pytest.mark.parametrize("offset", [42, -1])
+def test_vocab_size_unlike_the_vocab_file_exits_two(offset, workspace,
+                                                    tmp_path, capsys):
+    n = workspace["n_vocab"]
+    args = (["pretrain", "--out", str(tmp_path / "run")]
+            + sets(SMALL_MODEL + [f"vocab_size={n + offset}",
+                                  f"corpus={workspace['prepared']}",
+                                  f"vocab={workspace['vocab']}"]))
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {workspace['vocab']} holds {n} tokens but "
+                   f"vocab_size is {n + offset}\n")
+    assert not (tmp_path / "run").exists()

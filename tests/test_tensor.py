@@ -277,3 +277,51 @@ def test_dropout_scales_kept_units():
     backward(y.sum())
     np.testing.assert_allclose(x.grad[y.data > 0], 1 / 0.75, atol=1e-6)
     np.testing.assert_allclose(x.grad[y.data == 0], 0.0, atol=1e-6)
+
+
+# -- one kernel per op: scalar operands and the one-row cross-entropy ------
+
+def test_scalar_operand_keeps_float32_bit_for_bit():
+    x32 = np.random.default_rng(11).normal(size=(4, 5)).astype(np.float32)
+    for scale in (0.1, np.float64(0.1)):
+        x = t(x32)
+        out = T.mul(x, scale)
+        assert out.data.dtype == np.float32
+        assert out.data.tobytes() == (x32 * np.float32(0.1)).tobytes()
+        backward(out.sum())
+        assert x.grad.tobytes() == np.full_like(x32, np.float32(0.1)).tobytes()
+    shifted = T.add(t(x32), 0.1)
+    assert shifted.data.dtype == np.float32
+    assert shifted.data.tobytes() == (x32 + np.float32(0.1)).tobytes()
+
+
+def test_scalar_operand_stays_exact_in_float64():
+    x64 = np.random.default_rng(12).normal(size=(4, 5))
+    x = t(x64, dtype=np.float64)
+    out = T.mul(x, 0.1)
+    assert out.data.dtype == np.float64
+    assert out.data.tobytes() == (x64 * 0.1).tobytes()
+    backward(out.sum())
+    assert x.grad.tobytes() == np.full_like(x64, 0.1).tobytes()
+    assert T.add(x, 0.1).data.tobytes() == (x64 + 0.1).tobytes()
+    assert (x - 0.1).data.tobytes() == (x64 - 0.1).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_one_dim_cross_entropy_is_the_one_row_call_bit_for_bit(dtype):
+    logits = np.random.default_rng(13).normal(size=9).astype(dtype)
+    flat = t(logits, dtype=dtype)
+    row = t(logits.reshape(1, 9), dtype=dtype)
+    loss_flat = cross_entropy(flat, 4)
+    loss_row = cross_entropy(row, np.array([4]))
+    assert loss_flat.data.dtype == dtype
+    assert loss_flat.data.tobytes() == loss_row.data.tobytes()
+    backward(loss_flat)
+    backward(loss_row)
+    assert flat.grad.tobytes() == row.grad.reshape(9).tobytes()
+
+
+@pytest.mark.parametrize("cols", [[0, 3], [-1, 0]])
+def test_gather_elements_rejects_columns_outside_the_row(cols):
+    with pytest.raises(IndexError):
+        gather_elements(t(np.zeros((2, 3))), np.array(cols))
