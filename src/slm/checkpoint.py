@@ -9,10 +9,14 @@ leaves the previous checkpoint at that path intact. Loading verifies
 the header and, when the caller passes the expected tensor names,
 reports any missing or unexpected ones by name. A path that cannot be
 opened is a DataError; a file that is not a well-formed checkpoint is a
-FormatError.
+FormatError naming it. That includes a length or shape larger than the
+bytes left in the file (checked before anything is read) and a tensor
+or Adam moment holding NaN or Inf, which the model's ops do not check
+for themselves.
 """
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -44,9 +48,13 @@ def _write_tensor(fh, name: str, arr: np.ndarray):
 
 
 def _read(fh, n: int) -> bytes:
-    buf = fh.read(n)
+    # n may come from the file: compare it (a Python int) with the bytes
+    # left before reading, so a corrupt length never asks for more
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    buf = fh.read(n) if n <= left else b""
     if len(buf) != n:
-        raise FormatError("checkpoint truncated")
+        raise FormatError(f"{fh.name}: checkpoint truncated: a field needs "
+                          f"{n} bytes, {left} remain")
     return buf
 
 
@@ -59,9 +67,15 @@ def _read_tensor(fh) -> tuple[str, np.ndarray]:
     (name_len,) = struct.unpack("<H", _read(fh, 2))
     name = _read(fh, name_len).decode("utf-8")
     (ndim,) = struct.unpack("<B", _read(fh, 1))
-    shape = tuple(struct.unpack("<Q", _read(fh, 8))[0] for _ in range(ndim))
-    count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-    data = np.frombuffer(_read(fh, 4 * count), dtype="<f4").reshape(shape)
+    shape = struct.unpack(f"<{ndim}Q", _read(fh, 8 * ndim))
+    raw = _read(fh, 4 * math.prod(shape))
+    try:
+        data = np.frombuffer(raw, dtype="<f4").reshape(shape)
+    except ValueError as exc:   # an empty tensor with a huge dim
+        raise FormatError(f"{fh.name}: tensor {name} has shape {shape}: "
+                          f"{exc}") from exc
+    if not np.all(np.isfinite(data)):
+        raise FormatError(f"{fh.name}: tensor {name} holds non-finite values")
     return name, data.astype(np.float32, copy=True)
 
 

@@ -8,11 +8,14 @@ excluded, ties broken by record order.
 
 Index file layout: two little-endian u64 (n, hidden) followed by the
 raw row-major float32 matrix; records live next to it in a .jsonl
-sidecar.
+sidecar. Loading checks the header's size against the bytes in the
+file before reading the matrix, and rejects a row holding NaN or Inf;
+either is a FormatError naming the file (and the row).
 """
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -98,9 +101,15 @@ def load_index(path: str) -> EmbeddingIndex:
             if len(head) != 16:
                 raise FormatError(f"{path}: truncated index header")
             n, hidden = struct.unpack("<QQ", head)
-            raw = fh.read(4 * n * hidden)
-        if len(raw) != 4 * n * hidden:
-            raise FormatError(f"{path}: truncated index payload")
+            # Python ints: compare before reading, so a corrupt header
+            # never asks for more than the file holds
+            size = 4 * n * hidden
+            left = os.fstat(fh.fileno()).st_size - 16
+            raw = fh.read(size) if size <= left else b""
+        if len(raw) != size:
+            raise FormatError(f"{path}: truncated index payload: {n} rows of "
+                              f"{hidden} need {size} bytes, the file has "
+                              f"{left}")
         with open(path + ".jsonl", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
@@ -120,7 +129,14 @@ def load_index(path: str) -> EmbeddingIndex:
             raise FormatError(f"{path}.jsonl:{ln}: record lacks doc, sent, "
                               "text or prev")
         records.append(rec)
-    matrix = np.frombuffer(raw, dtype="<f4").reshape(n, hidden)
+    try:
+        matrix = np.frombuffer(raw, dtype="<f4").reshape(n, hidden)
+    except ValueError as exc:   # an empty matrix with a huge dim
+        raise FormatError(
+            f"{path}: index shape ({n}, {hidden}): {exc}") from exc
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise FormatError(f"{path}: row {bad[0]} holds non-finite values")
     return EmbeddingIndex(matrix=matrix.astype(np.float32), records=records)
 
 

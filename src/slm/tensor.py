@@ -16,6 +16,11 @@ float64 one. Each op has one kernel: 1-D ``cross_entropy`` is its
 one-row case and ``gather_elements`` a ``take`` over the flattened rows.
 Forward results are deterministic for fixed inputs: all reductions run
 through sequential numpy kernels with a fixed ordering.
+
+``grad_enabled`` is the engine's one module switch. Ops do not scan
+their outputs for NaN or Inf: a non-finite value is caught once, at
+the training loss (``objectives.pretrain_bundle``), at the gradients
+(``optim.adam_update``) and where a checkpoint or probe index is read.
 """
 from __future__ import annotations
 
@@ -23,10 +28,8 @@ import numpy as np
 
 from .errors import ContractError
 
-# Module switches. finite_checks makes any NaN/Inf produced by a forward
-# op raise immediately instead of propagating. grad_enabled=False skips
-# graph recording entirely (used by finite-difference probes and eval).
-finite_checks = True
+# The one module switch: grad_enabled=False skips graph recording
+# entirely (used by finite-difference probes and eval).
 grad_enabled = True
 
 
@@ -134,8 +137,6 @@ def _make(data: np.ndarray, prev, backward) -> Tensor:
     # 0-d numpy results come back as numpy scalars; keep their dtype
     # instead of letting the Tensor constructor default them to float32
     data = np.asarray(data)
-    if finite_checks and not np.all(np.isfinite(data)):
-        raise FloatingPointError("non-finite value produced by a forward op")
     needs = grad_enabled and any(p.requires_grad for p in prev)
     out = Tensor(data, requires_grad=needs)
     if needs:
@@ -439,7 +440,6 @@ def grad_check(f, params, eps: float = 1e-3) -> float:
     max(|analytic|, |numeric|, 1e-8). Run the parameters in float64 when
     the loss itself is too rough for float32 differencing.
     """
-    global grad_enabled, finite_checks
     for p in params:
         p.grad = None
     out = f()
@@ -447,11 +447,8 @@ def grad_check(f, params, eps: float = 1e-3) -> float:
     analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy()
                 for p in params]
 
-    saved = (grad_enabled, finite_checks)
-    grad_enabled = False
-    finite_checks = False
     worst = 0.0
-    try:
+    with no_grad():
         for p, a in zip(params, analytic):
             flat = p.data.reshape(-1)
             aflat = a.reshape(-1)
@@ -467,6 +464,4 @@ def grad_check(f, params, eps: float = 1e-3) -> float:
                 rel = abs(float(aflat[i]) - num) / denom
                 if rel > worst:
                     worst = rel
-    finally:
-        grad_enabled, finite_checks = saved
     return worst

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from slm.encoder import encode_batch
 from slm.errors import FormatError
 from slm.optim import AdamState
 from slm.shuffling import identity_record
+from slm.tensor import Tensor
 
 from util import build_params, masked_example, small_config
 
@@ -163,3 +166,48 @@ def test_stored_config_with_the_retired_dev_file_key_loads(tmp_path,
     assert current(ck.config) == current(cfg)
     for name in params:
         assert ck.params[name].data.tobytes() == params[name].data.tobytes()
+
+
+def test_stored_config_with_the_retired_gradcheck_dtype_key_loads(
+        tmp_path, monkeypatch):
+    """Checkpoints written while RunConfig had ``gradcheck_dtype`` still
+    load."""
+    from slm import checkpoint
+    from slm.config import config_echo
+    monkeypatch.setattr(checkpoint, "config_echo", lambda cfg: sorted(
+        config_echo(cfg) + [("gradcheck_dtype", "float64")]))
+    cfg, params, _, path = save_small(tmp_path, with_opt=False)
+    monkeypatch.undo()
+    assert b"gradcheck_dtype=float64" in open(path, "rb").read()
+    ck = load_checkpoint(path, expected_names=params.keys())
+    assert config_echo(ck.config) == config_echo(cfg)
+    for name in params:
+        assert ck.params[name].data.tobytes() == params[name].data.tobytes()
+
+
+@pytest.mark.parametrize("where", ["param", "m", "v"])
+def test_non_finite_tensor_or_moment_is_a_format_error(tmp_path, where):
+    cfg, params, state, _ = save_small(tmp_path)
+    if where == "param":
+        params["emb.token"].data[2, 3] = np.inf
+    else:
+        getattr(state, where)["emb.token"][2, 3] = np.nan
+    path = str(tmp_path / "bad.bin")
+    save_checkpoint(path, cfg, params, step=1, opt_state=state)
+    name = "emb.token" if where == "param" else f"{where}:emb.token"
+    with pytest.raises(FormatError,
+                       match=f"{path}: tensor {name} holds non-finite"):
+        load_checkpoint(path)
+
+
+def test_empty_tensor_with_an_impossible_dim_is_a_format_error(tmp_path):
+    cfg, _, _, _ = save_small(tmp_path)
+    empty = Tensor(np.zeros((0, 3), dtype=np.float32))
+    path = str(tmp_path / "empty.bin")
+    save_checkpoint(path, cfg, {"x": empty}, step=1)
+    blob = open(path, "rb").read()
+    dims = struct.pack("<QQ", 0, 3)
+    with open(path, "wb") as fh:
+        fh.write(blob.replace(dims, struct.pack("<QQ", 0, 2**63), 1))
+    with pytest.raises(FormatError, match=f"{path}: tensor x has shape"):
+        load_checkpoint(path)

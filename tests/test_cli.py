@@ -1,5 +1,7 @@
 import os
+import struct
 
+import numpy as np
 import pytest
 
 from slm.cli import build_parser, main
@@ -445,3 +447,180 @@ def test_vocab_size_unlike_the_vocab_file_exits_two(offset, workspace,
     assert err == (f"error: {workspace['vocab']} holds {n} tokens but "
                    f"vocab_size is {n + offset}\n")
     assert not (tmp_path / "run").exists()
+
+
+def pretrain_args(workspace, tmp_path, *pairs):
+    return (["pretrain", "--out", str(tmp_path / "run")]
+            + sets(SMALL_MODEL + [f"vocab_size={workspace['n_vocab']}",
+                                  f"corpus={workspace['prepared']}",
+                                  f"vocab={workspace['vocab']}", *pairs]))
+
+
+CLS_TRAIN = "pos\tThe cat sat home.\nneg\tThe dog ran fast.\n"
+QA_TRAIN = ('{"context": "The cat sat home. The dog ran fast.", '
+            '"question": "who ran", "answer_start_token": 4, '
+            '"answer_end_token": 5}\n')
+
+
+def checkpoint_args(command, workspace, tmp_path, *pairs):
+    """``command`` on the workspace checkpoint with every file it reads;
+    probe gets a fresh index path, so it exports first."""
+    cls = tmp_path / "train.tsv"
+    cls.write_text(CLS_TRAIN, encoding="utf-8")
+    qa = tmp_path / "train.jsonl"
+    qa.write_text(QA_TRAIN, encoding="utf-8")
+    train = {"finetune-cls": cls, "finetune-qa": qa}.get(command, "")
+    return [command] + sets([
+        f"checkpoint={workspace['ckpt']}", f"vocab={workspace['vocab']}",
+        f"eval_corpus={workspace['prepared']}",
+        f"corpus={workspace['prepared']}", f"index={tmp_path / 'sent.idx'}",
+        f"train_file={train}", "finetune_epochs=1", *pairs])
+
+
+def test_diverging_pretrain_exits_one_without_traceback(workspace, tmp_path,
+                                                         capsys):
+    args = pretrain_args(workspace, tmp_path, "peak_lr=1e30", "grad_clip=0",
+                         "warmup=0")
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "error: non-finite training loss"
+    assert "Traceback" not in err
+
+
+def test_diverging_finetune_exits_one_without_traceback(workspace, tmp_path,
+                                                         capsys):
+    args = checkpoint_args("finetune-cls", workspace, tmp_path,
+                           "finetune_lr=1e30", "grad_clip=0",
+                           "finetune_epochs=3")
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("error: non-finite gradient for: ")
+    assert "Traceback" not in err
+
+
+def test_non_finite_checkpoint_tensor_exits_two_naming_it(workspace, tmp_path,
+                                                         capsys):
+    from slm.checkpoint import load_checkpoint, save_checkpoint
+    ck = load_checkpoint(str(workspace["ckpt"]))
+    ck.params["enc.0.ffn.w1"].data[0, 1] = np.nan
+    bad = tmp_path / "nan.bin"
+    save_checkpoint(str(bad), ck.config, ck.params, ck.step)
+    args = ["eval-unshuffle"] + sets([
+        f"checkpoint={bad}", f"eval_corpus={workspace['prepared']}"])
+    assert run(args) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: tensor enc.0.ffn.w1 holds non-finite values\n")
+
+
+def test_non_finite_probe_index_row_exits_two_naming_it(workspace, tmp_path,
+                                                       capsys):
+    from slm.probe import load_index, save_index
+    args = checkpoint_args("probe", workspace, tmp_path, "query_row=0",
+                           "top_k=2")
+    assert run(args) == 0
+    capsys.readouterr()
+    index_path = str(tmp_path / "sent.idx")
+    index = load_index(index_path)
+    index.matrix[3, 1] = np.inf
+    save_index(index_path, index)
+    assert run(args) == 2
+    assert capsys.readouterr().err == (
+        f"error: {index_path}: row 3 holds non-finite values\n")
+
+
+def crafted_checkpoint(workspace, tmp_path, field):
+    """The workspace checkpoint with its echo length, or the first
+    tensor's shape, replaced by a size far beyond the file."""
+    from slm.checkpoint import MAGIC
+    blob = workspace["ckpt"].read_bytes()
+    echo_at = len(MAGIC) + 4 + 8            # past magic, version, step
+    if field == "tensor dims 2^32 x 2^32":
+        (echo_len,) = struct.unpack_from("<Q", blob, echo_at)
+        name_at = echo_at + 8 + echo_len + 4    # past the tensor count
+        (name_len,) = struct.unpack_from("<H", blob, name_at)
+        ndim_at = name_at + 2 + name_len
+        ndim = blob[ndim_at]
+        blob = (blob[:ndim_at] + struct.pack("<BQQ", 2, 2**32, 2**32)
+                + blob[ndim_at + 1 + 8 * ndim:])
+    else:
+        length = {"echo length 2^63+5": 2**63 + 5,
+                  "echo length 2^40": 2**40}[field]
+        blob = (blob[:echo_at] + struct.pack("<Q", length)
+                + blob[echo_at + 8:])
+    path = tmp_path / "crafted.bin"
+    path.write_bytes(blob)
+    return path
+
+
+@pytest.mark.parametrize("field", ["echo length 2^63+5", "echo length 2^40",
+                                   "tensor dims 2^32 x 2^32"])
+def test_checkpoint_size_beyond_the_file_exits_two(field, workspace,
+                                                   tmp_path, capsys):
+    bad = crafted_checkpoint(workspace, tmp_path, field)
+    args = ["eval-unshuffle"] + sets([
+        f"checkpoint={bad}", f"eval_corpus={workspace['prepared']}"])
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: checkpoint truncated: a field "
+                          "needs ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n,hidden", [(2**40, 16), (2**62, 2**62)],
+                         ids=["2^40x16", "2^62x2^62"])
+def test_probe_index_size_beyond_the_file_exits_two(n, hidden, workspace,
+                                                    tmp_path, capsys):
+    index = tmp_path / "sent.idx"
+    index.write_bytes(struct.pack("<QQ", n, hidden) + bytes(64))
+    args = ["probe"] + sets([f"checkpoint={workspace['ckpt']}",
+                             f"index={index}", "query_row=0"])
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {index}: truncated index payload: "
+                          f"{n} rows of {hidden} need {4 * n * hidden} bytes")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", CHECKPOINT_COMMANDS)
+def test_vocab_larger_than_vocab_size_exits_two(command, workspace, tmp_path,
+                                                capsys):
+    n = workspace["n_vocab"]
+    big = tmp_path / "big.txt"
+    big.write_text(workspace["vocab"].read_text(encoding="utf-8")
+                   + "zebra\nyak\n", encoding="utf-8")
+    args = checkpoint_args(command, workspace, tmp_path, f"vocab={big}")
+    assert run(args) == 2
+    assert capsys.readouterr().err == (
+        f"error: {big} holds {n + 2} tokens but vocab_size is {n}\n")
+    assert not (tmp_path / "sent.idx").exists()
+
+
+@pytest.mark.parametrize("command", CHECKPOINT_COMMANDS)
+def test_vocab_smaller_than_vocab_size_still_runs(command, workspace,
+                                                  tmp_path, capsys):
+    lines = workspace["vocab"].read_text(encoding="utf-8").splitlines()
+    small = tmp_path / "small.txt"
+    small.write_text("\n".join(lines[:12]) + "\n", encoding="utf-8")
+    args = checkpoint_args(command, workspace, tmp_path, f"vocab={small}")
+    assert run(args) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["gradcheck", "pretrain",
+                                     "eval-unshuffle"])
+def test_retired_gradcheck_dtype_key_exits_two(command, capsys):
+    assert run([command, "--set", "gradcheck_dtype=float64"]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown config key 'gradcheck_dtype'\n")
+
+
+def test_out_of_memory_exits_one(workspace, tmp_path, capsys, monkeypatch):
+    from slm import trainer
+
+    def exhausted(docs, cfg, out_dir):
+        raise MemoryError("Unable to allocate 149. GiB for an array")
+
+    monkeypatch.setattr(trainer, "train_loop", exhausted)
+    assert run(pretrain_args(workspace, tmp_path)) == 1
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 149. GiB for an array\n")

@@ -59,8 +59,6 @@ BAD_VALUES = {
         lambda s: s not in ("resequence", "travel")),
     "task_type": st.text().filter(
         lambda s: s not in ("classification", "regression")),
-    "gradcheck_dtype": st.text().filter(
-        lambda s: s not in ("float32", "float64")),
 }
 
 

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,24 @@ def test_truncated_index_is_format_error(tmp_path):
     open(path, "wb").write(blob[:len(blob) // 2])
     with pytest.raises(FormatError):
         load_index(path)
+
+
+def test_non_finite_index_row_is_format_error(tmp_path):
+    index = random_index(7, hidden=4, seed=7)
+    index.matrix[5, 2] = np.nan
+    path = str(tmp_path / "sent.idx")
+    save_index(path, index)
+    with pytest.raises(FormatError, match=f"{path}: row 5 holds non-finite"):
+        load_index(path)
+
+
+@pytest.mark.parametrize("n,hidden", [(2**40, 16), (2**62, 2**62), (0, 2**63)])
+def test_index_header_beyond_the_file_is_format_error(tmp_path, n, hidden):
+    path = tmp_path / "sent.idx"
+    path.write_bytes(struct.pack("<QQ", n, hidden) + bytes(64))
+    (tmp_path / "sent.idx.jsonl").write_text("", encoding="utf-8")
+    with pytest.raises(FormatError, match=f"{path}: "):
+        load_index(str(path))
 
 
 def test_records_and_matrix_must_agree():
