@@ -183,6 +183,10 @@ def cmd_eval_unshuffle(args) -> int:
     packed = pack_corpus(docs, cfg)
     scores = evaluate_unshuffle(ck.params, cfg, packed, seed=cfg.seed)
     print(f"n={scores['n']} em={scores['em']:.4f} tau={scores['tau']:.4f}")
+    print(f"pos_acc={scores['pos_acc']:.4f}")
+    for n, part in scores["by_n"].items():
+        print(f"  N={n}: n={part['n']} em={part['em']:.4f} "
+              f"tau={part['tau']:.4f}")
     return 0
 
 

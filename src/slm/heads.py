@@ -167,15 +167,19 @@ def _finetune(params: dict, cfg: RunConfig, examples: list, head: dict,
         p.requires_grad = True
     state = AdamState()
     n = len(examples)
-    for step in range(steps):
-        lo = (step * cfg.batch_size) % n
-        batch = [examples[(lo + k) % n] for k in range(min(cfg.batch_size, n))]
-        zero_grads(trained)
-        h = encode_batch(params, cfg, [ex.packed for ex in batch],
-                         rng, training=True, trim=True)
-        backward(batch_loss(h, batch))
-        clip_global_norm(trained, cfg.grad_clip)
-        adam_update(trained, state, cfg.finetune_lr, cfg)
+    # overflow on the way to a non-finite gradient is caught by
+    # adam_update's check, so numpy need not warn about it first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps):
+            lo = (step * cfg.batch_size) % n
+            batch = [examples[(lo + k) % n]
+                     for k in range(min(cfg.batch_size, n))]
+            zero_grads(trained)
+            h = encode_batch(params, cfg, [ex.packed for ex in batch],
+                             rng, training=True, trim=True)
+            backward(batch_loss(h, batch))
+            clip_global_norm(trained, cfg.grad_clip)
+            adam_update(trained, state, cfg.finetune_lr, cfg)
     return head
 
 

@@ -95,12 +95,19 @@ def parameter_counts(cfg: RunConfig) -> tuple[int, int]:
     return enc, dec
 
 
-def multi_head_attention(params: dict, prefix: str, x_q: Tensor, x_kv: Tensor,
-                         bias, cfg: RunConfig, rng, training: bool) -> Tensor:
+def multi_head_attention(params: dict, prefix: str, x_q: Tensor,
+                         x_kv: Tensor | None, bias, cfg: RunConfig, rng,
+                         training: bool,
+                         cache: dict | None = None) -> Tensor:
     """Scaled dot-product attention over the last two axes.
 
     ``bias`` is an additive mask broadcast onto the [.., heads, L_q, L_k]
     score array; masked keys carry NEG_INF and receive zero weight.
+
+    ``cache`` serves step-by-step decoding without a graph: a dict that
+    keeps each prefix's keys and values between calls. The keys and
+    values of ``x_kv`` are appended to the prefix's cached ones, and
+    ``x_kv=None`` attends to the cached ones as they stand.
     """
     nh = cfg.heads
     dh = cfg.hidden // nh
@@ -110,8 +117,17 @@ def multi_head_attention(params: dict, prefix: str, x_q: Tensor, x_kv: Tensor,
         return x.reshape(b, l, nh, dh).swapaxes(1, 2)
 
     q = heads_split(T.matmul(x_q, params[f"{prefix}.wq"]) + params[f"{prefix}.bq"])
-    k = heads_split(T.matmul(x_kv, params[f"{prefix}.wk"]) + params[f"{prefix}.bk"])
-    v = heads_split(T.matmul(x_kv, params[f"{prefix}.wv"]) + params[f"{prefix}.bv"])
+    if x_kv is None:
+        k, v = cache[prefix]
+    else:
+        k = heads_split(T.matmul(x_kv, params[f"{prefix}.wk"]) + params[f"{prefix}.bk"])
+        v = heads_split(T.matmul(x_kv, params[f"{prefix}.wv"]) + params[f"{prefix}.bv"])
+        if cache is not None:
+            if prefix in cache:
+                old_k, old_v = cache[prefix]
+                k = Tensor(np.concatenate([old_k.data, k.data], axis=2))
+                v = Tensor(np.concatenate([old_v.data, v.data], axis=2))
+            cache[prefix] = (k, v)
 
     scores = T.mul(T.matmul(q, k.swapaxes(-1, -2)), 1.0 / np.sqrt(dh))
     if bias is not None:

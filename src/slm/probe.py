@@ -129,6 +129,9 @@ def load_index(path: str) -> EmbeddingIndex:
             raise FormatError(f"{path}.jsonl:{ln}: record lacks doc, sent, "
                               "text or prev")
         records.append(rec)
+    if len(records) != n:
+        raise FormatError(f"{path}.jsonl: {len(records)} records for the "
+                          f"{n} rows of {path}")
     try:
         matrix = np.frombuffer(raw, dtype="<f4").reshape(n, hidden)
     except ValueError as exc:   # an empty matrix with a huge dim

@@ -6,6 +6,11 @@ keeps step i blind to later steps while cross-attention sees all of C.
 Each output row is dotted against every row of C and softmaxed, giving
 one pointer distribution per reconstruction step; step i should select
 the sentence originally at position i and the final step selects [SEP].
+
+Greedy decoding runs the same decoder layers one step at a time over a
+batch of documents: a key/value cache keeps the self-attention keys and
+values of earlier steps and the cross-attention keys and values of C,
+so each step computes one new row per document.
 """
 from __future__ import annotations
 
@@ -24,16 +29,28 @@ def causal_bias(steps: int, dtype=np.float32) -> Tensor:
 
 
 def decoder_stack(params: dict, cfg: RunConfig, x: Tensor, c: Tensor,
-                  bias: Tensor, rng=None, training: bool = False) -> Tensor:
+                  bias: Tensor | None, rng=None, training: bool = False,
+                  c_bias: Tensor | None = None,
+                  cache: dict | None = None) -> Tensor:
     """The decoder layers over input rows ``x``: masked self-attention
-    under ``bias``, cross-attention to all of ``c``, then the FFN, each
-    followed by its residual layer norm."""
+    under ``bias``, cross-attention to all of ``c`` under ``c_bias``,
+    then the FFN, each followed by its residual layer norm.
+
+    With ``cache`` (a dict, empty before the first step; no graph) the
+    call is one step of incremental decoding. ``x`` then holds only the
+    new row of each sequence; its self-attention keys and values are
+    appended to those of the earlier steps, which it attends to in full,
+    so ``bias`` is None. The cross-attention keys and values of ``c`` are
+    computed on the first step and reused after it.
+    """
     for i in range(cfg.decoder_layers):
         attn = multi_head_attention(
-            params, f"dec.{i}.self", x, x, bias, cfg, rng, training)
+            params, f"dec.{i}.self", x, x, bias, cfg, rng, training, cache)
         x = post_norm(params, f"dec.{i}.ln1", x, attn, cfg, rng, training)
+        prefix = f"dec.{i}.cross"
+        kv = None if cache is not None and prefix in cache else c
         cross = multi_head_attention(
-            params, f"dec.{i}.cross", x, c, None, cfg, rng, training)
+            params, prefix, x, kv, c_bias, cfg, rng, training, cache)
         x = post_norm(params, f"dec.{i}.ln2", x, cross, cfg, rng, training)
         ffn = feed_forward(params, f"dec.{i}.ffn", x)
         x = post_norm(params, f"dec.{i}.ln3", x, ffn, cfg, rng, training)
@@ -96,34 +113,59 @@ def pointer_nll(w: Tensor, c: Tensor, targets: np.ndarray) -> Tensor:
     return T.cross_entropy(pointer_logits(w, c), targets)
 
 
-def greedy_unshuffle(params: dict, cfg: RunConfig, c: Tensor) -> np.ndarray:
+def greedy_unshuffle(params: dict, cfg: RunConfig, c):
     """Greedy decode of the display-slot order of the original document.
 
+    ``c`` is one summary [1, N+2, hidden], which returns one order, or a
+    list of summaries, decoded together and returning one order each.
     Feeds back the chosen candidate row at each step; [CLS] and already
     chosen sentences are excluded from the argmax. Choosing [SEP] early
-    terminates and the remaining slots follow in display order. The
-    result is always a permutation of {0..N-1}.
+    terminates and the remaining slots follow in display order. Each
+    result is a permutation of {0..N-1}.
+
+    The summaries share one C padded to the longest; padded rows get
+    NEG_INF in cross-attention and never win the argmax. A document
+    stops once it picks its [SEP] row or has placed every sentence, and
+    the loop ends when all have stopped.
     """
-    n = c.shape[1] - 2
-    sep_row = n + 1
-    chosen: list[int] = []
+    summaries = [c] if isinstance(c, Tensor) else c
+    counts = np.array([s.shape[1] - 2 for s in summaries])
+    rows = np.arange(len(summaries))
+    width = int(counts.max()) + 2
+    padded = np.zeros((len(summaries), width, summaries[0].shape[2]),
+                      dtype=summaries[0].data.dtype)
+    for b, s in enumerate(summaries):
+        padded[b, :counts[b] + 2] = s.data[0]
+    pad = np.arange(width) >= (counts + 2)[:, None]
+    c_bias = Tensor(np.where(pad, NEG_INF, 0.0).astype(padded.dtype)
+                    .reshape(len(summaries), 1, 1, width))
+    blocked = pad.copy()
+    blocked[:, 0] = True
+    chosen: list[list[int]] = [[] for _ in summaries]
+    running = counts > 0
+    feed = np.zeros(len(summaries), dtype=np.int64)
+    c_all = Tensor(padded)
+    c_t = np.ascontiguousarray(padded.swapaxes(1, 2))
+    cache: dict = {}
     with T.no_grad():
-        input_idx = [0]
-        for _ in range(n):
-            x = T.take(c, np.asarray(input_idx), axis=1)
-            bias = causal_bias(len(input_idx), dtype=c.data.dtype)
-            w = decoder_stack(params, cfg, x, c, bias)
-            scores = w.data[0, -1] @ c.data[0].T
-            scores[0] = -np.inf
-            for used in chosen:
-                scores[used] = -np.inf
-            pick = int(np.argmax(scores))
-            if pick == sep_row:
-                break
-            chosen.append(pick)
-            input_idx.append(pick)
-    order = [row - 1 for row in chosen]
-    for slot in range(n):
-        if slot not in order:
-            order.append(slot)
-    return np.asarray(order, dtype=np.int64)
+        while running.any():
+            x = Tensor(padded[rows, feed][:, None])
+            w = decoder_stack(params, cfg, x, c_all, None, c_bias=c_bias,
+                              cache=cache)
+            scores = np.matmul(w.data, c_t)[:, 0]
+            scores[blocked] = -np.inf
+            feed = np.argmax(scores, axis=1)
+            for b in np.flatnonzero(running):
+                pick = int(feed[b])
+                if pick == counts[b] + 1:
+                    running[b] = False
+                    continue
+                chosen[b].append(pick)
+                blocked[b, pick] = True
+                running[b] = len(chosen[b]) < counts[b]
+    orders = []
+    for n, picks in zip(counts, chosen):
+        order = [row - 1 for row in picks]
+        order += [slot for slot in range(n) if slot not in order]
+        orders.append(np.asarray(order, dtype=np.int64))
+    return orders[0] if isinstance(c, Tensor) else orders

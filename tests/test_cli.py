@@ -1,5 +1,6 @@
 import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -120,9 +121,14 @@ def test_eval_unshuffle_reports_scores(workspace, capsys):
                                   f"eval_corpus={workspace['prepared']}",
                                   f"checkpoint={workspace['ckpt']}"]))
     assert run(args) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("n=2 ")
-    assert "em=" in out and "tau=" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("n=2 ")
+    assert "em=" in lines[0] and "tau=" in lines[0]
+    assert lines[1].startswith("pos_acc=")
+    # both documents hold three sentences, so the one per-N line repeats
+    # the overall scores
+    em_tau = lines[0].split(" ", 1)[1]
+    assert lines[2:] == [f"  N=3: n=2 {em_tau}"]
 
 
 def test_finetune_cls_runs_from_checkpoint(workspace, capsys, tmp_path):
@@ -309,6 +315,22 @@ def test_malformed_probe_index_sidecar_exits_two(workspace, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_probe_index_sidecar_short_of_rows_exits_two(workspace, tmp_path,
+                                                     capsys):
+    args = checkpoint_args("probe", workspace, tmp_path, "query_row=0",
+                           "top_k=2")
+    assert run(args) == 0
+    capsys.readouterr()
+    index = tmp_path / "sent.idx"
+    sidecar = tmp_path / "sent.idx.jsonl"
+    lines = sidecar.read_text(encoding="utf-8").splitlines()
+    sidecar.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+    assert run(args) == 2
+    assert capsys.readouterr().err == (
+        f"error: {sidecar}: {len(lines) - 1} records for the {len(lines)} "
+        f"rows of {index}\n")
+
+
 def stored_with(workspace, tmp_path, **changes):
     """A copy of the workspace checkpoint whose stored config differs."""
     from dataclasses import replace
@@ -481,10 +503,14 @@ def test_diverging_pretrain_exits_one_without_traceback(workspace, tmp_path,
                                                          capsys):
     args = pretrain_args(workspace, tmp_path, "peak_lr=1e30", "grad_clip=0",
                          "warmup=0")
-    assert run(args) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(args) == 1
     err = capsys.readouterr().err
     assert err.splitlines()[-1] == "error: non-finite training loss"
     assert "Traceback" not in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_diverging_finetune_exits_one_without_traceback(workspace, tmp_path,
@@ -492,10 +518,14 @@ def test_diverging_finetune_exits_one_without_traceback(workspace, tmp_path,
     args = checkpoint_args("finetune-cls", workspace, tmp_path,
                            "finetune_lr=1e30", "grad_clip=0",
                            "finetune_epochs=3")
-    assert run(args) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(args) == 1
     err = capsys.readouterr().err
     assert err.splitlines()[-1].startswith("error: non-finite gradient for: ")
     assert "Traceback" not in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_non_finite_checkpoint_tensor_exits_two_naming_it(workspace, tmp_path,

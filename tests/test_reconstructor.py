@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from slm import reconstructor
+from slm import tensor as T
 from slm.errors import ContractError
-from slm.reconstructor import (decode_sequence, greedy_unshuffle,
-                               pointer_nll, pointer_scores, slm_loss)
+from slm.reconstructor import (causal_bias, decode_sequence, decoder_stack,
+                               greedy_unshuffle, pointer_nll, pointer_scores,
+                               slm_loss)
 from slm.shuffling import apply_shuffle, order_targets, sample_permutation
 from slm.tensor import Tensor, grad_check
 
@@ -187,3 +190,56 @@ def test_greedy_unshuffle_untrained_is_not_already_solved():
         seen.add(tuple(order.tolist()))
     assert hits / trials < 0.6
     assert len(seen) > 3
+
+
+def full_prefix_greedy(params, cfg, c):
+    """Greedy decode of one document without a cache: every step re-runs
+    the decoder over the whole fed-back prefix under a causal mask.
+    Returns the order and the decoder's last output row of each step."""
+    n = c.shape[1] - 2
+    chosen, rows = [], []
+    with T.no_grad():
+        input_idx = [0]
+        for _ in range(n):
+            x = T.take(c, np.asarray(input_idx), axis=1)
+            bias = causal_bias(len(input_idx), dtype=c.data.dtype)
+            w = decoder_stack(params, cfg, x, c, bias)
+            rows.append(w.data[0, -1])
+            scores = w.data[0, -1] @ c.data[0].T
+            scores[0] = -np.inf
+            scores[chosen] = -np.inf
+            pick = int(np.argmax(scores))
+            if pick == n + 1:
+                break
+            chosen.append(pick)
+            input_idx.append(pick)
+    order = [row - 1 for row in chosen]
+    order += [slot for slot in range(n) if slot not in order]
+    return order, rows
+
+
+@pytest.mark.parametrize("layers", [0, 1, 2])
+def test_cached_batch_decode_matches_full_prefix_oracle(layers, monkeypatch):
+    cfg = small_config(decoder_layers=layers, max_sentences=20)
+    params = build_params(cfg, seed=layers, dtype=np.float64)
+    summaries = [rand_c(n, cfg.hidden, seed=30 + n, dtype=np.float64)
+                 for n in (1, 20, 7, 2)]
+    steps = []
+
+    def recording(*args, **kwargs):
+        w = decoder_stack(*args, **kwargs)
+        steps.append(w.data[:, 0].copy())
+        return w
+
+    monkeypatch.setattr(reconstructor, "decoder_stack", recording)
+    orders = greedy_unshuffle(params, cfg, summaries)
+    monkeypatch.undo()
+    lengths = []
+    for b, c in enumerate(summaries):
+        order, rows = full_prefix_greedy(params, cfg, c)
+        assert orders[b].tolist() == order
+        for t, row in enumerate(rows):
+            np.testing.assert_allclose(steps[t][b], row, rtol=0, atol=1e-10)
+        lengths.append(len(rows))
+    # the batch runs until its longest document stops
+    assert len(steps) == max(lengths)

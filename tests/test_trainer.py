@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from slm import trainer
 from slm.config import RunConfig
 from slm.errors import DataError
 from slm.textpipe import Document
@@ -175,6 +176,24 @@ def test_kendall_tau_matches_scipy():
     assert kendall_tau(np.arange(5), np.arange(5)[::-1]) == -1.0
 
 
+def double_loop_tau(pred, gold):
+    """Kendall tau as a count over every pair, one pair at a time."""
+    concordant = total = 0
+    for i in range(len(pred)):
+        for j in range(i + 1, len(pred)):
+            total += 1
+            concordant += int((pred[i] < pred[j]) == (gold[i] < gold[j]))
+    return (2.0 * concordant - total) / total if total else 1.0
+
+
+def test_kendall_tau_equals_the_double_loop():
+    rng = np.random.default_rng(4)
+    for n in range(1, 26):
+        for _ in range(5):
+            pred, gold = rng.permutation(n), rng.permutation(n)
+            assert kendall_tau(pred, gold) == double_loop_tau(pred, gold)
+
+
 def test_evaluate_unshuffle_bounds():
     cfg = run_config()
     params = build_params(cfg)
@@ -183,6 +202,29 @@ def test_evaluate_unshuffle_bounds():
     assert scores["n"] == 6
     assert 0.0 <= scores["em"] <= 1.0
     assert -1.0 <= scores["tau"] <= 1.0
+
+
+def test_evaluate_unshuffle_breaks_scores_down(monkeypatch):
+    # the gold orders are the identity and the decoded orders are set by
+    # hand, so every score is counted by hand: slots right 3 + 1 + 0 of
+    # 8, taus 1, 1/3 and -1
+    cfg = run_config()
+    rng = np.random.default_rng(5)
+    packed = pack_corpus([random_document(rng, n_sents=k)
+                          for k in (3, 3, 2)], cfg)
+    decoded = iter([[0, 1, 2], [1, 0, 2], [1, 0]])
+    monkeypatch.setattr(trainer, "sample_permutation",
+                        lambda n, rng: np.arange(n))
+    monkeypatch.setattr(trainer, "greedy_unshuffle", lambda params, cfg, cs: [
+        np.array(next(decoded)) for _ in cs])
+    scores = evaluate_unshuffle(build_params(cfg), cfg, packed)
+    assert scores["n"] == 3
+    assert scores["em"] == pytest.approx(1 / 3)
+    assert scores["tau"] == pytest.approx((1 + 1 / 3 - 1) / 3)
+    assert scores["pos_acc"] == 0.5
+    assert scores["by_n"] == {
+        2: {"n": 1, "em": 0.0, "tau": -1.0},
+        3: {"n": 2, "em": 0.5, "tau": pytest.approx(2 / 3)}}
 
 
 def test_loss_moves_within_a_short_run(tmp_path):
