@@ -113,6 +113,7 @@ def extract_summary(h: Tensor, ex: PackedExample, batch_index: int) -> Tensor:
     Returns a [1, N+2, hidden] tensor whose rows are exactly the encoder
     output rows at the recorded indices.
     """
-    rows = summary_positions(ex)
-    one = T.take(h, np.array([batch_index]), axis=0)
-    return T.take(one, rows, axis=1)
+    bsz, length, hidden = h.shape
+    rows = batch_index * length + summary_positions(ex)
+    c = T.take(h.reshape(bsz * length, hidden), rows)
+    return c.reshape(1, len(rows), hidden)

@@ -3,7 +3,10 @@
 Word prediction projects encoder outputs at labeled positions through
 the tied token embedding plus a bias; the reconstruction term averages
 pointer cross-entropy over the N+1 steps of each example and then over
-the batch. The two terms add with no weighting.
+the batch. The two terms add with no weighting. The bundle also reports
+two training signals of the teacher-forced pointer, read from the
+decoder output with plain numpy (no graph node, no rng draw): the share
+of steps whose argmax hits the target and the mean entropy in nats.
 """
 from __future__ import annotations
 
@@ -31,6 +34,8 @@ class LossBundle:
     total: float
     masked_count: int
     slm_steps: int
+    pointer_acc: float      # nan without the ordering objective
+    pointer_entropy: float  # nats; nan without the ordering objective
     loss: Tensor
 
 
@@ -46,6 +51,17 @@ def mlm_loss(h: Tensor, params: dict, labels: np.ndarray) -> tuple[Tensor, int]:
     rows = T.take(h.reshape(bsz * length, hidden), sel)
     logits = T.matmul(rows, params["emb.token"].swapaxes(0, 1)) + params["mlm.bias"]
     return T.cross_entropy(logits, flat_labels[sel]), int(sel.size)
+
+
+def _pointer_signals(w: Tensor, c: Tensor,
+                    targets: np.ndarray) -> tuple[int, float]:
+    """Argmax hits and summed entropy (nats) of one example's pointer
+    distributions, from the arrays alone."""
+    logits = np.matmul(w.data[0], c.data[0].T).astype(np.float64)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    hits = int(np.count_nonzero(logits.argmax(axis=1) == targets))
+    return hits, float(-(np.exp(logp) * logp).sum())
 
 
 def total_loss(l_mlm: Tensor, l_slm: Tensor) -> Tensor:
@@ -67,8 +83,10 @@ def pretrain_bundle(params: dict, cfg: RunConfig,
     l_mlm, masked_count = mlm_loss(h, params, labels)
 
     slm_steps = 0
+    pointer_acc = pointer_entropy = float("nan")
     if cfg.sr_enabled:
         per_example = []
+        hits, entropy = 0, 0.0
         for b, ex in enumerate(examples):
             if ex.order_targets is None:
                 raise TrainingAbort(
@@ -77,6 +95,10 @@ def pretrain_bundle(params: dict, cfg: RunConfig,
             w = decode_sequence(params, cfg, c, ex.order_targets, rng, training)
             per_example.append(pointer_nll(w, c, ex.order_targets))
             slm_steps += len(ex.order_targets)
+            ex_hits, ex_entropy = _pointer_signals(w, c, ex.order_targets)
+            hits += ex_hits
+            entropy += ex_entropy
+        pointer_acc, pointer_entropy = hits / slm_steps, entropy / slm_steps
         acc = per_example[0]
         for term in per_example[1:]:
             acc = acc + term
@@ -93,5 +115,7 @@ def pretrain_bundle(params: dict, cfg: RunConfig,
         total=float(loss.data),
         masked_count=masked_count,
         slm_steps=slm_steps,
+        pointer_acc=pointer_acc,
+        pointer_entropy=pointer_entropy,
         loss=loss,
     )

@@ -17,9 +17,13 @@ one-row case and ``gather_elements`` a ``take`` over the flattened rows.
 Forward results are deterministic for fixed inputs: all reductions run
 through sequential numpy kernels with a fixed ordering.
 
-``grad_enabled`` is the engine's one module switch. Ops do not scan
-their outputs for NaN or Inf: a non-finite value is caught once, at
-the training loss (``objectives.pretrain_bundle``), at the gradients
+``grad_enabled`` is the engine's one module switch. Besides skipping
+the graph record, it picks how ``gelu`` cubes its input: a pass without
+a graph multiplies, about 100x faster in float32 than numpy's power,
+and a recorded graph keeps the power so pretraining's float bits stay
+as they were. Ops do not scan their outputs for NaN or Inf: a
+non-finite value is caught once, at the training loss
+(``objectives.pretrain_bundle``), at the gradients
 (``optim.adam_update``) and where a checkpoint or probe index is read.
 """
 from __future__ import annotations
@@ -29,7 +33,8 @@ import numpy as np
 from .errors import ContractError
 
 # The one module switch: grad_enabled=False skips graph recording
-# entirely (used by finite-difference probes and eval).
+# entirely (used by finite-difference probes and eval); it also picks
+# how gelu cubes its input.
 grad_enabled = True
 
 
@@ -81,9 +86,14 @@ class Tensor:
     # -- graph plumbing -------------------------------------------------
 
     def _accumulate(self, g):
+        # the first gradient is written into a fresh array of the data's
+        # layout, not copied with g's (possibly transposed) strides:
+        # matmul rounding follows operand layout
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = g
+        else:
+            self.grad += g
 
     # -- operator sugar -------------------------------------------------
 
@@ -344,7 +354,16 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh form (matches x*Phi(x) to ~1e-3)."""
     xd = x.data
-    inner = _GELU_C * (xd + 0.044715 * xd ** 3)
+    # numpy's float32 power takes a slow scalar path for negative bases
+    # (about 100x the product), so a pass without a graph cubes by
+    # multiplying. A recorded graph keeps the power: the two round
+    # apart in about 30% of N(0,1) float32 inputs, and the seeded learning
+    # check (acceptance criterion 5) is chaotic in pretraining's float
+    # bits (its FOUND line in CHANGES.md, ROADMAP item 1). Drop this
+    # branch together with pretraining's full-length encode once that
+    # check stops depending on bits.
+    cube = xd ** 3 if grad_enabled else xd * xd * xd
+    inner = _GELU_C * (xd + 0.044715 * cube)
     th = np.tanh(inner)
     out_data = 0.5 * xd * (1.0 + th)
 

@@ -8,10 +8,16 @@ is reproducible end to end and two runs with the same seed, config and
 corpus write byte-identical metrics when timing is disabled.
 
 Metrics are an append-only CSV (step,lr,l_mlm,l_slm,total,shuffled,
-tokens_per_s,grad_norm) preceded by `# key=value` lines echoing the full
-config. With `accum_steps > 1` a row's losses are means over the step's
-micro-batches and `shuffled` counts its shuffled micro-batches.
-`grad_norm` is the global gradient norm before clipping.
+tokens_per_s,grad_norm,masked_count,pointer_acc,pointer_entropy)
+preceded by `# key=value` lines echoing the full config. With
+`accum_steps > 1` a row's losses are means over the step's
+micro-batches, `shuffled` counts its shuffled micro-batches and
+`masked_count` sums their MLM targets. `grad_norm` is the global
+gradient norm before clipping. `pointer_acc` is the share of
+teacher-forced reconstruction steps whose argmax pointer hits the
+target and `pointer_entropy` the mean entropy of those pointer
+distributions in nats, both means over the micro-batches and `nan`
+when the ordering objective is off.
 """
 from __future__ import annotations
 
@@ -40,7 +46,8 @@ log = logging.getLogger(__name__)
 # rng stream tags: keep the packing, sampling and dropout streams apart
 _PACK, _SAMPLE, _DROPOUT, _EVAL = 1, 2, 3, 4
 
-METRICS_COLUMNS = "step,lr,l_mlm,l_slm,total,shuffled,tokens_per_s,grad_norm"
+METRICS_COLUMNS = ("step,lr,l_mlm,l_slm,total,shuffled,tokens_per_s,"
+                   "grad_norm,masked_count,pointer_acc,pointer_entropy")
 
 
 def pack_corpus(docs: list[Document], cfg: RunConfig) -> list[PackedExample]:
@@ -113,6 +120,7 @@ def train_loop(docs: list[Document], cfg: RunConfig, out_dir: str,
             zero_grads(params)
             tokens = 0
             shuffled = 0
+            masked = 0
             losses = []
             drop_rng = np.random.default_rng([cfg.seed, _DROPOUT, step])
             for micro in range(cfg.accum_steps):
@@ -123,11 +131,13 @@ def train_loop(docs: list[Document], cfg: RunConfig, out_dir: str,
                 backward(bundle.loss)
                 tokens += sum(ex.attention_len for ex in batch)
                 shuffled += int(micro_shuffled)
-                losses.append((bundle.l_mlm, bundle.l_slm, bundle.total))
+                masked += bundle.masked_count
+                losses.append((bundle.l_mlm, bundle.l_slm, bundle.total,
+                               bundle.pointer_acc, bundle.pointer_entropy))
             # mean over micro-batches; with one micro-batch each mean is
             # that batch's value, bit for bit
-            l_mlm, l_slm, total = (sum(col) / len(losses)
-                                   for col in zip(*losses))
+            l_mlm, l_slm, total, pointer_acc, pointer_entropy = (
+                sum(col) / len(losses) for col in zip(*losses))
             if cfg.accum_steps > 1:
                 for p in params.values():
                     if p.grad is not None:
@@ -144,7 +154,8 @@ def train_loop(docs: list[Document], cfg: RunConfig, out_dir: str,
                 tokens_per_s = 0.0
             metrics.write(f"{step},{lr:.10g},{l_mlm:.6f},{l_slm:.6f},"
                           f"{total:.6f},{shuffled},{tokens_per_s:.6g},"
-                          f"{grad_norm:.8g}\n")
+                          f"{grad_norm:.8g},{masked},{pointer_acc:.6f},"
+                          f"{pointer_entropy:.6f}\n")
             if cfg.log_every and step % cfg.log_every == 0:
                 log.info("step %d lr %.3g mlm %.4f slm %.4f total %.4f",
                          step, lr, l_mlm, l_slm, total)

@@ -12,6 +12,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from slm import tensor as T
 from slm.config import config_echo, resolve_config
@@ -289,6 +290,7 @@ def test_criterion_9_determinism(tmp_path):
         assert a == b
 
 
+@pytest.mark.slow
 def test_criterion_5_learning_check(tmp_path):
     with criterion(5, "unshuffling is learned on ordered narratives") as info:
         t0 = time.monotonic()

@@ -1,10 +1,13 @@
 import logging
 
 import numpy as np
+import pytest
 
-from slm.encoder import encode_batch
+from slm.encoder import encode_batch, extract_summary
 from slm.masking import IGNORE
-from slm.objectives import mlm_loss, pretrain_bundle, total_loss
+from slm.objectives import (_pointer_signals, mlm_loss, pretrain_bundle,
+                            total_loss)
+from slm.reconstructor import decode_sequence
 from slm.shuffling import apply_shuffle, identity_record, sample_permutation
 from slm.tensor import Tensor, backward
 
@@ -96,6 +99,7 @@ def test_sr_disabled_total_is_mlm_and_decoder_gets_no_gradient():
     bundle = pretrain_bundle(params, cfg, bundle_inputs(cfg, seed=8))
     assert bundle.l_slm == 0.0
     assert bundle.total == bundle.l_mlm
+    assert np.isnan(bundle.pointer_acc) and np.isnan(bundle.pointer_entropy)
     backward(bundle.loss)
     for name, p in params.items():
         if name.startswith("dec."):
@@ -176,3 +180,50 @@ def test_no_grad_bundle_matches_graph_recording_bundle():
     assert short.masked_count == full.masked_count
     np.testing.assert_allclose(short.l_mlm, full.l_mlm, atol=1e-5)
     np.testing.assert_allclose(short.l_slm, full.l_slm, atol=1e-5)
+
+
+def test_pointer_signals_match_direct_numpy():
+    """pointer_acc and pointer_entropy equal argmax hits and entropy
+    taken by hand from each example's teacher-forced pointer rows."""
+    cfg = small_config()
+    params = build_params(cfg, seed=4, dtype=np.float64)
+    rng = np.random.default_rng(21)
+    batch = []
+    for n in (1, 3, 2):
+        ex = masked_example(cfg, rng, n_sents=n)
+        batch.append(apply_shuffle(ex, sample_permutation(n, rng)))
+    bundle = pretrain_bundle(params, cfg, batch)
+
+    h = encode_batch(params, cfg, batch)
+    hits, entropies = [], []
+    for b, ex in enumerate(batch):
+        c = extract_summary(h, ex, b)
+        w = decode_sequence(params, cfg, c, ex.order_targets)
+        for row, target in zip(w.data[0], ex.order_targets):
+            logits = c.data[0] @ row
+            p = np.exp(logits - logits.max())
+            p /= p.sum()
+            hits.append(int(np.argmax(logits)) == target)
+            entropies.append(-sum(q * np.log(q) for q in p if q > 0))
+    assert bundle.slm_steps == len(hits) == 9
+    # an untrained pointer is saturated on a wrong row: no step hits
+    assert bundle.pointer_acc == sum(hits) / len(hits) == 0.0
+    assert bundle.pointer_entropy == pytest.approx(np.mean(entropies),
+                                                   rel=1e-9)
+
+
+def test_pointer_signals_on_hand_built_rows():
+    # step 0 is uniform over the four candidates (entropy ln 4) and its
+    # argmax, row 0, misses; step 1 hits row 1; step 2 prefers row 2
+    # over its target, row 3
+    c = Tensor(np.array([[[0, 0], [1, 0], [0, 1], [-1, -1]]], dtype=np.float32))
+    w = Tensor(np.array([[[0, 0], [3, 0], [0, 3]]], dtype=np.float32))
+    hits, entropy = _pointer_signals(w, c, np.array([1, 1, 3]))
+
+    def h(logits):
+        p = np.exp(logits) / np.exp(logits).sum()
+        return -np.sum(p * np.log(p))
+    assert hits == 1
+    assert entropy == pytest.approx(
+        np.log(4) + h(np.array([0, 3, 0, -3.0])) + h(np.array([0, 0, 3, -3.0])),
+        rel=1e-12)

@@ -264,9 +264,13 @@ def test_accumulated_rows_report_mean_losses_and_shuffled_count(tmp_path):
                                prepare_batch(packed, micro, cfg)[0],
                                drop_rng, training=True)
                for micro in range(3)]
-    for col, attr in ((2, "l_mlm"), (3, "l_slm"), (4, "total")):
+    columns = METRICS_COLUMNS.split(",")
+    for attr in ("l_mlm", "l_slm", "total", "pointer_acc", "pointer_entropy"):
         mean = np.mean([getattr(b, attr) for b in bundles])
-        assert float(rows[0][col]) == pytest.approx(mean, abs=2e-6)
+        assert float(rows[0][columns.index(attr)]) == pytest.approx(
+            mean, abs=2e-6)
+    assert int(rows[0][columns.index("masked_count")]) == sum(
+        b.masked_count for b in bundles)
     assert float(rows[-1][4]) == pytest.approx(result["total"], abs=1e-6)
 
 
@@ -300,3 +304,16 @@ def test_grad_norm_column_is_the_pre_clip_norm(tmp_path):
     expected = float(np.linalg.norm(np.concatenate(grads)))
     assert expected > one.grad_clip  # the row reports the norm before clipping
     assert float(rows[0][col]) == pytest.approx(expected, rel=1e-6)
+
+
+def test_pointer_columns_are_nan_without_the_ordering_objective(tmp_path):
+    cfg = run_config(steps=2, sr_enabled=False)
+    _, rows = read_metrics(train_loop(tiny_corpus(), cfg,
+                                      str(tmp_path / "run"))["metrics"])
+    columns = METRICS_COLUMNS.split(",")
+    assert columns[-4:] == ["grad_norm", "masked_count", "pointer_acc",
+                            "pointer_entropy"]
+    for row in rows:
+        assert len(row) == len(columns)
+        assert int(row[columns.index("masked_count")]) > 0
+        assert row[-2:] == ["nan", "nan"]
