@@ -7,16 +7,12 @@ sentence summary C gathers the output rows at [CLS], at each [SENT]
 marker in display order, and at [SEP]; those are the only rows the
 reconstructor may see.
 
-``encode_batch`` stops at the batch's longest real row in every pass
-without graph recording (``tensor.no_grad``) and in fine-tuning, whose
-loops pass ``trim=True``: inputs are cut to ``max(attention_len)``
-positions and the output is ``[B, L_max, hidden]``. Padding keys are
-masked out of every attention row, so the real rows equal the
-full-length ones up to float rounding, and every trimmed caller reads
-only rows below ``attention_len``. Pretraining keeps the full
-``seq_len`` on purpose: the seeded learning check (acceptance
-criterion 5) is sensitive to the exact float bits of pretraining, and a
-shorter reduction order changes them.
+``encode_batch`` stops at the batch's longest real row: inputs are cut
+to ``max(attention_len)`` positions and the output is
+``[B, L_max, hidden]``, in pretraining, fine-tuning and every pass
+without a graph alike. Padding keys are masked out of every attention
+row, so the real rows equal the full-length ones up to float rounding,
+and every caller reads only rows below ``attention_len``.
 """
 from __future__ import annotations
 
@@ -80,21 +76,10 @@ def encode(params: dict, cfg: RunConfig, h0: Tensor, bias: Tensor,
 
 
 def encode_batch(params: dict, cfg: RunConfig, examples: list[PackedExample],
-                 rng=None, training: bool = False,
-                 trim: bool | None = None) -> Tensor:
-    """Stack examples into arrays and run embed + encode.
-
-    Returns [B, max(attention_len), hidden] when trimmed and
-    [B, seq_len, hidden] otherwise. ``trim=None`` trims exactly when no
-    graph is recorded; fine-tuning passes ``trim=True``.
-    """
-    # Pretraining records a graph with trim=None and so keeps every
-    # position: its arithmetic, and with it the seeded learning check
-    # (acceptance criterion 5), stays bit-for-bit as it was. Every other
-    # pass only pays for positions that hold real tokens.
-    if trim is None:
-        trim = not T.grad_enabled
-    width = max(ex.attention_len for ex in examples) if trim else None
+                 rng=None, training: bool = False) -> Tensor:
+    """Stack examples, cut to the longest real row, and run embed +
+    encode; returns [B, max(attention_len), hidden]."""
+    width = max(ex.attention_len for ex in examples)
     token_ids = np.stack([ex.token_ids[:width] for ex in examples])
     position_ids = np.stack([ex.position_ids[:width] for ex in examples])
     sentence_ids = np.stack([ex.sentence_ids[:width] for ex in examples])

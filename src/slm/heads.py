@@ -176,7 +176,7 @@ def _finetune(params: dict, cfg: RunConfig, examples: list, head: dict,
                      for k in range(min(cfg.batch_size, n))]
             zero_grads(trained)
             h = encode_batch(params, cfg, [ex.packed for ex in batch],
-                             rng, training=True, trim=True)
+                             rng, training=True)
             backward(batch_loss(h, batch))
             clip_global_norm(trained, cfg.grad_clip)
             adam_update(trained, state, cfg.finetune_lr, cfg)

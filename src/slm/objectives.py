@@ -79,7 +79,7 @@ def pretrain_bundle(params: dict, cfg: RunConfig,
     labels = np.stack([
         ex.mlm_labels if ex.mlm_labels is not None
         else np.full_like(ex.token_ids, IGNORE)
-        for ex in examples])[:, :h.shape[1]]  # no_grad stops at L_max
+        for ex in examples])[:, :h.shape[1]]  # the encode stops at L_max
     l_mlm, masked_count = mlm_loss(h, params, labels)
 
     slm_steps = 0

@@ -17,11 +17,9 @@ one-row case and ``gather_elements`` a ``take`` over the flattened rows.
 Forward results are deterministic for fixed inputs: all reductions run
 through sequential numpy kernels with a fixed ordering.
 
-``grad_enabled`` is the engine's one module switch. Besides skipping
-the graph record, it picks how ``gelu`` cubes its input: a pass without
-a graph multiplies, about 100x faster in float32 than numpy's power,
-and a recorded graph keeps the power so pretraining's float bits stay
-as they were. Ops do not scan their outputs for NaN or Inf: a
+``grad_enabled`` is the engine's one module switch, and it only skips
+the graph record: an op computes the same values with and without a
+graph. Ops do not scan their outputs for NaN or Inf: a
 non-finite value is caught once, at the training loss
 (``objectives.pretrain_bundle``), at the gradients
 (``optim.adam_update``) and where a checkpoint or probe index is read.
@@ -33,8 +31,7 @@ import numpy as np
 from .errors import ContractError
 
 # The one module switch: grad_enabled=False skips graph recording
-# entirely (used by finite-difference probes and eval); it also picks
-# how gelu cubes its input.
+# entirely (used by finite-difference probes and eval).
 grad_enabled = True
 
 
@@ -251,8 +248,19 @@ def take(a: Tensor, indices, axis: int = 0) -> Tensor:
         if a.requires_grad:
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
-            gmoved = np.moveaxis(a.grad, axis, 0)
-            np.add.at(gmoved, idx, np.moveaxis(out.grad, axis, 0))
+            if not idx.size:
+                return
+            # sum each index's slices in one reduceat over a stable
+            # sort, then add the sums into their rows once (np.add.at
+            # is several times slower); slices of one index keep their
+            # order
+            rows = idx % a.shape[axis]
+            order = np.argsort(rows, kind="stable")
+            rows = rows[order]
+            starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+            g = np.moveaxis(out.grad, axis, 0)[order]
+            np.moveaxis(a.grad, axis, 0)[rows[starts]] += np.add.reduceat(
+                g, starts, axis=0)
 
     return _make(out_data, (a,), bw)
 
@@ -354,16 +362,9 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh form (matches x*Phi(x) to ~1e-3)."""
     xd = x.data
-    # numpy's float32 power takes a slow scalar path for negative bases
-    # (about 100x the product), so a pass without a graph cubes by
-    # multiplying. A recorded graph keeps the power: the two round
-    # apart in about 30% of N(0,1) float32 inputs, and the seeded learning
-    # check (acceptance criterion 5) is chaotic in pretraining's float
-    # bits (its FOUND line in CHANGES.md, ROADMAP item 1). Drop this
-    # branch together with pretraining's full-length encode once that
-    # check stops depending on bits.
-    cube = xd ** 3 if grad_enabled else xd * xd * xd
-    inner = _GELU_C * (xd + 0.044715 * cube)
+    # cube by multiplying: numpy's float32 power takes a slow scalar
+    # path for negative bases, about 100x the product
+    inner = _GELU_C * (xd + 0.044715 * (xd * xd * xd))
     th = np.tanh(inner)
     out_data = 0.5 * xd * (1.0 + th)
 

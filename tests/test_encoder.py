@@ -8,7 +8,8 @@ from slm.model import parameter_counts, param_shapes
 from slm.shuffling import apply_shuffle, identity_record, sample_permutation
 from slm.textpipe import Document, pack_example
 
-from util import build_params, masked_example, physical_shuffle, small_config
+from util import (build_params, encode_full_length, masked_example,
+                  physical_shuffle, small_config)
 
 
 def ids(*vals):
@@ -79,7 +80,7 @@ def test_row_permutation_equivariance():
     rng = np.random.default_rng(2)
     ex = masked_example(cfg, rng)
     n = ex.attention_len
-    h = encode_batch(params, cfg, [ex])
+    h = encode_full_length(params, cfg, [ex])
 
     order = np.concatenate([rng.permutation(n),
                             np.arange(n, cfg.seq_len)])
@@ -91,7 +92,7 @@ def test_row_permutation_equivariance():
         sentence_ids=ex.sentence_ids[order],
         segment_ids=ex.segment_ids[order],
     )
-    h_p = encode_batch(params, cfg, [ex_p])
+    h_p = encode_full_length(params, cfg, [ex_p])
     np.testing.assert_allclose(h_p.data[0], h.data[0][order], atol=1e-5)
 
 
@@ -160,14 +161,17 @@ def test_no_grad_encode_stops_at_longest_real_row():
     rng = np.random.default_rng(7)
     batch = [identity_record(masked_example(cfg, rng, n_sents=n))
              for n in (1, 4, 2)]
-    full = encode_batch(params, cfg, batch)   # records a graph
+    full = encode_full_length(params, cfg, batch)
     with T.no_grad():
         short = encode_batch(params, cfg, batch)
+    recorded = encode_batch(params, cfg, batch)
     width = max(ex.attention_len for ex in batch)
     assert len({ex.attention_len for ex in batch}) > 1
     assert width < cfg.seq_len
     assert full.shape == (3, cfg.seq_len, cfg.hidden)
     assert short.shape == (3, width, cfg.hidden)
+    # recording a graph changes neither the width nor the bits
+    np.testing.assert_array_equal(recorded.data, short.data)
     for b, ex in enumerate(batch):
         np.testing.assert_allclose(short.data[b, :ex.attention_len],
                                    full.data[b, :ex.attention_len], atol=1e-5)

@@ -1,22 +1,25 @@
-"""Fine-tuning encodes each batch at its longest real sequence.
+"""Fine-tuning and pretraining encode each batch at its longest real
+sequence.
 
-Each check runs one optimizer step of a fine-tuning loop twice on a
-float64 model and a batch of mixed lengths: once as shipped (trimmed to
-``max(attention_len)``) and once with the encoder forced to the full
-``seq_len``. The loss and every parameter gradient must agree to float64
-round-off. Dropout is off because its masks are drawn per position, so
-the two widths draw different masks.
+Each check runs one optimizer step (or one pretraining forward and
+backward) twice on a float64 model and a batch of mixed lengths: once
+as shipped (trimmed to ``max(attention_len)``) and once with the
+encoder replaced by the full-``seq_len`` oracle
+``util.encode_full_length``. The loss and every parameter gradient must
+agree to float64 round-off. Dropout is off because its masks are drawn
+per position, so the two widths draw different masks.
 """
 import numpy as np
 import pytest
 
 from slm import heads, objectives
+from slm import tensor as T
 from slm.heads import finetune_cls, finetune_qa, pack_pair, pack_qa
 from slm.objectives import pretrain_bundle
 from slm.shuffling import apply_shuffle, sample_permutation
 from slm.textpipe import SPECIAL_TOKENS, Vocab
 
-from util import build_params, masked_example, small_config
+from util import build_params, encode_full_length, masked_example, small_config
 
 WORDS = ["the", "cat", "sat", "dog", "ran", "fast", "sun", "rose", "red",
          "blue", "one", "two", "bird", "flew", "home", "now"]
@@ -41,9 +44,7 @@ def one_step(monkeypatch, run, full_width: bool):
                               heads.clip_global_norm)
 
     def spy_encode(*args, **kwargs):
-        if full_width:
-            kwargs["trim"] = False
-        h = encode(*args, **kwargs)
+        h = (encode_full_length if full_width else encode)(*args, **kwargs)
         widths.append(h.shape[1])
         return h
 
@@ -64,18 +65,22 @@ def one_step(monkeypatch, run, full_width: bool):
     return widths, losses, grads
 
 
-def assert_same_step(monkeypatch, make_run, examples, seq_len):
-    trim = one_step(monkeypatch, make_run(), full_width=False)
-    full = one_step(monkeypatch, make_run(), full_width=True)
-    longest = max(ex.packed.attention_len for ex in examples)
-    assert len({ex.packed.attention_len for ex in examples}) > 1
-    assert longest < seq_len
-    assert trim[0] == [longest] and full[0] == [seq_len]
+def assert_same_step(trim, full, lengths, seq_len):
+    """Compare (widths, loss, grads) of a trimmed and a full-width run."""
+    assert len(set(lengths)) > 1
+    assert max(lengths) < seq_len
+    assert trim[0] == [max(lengths)] and full[0] == [seq_len]
     np.testing.assert_allclose(trim[1], full[1], rtol=0, atol=1e-10)
     assert set(trim[2]) == set(full[2]) and full[2]
     for name, grad in full[2].items():
         np.testing.assert_allclose(trim[2][name], grad, rtol=0, atol=1e-10,
                                    err_msg=name)
+
+
+def assert_finetune_step(monkeypatch, make_run, examples, seq_len):
+    assert_same_step(one_step(monkeypatch, make_run(), full_width=False),
+                     one_step(monkeypatch, make_run(), full_width=True),
+                     [ex.packed.attention_len for ex in examples], seq_len)
 
 
 @pytest.mark.parametrize("pair", [False, True], ids=["single", "pair"])
@@ -95,7 +100,7 @@ def test_finetune_cls_step_matches_full_width(monkeypatch, pair):
         params = fresh_params(cfg)
         return lambda: finetune_cls(params, cfg, examples, 3, steps=1, seed=4)
 
-    assert_same_step(monkeypatch, make_run, examples, cfg.seq_len)
+    assert_finetune_step(monkeypatch, make_run, examples, cfg.seq_len)
 
 
 def test_finetune_qa_step_matches_full_width(monkeypatch):
@@ -111,36 +116,38 @@ def test_finetune_qa_step_matches_full_width(monkeypatch):
         params = fresh_params(cfg)
         return lambda: finetune_qa(params, cfg, examples, steps=1, seed=4)
 
-    assert_same_step(monkeypatch, make_run, examples, cfg.seq_len)
+    assert_finetune_step(monkeypatch, make_run, examples, cfg.seq_len)
 
 
-def test_pretraining_under_a_graph_keeps_full_length(monkeypatch):
-    # the seeded learning check (acceptance criterion 5) depends on
-    # pretraining's exact float bits, so its width must not change
+def test_pretraining_step_matches_full_width(monkeypatch):
     cfg = small_config(seq_len=48)
-    params = build_params(cfg, seed=2)
-    for p in params.values():
-        p.requires_grad = True
     rng = np.random.default_rng(5)
     batch = []
     for n in (1, 2, 4):
         ex = masked_example(cfg, rng, n_sents=n)
         batch.append(apply_shuffle(ex, sample_permutation(n, rng)))
-    assert max(ex.attention_len for ex in batch) < cfg.seq_len
 
-    widths = []
-    encode = objectives.encode_batch
+    def run(encode):
+        params = build_params(cfg, seed=2, dtype=np.float64)
+        for p in params.values():
+            p.requires_grad = True
+        widths = []
 
-    def spy(*args, **kwargs):
-        h = encode(*args, **kwargs)
-        widths.append(h.shape[1])
-        return h
+        def spy(*args, **kwargs):
+            h = encode(*args, **kwargs)
+            widths.append(h.shape[1])
+            return h
 
-    monkeypatch.setattr(objectives, "encode_batch", spy)
-    bundle = pretrain_bundle(params, cfg, batch, np.random.default_rng(0),
-                             training=True)
-    assert widths == [cfg.seq_len]
-    assert bundle.loss.requires_grad
+        with monkeypatch.context() as m:
+            m.setattr(objectives, "encode_batch", spy)
+            bundle = pretrain_bundle(params, cfg, batch,
+                                     np.random.default_rng(0), training=True)
+        T.backward(bundle.loss)
+        grads = {n: p.grad for n, p in params.items() if p.grad is not None}
+        return widths, float(bundle.loss.data), grads
+
+    assert_same_step(run(objectives.encode_batch), run(encode_full_length),
+                     [ex.attention_len for ex in batch], cfg.seq_len)
 
 
 def loop_best_span(start_logits, end_logits, max_answer_len):

@@ -9,7 +9,7 @@ from slm.probe import (EmbeddingIndex, export_reps, load_index,
                        nearest_neighbors, neighbor_report, save_index)
 from slm.textpipe import SPECIAL_TOKENS, Vocab
 
-from util import build_params, small_config
+from util import build_params, encode_full_length, small_config
 
 
 def probe_vocab():
@@ -250,8 +250,7 @@ def test_batched_export_matches_per_document_full_length_encoding():
             continue
         ex = pack_example(Document(tokens), cfg.seq_len, cfg.max_sentences,
                           np.random.default_rng(0))
-        h = encode_batch(params, cfg, [ex])   # records a graph: full length
-        assert h.shape[1] == cfg.seq_len
+        h = encode_full_length(params, cfg, [ex])
         for k, (sent_pos, _, _) in enumerate(ex.sentence_spans):
             rows.append(h.data[0, sent_pos])
             records.append({"doc": doc_id, "sent": k, "text": sents[k],

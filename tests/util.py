@@ -1,8 +1,10 @@
-"""Shared test fixtures: tiny configs, random documents, and an
-independent physical-shuffle constructor used as the equivalence oracle."""
+"""Shared test fixtures: tiny configs, random documents, an independent
+physical-shuffle constructor used as the equivalence oracle, and a
+full-length encode used as the oracle for the trimmed one."""
 import numpy as np
 
 from slm.config import RunConfig
+from slm.encoder import attention_bias, embed, encode
 from slm.masking import apply_span_masking
 from slm.model import init_params
 from slm.shuffling import order_targets
@@ -27,6 +29,20 @@ def random_document(rng, n_sents=None, max_words=6, vocab_size=40) -> Document:
 
 def build_params(cfg: RunConfig, seed=0, dtype=np.float32):
     return init_params(cfg, np.random.default_rng(seed), dtype)
+
+
+def encode_full_length(params: dict, cfg: RunConfig, examples, rng=None,
+                       training: bool = False):
+    """[B, seq_len, hidden]: embed + encode over every position, padding
+    keys masked, where ``encode_batch`` stops at the longest real row."""
+    def stack(field):
+        return np.stack([getattr(ex, field) for ex in examples])
+
+    bias = attention_bias([ex.attention_len for ex in examples], cfg.seq_len,
+                          dtype=params["emb.token"].data.dtype)
+    h0 = embed(params, cfg, stack("token_ids"), stack("position_ids"),
+               stack("sentence_ids"), stack("segment_ids"), rng, training)
+    return encode(params, cfg, h0, bias, rng, training)
 
 
 def masked_example(cfg: RunConfig, rng, n_sents=3):
