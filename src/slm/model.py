@@ -101,8 +101,12 @@ def multi_head_attention(params: dict, prefix: str, x_q: Tensor,
                          cache: dict | None = None) -> Tensor:
     """Scaled dot-product attention over the last two axes.
 
-    ``bias`` is an additive mask broadcast onto the [.., heads, L_q, L_k]
-    score array; masked keys carry NEG_INF and receive zero weight.
+    ``bias`` (a Tensor, or None) is an additive mask broadcast onto the
+    [.., heads, L_q, L_k] score array; masked keys carry NEG_INF and
+    receive zero weight. One ``attention_softmax`` op scales the scores
+    by 1/sqrt(head width), adds the mask and takes the row softmax in a
+    single buffer, for the encoder, the decoder and the cached greedy
+    decode alike.
 
     ``cache`` serves step-by-step decoding without a graph: a dict that
     keeps each prefix's keys and values between calls. The keys and
@@ -129,10 +133,8 @@ def multi_head_attention(params: dict, prefix: str, x_q: Tensor,
                 v = Tensor(np.concatenate([old_v.data, v.data], axis=2))
             cache[prefix] = (k, v)
 
-    scores = T.mul(T.matmul(q, k.swapaxes(-1, -2)), 1.0 / np.sqrt(dh))
-    if bias is not None:
-        scores = scores + bias
-    probs = T.softmax_rows(scores)
+    probs = T.attention_softmax(T.matmul(q, k.swapaxes(-1, -2)),
+                                1.0 / np.sqrt(dh), bias)
     probs = T.dropout(probs, cfg.attn_dropout, rng, training)
     ctx = T.matmul(probs, v).swapaxes(1, 2)
     b, l, _, _ = ctx.shape

@@ -2,10 +2,18 @@
 
 The kernel set is exactly what the model needs: elementwise arithmetic
 with broadcasting, (stacked) matmul, shape moves, gathers, stabilized
-row softmax, layer norm, gelu, log, reductions, fused cross-entropy and
-dropout. Every op records a backward closure on its output; calling
-``backward(loss)`` walks the recorded graph once in reverse topological
-order and accumulates gradients into the leaves.
+row softmax, the fused attention softmax (``attention_softmax``: scale,
+mask and row softmax as one op), layer norm, gelu, log, reductions,
+fused cross-entropy and dropout. Every op records a backward closure on
+its output; calling ``backward(loss)`` walks the recorded graph once in
+reverse topological order and accumulates gradients into the leaves.
+
+The heavy kernels (softmax, attention softmax, gelu, layer norm and
+dropout) write their arithmetic into buffers they allocate themselves
+(``out=``, ``*=``, ``+=``), never into an input's ``.data`` or another
+node's ``.grad``. Each element goes through the same ufuncs in the same
+order as the plain expression would, so results keep its bits while
+making fewer temporaries and passes over memory.
 
 Arrays stay in 32-bit floats by default; passing float64 arrays into
 the leaves promotes the whole graph, which the finite-difference
@@ -316,42 +324,87 @@ def log(a: Tensor) -> Tensor:
 
 def softmax_rows(x: Tensor) -> Tensor:
     """Softmax over the last axis, stabilized by per-row max subtraction."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def bw(out):
         if x.requires_grad:
-            g = out.grad
-            dot = (g * y).sum(axis=-1, keepdims=True)
-            x._accumulate((g - dot) * y)
+            x._accumulate(_softmax_grad(out.grad, y))
 
     return _make(y, (x,), bw)
+
+
+def _softmax_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(g - sum(g * y)) * y over the last axis, in one fresh buffer."""
+    gx = g * y
+    dot = gx.sum(axis=-1, keepdims=True)
+    np.subtract(g, dot, out=gx)
+    gx *= y
+    return gx
+
+
+def attention_softmax(scores: Tensor, scale,
+                      bias: Tensor | None = None) -> Tensor:
+    """``softmax_rows(scores * scale + bias)`` in one buffer.
+
+    ``scale`` is a scalar, cast to the scores' dtype as ``mul`` casts
+    it; ``bias`` (None for no mask) broadcasts onto the scores' shape.
+    Each element goes through the same ufuncs in the same order as the
+    three-op chain, so the values and gradients are the chain's bits,
+    without its intermediate arrays and graph nodes.
+    """
+    scale = np.asarray(scale, dtype=scores.data.dtype)
+    y = scores.data * scale
+    if bias is not None:
+        y += bias.data
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+
+    def bw(out):
+        gx = _softmax_grad(out.grad, y)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(_unbroadcast(gx, bias.shape))
+        if scores.requires_grad:
+            gx *= scale
+            scores._accumulate(gx)
+
+    prev = (scores,) if bias is None else (scores, bias)
+    return _make(y, prev, bw)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xhat = x.data - mu
+    sq = xhat * xhat
+    var = sq.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out_data = xhat * gamma.data + beta.data
+    xhat *= inv
+    out_data = xhat * gamma.data
+    out_data += beta.data
     d = x.shape[-1]
 
     def bw(out):
         g = out.grad
+        red = tuple(range(g.ndim - 1))
+        buf = g * xhat
         if gamma.requires_grad:
-            red = tuple(range(g.ndim - 1))
-            gamma._accumulate((g * xhat).sum(axis=red))
+            gamma._accumulate(buf.sum(axis=red))
         if beta.requires_grad:
-            red = tuple(range(g.ndim - 1))
             beta._accumulate(g.sum(axis=red))
         if x.requires_grad:
             gh = g * gamma.data
             t1 = gh.sum(axis=-1, keepdims=True)
-            t2 = (gh * xhat).sum(axis=-1, keepdims=True)
-            x._accumulate((gh - t1 / d - xhat * t2 / d) * inv)
+            t2 = np.multiply(gh, xhat, out=buf).sum(axis=-1, keepdims=True)
+            # (gh - t1/d - xhat*t2/d) * inv, term by term
+            gh -= t1 / d
+            np.multiply(xhat, t2, out=buf)
+            buf /= d
+            gh -= buf
+            gh *= inv
+            x._accumulate(gh)
 
     return _make(out_data, (x, gamma, beta), bw)
 
@@ -362,18 +415,36 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh form (matches x*Phi(x) to ~1e-3)."""
     xd = x.data
-    # cube by multiplying: numpy's float32 power takes a slow scalar
-    # path for negative bases, about 100x the product
-    inner = _GELU_C * (xd + 0.044715 * (xd * xd * xd))
-    th = np.tanh(inner)
-    out_data = 0.5 * xd * (1.0 + th)
+    # C * (x + 0.044715 * x^3), cubed by multiplying: numpy's float32
+    # power takes a slow scalar path for negative bases, about 100x the
+    # product
+    th = xd * xd
+    th *= xd
+    th *= 0.044715
+    th += xd
+    th *= _GELU_C
+    np.tanh(th, out=th)
+    out_data = 0.5 * xd
+    out_data *= 1.0 + th
 
     def bw(out):
         if x.requires_grad:
-            sech2 = 1.0 - th * th
-            local = 0.5 * (1.0 + th) + 0.5 * xd * sech2 * _GELU_C * (
-                1.0 + 3 * 0.044715 * xd ** 2)
-            x._accumulate(out.grad * local)
+            # local = 0.5 * (1 + th)
+            #         + 0.5 * x * sech2 * C * (1 + 3 * 0.044715 * x^2)
+            sech2 = th * th
+            np.subtract(1.0, sech2, out=sech2)
+            local = 0.5 * xd
+            local *= sech2
+            local *= _GELU_C
+            poly = np.square(xd, out=sech2)
+            poly *= 3 * 0.044715
+            poly += 1.0
+            local *= poly
+            half = np.add(th, 1.0, out=poly)
+            half *= 0.5
+            local += half
+            local *= out.grad
+            x._accumulate(local)
 
     return _make(out_data, (x,), bw)
 
@@ -415,7 +486,11 @@ def dropout(x: Tensor, p: float, rng, training: bool) -> Tensor:
     """Inverted dropout; identity when not training or p == 0."""
     if not training or p <= 0.0:
         return x
-    keep = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
+    # the float64 draw fixes the masks; the comparison writes 0/1
+    # straight into the scaled mask's buffer
+    keep = np.empty(x.shape, dtype=x.data.dtype)
+    np.greater_equal(rng.random(x.shape), p, out=keep)
+    keep /= 1.0 - p
 
     def bw(out):
         if x.requires_grad:

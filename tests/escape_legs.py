@@ -16,12 +16,15 @@ Run from the repository root, for example:
         --corpus-seed 0 --offsets 0 100 200 300 400 --max-legs 20
 
 It prints one row per offset: the escape leg (``-`` if none within
-``--max-legs``), em, tau, ``l_mlm`` and CPU minutes. pytest does not
-collect this file; criterion 5 imports ``learning_check`` from it.
+``--max-legs``), em, tau, ``l_mlm`` and CPU minutes; with ``--json``,
+one JSON line per offset instead. pytest does not collect this file;
+criterion 5 runs it with ``--json`` in a child process capped at one
+BLAS thread, and ``pretrain_digest.py`` imports ``learning_setup``.
 """
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -35,6 +38,24 @@ LEG_BUDGET = 20
 ESCAPE = 0.93
 
 
+def learning_setup(corpus_seed: int = 0):
+    """(train Documents, held-out Documents, base config) of the check."""
+    # imported here, so that run as a script the thread caps come first
+    from slm.config import resolve_config
+
+    from corpus_gen import corpus_assets
+
+    train, held, vocab = corpus_assets(5000, 200, corpus_seed)
+    base = replace(resolve_config("tiny"),
+                   vocab_size=len(vocab.id_to_token), hidden=128,
+                   encoder_layers=4, decoder_layers=1, heads=4, ffn=256,
+                   seq_len=64, max_sentences=4, batch_size=16,
+                   peak_lr=1e-3, warmup=100, steps=200,
+                   shuffle_fraction=1.0, dropout=0.0, attn_dropout=0.0,
+                   checkpoint_every=0, log_every=100)
+    return train, held, base
+
+
 def learning_check(out_dir: str, corpus_seed: int = 0, offset: int = 0,
                    max_legs: int = LEG_BUDGET, on_leg=None) -> dict:
     """Train leg after leg until held-out em and tau reach ``ESCAPE``.
@@ -43,21 +64,9 @@ def learning_check(out_dir: str, corpus_seed: int = 0, offset: int = 0,
     escaped), the last leg's em, tau and ``l_mlm``, ``vocab_size`` and
     the steps per leg. ``on_leg(leg, result)`` is called after each leg.
     """
-    # imported here, so that run as a script the thread caps come first
-    from slm.config import resolve_config
     from slm.trainer import evaluate_unshuffle, pack_corpus, train_loop
 
-    from corpus_gen import corpus_assets
-
-    train, held, vocab = corpus_assets(5000, 200, corpus_seed)
-    v = len(vocab.id_to_token)
-    base = replace(resolve_config("tiny"),
-                   vocab_size=v, hidden=128, encoder_layers=4,
-                   decoder_layers=1, heads=4, ffn=256, seq_len=64,
-                   max_sentences=4, batch_size=16, peak_lr=1e-3,
-                   warmup=100, steps=200, shuffle_fraction=1.0,
-                   dropout=0.0, attn_dropout=0.0, checkpoint_every=0,
-                   log_every=100)
+    train, held, base = learning_setup(corpus_seed)
     held_packed = pack_corpus(held, base)
 
     # warm restarts: every leg anneals the rate to zero and the next
@@ -67,7 +76,8 @@ def learning_check(out_dir: str, corpus_seed: int = 0, offset: int = 0,
     # sentence content starts winning over that plateau.
     params = None
     out = {"legs": 0, "escape_leg": None, "em": 0.0, "tau": 0.0,
-           "l_mlm": math.inf, "vocab_size": v, "steps": base.steps}
+           "l_mlm": math.inf, "vocab_size": base.vocab_size,
+           "steps": base.steps}
     for leg in range(max_legs):
         cfg = replace(base, seed=offset + leg).validate()
         res = train_loop(train, cfg, os.path.join(out_dir, f"leg{leg}"),
@@ -90,22 +100,32 @@ def main(argv=None) -> None:
     ap.add_argument("--corpus-seed", type=int, default=0)
     ap.add_argument("--offsets", type=int, nargs="+", default=[0])
     ap.add_argument("--max-legs", type=int, default=20)
+    ap.add_argument("--json", action="store_true",
+                    help="print one JSON line per offset: learning_check's "
+                         "result plus corpus_seed, offset and cpu_min")
     args = ap.parse_args(argv)
 
     def progress(leg, r):
         print(f"  leg {leg}: em {r['em']:.3f} tau {r['tau']:.3f} "
               f"l_mlm {r['l_mlm']:.3f}", file=sys.stderr, flush=True)
 
-    print("corpus_seed offset escape_leg em tau l_mlm cpu_min", flush=True)
+    if not args.json:
+        print("corpus_seed offset escape_leg em tau l_mlm cpu_min",
+              flush=True)
     for offset in args.offsets:
         t0 = time.process_time()
         with tempfile.TemporaryDirectory() as tmp:
             r = learning_check(tmp, args.corpus_seed, offset, args.max_legs,
                                on_leg=progress)
+        cpu_min = (time.process_time() - t0) / 60
+        if args.json:
+            print(json.dumps(dict(r, corpus_seed=args.corpus_seed,
+                                  offset=offset, cpu_min=cpu_min)),
+                  flush=True)
+            continue
         esc = "-" if r["escape_leg"] is None else str(r["escape_leg"])
         print(f"{args.corpus_seed} {offset} {esc} {r['em']:.3f} "
-              f"{r['tau']:.3f} {r['l_mlm']:.3f} "
-              f"{(time.process_time() - t0) / 60:.1f}", flush=True)
+              f"{r['tau']:.3f} {r['l_mlm']:.3f} {cpu_min:.1f}", flush=True)
 
 
 if __name__ == "__main__":

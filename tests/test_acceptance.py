@@ -5,7 +5,10 @@ lines stay visible under pytest's capture. The learning check (criterion
 5) trains a real model for several minutes and runs last; everything
 else finishes in seconds.
 """
+import json
 import math
+import os
+import subprocess
 import sys
 import time
 from contextlib import contextmanager
@@ -28,9 +31,15 @@ from slm.tensor import Tensor, grad_check
 from slm.textpipe import SPECIAL_TOKENS, Vocab, pack_example
 from slm.trainer import train_loop
 
-from escape_legs import LEG_BUDGET, learning_check
+from escape_legs import LEG_BUDGET
 from util import (build_params, masked_example, physical_shuffle,
                   random_document, small_config)
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
+ESCAPE_LEGS = os.path.join(TESTS, "escape_legs.py")
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS")
 
 
 @contextmanager
@@ -290,13 +299,21 @@ def test_criterion_9_determinism(tmp_path):
 
 
 @pytest.mark.slow
-def test_criterion_5_learning_check(tmp_path):
+def test_criterion_5_learning_check():
     with criterion(5, "unshuffling is learned on ordered narratives") as info:
-        # CPU time of this process, so a loaded machine cannot fail it
-        t0 = time.process_time()
-        r = learning_check(str(tmp_path), corpus_seed=0, offset=0,
-                           max_legs=LEG_BUDGET)
-        minutes = (time.process_time() - t0) / 60
+        # a child process with one BLAS thread: its CPU time counts the
+        # program, not the size of numpy's thread pool
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+        env["SLM_THREADS"] = "1"
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, ESCAPE_LEGS, "--json", "--corpus-seed", "0",
+             "--offsets", "0", "--max-legs", str(LEG_BUDGET)],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-4000:]
+        r = json.loads(proc.stdout.strip().splitlines()[-1])
+        minutes = r["cpu_min"]
         bound = 0.8 * math.log(r["vocab_size"])
         escape = ("none" if r["escape_leg"] is None
                   else f"leg {r['escape_leg']}")

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -363,3 +365,177 @@ def test_one_dim_cross_entropy_is_the_one_row_call_bit_for_bit(dtype):
 def test_gather_elements_rejects_columns_outside_the_row(cols):
     with pytest.raises(IndexError):
         gather_elements(t(np.zeros((2, 3))), np.array(cols))
+
+
+# -- kernels that write into their own buffers, bit for bit ---------------
+# softmax_rows, attention_softmax, gelu, layer_norm and dropout compute in
+# place in arrays they allocate. Each must give exactly the bits of the
+# plain expressions below (the kernels before that rewrite): pretraining's
+# bits, and with them the seeded learning check, hang on them. Shapes are
+# the learning check's: batch 4, 4 heads, 64 tokens, hidden 128, ffn 256.
+
+_C = float(np.sqrt(2.0 / np.pi))
+
+
+def _f32(shape, seed, scale=1.0):
+    return (np.random.default_rng(seed).normal(size=shape)
+            * scale).astype(np.float32)
+
+
+def _run(op, arrays, g):
+    """``op`` on leaves sharing ``arrays``, then its own backward from the
+    upstream gradient ``g``: (output, leaf gradients)."""
+    leaves = [t(a, dtype=a.dtype) for a in arrays]
+    out = op(*leaves)
+    out.grad = g
+    out._backward(out)
+    return out.data, [leaf.grad for leaf in leaves]
+
+
+def _assert_bits(got, want):
+    (y, grads), (y_want, grads_want) = got, want
+    assert y.dtype == y_want.dtype and np.array_equal(y, y_want)
+    assert len(grads) == len(grads_want)
+    for a, b in zip(grads, grads_want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _softmax_oracle(x, g):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    dot = (g * y).sum(axis=-1, keepdims=True)
+    return y, [(g - dot) * y]
+
+
+def _gelu_oracle(x, g):
+    th = np.tanh(_C * (x + 0.044715 * (x * x * x)))
+    y = 0.5 * x * (1.0 + th)
+    sech2 = 1.0 - th * th
+    local = 0.5 * (1.0 + th) + 0.5 * x * sech2 * _C * (
+        1.0 + 3 * 0.044715 * x ** 2)
+    return y, [g * local]
+
+
+def _layer_norm_oracle(x, gamma, beta, g, eps=1e-5):
+    xc = x - x.mean(axis=-1, keepdims=True)
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    y = xhat * gamma + beta
+    red = tuple(range(g.ndim - 1))
+    d = x.shape[-1]
+    gh = g * gamma
+    t1 = gh.sum(axis=-1, keepdims=True)
+    t2 = (gh * xhat).sum(axis=-1, keepdims=True)
+    gx = (gh - t1 / d - xhat * t2 / d) * inv
+    return y, [gx, (g * xhat).sum(axis=red), g.sum(axis=red)]
+
+
+def test_softmax_rows_bits_match_the_plain_expression():
+    x = _f32((4, 4, 64, 64), 20, scale=4.0)
+    x[1, :, :, 40:] = -1e9
+    g = _f32(x.shape, 21)
+    _assert_bits(_run(softmax_rows, [x], g), _softmax_oracle(x, g))
+
+
+def test_gelu_bits_match_the_plain_expression():
+    x = _f32((4, 64, 256), 22, scale=3.0)
+    g = _f32(x.shape, 23)
+    _assert_bits(_run(gelu, [x], g), _gelu_oracle(x, g))
+
+
+@pytest.mark.parametrize("hidden", [128, 96])
+def test_layer_norm_bits_match_the_plain_expression(hidden):
+    # 96 is no power of two, so dividing by the width is not a product
+    x = _f32((4, 64, hidden), 24, scale=2.0) - 0.5
+    gamma, beta = _f32((hidden,), 25), _f32((hidden,), 26)
+    g = _f32(x.shape, 27)
+    _assert_bits(_run(layer_norm, [x, gamma, beta], g),
+                 _layer_norm_oracle(x, gamma, beta, g))
+
+
+@pytest.mark.parametrize("p", [0.1, 0.5])
+def test_dropout_bits_match_the_plain_expression(p):
+    x = _f32((4, 4, 64, 64), 28)
+    g = _f32(x.shape, 29)
+    keep = (np.random.default_rng(30).random(x.shape) >= p).astype(
+        np.float32) / (1.0 - p)
+    got = _run(lambda a: dropout(a, p, np.random.default_rng(30), True),
+               [x], g)
+    _assert_bits(got, (x * keep, [g * keep]))
+
+
+def _padding_bias(lens, width):
+    pad = np.arange(width)[None, :] >= np.asarray(lens)[:, None]
+    return np.where(pad, -1e9, 0.0).astype(np.float32)[:, None, None, :]
+
+
+def _causal_bias(width):
+    return np.triu(np.full((width, width), -1e9, dtype=np.float32),
+                   k=1)[None, None]
+
+
+@pytest.mark.parametrize("mask", ["causal", "padding", "none"])
+def test_attention_softmax_is_the_three_op_chain_bit_for_bit(mask):
+    scores = _f32((4, 4, 64, 64), 31, scale=8.0)
+    g = _f32(scores.shape, 32)
+    bias = {"causal": _causal_bias(64),
+            "padding": _padding_bias([64, 40, 17, 1], 64),
+            "none": None}[mask]
+    scale = 1.0 / np.sqrt(32)
+
+    def grads(build):
+        s = t(scores)
+        out = build(s)
+        backward(T.mul(out, Tensor(g)).sum())
+        return out.data, s.grad
+
+    def chain(s):
+        scaled = T.mul(s, scale)
+        return softmax_rows(scaled if bias is None else scaled + Tensor(bias))
+
+    fused = grads(lambda s: T.attention_softmax(
+        s, scale, None if bias is None else Tensor(bias)))
+    want = grads(chain)
+    assert fused[0].dtype == want[0].dtype == np.float32
+    assert np.array_equal(fused[0], want[0])
+    assert np.array_equal(fused[1], want[1])
+
+
+def test_attention_softmax_grads_match_fd_with_masked_keys():
+    rng = np.random.default_rng(33)
+    scores = t(rng.normal(scale=2.0, size=(2, 2, 3, 5)), dtype=np.float64)
+    bias = rng.normal(size=(2, 1, 1, 5))
+    bias[1, ..., 3:] = -1e9
+    bias = t(bias, dtype=np.float64)
+    w = Tensor(rng.normal(size=(2, 2, 3, 5)))
+
+    def f():
+        return T.mul(T.attention_softmax(scores, 0.7, bias), w).sum()
+
+    assert grad_check(f, [scores, bias], eps=1e-5) < 1e-6
+
+
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("kernel", ["softmax_rows", "attention_softmax",
+                                    "gelu", "layer_norm", "dropout"])
+def test_kernels_leave_their_inputs_and_upstream_gradient_alone(kernel):
+    x = _f32((2, 4, 16, 16), 34, scale=3.0)
+    ops = {
+        "softmax_rows": (softmax_rows, [x]),
+        "attention_softmax": (
+            lambda s, b: T.attention_softmax(s, 0.25, b),
+            [x, _padding_bias([16, 9], 16)]),
+        "gelu": (gelu, [x]),
+        "layer_norm": (layer_norm, [x, _f32((16,), 35), _f32((16,), 36)]),
+        "dropout": (lambda a: dropout(a, 0.3, np.random.default_rng(37),
+                                      True), [x]),
+    }
+    op, arrays = ops[kernel]
+    g = _f32(x.shape, 38)
+    before = [_digest(a) for a in arrays + [g]]
+    _run(op, arrays, g)
+    assert [_digest(a) for a in arrays + [g]] == before
