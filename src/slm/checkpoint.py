@@ -4,8 +4,8 @@ optimizer state, step counter.
 All integers are little-endian; tensor payloads are row-major 32-bit
 floats. Tensors are written sorted by name so identical states produce
 identical bytes. Saving writes a temporary file next to the target,
-syncs it and renames it into place, so a failed or interrupted save
-leaves the previous checkpoint at that path intact. Loading verifies
+syncs it, renames it into place and syncs the directory, so a failed,
+interrupted or power-cut save leaves a whole checkpoint. Loading verifies
 the header and, when the caller passes the expected tensor names,
 reports any missing or unexpected ones by name. A path that cannot be
 opened is a DataError; a file that is not a well-formed checkpoint is a
@@ -96,6 +96,11 @@ def save_checkpoint(path: str, cfg: RunConfig, params: dict, step: int,
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+        fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

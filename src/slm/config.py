@@ -12,7 +12,8 @@ only check of its fields. ``command_line_keys`` gives the keys that
 ``--config``, ``--set`` and ``--seed`` set; ``resolve_config`` lays them
 on a profile, the CLI on a checkpoint's stored config. A key that no
 command reads is deleted: ``--set`` rejects it like any unknown key and
-``config_from_echo`` drops it from older checkpoints (``_RETIRED``).
+``config_from_echo`` drops it from older checkpoints (``_RETIRED``),
+unless the stored value described a model the code no longer builds.
 """
 from __future__ import annotations
 
@@ -50,7 +51,6 @@ class RunConfig:
     shuffle_fraction: float = 0.5
     sr_enabled: bool = True
     sentence_reps_enabled: bool = True
-    position_mode: str = "resequence"
 
     # optimization
     batch_size: int = 8
@@ -99,9 +99,8 @@ class RunConfig:
             raise ContractError("hidden size must divide evenly across heads")
         if self.seq_len < 4:
             raise ContractError("seq_len too small for [CLS] [SENT] w [SEP]")
-        for key, choices in _CHOICES:
-            if getattr(self, key) not in choices:
-                raise ContractError(f"unknown {key} {getattr(self, key)!r}")
+        if self.task_type not in ("classification", "regression"):
+            raise ContractError(f"unknown task_type {self.task_type!r}")
         if self.warmup > self.steps:
             raise ContractError("warmup cannot exceed total steps")
         if self.sr_enabled and not self.sentence_reps_enabled:
@@ -135,11 +134,6 @@ _RANGES = (
      lambda v: 0 < v < math.inf, "must be positive and finite"),
     (("peak_lr", "finetune_lr", "weight_decay"),
      lambda v: 0 <= v < math.inf, "must be >= 0 and finite"),
-)
-
-_CHOICES = (
-    ("position_mode", ("resequence", "travel")),
-    ("task_type", ("classification", "regression")),
 )
 
 
@@ -244,13 +238,18 @@ def config_echo(cfg: RunConfig) -> list[tuple[str, str]]:
     return out
 
 
-# dev_file was never read; gradcheck_dtype=float32 could not pass the
-# gradcheck tolerance, so the check always runs in float64
-_RETIRED = ("dev_file", "gradcheck_dtype")
+# the value a retired key must hold to load (None: any). dev_file was
+# never read; gradcheck_dtype=float32 could not pass the gradcheck
+# tolerance; position_mode=travel leaked the order through positions
+_RETIRED = {"dev_file": None, "gradcheck_dtype": None,
+            "position_mode": "resequence"}
 
 
 def config_from_echo(pairs) -> RunConfig:
     """Inverse of config_echo; retired keys of older checkpoints are
-    dropped."""
+    dropped, and one holding a value no longer built is refused."""
+    for k, v in pairs:
+        if _RETIRED.get(k) not in (None, v):
+            raise ContractError(f"retired key {k}={v} no longer loads")
     return RunConfig(**{k: _coerce(k, v) for k, v in pairs
                         if k not in _RETIRED}).validate()

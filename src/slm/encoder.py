@@ -5,7 +5,7 @@ segment), normalizes and drops out, then runs post-norm self-attention
 blocks. Padding keys are excluded from every attention row. The
 sentence summary C gathers the output rows at [CLS], at each [SENT]
 marker in display order, and at [SEP]; those are the only rows the
-reconstructor may see.
+reconstructor may see. Dropout runs exactly where an rng is given.
 
 ``encode_batch`` stops at the batch's longest real row: inputs are cut
 to ``max(attention_len)`` positions and the output is
@@ -38,7 +38,7 @@ def attention_bias(attention_lens, seq_len: int, dtype=np.float32) -> Tensor:
 
 def embed(params: dict, cfg: RunConfig, token_ids: np.ndarray,
           position_ids: np.ndarray, sentence_ids: np.ndarray,
-          segment_ids: np.ndarray, rng=None, training: bool = False) -> Tensor:
+          segment_ids: np.ndarray, rng=None) -> Tensor:
     """Sum the embedding tables into H0, then layer norm and dropout."""
     bsz, length = token_ids.shape
     if token_ids.max() >= params["emb.token"].shape[0]:
@@ -59,26 +59,28 @@ def embed(params: dict, cfg: RunConfig, token_ids: np.ndarray,
     h0 = h0 + look(params["emb.segment"], segment_ids)
     h0 = T.layer_norm(h0, params["emb.ln.g"], params["emb.ln.b"],
                       cfg.layer_norm_eps)
-    return T.dropout(h0, cfg.dropout, rng, training)
+    return T.dropout(h0, cfg.dropout, rng)
 
 
 def encode(params: dict, cfg: RunConfig, h0: Tensor, bias: Tensor,
-           rng=None, training: bool = False) -> Tensor:
+           rng=None) -> Tensor:
     """Run the encoder stack; zero layers returns H0 unchanged."""
     x = h0
     for i in range(cfg.encoder_layers):
         attn = multi_head_attention(
-            params, f"enc.{i}.attn", x, x, bias, cfg, rng, training)
-        x = post_norm(params, f"enc.{i}.ln1", x, attn, cfg, rng, training)
+            params, f"enc.{i}.attn", x, x, bias, cfg, rng)
+        x = post_norm(params, f"enc.{i}.ln1", x, attn, cfg, rng)
         ffn = feed_forward(params, f"enc.{i}.ffn", x)
-        x = post_norm(params, f"enc.{i}.ln2", x, ffn, cfg, rng, training)
+        x = post_norm(params, f"enc.{i}.ln2", x, ffn, cfg, rng)
     return x
 
 
 def encode_batch(params: dict, cfg: RunConfig, examples: list[PackedExample],
                  rng=None, training: bool = False) -> Tensor:
     """Stack examples, cut to the longest real row, and run embed +
-    encode; returns [B, max(attention_len), hidden]."""
+    encode, dropping out from ``rng`` only when ``training``; returns
+    [B, max(attention_len), hidden]."""
+    rng = rng if training else None
     width = max(ex.attention_len for ex in examples)
     token_ids = np.stack([ex.token_ids[:width] for ex in examples])
     position_ids = np.stack([ex.position_ids[:width] for ex in examples])
@@ -88,8 +90,8 @@ def encode_batch(params: dict, cfg: RunConfig, examples: list[PackedExample],
                           token_ids.shape[1],
                           dtype=params["emb.token"].data.dtype)
     h0 = embed(params, cfg, token_ids, position_ids, sentence_ids,
-               segment_ids, rng, training)
-    return encode(params, cfg, h0, bias, rng, training)
+               segment_ids, rng)
+    return encode(params, cfg, h0, bias, rng)
 
 
 def extract_summary(h: Tensor, ex: PackedExample, batch_index: int) -> Tensor:

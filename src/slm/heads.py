@@ -15,12 +15,13 @@ module docstring shows both layouts.
 
 Data formats: classification reads TSV lines `label<TAB>text_a` with an
 optional third column for pair tasks; QA reads JSON lines with keys
-context, question, answer_start_token, answer_end_token (token indices
-into the tokenized context, end inclusive).
+context, question (strings), answer_start_token, answer_end_token
+(integer token indices into the tokenized context, end inclusive).
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,24 +94,26 @@ def read_cls_tsv(path: str, vocab: Vocab, cfg: RunConfig):
         cols = line.split("\t")
         if len(cols) not in (2, 3):
             raise DataError(f"{path}:{ln}: expected 2 or 3 tab-separated columns")
-        rows.append(cols)
-    n_texts = {len(c) - 1 for c in rows}
+        rows.append((ln, cols))
+    n_texts = {len(c) - 1 for _, c in rows}
     if len(n_texts) != 1:
         raise DataError(f"{path}: mixed single-text and pair rows")
 
     if cfg.task_type == "regression":
         label_names, parse = None, float
     else:
-        label_names = sorted({c[0] for c in rows})
+        label_names = sorted({c[0] for _, c in rows})
         parse = {name: float(i) for i, name in enumerate(label_names)}.get
     examples = []
-    for cols in rows:
+    for ln, cols in rows:
         ex = pack_pair(cols[1], cols[2] if len(cols) == 3 else None,
                        vocab, cfg)
         try:
             ex.label = parse(cols[0])
-        except ValueError as exc:
-            raise DataError(f"{path}: bad regression target {cols[0]!r}") from exc
+        except ValueError:
+            ex.label = math.nan
+        if not math.isfinite(ex.label):  # class indices always are
+            raise DataError(f"{path}:{ln}: bad regression target {cols[0]!r}")
         examples.append(ex)
     return examples, label_names
 
@@ -256,8 +259,12 @@ def read_qa_jsonl(path: str, vocab: Vocab, cfg: RunConfig) -> list[QaExample]:
         try:
             rec = json.loads(line)
             ctx, q = rec["context"], rec["question"]
-            s, e = int(rec["answer_start_token"]), int(rec["answer_end_token"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            s, e = rec["answer_start_token"], rec["answer_end_token"]
+            if not (isinstance(ctx, str) and isinstance(q, str)):
+                raise TypeError("context and question must be strings")
+            if not (type(s) is int and type(e) is int):  # bool is no index
+                raise TypeError("answer token indices must be integers")
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise DataError(f"{path}:{ln}: malformed QA record: {exc}") from exc
         out.append(pack_qa(ctx, q, s, e, vocab, cfg))
     return out

@@ -5,7 +5,7 @@ with ``emb.``, ``enc.`` or ``mlm.``; reconstructor names start with
 ``dec.``. The word-prediction projection is tied to the token embedding
 table, so only a bias appears under ``mlm.``. Blocks follow the
 post-norm arrangement: sublayer output is dropped out, added to the
-residual, then layer-normalized.
+residual, then layer-normalized. A block drops out exactly when given an rng.
 """
 from __future__ import annotations
 
@@ -97,7 +97,6 @@ def parameter_counts(cfg: RunConfig) -> tuple[int, int]:
 
 def multi_head_attention(params: dict, prefix: str, x_q: Tensor,
                          x_kv: Tensor | None, bias, cfg: RunConfig, rng,
-                         training: bool,
                          cache: dict | None = None) -> Tensor:
     """Scaled dot-product attention over the last two axes.
 
@@ -135,7 +134,7 @@ def multi_head_attention(params: dict, prefix: str, x_q: Tensor,
 
     probs = T.attention_softmax(T.matmul(q, k.swapaxes(-1, -2)),
                                 1.0 / np.sqrt(dh), bias)
-    probs = T.dropout(probs, cfg.attn_dropout, rng, training)
+    probs = T.dropout(probs, cfg.attn_dropout, rng)
     ctx = T.matmul(probs, v).swapaxes(1, 2)
     b, l, _, _ = ctx.shape
     ctx = ctx.reshape(b, l, cfg.hidden)
@@ -148,7 +147,7 @@ def feed_forward(params: dict, prefix: str, x: Tensor) -> Tensor:
 
 
 def post_norm(params: dict, prefix: str, residual: Tensor, out: Tensor,
-              cfg: RunConfig, rng, training: bool) -> Tensor:
-    out = T.dropout(out, cfg.dropout, rng, training)
+              cfg: RunConfig, rng) -> Tensor:
+    out = T.dropout(out, cfg.dropout, rng)
     return T.layer_norm(residual + out, params[f"{prefix}.g"],
                         params[f"{prefix}.b"], cfg.layer_norm_eps)

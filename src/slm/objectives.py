@@ -21,6 +21,7 @@ from .encoder import encode_batch, extract_summary
 from .errors import TrainingAbort
 from .masking import IGNORE
 from .reconstructor import decode_sequence, pointer_nll
+from .shuffling import order_targets
 from .tensor import Tensor
 from .textpipe import PackedExample
 
@@ -74,6 +75,7 @@ def pretrain_bundle(params: dict, cfg: RunConfig,
                     training: bool = False) -> LossBundle:
     """Forward pass over one batch of masked (and possibly shuffled)
     examples, returning losses plus the scalar graph root."""
+    rng = rng if training else None
     h = encode_batch(params, cfg, examples, rng, training)
 
     labels = np.stack([
@@ -88,14 +90,12 @@ def pretrain_bundle(params: dict, cfg: RunConfig,
         per_example = []
         hits, entropy = 0, 0.0
         for b, ex in enumerate(examples):
-            if ex.order_targets is None:
-                raise TrainingAbort(
-                    "sr_enabled but example carries no order targets")
+            targets = order_targets(ex.perm, ex.num_sentences)
             c = extract_summary(h, ex, b)
-            w = decode_sequence(params, cfg, c, ex.order_targets, rng, training)
-            per_example.append(pointer_nll(w, c, ex.order_targets))
-            slm_steps += len(ex.order_targets)
-            ex_hits, ex_entropy = _pointer_signals(w, c, ex.order_targets)
+            w = decode_sequence(params, cfg, c, targets, rng)
+            per_example.append(pointer_nll(w, c, targets))
+            slm_steps += len(targets)
+            ex_hits, ex_entropy = _pointer_signals(w, c, targets)
             hits += ex_hits
             entropy += ex_entropy
         pointer_acc, pointer_entropy = hits / slm_steps, entropy / slm_steps

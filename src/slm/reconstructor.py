@@ -29,8 +29,7 @@ def causal_bias(steps: int, dtype=np.float32) -> Tensor:
 
 
 def decoder_stack(params: dict, cfg: RunConfig, x: Tensor, c: Tensor,
-                  bias: Tensor | None, rng=None, training: bool = False,
-                  c_bias: Tensor | None = None,
+                  bias: Tensor | None, rng=None, c_bias: Tensor | None = None,
                   cache: dict | None = None) -> Tensor:
     """The decoder layers over input rows ``x``: masked self-attention
     under ``bias``, cross-attention to all of ``c`` under ``c_bias``,
@@ -45,21 +44,20 @@ def decoder_stack(params: dict, cfg: RunConfig, x: Tensor, c: Tensor,
     """
     for i in range(cfg.decoder_layers):
         attn = multi_head_attention(
-            params, f"dec.{i}.self", x, x, bias, cfg, rng, training, cache)
-        x = post_norm(params, f"dec.{i}.ln1", x, attn, cfg, rng, training)
+            params, f"dec.{i}.self", x, x, bias, cfg, rng, cache)
+        x = post_norm(params, f"dec.{i}.ln1", x, attn, cfg, rng)
         prefix = f"dec.{i}.cross"
         kv = None if cache is not None and prefix in cache else c
         cross = multi_head_attention(
-            params, prefix, x, kv, c_bias, cfg, rng, training, cache)
-        x = post_norm(params, f"dec.{i}.ln2", x, cross, cfg, rng, training)
+            params, prefix, x, kv, c_bias, cfg, rng, cache)
+        x = post_norm(params, f"dec.{i}.ln2", x, cross, cfg, rng)
         ffn = feed_forward(params, f"dec.{i}.ffn", x)
-        x = post_norm(params, f"dec.{i}.ln3", x, ffn, cfg, rng, training)
+        x = post_norm(params, f"dec.{i}.ln3", x, ffn, cfg, rng)
     return x
 
 
 def decode_sequence(params: dict, cfg: RunConfig, c: Tensor,
-                    targets: np.ndarray, rng=None,
-                    training: bool = False) -> Tensor:
+                    targets: np.ndarray, rng=None) -> Tensor:
     """Teacher-forced decoder pass; returns W with one row per step.
 
     ``c`` is [1, N+2, hidden]; the decoder input sequence is row 0
@@ -74,7 +72,7 @@ def decode_sequence(params: dict, cfg: RunConfig, c: Tensor,
     input_idx = np.concatenate([[0], targets[:n]])
     x = T.take(c, input_idx, axis=1)
     bias = causal_bias(n + 1, dtype=c.data.dtype)
-    return decoder_stack(params, cfg, x, c, bias, rng, training)
+    return decoder_stack(params, cfg, x, c, bias, rng)
 
 
 def pointer_logits(w: Tensor, c: Tensor) -> Tensor:

@@ -2,12 +2,9 @@
 
 A permutation assigns each memory sentence s to a display slot perm[s].
 Tokens stay where they are; the model perceives the rearrangement only
-through its embeddings. In ``resequence`` mode each sentence receives
-the consecutive position ids its slot occupies in the rearranged
-sequence, so nothing reveals the original order. In ``travel`` mode the
-original position ids stay with their sentences, which leaks the answer
-through position embeddings (kept as a switch for studying exactly that
-effect); the rearrangement is then conveyed by the sentence ids alone.
+through its embeddings. Each sentence receives the consecutive position
+ids its slot occupies in the rearranged sequence and its slot as
+sentence id, so nothing reveals the original order.
 
 Reconstruction targets index the candidate matrix C, whose rows follow
 the display order: row 0 is [CLS], row k+1 is the sentence shown in
@@ -15,7 +12,8 @@ slot k, the last row is [SEP]. The sentence originally at position i
 sits in slot perm[i], hence target perm[i] + 1; the final step targets
 [SEP]. Physically reordering the sentence blocks in memory and
 numbering positions sequentially is the equivalent formulation, and the
-two must produce identical losses.
+two must produce identical losses. A shuffled example records only
+``perm``; its targets are ``order_targets(perm, N)``.
 """
 from __future__ import annotations
 
@@ -25,8 +23,6 @@ import numpy as np
 
 from .errors import ContractError
 from .textpipe import PackedExample
-
-POSITION_MODES = ("resequence", "travel")
 
 
 def sample_permutation(n: int, rng) -> np.ndarray:
@@ -52,15 +48,12 @@ def order_targets(perm: np.ndarray, n: int) -> np.ndarray:
     return targets
 
 
-def apply_shuffle(ex: PackedExample, perm: np.ndarray,
-                  position_mode: str = "resequence") -> PackedExample:
+def apply_shuffle(ex: PackedExample, perm: np.ndarray) -> PackedExample:
     """Re-identify an example's sentences according to ``perm``.
 
     Token memory (and MLM labels) never move. [CLS] keeps position 0
-    and [SEP] its final position in both modes.
+    and [SEP] its final position.
     """
-    if position_mode not in POSITION_MODES:
-        raise ContractError(f"unknown position_mode {position_mode!r}")
     n = ex.num_sentences
     perm = np.asarray(perm)
     if perm.shape != (n,) or sorted(perm.tolist()) != list(range(n)):
@@ -79,30 +72,26 @@ def apply_shuffle(ex: PackedExample, perm: np.ndarray,
 
     for s, (sent_pos, start, end) in enumerate(ex.sentence_spans):
         first = sent_pos if sent_pos >= 0 else start
-        if position_mode == "resequence":
-            position_ids[first:end] = np.arange(
-                slot_starts[perm[s]], slot_starts[perm[s]] + lengths[s])
+        position_ids[first:end] = np.arange(
+            slot_starts[perm[s]], slot_starts[perm[s]] + lengths[s])
         sentence_ids[first:end] = perm[s]
 
     return replace(
         ex,
         position_ids=position_ids,
         sentence_ids=sentence_ids,
-        order_targets=order_targets(perm, n),
         perm=perm.copy(),
     )
 
 
 def identity_record(ex: PackedExample) -> PackedExample:
-    """Unshuffled view: identity permutation, targets still emitted."""
+    """Unshuffled view: the identity permutation, targets still defined."""
     return apply_shuffle(ex, np.arange(ex.num_sentences))
 
 
 def batch_shuffle_mask(fraction: float, rng) -> bool:
     """Seeded Bernoulli(fraction) decision for one batch; the caller's
-    rng stream already encodes which batch it is."""
-    if not 0 <= fraction <= 1:
-        raise ContractError("shuffle fraction must lie in [0, 1]")
+    rng stream encodes the batch; RunConfig.validate checks the range."""
     return bool(rng.random() < fraction)
 
 

@@ -482,9 +482,9 @@ def cross_entropy(logits: Tensor, target) -> Tensor:
     return _make(out_data, (logits,), bw)
 
 
-def dropout(x: Tensor, p: float, rng, training: bool) -> Tensor:
-    """Inverted dropout; identity when not training or p == 0."""
-    if not training or p <= 0.0:
+def dropout(x: Tensor, p: float, rng) -> Tensor:
+    """Inverted dropout, run exactly when an rng is given and p > 0."""
+    if rng is None or p <= 0.0:
         return x
     # the float64 draw fixes the masks; the comparison writes 0/1
     # straight into the scaled mask's buffer

@@ -224,7 +224,8 @@ class PackedExample:
     ``sentence_spans`` holds one (sent_pos, word_start, word_end) triple
     per sentence, end exclusive, covering exactly the non-special
     positions of the used region. ``attention_len`` counts the non-pad
-    prefix. ``segment_ids`` stays all zeros for pretraining.
+    prefix. ``segment_ids`` stays all zeros for pretraining. ``perm``
+    (from shuffling) maps each sentence to its display slot.
     """
     token_ids: np.ndarray
     position_ids: np.ndarray
@@ -234,7 +235,6 @@ class PackedExample:
     attention_len: int
     num_sentences: int
     mlm_labels: np.ndarray | None = None
-    order_targets: np.ndarray | None = None
     perm: np.ndarray | None = None
 
 

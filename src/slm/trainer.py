@@ -86,7 +86,7 @@ def prepare_batch(packed: list[PackedExample], step: int,
         if cfg.sentence_reps_enabled:
             if shuffle_batch:
                 perm = sample_permutation(ex.num_sentences, rng)
-                ex = apply_shuffle(ex, perm, cfg.position_mode)
+                ex = apply_shuffle(ex, perm)
             else:
                 ex = identity_record(ex)
         batch.append(ex)
@@ -205,7 +205,7 @@ def evaluate_unshuffle(params: dict, cfg: RunConfig,
     shuffled = []
     for ex in packed:
         perm = sample_permutation(ex.num_sentences, rng)
-        shuffled.append(apply_shuffle(ex, perm, cfg.position_mode))
+        shuffled.append(apply_shuffle(ex, perm))
 
     hits = []
     taus = []

@@ -1,4 +1,5 @@
-"""Digests that show whether a change moved pretraining's bits.
+"""Digests that show whether a change moved pretraining's or
+fine-tuning's bits.
 
 Two short pretraining runs on the ``corpus_gen`` stories, each followed
 by held-out greedy unshuffling:
@@ -8,17 +9,29 @@ by held-out greedy unshuffling:
 - ``tiny-dropout``: the tiny profile on the same stories, with its
   dropout and attention dropout on, for 40 steps.
 
-For each run it prints the sha256 of ``metrics.csv``, of
-``ckpt-final.bin`` and of the orders ``evaluate_unshuffle`` predicts for
-the held-out stories with the trained parameters, plus that eval's em.
+For each run it prints the sha256 of ``metrics.csv`` and of
+``ckpt-final.bin``, and two digests that leave out the config echo:
+``metrics-rows`` (the CSV without its ``#`` header lines) and
+``ckpt-tensors`` (the step, every tensor, the Adam step and every Adam
+moment, as ``load_checkpoint`` reads them). Then it prints the digest
+of the orders ``evaluate_unshuffle`` predicts for the held-out stories
+with the trained parameters, plus that eval's em.
+
+A third leg, ``finetune``, loads the ``tiny-dropout`` checkpoint twice
+and runs ``finetune_cls`` and ``finetune_qa`` on pairs and questions
+built from held-out stories, dropout still on. It prints a digest of
+each returned head and of the encoder tensors each one trained.
+
 Run it from the repository root at two commits and compare the lines:
 
     PYTHONPATH=src SLM_THREADS=1 python tests/pretrain_digest.py
 
-Equal digests mean the change left every float of pretraining and
-greedy decoding as it was, so criterion 5 escapes at the same leg and
-needs no escape-leg rerun. Digests match only on the same Python,
-numpy and BLAS. pytest does not collect this file.
+Equal digests mean the change left every float of pretraining, greedy
+decoding and fine-tuning as it was, so criterion 5 escapes at the same
+leg and needs no escape-leg rerun. A change that only adds or retires a
+config key moves the two file digests and none of the others. Digests
+match only on the same Python, numpy and BLAS. pytest does not collect
+this file.
 """
 from __future__ import annotations
 
@@ -31,6 +44,45 @@ from dataclasses import replace
 def file_digest(path: str) -> str:
     with open(path, "rb") as f:
         return hashlib.sha256(f.read()).hexdigest()
+
+
+def metrics_rows_digest(path: str) -> str:
+    """Digest of metrics.csv without its ``# key=value`` header."""
+    with open(path, "rb") as f:
+        rows = [line for line in f if not line.startswith(b"#")]
+    return hashlib.sha256(b"".join(rows)).hexdigest()
+
+
+def arrays_digest(named) -> str:
+    """Digest of (name, array) pairs: names, shapes and bytes."""
+    import numpy as np
+
+    h = hashlib.sha256()
+    for name, arr in named:
+        arr = np.ascontiguousarray(arr)
+        h.update(name.encode())
+        h.update(np.asarray(arr.shape, dtype=np.int64).tobytes())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def checkpoint_tensors_digest(path: str) -> str:
+    """Digest of a checkpoint's step, tensors and Adam state, read back
+    with ``load_checkpoint``; the stored config does not enter it."""
+    import numpy as np
+
+    from slm.checkpoint import load_checkpoint
+
+    ck = load_checkpoint(path)
+    named = [("step", np.int64(ck.step))]
+    named += [(name, ck.params[name].data) for name in sorted(ck.params)]
+    if ck.opt_state is not None:
+        state = ck.opt_state
+        named.append(("adam.t", np.int64(state.t)))
+        for name in sorted(state.m):
+            named += [("m:" + name, state.m[name]),
+                      ("v:" + name, state.v[name])]
+    return arrays_digest(named)
 
 
 def unshuffle_orders(params, cfg, held) -> tuple[str, float]:
@@ -61,10 +113,55 @@ def unshuffle_orders(params, cfg, held) -> tuple[str, float]:
     return h.hexdigest(), scores["em"]
 
 
+def finetune_leg(ckpt_path: str, vocab, stories) -> None:
+    """Fine-tune both heads from one checkpoint, dropout on, and print
+    digests of each head and of the encoder tensors it trained."""
+    from corpus_gen import OBJECTS
+
+    from slm import heads
+    from slm.checkpoint import load_checkpoint
+    from slm.textpipe import tokenize
+
+    cfg = load_checkpoint(ckpt_path).config
+    assert cfg.dropout > 0 and cfg.attn_dropout > 0
+
+    pairs = []
+    for k, story in enumerate(stories):
+        a, b = (story[0], story[1]) if k % 2 else (story[1], story[0])
+        ex = heads.pack_pair(a, b, vocab, cfg)
+        ex.label = float(k % 2)
+        pairs.append(ex)
+    questions = []
+    for k, story in enumerate(stories):
+        context = " ".join(story)
+        words = tokenize(context)
+        start = next(i for i, w in enumerate(words) if w in OBJECTS)
+        questions.append(heads.pack_qa(context, f"what came {k % 4}?",
+                                       start, start, vocab, cfg))
+
+    legs = [
+        ("cls", lambda p: heads.finetune_cls(p, cfg, pairs, 2, steps=6,
+                                             seed=3)),
+        ("qa", lambda p: heads.finetune_qa(p, cfg, questions, steps=6,
+                                           seed=3)),
+    ]
+    for name, run in legs:
+        params = load_checkpoint(ckpt_path).params
+        head = run(params)
+        print(f"finetune {name} head "
+              f"{arrays_digest((n, head[n].data) for n in sorted(head))}",
+              flush=True)
+        encoder = sorted(n for n in params if not n.startswith("dec."))
+        print(f"finetune {name} encoder "
+              f"{arrays_digest((n, params[n].data) for n in encoder)}",
+              flush=True)
+
+
 def main() -> None:
     from slm.config import resolve_config
     from slm.trainer import train_loop
 
+    from corpus_gen import corpus_assets, make_corpus
     from escape_legs import learning_setup
 
     train, held, base = learning_setup(corpus_seed=0)
@@ -75,15 +172,26 @@ def main() -> None:
                                  warmup=10, checkpoint_every=0,
                                  log_every=10, seed=0)),
     ]
-    for name, cfg in runs:
-        cfg = cfg.validate()
-        with tempfile.TemporaryDirectory() as tmp:
-            res = train_loop(train, cfg, tmp)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, cfg in runs:
+            cfg = cfg.validate()
+            out = os.path.join(tmp, name)
+            res = train_loop(train, cfg, out)
+            metrics = os.path.join(out, "metrics.csv")
+            ckpt = os.path.join(out, "ckpt-final.bin")
             for fname in ("metrics.csv", "ckpt-final.bin"):
                 print(f"{name} {fname} "
-                      f"{file_digest(os.path.join(tmp, fname))}", flush=True)
-        digest, em = unshuffle_orders(res["params"], cfg, held)
-        print(f"{name} unshuffle-orders {digest} em={em:.3f}", flush=True)
+                      f"{file_digest(os.path.join(out, fname))}", flush=True)
+            print(f"{name} metrics-rows {metrics_rows_digest(metrics)}",
+                  flush=True)
+            print(f"{name} ckpt-tensors {checkpoint_tensors_digest(ckpt)}",
+                  flush=True)
+            digest, em = unshuffle_orders(res["params"], cfg, held)
+            print(f"{name} unshuffle-orders {digest} em={em:.3f}", flush=True)
+
+        vocab = corpus_assets(5000, 200, 0)[2]
+        finetune_leg(os.path.join(tmp, "tiny-dropout", "ckpt-final.bin"),
+                     vocab, make_corpus(16, 1))
 
 
 if __name__ == "__main__":

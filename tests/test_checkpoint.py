@@ -185,6 +185,69 @@ def test_stored_config_with_the_retired_gradcheck_dtype_key_loads(
         assert ck.params[name].data.tobytes() == params[name].data.tobytes()
 
 
+def save_with_stored_key(tmp_path, monkeypatch, key, value):
+    """save_small with one more ``key=value`` pair in the stored config,
+    as a checkpoint written while RunConfig had that key would hold."""
+    from slm import checkpoint
+    from slm.config import config_echo
+    monkeypatch.setattr(checkpoint, "config_echo", lambda cfg: sorted(
+        config_echo(cfg) + [(key, value)]))
+    saved = save_small(tmp_path)
+    monkeypatch.undo()
+    assert f"{key}={value}".encode() in open(saved[3], "rb").read()
+    return saved
+
+
+def test_stored_resequence_position_mode_loads(tmp_path, monkeypatch):
+    """Checkpoints written while RunConfig had ``position_mode`` load
+    with identical tensors when it holds resequence, the layout that is
+    left."""
+    from slm.config import config_echo
+    cfg, params, state, path = save_with_stored_key(
+        tmp_path, monkeypatch, "position_mode", "resequence")
+    ck = load_checkpoint(path, expected_names=params.keys())
+    assert config_echo(ck.config) == config_echo(cfg)
+    assert ck.step == 123 and ck.opt_state.t == state.t
+    for name in params:
+        assert ck.params[name].data.tobytes() == params[name].data.tobytes()
+        assert ck.opt_state.m[name].tobytes() == state.m[name].tobytes()
+        assert ck.opt_state.v[name].tobytes() == state.v[name].tobytes()
+
+
+def test_stored_travel_position_mode_is_a_format_error(tmp_path,
+                                                       monkeypatch):
+    """travel positions leaked the order; such a checkpoint is refused,
+    not read as a model with the other layout."""
+    _, _, _, path = save_with_stored_key(tmp_path, monkeypatch,
+                                         "position_mode", "travel")
+    with pytest.raises(FormatError, match=f"{path}: stored config: retired "
+                       "key position_mode=travel"):
+        load_checkpoint(path)
+
+
+def test_save_syncs_the_directory_after_the_rename(tmp_path, monkeypatch):
+    """The rename lives in the directory, so the directory is synced once
+    the new file is in place: after a power cut the path still names
+    the new checkpoint."""
+    import os
+    import stat
+    path = tmp_path / "ckpt.bin"
+    synced = []
+    fsync = os.fsync
+
+    def recording(fd):
+        st = os.fstat(fd)
+        synced.append((stat.S_ISDIR(st.st_mode), st.st_ino, path.exists()))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording)
+    save_small(tmp_path)
+    monkeypatch.undo()
+    file_sync, dir_sync = synced
+    assert file_sync[0] is False and file_sync[2] is False
+    assert dir_sync == (True, os.stat(tmp_path).st_ino, True)
+
+
 @pytest.mark.parametrize("where", ["param", "m", "v"])
 def test_non_finite_tensor_or_moment_is_a_format_error(tmp_path, where):
     cfg, params, state, _ = save_small(tmp_path)

@@ -456,6 +456,44 @@ def test_retired_dev_file_key_exits_two(command, capsys):
     assert capsys.readouterr().err == "error: unknown config key 'dev_file'\n"
 
 
+@pytest.mark.parametrize("command", ["pretrain", "eval-unshuffle"])
+def test_retired_position_mode_key_exits_two(command, capsys):
+    assert run([command, "--set", "position_mode=resequence"]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown config key 'position_mode'\n")
+
+
+def test_checkpoint_stored_with_travel_positions_exits_two(
+        workspace, tmp_path, capsys, monkeypatch):
+    from slm import checkpoint
+    from slm.config import config_echo
+    ck = checkpoint.load_checkpoint(str(workspace["ckpt"]))
+    monkeypatch.setattr(checkpoint, "config_echo", lambda cfg: sorted(
+        config_echo(cfg) + [("position_mode", "travel")]))
+    travel = tmp_path / "travel.bin"
+    checkpoint.save_checkpoint(str(travel), ck.config, ck.params, ck.step)
+    monkeypatch.undo()
+    args = ["eval-unshuffle"] + sets([
+        f"checkpoint={travel}", f"eval_corpus={workspace['prepared']}"])
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {travel}: stored config: retired key "
+                          "position_mode=travel")
+    assert "Traceback" not in err
+
+
+def test_qa_record_with_a_non_string_context_exits_one(workspace, tmp_path,
+                                                      capsys):
+    args = checkpoint_args("finetune-qa", workspace, tmp_path)
+    qa = tmp_path / "train.jsonl"
+    qa.write_text(QA_TRAIN + QA_TRAIN.replace(
+        '"The cat sat home. The dog ran fast."', "5"), encoding="utf-8")
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {qa}:2: malformed QA record: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("offset", [42, -1])
 def test_vocab_size_unlike_the_vocab_file_exits_two(offset, workspace,
                                                     tmp_path, capsys):

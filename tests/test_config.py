@@ -55,8 +55,6 @@ BAD_VALUES = {
         "layer_norm_eps", "adam_eps", "gradcheck_tol")},
     **{key: negative_or_not_finite() for key in (
         "peak_lr", "finetune_lr", "weight_decay")},
-    "position_mode": st.text().filter(
-        lambda s: s not in ("resequence", "travel")),
     "task_type": st.text().filter(
         lambda s: s not in ("classification", "regression")),
 }

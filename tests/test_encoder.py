@@ -178,3 +178,19 @@ def test_no_grad_encode_stops_at_longest_real_row():
         np.testing.assert_allclose(extract_summary(short, ex, b).data,
                                    extract_summary(full, ex, b).data,
                                    atol=1e-5)
+
+
+def test_encode_batch_draws_dropout_only_when_training():
+    """A pass without training hands its rng to no dropout: the rng's
+    state stays as it was and the output equals a pass without an rng."""
+    cfg = small_config(dropout=0.1, attn_dropout=0.1)
+    params = build_params(cfg)
+    batch = [identity_record(masked_example(cfg, np.random.default_rng(3)))]
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    h = encode_batch(params, cfg, batch, rng, training=False)
+    assert rng.bit_generator.state == state
+    assert h.data.tobytes() == encode_batch(params, cfg, batch).data.tobytes()
+    dropped = encode_batch(params, cfg, batch, rng, training=True)
+    assert rng.bit_generator.state != state
+    assert not np.array_equal(dropped.data, h.data)

@@ -131,6 +131,16 @@ def test_tsv_reader_rejects_mixed_shapes(tmp_path):
         read_cls_tsv(str(path), vocab, cfg_for(vocab))
 
 
+@pytest.mark.parametrize("target", ["abc", "nan", "inf", "-inf", "NaN"])
+def test_regression_reader_names_the_line_of_a_bad_target(tmp_path, target):
+    vocab = toy_vocab()
+    path = tmp_path / "train.tsv"
+    path.write_text(f"0.5\tthe cat sat\n\n{target}\tthe dog ran\n")
+    with pytest.raises(DataError, match=f"{path}:3: bad regression target "
+                       f"'{target}'"):
+        read_cls_tsv(str(path), vocab, cfg_for(vocab, task_type="regression"))
+
+
 def test_finetune_readers_name_empty_and_undecodable_files(tmp_path):
     vocab = toy_vocab()
     cfg = cfg_for(vocab)
@@ -303,6 +313,37 @@ def test_qa_jsonl_reader(tmp_path):
     bad.write_text('{"context": "x"}\n')
     with pytest.raises(DataError):
         read_qa_jsonl(str(bad), vocab, cfg)
+
+
+@pytest.mark.parametrize("fields,message", [
+    ('"context": 5, "question": "the cat"', "context and question"),
+    ('"context": "the cat sat.", "question": ["the"]', "context and question"),
+    ('"context": "the cat sat.", "question": null', "context and question"),
+], ids=["int-context", "list-question", "null-question"])
+def test_qa_reader_rejects_text_that_is_no_string(tmp_path, fields, message):
+    vocab = toy_vocab()
+    path = tmp_path / "qa.jsonl"
+    path.write_text('{"context": "the dog ran.", "question": "the dog", '
+                    '"answer_start_token": 0, "answer_end_token": 0}\n'
+                    f'{{{fields}, "answer_start_token": 0, '
+                    '"answer_end_token": 0}\n')
+    with pytest.raises(DataError, match=f"{path}:2: malformed QA record: "
+                       f"{message}"):
+        read_qa_jsonl(str(path), vocab, cfg_for(vocab))
+
+
+@pytest.mark.parametrize("start,end", [
+    ("true", "1"), ("0", "2.7"), ('"1"', "1"), ("0", "false")])
+def test_qa_reader_rejects_answer_indices_that_are_no_integers(tmp_path,
+                                                               start, end):
+    vocab = toy_vocab()
+    path = tmp_path / "qa.jsonl"
+    path.write_text('{"context": "the cat sat.", "question": "the cat", '
+                    f'"answer_start_token": {start}, '
+                    f'"answer_end_token": {end}}}\n')
+    with pytest.raises(DataError, match=f"{path}:1: malformed QA record: "
+                       "answer token indices must be integers"):
+        read_qa_jsonl(str(path), vocab, cfg_for(vocab))
 
 
 def test_batched_qa_metrics_match_per_example_scoring():

@@ -8,7 +8,8 @@ from slm.masking import IGNORE
 from slm.objectives import (_pointer_signals, mlm_loss, pretrain_bundle,
                             total_loss)
 from slm.reconstructor import decode_sequence
-from slm.shuffling import apply_shuffle, identity_record, sample_permutation
+from slm.shuffling import (apply_shuffle, identity_record, order_targets,
+                           sample_permutation)
 from slm.tensor import Tensor, backward
 
 from util import build_params, masked_example, small_config
@@ -160,7 +161,8 @@ def test_unshuffled_batch_still_trains_pointer():
     bundle = pretrain_bundle(params, cfg, bundle_inputs(cfg, seed=14, shuffle=False))
     assert bundle.l_slm > 0.0
     for ex in bundle_inputs(cfg, seed=14, shuffle=False):
-        np.testing.assert_array_equal(ex.order_targets, [1, 2, 3, 4])
+        np.testing.assert_array_equal(
+            order_targets(ex.perm, ex.num_sentences), [1, 2, 3, 4])
 
 
 def test_no_grad_bundle_matches_graph_recording_bundle():
@@ -198,8 +200,9 @@ def test_pointer_signals_match_direct_numpy():
     hits, entropies = [], []
     for b, ex in enumerate(batch):
         c = extract_summary(h, ex, b)
-        w = decode_sequence(params, cfg, c, ex.order_targets)
-        for row, target in zip(w.data[0], ex.order_targets):
+        targets = order_targets(ex.perm, ex.num_sentences)
+        w = decode_sequence(params, cfg, c, targets)
+        for row, target in zip(w.data[0], targets):
             logits = c.data[0] @ row
             p = np.exp(logits - logits.max())
             p /= p.sum()

@@ -302,15 +302,19 @@ def test_no_grad_skips_recording():
 
 
 def test_dropout_identity_when_eval():
+    """Eval passes no rng: dropout hands its input back, drawing nothing."""
     x = t(np.ones((4, 4)))
-    y = dropout(x, 0.5, np.random.default_rng(0), training=False)
-    assert y is x
+    assert dropout(x, 0.5, None) is x
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    assert dropout(x, 0.0, rng) is x
+    assert rng.bit_generator.state == state
 
 
 def test_dropout_scales_kept_units():
     rng = np.random.default_rng(1)
     x = t(np.ones((2000,)))
-    y = dropout(x, 0.25, rng, training=True)
+    y = dropout(x, 0.25, rng)
     kept = y.data[y.data > 0]
     np.testing.assert_allclose(kept, 1 / 0.75, atol=1e-6)
     assert abs(kept.size / 2000 - 0.75) < 0.05
@@ -460,8 +464,7 @@ def test_dropout_bits_match_the_plain_expression(p):
     g = _f32(x.shape, 29)
     keep = (np.random.default_rng(30).random(x.shape) >= p).astype(
         np.float32) / (1.0 - p)
-    got = _run(lambda a: dropout(a, p, np.random.default_rng(30), True),
-               [x], g)
+    got = _run(lambda a: dropout(a, p, np.random.default_rng(30)), [x], g)
     _assert_bits(got, (x * keep, [g * keep]))
 
 
@@ -531,8 +534,8 @@ def test_kernels_leave_their_inputs_and_upstream_gradient_alone(kernel):
             [x, _padding_bias([16, 9], 16)]),
         "gelu": (gelu, [x]),
         "layer_norm": (layer_norm, [x, _f32((16,), 35), _f32((16,), 36)]),
-        "dropout": (lambda a: dropout(a, 0.3, np.random.default_rng(37),
-                                      True), [x]),
+        "dropout": (lambda a: dropout(a, 0.3, np.random.default_rng(37)),
+                    [x]),
     }
     op, arrays = ops[kernel]
     g = _f32(x.shape, 38)

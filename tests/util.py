@@ -7,7 +7,6 @@ from slm.config import RunConfig
 from slm.encoder import attention_bias, embed, encode
 from slm.masking import apply_span_masking
 from slm.model import init_params
-from slm.shuffling import order_targets
 from slm.textpipe import CLS, NUM_SPECIALS, PAD, SEP, Document, PackedExample, pack_example
 
 
@@ -34,15 +33,18 @@ def build_params(cfg: RunConfig, seed=0, dtype=np.float32):
 def encode_full_length(params: dict, cfg: RunConfig, examples, rng=None,
                        training: bool = False):
     """[B, seq_len, hidden]: embed + encode over every position, padding
-    keys masked, where ``encode_batch`` stops at the longest real row."""
+    keys masked, where ``encode_batch`` stops at the longest real row.
+    Takes ``encode_batch``'s arguments, so it can stand in for it."""
+    rng = rng if training else None
+
     def stack(field):
         return np.stack([getattr(ex, field) for ex in examples])
 
     bias = attention_bias([ex.attention_len for ex in examples], cfg.seq_len,
                           dtype=params["emb.token"].data.dtype)
     h0 = embed(params, cfg, stack("token_ids"), stack("position_ids"),
-               stack("sentence_ids"), stack("segment_ids"), rng, training)
-    return encode(params, cfg, h0, bias, rng, training)
+               stack("sentence_ids"), stack("segment_ids"), rng)
+    return encode(params, cfg, h0, bias, rng)
 
 
 def masked_example(cfg: RunConfig, rng, n_sents=3):
@@ -57,10 +59,11 @@ def physical_shuffle(ex: PackedExample, perm: np.ndarray) -> PackedExample:
     apply_shuffle so the two can check each other.
 
     Tokens and labels move together; position ids are the natural
-    sequence; sentence ids number the blocks in their new order; targets
-    are the standard ones for ``perm``. The perm recorded on the result
-    is the identity because display order now coincides with memory
-    order.
+    sequence; sentence ids number the blocks in their new order. The
+    spans stay listed per original sentence and the result records
+    ``perm`` itself: sentence s stands in slot perm[s], which here is
+    also its place in memory, so the summary rows and the targets are
+    the ones ``perm`` defines.
     """
     n = ex.num_sentences
     seq_len = ex.token_ids.shape[0]
@@ -74,7 +77,7 @@ def physical_shuffle(ex: PackedExample, perm: np.ndarray) -> PackedExample:
     pos = 0
     token_ids[pos] = CLS
     pos += 1
-    spans = []
+    spans = [None] * n
     for slot in range(n):
         s = occupant[slot]
         sent_pos, start, end = ex.sentence_spans[s]
@@ -87,15 +90,12 @@ def physical_shuffle(ex: PackedExample, perm: np.ndarray) -> PackedExample:
                 labels[pos] = labels_src[src]
             pos += 1
         word_start = marker + 1 if marker >= 0 else marker
-        spans.append((marker, word_start, pos))
+        spans[s] = (marker, word_start, pos)
     token_ids[pos] = SEP
     attention_len = pos + 1
     position_ids = np.zeros(seq_len, dtype=np.int64)
     position_ids[:attention_len] = np.arange(attention_len)
 
-    # display order == memory order here, so spans are listed per slot;
-    # remap them back to "per displayed sentence" which is what the
-    # field means for a packed example
     return PackedExample(
         token_ids=token_ids,
         position_ids=position_ids,
@@ -105,6 +105,5 @@ def physical_shuffle(ex: PackedExample, perm: np.ndarray) -> PackedExample:
         attention_len=attention_len,
         num_sentences=n,
         mlm_labels=labels,
-        order_targets=order_targets(np.asarray(perm), n),
-        perm=np.arange(n),
+        perm=np.asarray(perm).copy(),
     )
