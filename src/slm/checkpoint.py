@@ -3,13 +3,12 @@ optimizer state, step counter.
 
 All integers are little-endian; tensor payloads are row-major 32-bit
 floats. Tensors are written sorted by name so identical states produce
-identical bytes. Saving writes a temporary file next to the target,
-syncs it, renames it into place and syncs the directory, so a failed,
-interrupted or power-cut save leaves a whole checkpoint. Loading verifies
-the header and, when the caller passes the expected tensor names,
-reports any missing or unexpected ones by name. A path that cannot be
-opened is a DataError; a file that is not a well-formed checkpoint is a
-FormatError naming it. That includes a length or shape larger than the
+identical bytes. Saving goes through ``errors.write_atomic``, so a
+failed, interrupted or power-cut save leaves a whole checkpoint.
+Loading verifies the header and, when the caller passes the expected
+tensor names, reports any missing or unexpected ones by name. A path
+that cannot be opened is a DataError; a file that is not a well-formed
+checkpoint is a FormatError naming it. That includes a length or shape larger than the
 bytes left in the file (checked before anything is read) and a tensor
 or Adam moment holding NaN or Inf, which the model's ops do not check
 for themselves.
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig, config_echo, config_from_echo
-from .errors import ContractError, DataError, FormatError
+from .errors import ContractError, DataError, FormatError, write_atomic
 from .optim import AdamState
 from .tensor import Tensor
 
@@ -89,22 +88,8 @@ class Checkpoint:
 
 def save_checkpoint(path: str, cfg: RunConfig, params: dict, step: int,
                     opt_state: AdamState | None = None) -> None:
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            _write_checkpoint(fh, cfg, params, step, opt_state)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, lambda fh: _write_checkpoint(fh, cfg, params, step,
+                                                    opt_state))
 
 
 def _write_checkpoint(fh, cfg: RunConfig, params: dict, step: int,

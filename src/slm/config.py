@@ -14,6 +14,9 @@ on a profile, the CLI on a checkpoint's stored config. A key that no
 command reads is deleted: ``--set`` rejects it like any unknown key and
 ``config_from_echo`` drops it from older checkpoints (``_RETIRED``),
 unless the stored value described a model the code no longer builds.
+Settings every run shares are constants, not keys: the masking recipe
+(``masking.P_GEOM``, ``MAX_SPAN``, ``MASK_RATE``, ``REPLACE_MASK``,
+``REPLACE_RANDOM``) and the gradcheck tolerance (``cli.GRADCHECK_TOL``).
 """
 from __future__ import annotations
 
@@ -38,14 +41,6 @@ class RunConfig:
     dropout: float = 0.1
     attn_dropout: float = 0.1
     layer_norm_eps: float = 1e-5
-
-    # masking
-    p_geom: float = 0.2
-    max_span: int = 3
-    mask_rate: float = 0.15
-    replace_mask: float = 0.8
-    replace_random: float = 0.1
-    replace_keep: float = 0.1
 
     # objective switches
     shuffle_fraction: float = 0.5
@@ -85,10 +80,9 @@ class RunConfig:
     finetune_epochs: int = 3
     max_answer_len: int = 30
 
-    # probing / checking
+    # probing
     query_row: int = -1
     top_k: int = 5
-    gradcheck_tol: float = 1e-3
 
     def validate(self) -> "RunConfig":
         for keys, in_range, rule in _RANGES:
@@ -106,9 +100,6 @@ class RunConfig:
         if self.sr_enabled and not self.sentence_reps_enabled:
             raise ContractError(
                 "the reconstructor needs sentence representations enabled")
-        total = self.replace_mask + self.replace_random + self.replace_keep
-        if abs(total - 1.0) > 1e-9:
-            raise ContractError("replacement fractions must sum to 1")
         return self
 
 
@@ -116,7 +107,7 @@ class RunConfig:
 # NaN fails every one. grad_clip has no range: <= 0 turns clipping off.
 _RANGES = (
     (("heads", "hidden", "ffn", "batch_size", "steps", "accum_steps",
-      "max_sentences", "max_answer_len", "top_k", "max_span"),
+      "max_sentences", "max_answer_len", "top_k"),
      lambda v: v >= 1, "must be >= 1"),
     (("vocab_size",), lambda v: v > NUM_SPECIALS,
      f"must exceed the {NUM_SPECIALS} special tokens"),
@@ -126,11 +117,8 @@ _RANGES = (
     (("query_row",), lambda v: v >= -1, "must be >= -1 (-1: no query)"),
     (("dropout", "attn_dropout", "beta1", "beta2"),
      lambda v: 0 <= v < 1, "must lie in [0, 1)"),
-    (("shuffle_fraction", "mask_rate", "replace_mask", "replace_random",
-      "replace_keep"),
-     lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
-    (("p_geom",), lambda v: 0 < v < 1, "must lie in (0, 1)"),
-    (("layer_norm_eps", "adam_eps", "gradcheck_tol"),
+    (("shuffle_fraction",), lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
+    (("layer_norm_eps", "adam_eps"),
      lambda v: 0 < v < math.inf, "must be positive and finite"),
     (("peak_lr", "finetune_lr", "weight_decay"),
      lambda v: 0 <= v < math.inf, "must be >= 0 and finite"),
@@ -173,16 +161,12 @@ def _coerce(key: str, raw: str):
         if lowered in ("false", "0", "no", "off"):
             return False
         raise ContractError(f"cannot parse boolean for {key}: {raw!r}")
-    if kind == "int":
+    if kind in ("int", "float"):
         try:
-            return int(raw)
+            return int(raw) if kind == "int" else float(raw)
         except ValueError as exc:
-            raise ContractError(f"cannot parse int for {key}: {raw!r}") from exc
-    if kind == "float":
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ContractError(f"cannot parse float for {key}: {raw!r}") from exc
+            raise ContractError(
+                f"cannot parse {kind} for {key}: {raw!r}") from exc
     return raw
 
 
@@ -240,9 +224,14 @@ def config_echo(cfg: RunConfig) -> list[tuple[str, str]]:
 
 # the value a retired key must hold to load (None: any). dev_file was
 # never read; gradcheck_dtype=float32 could not pass the gradcheck
-# tolerance; position_mode=travel leaked the order through positions
+# tolerance; position_mode=travel leaked the order through positions.
+# The masking recipe and the gradcheck tolerance are constants now, and
+# no checkpoint command masks or gradchecks, so any stored value loads
 _RETIRED = {"dev_file": None, "gradcheck_dtype": None,
-            "position_mode": "resequence"}
+            "position_mode": "resequence",
+            **dict.fromkeys(("p_geom", "max_span", "mask_rate",
+                             "replace_mask", "replace_random",
+                             "replace_keep", "gradcheck_tol"))}
 
 
 def config_from_echo(pairs) -> RunConfig:

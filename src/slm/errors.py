@@ -2,8 +2,10 @@
 
 DataError covers malformed or missing user inputs (exit code 1 from the
 CLI); ContractError covers violated API preconditions and FormatError
-covers unreadable artifact files (both exit code 2).
+covers unreadable artifact files (both exit code 2). Also the file
+helpers ``read_text`` and ``write_atomic``.
 """
+import os
 
 
 class DataError(Exception):
@@ -30,3 +32,25 @@ def read_text(path: str, what: str) -> str:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def write_atomic(path: str, write) -> None:
+    """Write ``path`` by ``write(fh)`` into a synced temporary file that
+    is renamed into place, then sync the directory: a failed,
+    interrupted or power-cut write leaves the old file or none."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+        fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

@@ -106,8 +106,11 @@ def read_cls_tsv(path: str, vocab: Vocab, cfg: RunConfig):
         parse = {name: float(i) for i, name in enumerate(label_names)}.get
     examples = []
     for ln, cols in rows:
-        ex = pack_pair(cols[1], cols[2] if len(cols) == 3 else None,
-                       vocab, cfg)
+        try:
+            ex = pack_pair(cols[1], cols[2] if len(cols) == 3 else None,
+                           vocab, cfg)
+        except DataError as exc:
+            raise DataError(f"{path}:{ln}: {exc}") from exc
         try:
             ex.label = parse(cols[0])
         except ValueError:
@@ -266,7 +269,10 @@ def read_qa_jsonl(path: str, vocab: Vocab, cfg: RunConfig) -> list[QaExample]:
                 raise TypeError("answer token indices must be integers")
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise DataError(f"{path}:{ln}: malformed QA record: {exc}") from exc
-        out.append(pack_qa(ctx, q, s, e, vocab, cfg))
+        try:
+            out.append(pack_qa(ctx, q, s, e, vocab, cfg))
+        except DataError as exc:
+            raise DataError(f"{path}:{ln}: {exc}") from exc
     return out
 
 

@@ -8,9 +8,11 @@ excluded, ties broken by record order.
 
 Index file layout: two little-endian u64 (n, hidden) followed by the
 raw row-major float32 matrix; records live next to it in a .jsonl
-sidecar. Loading checks the header's size against the bytes in the
-file before reading the matrix, and rejects a row holding NaN or Inf;
-either is a FormatError naming the file (and the row).
+sidecar. Both are written atomically, the sidecar first, so the index
+file exists only once an export has finished. Loading checks the
+header's size against the bytes in the file before reading the matrix,
+and rejects a row holding NaN or Inf; either is a FormatError naming
+the file (and the row).
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ import numpy as np
 
 from .config import RunConfig
 from .encoder import encode_batch
-from .errors import ContractError, DataError, FormatError
+from .errors import ContractError, DataError, FormatError, write_atomic
 from .tensor import no_grad
 from .textpipe import Document, Vocab, merge_to_max, pack_example, tokenize
 
@@ -85,13 +87,14 @@ def export_reps(params: dict, cfg: RunConfig,
 
 
 def save_index(path: str, index: EmbeddingIndex) -> None:
-    n, hidden = index.matrix.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<QQ", n, hidden))
-        fh.write(np.ascontiguousarray(index.matrix, dtype="<f4").tobytes())
-    with open(path + ".jsonl", "w", encoding="utf-8") as fh:
-        for rec in index.records:
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    """Write the sidecar, then the matrix, each atomically: the index
+    file exists only once both are whole."""
+    records = "".join(json.dumps(rec, ensure_ascii=False) + "\n"
+                      for rec in index.records).encode("utf-8")
+    write_atomic(path + ".jsonl", lambda fh: fh.write(records))
+    matrix = np.ascontiguousarray(index.matrix, dtype="<f4")
+    write_atomic(path, lambda fh: fh.writelines(
+        [struct.pack("<QQ", *matrix.shape), matrix.tobytes()]))
 
 
 def load_index(path: str) -> EmbeddingIndex:

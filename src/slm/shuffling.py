@@ -32,6 +32,14 @@ def sample_permutation(n: int, rng) -> np.ndarray:
     return rng.permutation(n)
 
 
+def _check_perm(perm, n: int) -> np.ndarray:
+    """``perm`` as an array, which must be a permutation of 0..n-1."""
+    perm = np.asarray(perm)
+    if perm.shape != (n,) or sorted(perm.tolist()) != list(range(n)):
+        raise ContractError("perm must be a permutation of 0..n-1")
+    return perm
+
+
 def order_targets(perm: np.ndarray, n: int) -> np.ndarray:
     """Pointer targets per reconstruction step, 1-based into C.
 
@@ -39,9 +47,7 @@ def order_targets(perm: np.ndarray, n: int) -> np.ndarray:
     past the leading [CLS] row; targets[n] points at the [SEP] row n+1.
     Pointing a step at row 0 ([CLS]) is never correct.
     """
-    perm = np.asarray(perm)
-    if perm.shape != (n,) or sorted(perm.tolist()) != list(range(n)):
-        raise ContractError("perm must be a permutation of 0..n-1")
+    perm = _check_perm(perm, n)
     targets = np.empty(n + 1, dtype=np.int64)
     targets[:n] = perm + 1
     targets[n] = n + 1
@@ -52,36 +58,33 @@ def apply_shuffle(ex: PackedExample, perm: np.ndarray) -> PackedExample:
     """Re-identify an example's sentences according to ``perm``.
 
     Token memory (and MLM labels) never move. [CLS] keeps position 0
-    and [SEP] its final position.
+    and [SEP] its final position. Each sentence moves with its [SENT]
+    marker, so an example packed without markers is refused.
     """
-    n = ex.num_sentences
-    perm = np.asarray(perm)
-    if perm.shape != (n,) or sorted(perm.tolist()) != list(range(n)):
-        raise ContractError("perm must be a permutation of the sentences")
-
-    sentence_ids = ex.sentence_ids.copy()
-    position_ids = ex.position_ids.copy()
-
-    lengths = np.array(
-        [(end - start) + (1 if sent_pos >= 0 else 0)
-         for sent_pos, start, end in ex.sentence_spans], dtype=np.int64)
-    slot_lengths = np.empty(n, dtype=np.int64)
+    perm = _check_perm(perm, ex.num_sentences)
+    ends = np.array([end for _, _, end in ex.sentence_spans], dtype=np.int64)
+    lengths = ends - _sentence_markers(ex)     # [SENT] and words
+    slot_lengths = np.empty_like(lengths)
     slot_lengths[perm] = lengths
-    slot_starts = np.ones(n, dtype=np.int64)
-    slot_starts[1:] += np.cumsum(slot_lengths)[:-1]
+    # slot k starts after [CLS] and the sentences shown in slots before k
+    slot_starts = 1 + np.cumsum(slot_lengths) - slot_lengths
 
-    for s, (sent_pos, start, end) in enumerate(ex.sentence_spans):
-        first = sent_pos if sent_pos >= 0 else start
-        position_ids[first:end] = np.arange(
-            slot_starts[perm[s]], slot_starts[perm[s]] + lengths[s])
+    position_ids = ex.position_ids.copy()
+    sentence_ids = ex.sentence_ids.copy()
+    for s, (first, _, end) in enumerate(ex.sentence_spans):
+        start = slot_starts[perm[s]]
+        position_ids[first:end] = np.arange(start, start + lengths[s])
         sentence_ids[first:end] = perm[s]
+    return replace(ex, position_ids=position_ids, sentence_ids=sentence_ids,
+                   perm=perm.copy())
 
-    return replace(
-        ex,
-        position_ids=position_ids,
-        sentence_ids=sentence_ids,
-        perm=perm.copy(),
-    )
+
+def _sentence_markers(ex: PackedExample) -> np.ndarray:
+    """Position of each sentence's [SENT] marker, in sentence order."""
+    markers = np.array([sp[0] for sp in ex.sentence_spans], dtype=np.int64)
+    if np.any(markers < 0):
+        raise ContractError("example was packed without sentence tokens")
+    return markers
 
 
 def identity_record(ex: PackedExample) -> PackedExample:
@@ -101,16 +104,7 @@ def summary_positions(ex: PackedExample) -> np.ndarray:
     Slot k's marker is the [SENT] of the sentence with perm[s] = k; an
     unshuffled example yields memory order.
     """
-    n = ex.num_sentences
-    perm = ex.perm if ex.perm is not None else np.arange(n)
-    marker_of_sentence = np.array(
-        [sp[0] for sp in ex.sentence_spans], dtype=np.int64)
-    if np.any(marker_of_sentence < 0):
-        raise ContractError("example was packed without sentence tokens")
-    occupant = np.empty(n, dtype=np.int64)
-    occupant[perm] = np.arange(n)
-    rows = np.empty(n + 2, dtype=np.int64)
-    rows[0] = 0
-    rows[1:n + 1] = marker_of_sentence[occupant]
-    rows[n + 1] = ex.attention_len - 1
-    return rows
+    perm = ex.perm if ex.perm is not None else np.arange(ex.num_sentences)
+    occupant = np.argsort(perm)     # the sentence shown in each slot
+    return np.concatenate(
+        [[0], _sentence_markers(ex)[occupant], [ex.attention_len - 1]])

@@ -323,16 +323,9 @@ def log(a: Tensor) -> Tensor:
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Softmax over the last axis, stabilized by per-row max subtraction."""
-    y = x.data - x.data.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
-
-    def bw(out):
-        if x.requires_grad:
-            x._accumulate(_softmax_grad(out.grad, y))
-
-    return _make(y, (x,), bw)
+    """Softmax over the last axis, stabilized by per-row max subtraction;
+    ``attention_softmax`` with scale 1, which is exact."""
+    return attention_softmax(x, 1.0)
 
 
 def _softmax_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -346,7 +339,7 @@ def _softmax_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def attention_softmax(scores: Tensor, scale,
                       bias: Tensor | None = None) -> Tensor:
-    """``softmax_rows(scores * scale + bias)`` in one buffer.
+    """Row softmax of ``scores * scale + bias`` in one buffer.
 
     ``scale`` is a scalar, cast to the scores' dtype as ``mul`` casts
     it; ``bias`` (None for no mask) broadcasts onto the scores' shape.

@@ -30,7 +30,7 @@ import numpy as np
 from .checkpoint import save_checkpoint
 from .config import RunConfig, config_echo
 from .encoder import encode_batch, extract_summary
-from .errors import DataError
+from .errors import ContractError, DataError
 from .masking import apply_span_masking
 from .model import init_params, param_shapes
 from .objectives import pretrain_bundle
@@ -201,6 +201,9 @@ def evaluate_unshuffle(params: dict, cfg: RunConfig,
     ``by_n``, the n/em/tau of the documents of each sentence count.
     Each encode batch is decoded as one batch.
     """
+    if not cfg.sentence_reps_enabled:
+        raise ContractError(
+            "unshuffle eval needs sentence representations enabled")
     rng = np.random.default_rng([seed, _EVAL])
     shuffled = []
     for ex in packed:

@@ -140,7 +140,7 @@ def test_criterion_4_masking_statistics():
 
         counts = np.zeros(3)
         for _ in range(100_000):
-            counts[sample_span_length(cfg, rng) - 1] += 1
+            counts[sample_span_length(rng) - 1] += 1
         pmf = counts / counts.sum()
         pmf_dev = float(np.abs(pmf - (0.40984, 0.32787, 0.26230)).max())
 

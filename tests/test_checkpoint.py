@@ -91,9 +91,9 @@ def test_truncation_is_a_format_error(tmp_path):
 
 
 @pytest.mark.parametrize("old,new,message", [
-    (b"p_geom=0.2", b"p_geom=\xff.2", "undecodable"),
+    (b"beta1=0.9", b"beta1=\xff.9", "undecodable"),
     (b"emb.token", b"emb.\xffoken", "undecodable"),
-    (b"p_geom=0.2", b"p_geom=2.0", "stored config: p_geom must lie in"),
+    (b"beta1=0.9", b"beta1=2.0", "stored config: beta1 must lie in"),
 ])
 def test_undecodable_or_invalid_stored_text_is_a_format_error(
         tmp_path, old, new, message):
@@ -198,13 +198,10 @@ def save_with_stored_key(tmp_path, monkeypatch, key, value):
     return saved
 
 
-def test_stored_resequence_position_mode_loads(tmp_path, monkeypatch):
-    """Checkpoints written while RunConfig had ``position_mode`` load
-    with identical tensors when it holds resequence, the layout that is
-    left."""
+def assert_loads_as_saved(cfg, params, state, path):
+    """What ``save_small`` saved at ``path`` loads with ``cfg``'s echo and
+    exactly the saved step, tensors and Adam state."""
     from slm.config import config_echo
-    cfg, params, state, path = save_with_stored_key(
-        tmp_path, monkeypatch, "position_mode", "resequence")
     ck = load_checkpoint(path, expected_names=params.keys())
     assert config_echo(ck.config) == config_echo(cfg)
     assert ck.step == 123 and ck.opt_state.t == state.t
@@ -212,6 +209,35 @@ def test_stored_resequence_position_mode_loads(tmp_path, monkeypatch):
         assert ck.params[name].data.tobytes() == params[name].data.tobytes()
         assert ck.opt_state.m[name].tobytes() == state.m[name].tobytes()
         assert ck.opt_state.v[name].tobytes() == state.v[name].tobytes()
+
+
+def test_stored_resequence_position_mode_loads(tmp_path, monkeypatch):
+    """Checkpoints written while RunConfig had ``position_mode`` load
+    with identical tensors when it holds resequence, the layout that is
+    left."""
+    assert_loads_as_saved(*save_with_stored_key(
+        tmp_path, monkeypatch, "position_mode", "resequence"))
+
+
+RETIRED_PAIRS = [
+    ("p_geom", "0.2"), ("p_geom", "2.0"), ("max_span", "3"),
+    ("max_span", "0"), ("mask_rate", "0.15"), ("mask_rate", "0.5"),
+    ("replace_mask", "0.8"), ("replace_mask", "x"),
+    ("replace_random", "0.1"), ("replace_random", "-1"),
+    ("replace_keep", "0.1"), ("replace_keep", "0.3"),
+    ("gradcheck_tol", "0.001"), ("gradcheck_tol", "nan"),
+]
+
+
+@pytest.mark.parametrize("key,value", RETIRED_PAIRS,
+                         ids=["=".join(pair) for pair in RETIRED_PAIRS])
+def test_stored_masking_and_tolerance_keys_load(tmp_path, monkeypatch,
+                                                key, value):
+    """Checkpoints written while the masking recipe and the gradcheck
+    tolerance were config keys load with identical tensors, whatever
+    value they stored: no checkpoint command masks or gradchecks."""
+    assert_loads_as_saved(*save_with_stored_key(
+        tmp_path, monkeypatch, key, value))
 
 
 def test_stored_travel_position_mode_is_a_format_error(tmp_path,

@@ -172,11 +172,6 @@ def test_gradcheck_passes_on_small_model(capsys):
     assert "float64" in out
 
 
-def test_gradcheck_rejects_bad_replacement_fractions(capsys):
-    assert run(["gradcheck", "--set", "replace_mask=0.5"]) == 2
-    assert "replacement fractions" in capsys.readouterr().err
-
-
 def test_seed_changes_training_outcome(workspace, tmp_path, capsys):
     base = SMALL_MODEL + [f"vocab_size={workspace['n_vocab']}",
                           f"corpus={workspace['prepared']}",
@@ -680,6 +675,79 @@ def test_retired_gradcheck_dtype_key_exits_two(command, capsys):
     assert run([command, "--set", "gradcheck_dtype=float64"]) == 2
     assert capsys.readouterr().err == (
         "error: unknown config key 'gradcheck_dtype'\n")
+
+
+@pytest.mark.parametrize("command", ["pretrain", "eval-unshuffle",
+                                     "gradcheck"])
+@pytest.mark.parametrize("pair", ["p_geom=0.3", "gradcheck_tol=1"])
+def test_retired_masking_and_tolerance_keys_exit_two(command, pair, capsys):
+    assert run([command, "--set", pair]) == 2
+    key = pair.split("=")[0]
+    assert capsys.readouterr().err == f"error: unknown config key '{key}'\n"
+
+
+def test_qa_gold_span_outside_the_context_names_the_line(workspace, tmp_path,
+                                                         capsys):
+    args = checkpoint_args("finetune-qa", workspace, tmp_path)
+    qa = tmp_path / "train.jsonl"
+    qa.write_text(QA_TRAIN + '{"context": "The cat sat home", "question": '
+                  '"who sat", "answer_start_token": 2, '
+                  '"answer_end_token": 9}\n', encoding="utf-8")
+    assert run(args) == 1
+    assert capsys.readouterr().err == (
+        f"error: {qa}:2: gold span [2,9] outside context of 4 words\n")
+
+
+def test_classification_text_without_words_names_the_line(workspace,
+                                                          tmp_path, capsys):
+    args = checkpoint_args("finetune-cls", workspace, tmp_path)
+    tsv = tmp_path / "train.tsv"
+    tsv.write_text("pos\tThe cat sat home.\tThe dog ran fast.\n"
+                   "x\t \tb\n", encoding="utf-8")
+    assert run(args) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tsv}:2: classification text has no words\n")
+
+
+def test_failed_probe_export_leaves_no_index(workspace, tmp_path, capsys,
+                                            monkeypatch):
+    """A matrix write that fails partway leaves no index and no temporary
+    file, so the next probe exports afresh."""
+    from slm import probe
+    args = checkpoint_args("probe", workspace, tmp_path, "query_row=0",
+                           "top_k=2")
+    index = tmp_path / "sent.idx"
+    write_atomic = probe.write_atomic
+
+    def disk_full_on_the_matrix(path, write):
+        def header_then_full(fh):
+            fh.write(b"\0" * 16)
+            raise OSError("disk full")
+        write_atomic(path, header_then_full if path == str(index) else write)
+
+    monkeypatch.setattr(probe, "write_atomic", disk_full_on_the_matrix)
+    with pytest.raises(OSError, match="disk full"):
+        run(args)
+    monkeypatch.undo()
+    assert not index.exists()
+    assert not list(tmp_path.glob("*.tmp"))
+    assert run(args) == 0
+    assert "exported 6 sentence rows" in capsys.readouterr().out
+    assert probe.load_index(str(index)).matrix.shape[0] == 6
+
+
+def test_eval_unshuffle_without_sentence_markers_exits_two(workspace,
+                                                          tmp_path, capsys):
+    assert run(pretrain_args(workspace, tmp_path, "steps=3",
+                             "sentence_reps_enabled=false",
+                             "sr_enabled=false")) == 0
+    capsys.readouterr()
+    args = ["eval-unshuffle"] + sets([
+        f"checkpoint={tmp_path / 'run' / 'ckpt-final.bin'}",
+        f"eval_corpus={workspace['prepared']}"])
+    assert run(args) == 2
+    assert capsys.readouterr().err == (
+        "error: unshuffle eval needs sentence representations enabled\n")
 
 
 def test_out_of_memory_exits_one(workspace, tmp_path, capsys, monkeypatch):

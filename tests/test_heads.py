@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -344,6 +346,46 @@ def test_qa_reader_rejects_answer_indices_that_are_no_integers(tmp_path,
     with pytest.raises(DataError, match=f"{path}:1: malformed QA record: "
                        "answer token indices must be integers"):
         read_qa_jsonl(str(path), vocab, cfg_for(vocab))
+
+
+def qa_record(context, question, start, end):
+    return json.dumps({"context": context, "question": question,
+                       "answer_start_token": start, "answer_end_token": end})
+
+
+@pytest.mark.parametrize("record,seq_len,message", [
+    (qa_record("the cat sat", "the cat", 1, 3), 32,
+     "gold span [1,3] outside context of 3 words"),
+    (qa_record("the cat sat", " ", 0, 0), 32,
+     "QA example needs a non-empty question and context"),
+    (qa_record("the cat sat on the red mat. the dog ran fast to the sun.",
+               "the cat", 12, 13), 12,
+     "gold span truncated away while packing"),
+], ids=["outside", "empty-question", "truncated"])
+def test_qa_reader_names_the_line_of_a_record_that_does_not_pack(
+        tmp_path, record, seq_len, message):
+    vocab = toy_vocab()
+    path = tmp_path / "qa.jsonl"
+    path.write_text(qa_record("the dog ran.", "the dog", 0, 0) + "\n"
+                    + record + "\n")
+    with pytest.raises(DataError) as exc:
+        read_qa_jsonl(str(path), vocab, cfg_for(vocab, seq_len=seq_len))
+    assert str(exc.value) == f"{path}:2: {message}"
+
+
+@pytest.mark.parametrize("line,seq_len,message", [
+    ("x\t \tb", 32, "classification text has no words"),
+    ("x\tcat dog cat dog cat dog cat dog\tdog cat", 8,
+     "no room to pack every text in the pair"),
+], ids=["blank-text", "no-room"])
+def test_tsv_reader_names_the_line_of_a_row_that_does_not_pack(
+        tmp_path, line, seq_len, message):
+    vocab = toy_vocab()
+    path = tmp_path / "train.tsv"
+    path.write_text(f"y\tthe cat\tthe dog\n{line}\n")
+    with pytest.raises(DataError) as exc:
+        read_cls_tsv(str(path), vocab, cfg_for(vocab, seq_len=seq_len))
+    assert str(exc.value) == f"{path}:2: {message}"
 
 
 def test_batched_qa_metrics_match_per_example_scoring():

@@ -143,9 +143,26 @@ def test_oracle_decoder_recovers_original_order():
 
 
 def test_apply_shuffle_rejects_bad_perm():
+    """apply_shuffle and order_targets refuse a bad perm alike."""
     ex = example([2, 2])
-    with pytest.raises(ContractError):
-        apply_shuffle(ex, np.array([0, 2]))
+    for bad in ([0, 2], [0, 0], [1, 0, 2]):
+        with pytest.raises(ContractError) as shuffled:
+            apply_shuffle(ex, np.array(bad))
+        with pytest.raises(ContractError) as targeted:
+            order_targets(np.array(bad), 2)
+        assert str(shuffled.value) == str(targeted.value) == (
+            "perm must be a permutation of 0..n-1")
+
+
+def test_apply_shuffle_refuses_an_example_without_markers():
+    doc = Document([[10, 11], [12]])
+    ex = pack_example(doc, 32, 8, rng(), use_sentence_tokens=False)
+    with pytest.raises(ContractError) as shuffled:
+        apply_shuffle(ex, np.array([1, 0]))
+    with pytest.raises(ContractError) as summarised:
+        summary_positions(ex)
+    assert str(shuffled.value) == str(summarised.value) == (
+        "example was packed without sentence tokens")
 
 
 # -- batch gate ---------------------------------------------------------------
