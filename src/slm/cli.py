@@ -10,7 +10,9 @@ holding NaN/Inf, a vocab file with more tokens than ``vocab_size``
 (pretrain: any other count), and argparse's usage errors, such as a
 flag the command does not take. ``-v`` / ``--log-level LEVEL`` on any
 subcommand sends log records (the trainer's step lines at ``info``) to
-stderr; the default, ``warning``, keeps a run quiet.
+stderr; the default, ``warning``, keeps a run quiet. A file the system
+refuses to create or write, such as an ``--out`` under a regular file
+or a write to a full disk, is ``error: <path>: <reason>`` with exit 1.
 
 Heavy imports happen inside main() so SLM_THREADS can cap the BLAS
 thread pools before numpy loads.
@@ -314,6 +316,10 @@ def main(argv=None) -> int:
             return 1
         except MemoryError as exc:
             print(f"error: out of memory: {exc}", file=sys.stderr)
+            return 1
+        except OSError as exc:
+            where = f"{exc.filename}: " if exc.filename else ""
+            print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
             return 1
         except (ContractError, FormatError) as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -13,6 +13,26 @@ to ``max(attention_len)`` positions and the output is
 without a graph alike. Padding keys are masked out of every attention
 row, so the real rows equal the full-length ones up to float rounding,
 and every caller reads only rows below ``attention_len``.
+
+Readers that need a few rows ask ``encode_batch`` for them (``rows``,
+[B, R] positions) and get [B, R, hidden]. The last layer still scores
+every query row against every key, since a product of fewer rows can
+round differently, then runs the softmax, the weighted values, the
+output projection, the residual, both norms and the FFN on the R rows
+only. Unshuffle eval asks for the summary rows, probe export for the
+[SENT] rows and classification scoring for the feature rows.
+Pretraining and fine-tuning read every row of the full encode:
+restricting rows where a graph is recorded would change how the weight
+gradients sum and which dropout draws are made. QA scoring reads
+nearly every row.
+
+The selected rows equal the full encode's bit for bit wherever numpy's
+matrix product rounds a row alike for any row count, as it does on the
+shapes the tests cover (the tiny profile and the learning check's
+model). One row alone is encoded as two, because numpy multiplies a
+single row by a matrix-vector product, which rounds differently.
+OpenBLAS's small-matrix kernel can still round a few-row FFN product
+differently on other shapes (seen at ffn 512).
 """
 from __future__ import annotations
 
@@ -21,7 +41,8 @@ import numpy as np
 from . import tensor as T
 from .config import RunConfig
 from .errors import ContractError
-from .model import NEG_INF, feed_forward, multi_head_attention, post_norm
+from .model import (NEG_INF, feed_forward, multi_head_attention, post_norm,
+                    select_rows)
 from .shuffling import summary_positions
 from .tensor import Tensor
 from .textpipe import PackedExample
@@ -62,24 +83,52 @@ def embed(params: dict, cfg: RunConfig, token_ids: np.ndarray,
     return T.dropout(h0, cfg.dropout, rng)
 
 
+def pad_rows(positions: list) -> np.ndarray:
+    """[B, R] positions from one list per example, each padded with 0
+    ([CLS]) to the longest list."""
+    rows = np.zeros((len(positions), max(map(len, positions))),
+                    dtype=np.int64)
+    for b, p in enumerate(positions):
+        rows[b, :len(p)] = p
+    return rows
+
+
 def encode(params: dict, cfg: RunConfig, h0: Tensor, bias: Tensor,
-           rng=None) -> Tensor:
-    """Run the encoder stack; zero layers returns H0 unchanged."""
+           rng=None, rows=None) -> Tensor:
+    """Run the encoder stack; zero layers returns H0 unchanged.
+
+    With ``rows`` ([B, R] positions) the last layer scores every query
+    row, then computes only those rows from the softmax on: the result
+    is [B, R, hidden].
+    """
+    if rows is not None:
+        rows = np.asarray(rows)
+        if not cfg.encoder_layers:
+            return select_rows(h0, rows)
+        if rows.shape[-1:] == (1,):
+            # numpy multiplies one row by a matrix-vector product, which
+            # rounds unlike the full encode's matrix product: encode two
+            out = encode(params, cfg, h0, bias, rng, np.repeat(rows, 2, 1))
+            return select_rows(out, np.zeros_like(rows))
+    last = cfg.encoder_layers - 1
     x = h0
     for i in range(cfg.encoder_layers):
+        keep = None if i < last else rows
+        q = x if keep is None else select_rows(x, keep)
         attn = multi_head_attention(
-            params, f"enc.{i}.attn", x, x, bias, cfg, rng)
-        x = post_norm(params, f"enc.{i}.ln1", x, attn, cfg, rng)
+            params, f"enc.{i}.attn", x, x, bias, cfg, rng, rows=keep)
+        x = post_norm(params, f"enc.{i}.ln1", q, attn, cfg, rng)
         ffn = feed_forward(params, f"enc.{i}.ffn", x)
         x = post_norm(params, f"enc.{i}.ln2", x, ffn, cfg, rng)
     return x
 
 
 def encode_batch(params: dict, cfg: RunConfig, examples: list[PackedExample],
-                 rng=None, training: bool = False) -> Tensor:
+                 rng=None, training: bool = False, *, rows=None) -> Tensor:
     """Stack examples, cut to the longest real row, and run embed +
     encode, dropping out from ``rng`` only when ``training``; returns
-    [B, max(attention_len), hidden]."""
+    [B, max(attention_len), hidden], or with ``rows`` ([B, R] positions
+    below that width) only those rows, [B, R, hidden]."""
     rng = rng if training else None
     width = max(ex.attention_len for ex in examples)
     token_ids = np.stack([ex.token_ids[:width] for ex in examples])
@@ -91,16 +140,21 @@ def encode_batch(params: dict, cfg: RunConfig, examples: list[PackedExample],
                           dtype=params["emb.token"].data.dtype)
     h0 = embed(params, cfg, token_ids, position_ids, sentence_ids,
                segment_ids, rng)
-    return encode(params, cfg, h0, bias, rng)
+    return encode(params, cfg, h0, bias, rng, rows)
 
 
-def extract_summary(h: Tensor, ex: PackedExample, batch_index: int) -> Tensor:
+def extract_summary(h: Tensor, ex: PackedExample, batch_index: int,
+                    selected: bool = False) -> Tensor:
     """Rows of C for one example: [CLS], display-ordered [SENT]s, [SEP].
 
     Returns a [1, N+2, hidden] tensor whose rows are exactly the encoder
-    output rows at the recorded indices.
+    output rows at the recorded indices. With ``selected``, ``h`` is an
+    ``encode_batch`` output at ``rows`` that list each example's
+    ``summary_positions`` first, so C is the example's first N+2 rows.
     """
     bsz, length, hidden = h.shape
-    rows = batch_index * length + summary_positions(ex)
-    c = T.take(h.reshape(bsz * length, hidden), rows)
-    return c.reshape(1, len(rows), hidden)
+    positions = (np.arange(ex.num_sentences + 2) if selected
+                 else summary_positions(ex))
+    c = T.take(h.reshape(bsz * length, hidden),
+               batch_index * length + positions)
+    return c.reshape(1, len(positions), hidden)

@@ -37,7 +37,9 @@ def read_text(path: str, what: str) -> str:
 def write_atomic(path: str, write) -> None:
     """Write ``path`` by ``write(fh)`` into a synced temporary file that
     is renamed into place, then sync the directory: a failed,
-    interrupted or power-cut write leaves the old file or none."""
+    interrupted or power-cut write leaves the old file or none. An
+    ``OSError`` that names no file, such as a full disk, is raised
+    again naming ``path``."""
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -50,7 +52,9 @@ def write_atomic(path: str, write) -> None:
             os.fsync(fd)
         finally:
             os.close(fd)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename is None:
+            raise OSError(exc.errno, exc.strerror or str(exc), path) from exc
         raise

@@ -30,7 +30,7 @@ from . import tensor as T
 from .config import RunConfig
 from .encoder import encode_batch
 from .errors import ContractError, DataError, read_text
-from .model import INIT_STD, trunc_normal
+from .model import INIT_STD, select_rows, trunc_normal
 from .optim import AdamState, adam_update, clip_global_norm, zero_grads
 from .tensor import Tensor, backward, no_grad
 from .textpipe import (PackedExample, Vocab, document_from_text,
@@ -131,27 +131,38 @@ def init_cls_head(cfg: RunConfig, n_outputs: int, num_texts: int,
     }
 
 
-def cls_features(h: Tensor, examples: list[ClsExample],
-                 cfg: RunConfig) -> Tensor:
-    """Concatenate [CLS] and first-[SENT]-per-text rows, batchwise."""
-    bsz, length, hidden = h.shape
+def feature_rows(examples: list[ClsExample], cfg: RunConfig) -> np.ndarray:
+    """[B, 1 + texts] positions of each example's feature: [CLS], then,
+    with sentence representations, the first [SENT] of each text."""
     per = 1 + (examples[0].num_texts if cfg.sentence_reps_enabled else 0)
-    flat = []
-    for b, ex in enumerate(examples):
+    rows = []
+    for ex in examples:
         if cfg.sentence_reps_enabled and len(ex.markers) != ex.num_texts:
             raise ContractError("example does not carry one marker per text")
-        rows = [0] + (ex.markers if cfg.sentence_reps_enabled else [])
-        if len(rows) != per:
+        row = [0] + (ex.markers if cfg.sentence_reps_enabled else [])
+        if len(row) != per:
             raise ContractError("inconsistent sentence-input count in batch")
-        flat.extend(b * length + r for r in rows)
-    gathered = T.take(h.reshape(bsz * length, hidden), np.asarray(flat))
-    return gathered.reshape(bsz, per * hidden)
+        rows.append(row)
+    return np.asarray(rows)
+
+
+def cls_features(h: Tensor, examples: list[ClsExample],
+                 cfg: RunConfig) -> Tensor:
+    """Each example's feature rows side by side, [B, (1 + texts) * hidden];
+    ``h`` is the encoder output at ``feature_rows(examples, cfg)``."""
+    bsz, per, hidden = h.shape
+    want = feature_rows(examples, cfg).shape
+    if want != (bsz, per):
+        raise ContractError(f"encoder rows {(bsz, per)} do not match the "
+                            f"examples' feature rows {want}")
+    return h.reshape(bsz, per * hidden)
 
 
 def classify(h: Tensor, examples: list[ClsExample], head: dict,
              cfg: RunConfig) -> tuple[Tensor, Tensor]:
-    """Returns (outputs, loss). Outputs are logits [B, n_classes] for
-    classification or scores [B, 1] for regression (squared error)."""
+    """Returns (outputs, loss). ``h`` is the encoder output at
+    ``feature_rows(examples, cfg)``. Outputs are logits [B, n_classes]
+    for classification or scores [B, 1] for regression (squared error)."""
     feats = cls_features(h, examples, cfg)
     out = T.matmul(feats, head["cls.w"]) + head["cls.b"]
     if cfg.task_type == "regression":
@@ -199,16 +210,23 @@ def finetune_cls(params: dict, cfg: RunConfig, examples: list[ClsExample],
     rng = np.random.default_rng([seed, 90])
     head = init_cls_head(cfg, n_outputs, examples[0].num_texts, rng)
     return _finetune(params, cfg, examples, head, steps, rng,
-                     lambda h, batch: classify(h, batch, head, cfg)[1])
+                     lambda h, batch: classify(
+                         select_rows(h, feature_rows(batch, cfg)), batch,
+                         head, cfg)[1])
 
 
 def cls_accuracy(params: dict, head: dict, cfg: RunConfig,
                  examples: list[ClsExample]) -> float:
+    """Share of ``examples`` whose argmax class is the label; the
+    encoder's last layer runs only at the feature rows."""
+    if not examples:
+        raise ContractError("cls_accuracy needs at least one example")
     hits = 0
     with no_grad():
         for lo in range(0, len(examples), cfg.batch_size):
             batch = examples[lo:lo + cfg.batch_size]
-            h = encode_batch(params, cfg, [ex.packed for ex in batch])
+            h = encode_batch(params, cfg, [ex.packed for ex in batch],
+                             rows=feature_rows(batch, cfg))
             out, _ = classify(h, batch, head, cfg)
             preds = np.argmax(out.data, axis=1)
             hits += int(sum(p == int(ex.label)
@@ -346,6 +364,8 @@ def qa_metrics(params: dict, head: dict, cfg: RunConfig,
                examples: list[QaExample]) -> dict:
     """Exact-match of the span, and how often the predicted sentence
     contains the predicted span (reported, not a training signal)."""
+    if not examples:
+        raise ContractError("qa_metrics needs at least one example")
     em = 0
     consistent = 0
     with no_grad():

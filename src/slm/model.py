@@ -13,6 +13,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import RunConfig
+from .errors import ContractError
 from .tensor import Tensor
 
 INIT_STD = 0.02
@@ -95,9 +96,27 @@ def parameter_counts(cfg: RunConfig) -> tuple[int, int]:
     return enc, dec
 
 
+def select_rows(h: Tensor, rows) -> Tensor:
+    """The rows ``rows`` ([B, R] positions on the next-to-last axis) of
+    each example of ``h`` ([B, ..., L, D]) in one ``take``:
+    [B, ..., R, D]."""
+    *lead, length, width = h.shape
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[0] != lead[0]:
+        raise ContractError(f"rows must be [{lead[0]}, R] positions, "
+                            f"got shape {rows.shape}")
+    if rows.size and (rows.min() < 0 or rows.max() >= length):
+        raise ContractError(f"row positions must lie in [0, {length})")
+    groups = int(np.prod(lead[1:], dtype=np.int64))
+    starts = np.arange(lead[0] * groups).reshape(lead[0], groups, 1) * length
+    flat = (starts + rows[:, None, :]).reshape(-1)
+    return T.take(h.reshape(-1, width), flat).reshape(
+        *lead, rows.shape[1], width)
+
+
 def multi_head_attention(params: dict, prefix: str, x_q: Tensor,
                          x_kv: Tensor | None, bias, cfg: RunConfig, rng,
-                         cache: dict | None = None) -> Tensor:
+                         cache: dict | None = None, rows=None) -> Tensor:
     """Scaled dot-product attention over the last two axes.
 
     ``bias`` (a Tensor, or None) is an additive mask broadcast onto the
@@ -111,6 +130,11 @@ def multi_head_attention(params: dict, prefix: str, x_q: Tensor,
     keeps each prefix's keys and values between calls. The keys and
     values of ``x_kv`` are appended to the prefix's cached ones, and
     ``x_kv=None`` attends to the cached ones as they stand.
+
+    ``rows`` ([B, R] positions) keeps only those query rows: every row
+    of ``x_q`` is scored, so each score is the product the full
+    attention computes, with its rounding, and the softmax, the weighted
+    values and the output projection run on R rows: [B, R, hidden].
     """
     nh = cfg.heads
     dh = cfg.hidden // nh
@@ -132,8 +156,10 @@ def multi_head_attention(params: dict, prefix: str, x_q: Tensor,
                 v = Tensor(np.concatenate([old_v.data, v.data], axis=2))
             cache[prefix] = (k, v)
 
-    probs = T.attention_softmax(T.matmul(q, k.swapaxes(-1, -2)),
-                                1.0 / np.sqrt(dh), bias)
+    scores = T.matmul(q, k.swapaxes(-1, -2))
+    if rows is not None:
+        scores = select_rows(scores, rows)
+    probs = T.attention_softmax(scores, 1.0 / np.sqrt(dh), bias)
     probs = T.dropout(probs, cfg.attn_dropout, rng)
     ctx = T.matmul(probs, v).swapaxes(1, 2)
     b, l, _, _ = ctx.shape

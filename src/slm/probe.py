@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .encoder import encode_batch
+from .encoder import encode_batch, pad_rows
 from .errors import ContractError, DataError, FormatError, write_atomic
 from .tensor import no_grad
 from .textpipe import Document, Vocab, merge_to_max, pack_example, tokenize
@@ -45,7 +45,8 @@ def export_reps(params: dict, cfg: RunConfig,
     """One row per packed sentence of every document, in corpus order.
 
     Every document is packed first (one rng stream, corpus order), then
-    the packed inputs are encoded ``cfg.batch_size`` at a time.
+    the packed inputs are encoded ``cfg.batch_size`` at a time, the
+    encoder's last layer only at the [SENT] rows.
     """
     if not cfg.sentence_reps_enabled:
         raise ContractError("export needs sentence representations enabled")
@@ -71,10 +72,13 @@ def export_reps(params: dict, cfg: RunConfig,
     with no_grad():
         for lo in range(0, len(packed), cfg.batch_size):
             chunk = packed[lo:lo + cfg.batch_size]
-            h = encode_batch(params, cfg, [ex for _, ex, _ in chunk]).data
+            markers = pad_rows([[sent_pos for sent_pos, _, _ in
+                                 ex.sentence_spans] for _, ex, _ in chunk])
+            h = encode_batch(params, cfg, [ex for _, ex, _ in chunk],
+                             rows=markers).data
             for b, (doc_id, ex, texts) in enumerate(chunk):
-                for k, (sent_pos, _, _) in enumerate(ex.sentence_spans):
-                    rows.append(h[b, sent_pos].astype(np.float32))
+                for k in range(len(ex.sentence_spans)):
+                    rows.append(h[b, k].astype(np.float32))
                     records.append({
                         "doc": doc_id,
                         "sent": k,

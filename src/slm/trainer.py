@@ -29,7 +29,7 @@ import numpy as np
 
 from .checkpoint import save_checkpoint
 from .config import RunConfig, config_echo
-from .encoder import encode_batch, extract_summary
+from .encoder import encode_batch, extract_summary, pad_rows
 from .errors import ContractError, DataError
 from .masking import apply_span_masking
 from .model import init_params, param_shapes
@@ -37,7 +37,7 @@ from .objectives import pretrain_bundle
 from .optim import AdamState, adam_update, clip_global_norm, lr_schedule, zero_grads
 from .reconstructor import greedy_unshuffle
 from .shuffling import (apply_shuffle, batch_shuffle_mask, identity_record,
-                        sample_permutation)
+                        sample_permutation, summary_positions)
 from .tensor import backward, no_grad
 from .textpipe import Document, PackedExample, Vocab, pack_example
 
@@ -199,11 +199,14 @@ def evaluate_unshuffle(params: dict, cfg: RunConfig,
     display-slot order of each original document against the truth,
     ``pos_acc``, the share of display slots placed correctly, and
     ``by_n``, the n/em/tau of the documents of each sentence count.
-    Each encode batch is decoded as one batch.
+    Each encode batch is decoded as one batch. The encoder's last layer
+    runs only at the summary rows.
     """
     if not cfg.sentence_reps_enabled:
         raise ContractError(
             "unshuffle eval needs sentence representations enabled")
+    if not packed:
+        raise ContractError("evaluate_unshuffle needs at least one example")
     rng = np.random.default_rng([seed, _EVAL])
     shuffled = []
     for ex in packed:
@@ -216,9 +219,11 @@ def evaluate_unshuffle(params: dict, cfg: RunConfig,
     with no_grad():
         for lo in range(0, len(shuffled), cfg.batch_size):
             chunk = shuffled[lo:lo + cfg.batch_size]
-            h = encode_batch(params, cfg, chunk)
+            rows = pad_rows([summary_positions(ex) for ex in chunk])
+            h = encode_batch(params, cfg, chunk, rows=rows)
             preds = greedy_unshuffle(params, cfg, [
-                extract_summary(h, ex, b) for b, ex in enumerate(chunk)])
+                extract_summary(h, ex, b, selected=True)
+                for b, ex in enumerate(chunk)])
             for pred, ex in zip(preds, chunk):
                 hits.append(np.array_equal(pred, ex.perm))
                 taus.append(kendall_tau(pred, ex.perm))

@@ -1,5 +1,6 @@
-"""Digests that show whether a change moved pretraining's or
-fine-tuning's bits.
+"""Digests that show whether a change moved the bits of pretraining,
+of fine-tuning or of what eval, probe export and classification scoring
+read from the encoder.
 
 Two short pretraining runs on the ``corpus_gen`` stories, each followed
 by held-out greedy unshuffling:
@@ -15,7 +16,12 @@ For each run it prints the sha256 of ``metrics.csv`` and of
 ``ckpt-tensors`` (the step, every tensor, the Adam step and every Adam
 moment, as ``load_checkpoint`` reads them). Then it prints the digest
 of the orders ``evaluate_unshuffle`` predicts for the held-out stories
-with the trained parameters, plus that eval's em.
+with the trained parameters, plus that eval's em, and three digests of
+what the readers of the encoder read: every summary C that
+``greedy_unshuffle`` receives in that eval (``unshuffle-c``), the
+``export_reps`` matrix of the held-out stories (``export``), and the
+``cls_features`` rows that ``cls_accuracy`` scores with a fresh head on
+sentence pairs from those stories (``cls-features``).
 
 A third leg, ``finetune``, loads the ``tiny-dropout`` checkpoint twice
 and runs ``finetune_cls`` and ``finetune_qa`` on pairs and questions
@@ -27,7 +33,7 @@ Run it from the repository root at two commits and compare the lines:
     PYTHONPATH=src SLM_THREADS=1 python tests/pretrain_digest.py
 
 Equal digests mean the change left every float of pretraining, greedy
-decoding and fine-tuning as it was, so criterion 5 escapes at the same
+decoding, the readers above and fine-tuning as it was, so criterion 5 escapes at the same
 leg and needs no escape-leg rerun. A change that only adds or retires a
 config key moves the two file digests and none of the others. Digests
 match only on the same Python, numpy and BLAS. pytest does not collect
@@ -85,17 +91,19 @@ def checkpoint_tensors_digest(path: str) -> str:
     return arrays_digest(named)
 
 
-def unshuffle_orders(params, cfg, held) -> tuple[str, float]:
-    """Digest of the orders ``evaluate_unshuffle`` predicts, and its em."""
+def unshuffle_orders(params, cfg, held) -> tuple[str, str, float]:
+    """Digests of the orders ``evaluate_unshuffle`` predicts and of every
+    summary C it decodes, and its em."""
     import numpy as np
 
     from slm import trainer
 
-    orders = []
+    orders, summaries = [], []
     greedy = trainer.greedy_unshuffle
 
-    def recording(*args, **kwargs):
-        preds = greedy(*args, **kwargs)
+    def recording(params, cfg, c):
+        summaries.extend(c)
+        preds = greedy(params, cfg, c)
         orders.extend(preds)
         return preds
 
@@ -110,7 +118,51 @@ def unshuffle_orders(params, cfg, held) -> tuple[str, float]:
         order = np.asarray(order, dtype=np.int64)
         h.update(np.int64(order.size).tobytes())
         h.update(order.tobytes())
-    return h.hexdigest(), scores["em"]
+    c_digest = arrays_digest((f"c{k}", c.data)
+                             for k, c in enumerate(summaries))
+    return h.hexdigest(), c_digest, scores["em"]
+
+
+def pair_examples(stories, vocab, cfg) -> list:
+    """Sentence pairs of each story's first two sentences, every other
+    one swapped and labelled 1."""
+    from slm import heads
+
+    pairs = []
+    for k, story in enumerate(stories):
+        a, b = (story[0], story[1]) if k % 2 else (story[1], story[0])
+        ex = heads.pack_pair(a, b, vocab, cfg)
+        ex.label = float(k % 2)
+        pairs.append(ex)
+    return pairs
+
+
+def reader_digests(params, cfg, stories, vocab) -> tuple[str, str]:
+    """Digests of the ``export_reps`` matrix of ``stories`` and of the
+    ``cls_features`` rows ``cls_accuracy`` scores on their pairs."""
+    import numpy as np
+
+    from slm import heads
+    from slm.probe import export_reps
+
+    index = export_reps(params, cfg, stories, vocab)
+    features = []
+    cls_features = heads.cls_features
+
+    def recording(*args):
+        feats = cls_features(*args)
+        features.append(feats)
+        return feats
+
+    head = heads.init_cls_head(cfg, 2, 2, np.random.default_rng(5))
+    heads.cls_features = recording
+    try:
+        heads.cls_accuracy(params, head, cfg,
+                           pair_examples(stories, vocab, cfg))
+    finally:
+        heads.cls_features = cls_features
+    return (arrays_digest([("export", index.matrix)]),
+            arrays_digest((f"f{k}", f.data) for k, f in enumerate(features)))
 
 
 def finetune_leg(ckpt_path: str, vocab, stories) -> None:
@@ -125,12 +177,7 @@ def finetune_leg(ckpt_path: str, vocab, stories) -> None:
     cfg = load_checkpoint(ckpt_path).config
     assert cfg.dropout > 0 and cfg.attn_dropout > 0
 
-    pairs = []
-    for k, story in enumerate(stories):
-        a, b = (story[0], story[1]) if k % 2 else (story[1], story[0])
-        ex = heads.pack_pair(a, b, vocab, cfg)
-        ex.label = float(k % 2)
-        pairs.append(ex)
+    pairs = pair_examples(stories, vocab, cfg)
     questions = []
     for k, story in enumerate(stories):
         context = " ".join(story)
@@ -165,6 +212,8 @@ def main() -> None:
     from escape_legs import learning_setup
 
     train, held, base = learning_setup(corpus_seed=0)
+    vocab = corpus_assets(5000, 200, 0)[2]
+    held_texts = make_corpus(200, 1)    # the sentences of ``held``
     runs = [
         ("learning", replace(base, seed=0)),
         ("tiny-dropout", replace(resolve_config("tiny"),
@@ -186,10 +235,15 @@ def main() -> None:
                   flush=True)
             print(f"{name} ckpt-tensors {checkpoint_tensors_digest(ckpt)}",
                   flush=True)
-            digest, em = unshuffle_orders(res["params"], cfg, held)
-            print(f"{name} unshuffle-orders {digest} em={em:.3f}", flush=True)
+            orders, summaries, em = unshuffle_orders(res["params"], cfg,
+                                                     held)
+            print(f"{name} unshuffle-orders {orders} em={em:.3f}", flush=True)
+            print(f"{name} unshuffle-c {summaries}", flush=True)
+            export, features = reader_digests(res["params"], cfg,
+                                              held_texts, vocab)
+            print(f"{name} export {export}", flush=True)
+            print(f"{name} cls-features {features}", flush=True)
 
-        vocab = corpus_assets(5000, 200, 0)[2]
         finetune_leg(os.path.join(tmp, "tiny-dropout", "ckpt-final.bin"),
                      vocab, make_corpus(16, 1))
 

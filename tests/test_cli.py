@@ -726,14 +726,76 @@ def test_failed_probe_export_leaves_no_index(workspace, tmp_path, capsys,
         write_atomic(path, header_then_full if path == str(index) else write)
 
     monkeypatch.setattr(probe, "write_atomic", disk_full_on_the_matrix)
-    with pytest.raises(OSError, match="disk full"):
-        run(args)
+    assert run(args) == 1
+    assert capsys.readouterr().err == f"error: {index}: disk full\n"
     monkeypatch.undo()
     assert not index.exists()
     assert not list(tmp_path.glob("*.tmp"))
     assert run(args) == 0
     assert "exported 6 sentence rows" in capsys.readouterr().out
     assert probe.load_index(str(index)).matrix.shape[0] == 6
+
+
+def test_row_selected_readers_print_and_write_the_full_encode_bytes(
+        workspace, tmp_path, capsys, monkeypatch):
+    """eval-unshuffle's scores, finetune-cls's accuracy and probe's index
+    are the bytes they are when every row runs through the last layer."""
+    from slm import heads, probe, trainer
+    from util import encode_all_rows
+
+    def outputs(tag):
+        (tmp_path / tag).mkdir()
+        printed = []
+        for command in ("eval-unshuffle", "finetune-cls", "probe"):
+            assert run(checkpoint_args(command, workspace,
+                                       tmp_path / tag)) == 0
+            printed.append(capsys.readouterr().out.replace(
+                str(tmp_path / tag), ""))
+        index = tmp_path / tag / "sent.idx"
+        return printed, index.read_bytes(), (
+            tmp_path / tag / "sent.idx.jsonl").read_bytes()
+
+    selected = outputs("selected")
+    for module in (trainer, probe, heads):
+        monkeypatch.setattr(module, "encode_batch", encode_all_rows)
+    assert outputs("full") == selected
+
+
+def test_out_dir_under_a_file_exits_one_naming_it(workspace, tmp_path,
+                                                  capsys):
+    out = workspace["prepared"] / "sub"
+    args = pretrain_args(workspace, tmp_path)
+    args[args.index("--out") + 1] = str(out)
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {out}: Not a directory\n"
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_full_disk_while_checkpointing_exits_one_leaving_nothing(
+        workspace, tmp_path, capsys, monkeypatch):
+    """A checkpoint write that runs out of space names the checkpoint,
+    exits 1 and leaves neither it nor its temporary file."""
+    import errno
+
+    from slm import checkpoint
+    write_atomic = checkpoint.write_atomic
+
+    def disk_full(path, write):
+        def half_then_full(fh):
+            fh.write(b"\0" * 64)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        write_atomic(path, half_then_full)
+
+    monkeypatch.setattr(checkpoint, "write_atomic", disk_full)
+    assert run(pretrain_args(workspace, tmp_path, "steps=2")) == 1
+    captured = capsys.readouterr()
+    ckpt = tmp_path / "run" / "ckpt-final.bin"
+    assert captured.err == (f"error: {ckpt}: "
+                            f"{os.strerror(errno.ENOSPC)}\n")
+    assert "Traceback" not in captured.out + captured.err
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+        "metrics.csv"]
 
 
 def test_eval_unshuffle_without_sentence_markers_exits_two(workspace,

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from slm import tensor as T
-from slm.encoder import attention_bias, embed, encode, encode_batch, extract_summary
+from slm.encoder import (attention_bias, embed, encode, encode_batch,
+                         extract_summary, pad_rows)
 from slm.errors import ContractError
 from slm.model import parameter_counts, param_shapes
 from slm.shuffling import apply_shuffle, identity_record, sample_permutation
 from slm.textpipe import Document, pack_example
 
-from util import (build_params, encode_full_length, masked_example,
-                  physical_shuffle, small_config)
+from util import (build_params, encode_all_rows, encode_full_length,
+                  masked_example, physical_shuffle, small_config)
 
 
 def ids(*vals):
@@ -194,3 +195,135 @@ def test_encode_batch_draws_dropout_only_when_training():
     dropped = encode_batch(params, cfg, batch, rng, training=True)
     assert rng.bit_generator.state != state
     assert not np.array_equal(dropped.data, h.data)
+
+
+# the suite's small model, the tiny profile's widths on the benchmark's
+# story and long-document lengths, and the learning check's model
+ROW_SHAPES = [
+    dict(encoder_layers=0), dict(encoder_layers=1), dict(encoder_layers=2),
+    dict(hidden=64, ffn=256, seq_len=128, max_sentences=8),
+    dict(hidden=64, ffn=256, seq_len=256, max_sentences=20),
+    dict(hidden=128, heads=4, ffn=256, seq_len=64, max_sentences=4,
+         encoder_layers=4),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", ROW_SHAPES,
+                         ids=lambda kw: ",".join(f"{k}={v}"
+                                                 for k, v in kw.items()))
+def test_selected_rows_equal_the_full_encode_bit_for_bit(shape, dtype):
+    """Random batches of mixed attention_len, rows drawn anywhere below
+    the width: real, repeated and padding positions, one row or many."""
+    cfg = small_config(**shape)
+    params = build_params(cfg, dtype=dtype)
+    rng = np.random.default_rng(11)
+    mixed = False
+    for trial in range(30):
+        batch = [identity_record(masked_example(
+            cfg, rng, n_sents=int(rng.integers(1, cfg.max_sentences + 1))))
+            for _ in range(int(rng.integers(1, 6)))]
+        width = max(ex.attention_len for ex in batch)
+        mixed |= len({ex.attention_len for ex in batch}) > 1
+        count = 1 if trial == 0 else int(rng.integers(2, 25))
+        rows = rng.integers(0, width, size=(len(batch), count))
+        rows[:, -1] = rows[:, 0]                    # a repeated position
+        with T.no_grad():
+            full = encode_batch(params, cfg, batch).data
+            picked = encode_batch(params, cfg, batch, rows=rows)
+        assert picked.shape == (len(batch), count, cfg.hidden)
+        assert picked.data.dtype == dtype
+        np.testing.assert_array_equal(
+            picked.data, np.take_along_axis(full, rows[:, :, None], axis=1))
+    assert mixed
+
+
+def test_selected_rows_record_a_graph():
+    """With a graph, the selected rows keep the full encode's values and
+    gradients reach the parameters through them."""
+    cfg = small_config()
+    params = build_params(cfg)
+    rng = np.random.default_rng(12)
+    batch = [identity_record(masked_example(cfg, rng, n_sents=n))
+             for n in (1, 3)]
+    rows = pad_rows([[0, 2], [0, 1, 4]])
+    picked = encode_batch(params, cfg, batch, rows=rows)
+    np.testing.assert_array_equal(
+        picked.data, encode_all_rows(params, cfg, batch, rows=rows).data)
+    for p in params.values():
+        p.requires_grad = True
+    T.backward(T.tsum(encode_batch(params, cfg, batch, rows=rows)))
+    assert np.any(params["enc.1.ffn.w1"].grad)
+    assert np.any(params["emb.token"].grad)
+
+
+def test_rows_outside_the_width_or_badly_shaped_are_refused():
+    cfg = small_config()
+    params = build_params(cfg)
+    batch = [identity_record(masked_example(cfg, np.random.default_rng(13)))]
+    width = batch[0].attention_len
+    for rows in (np.array([[width]]), np.array([[-1, 0]]), np.array([0, 1]),
+                 np.zeros((2, 1), dtype=np.int64)):
+        with pytest.raises(ContractError, match="rows|row positions"):
+            encode_batch(params, cfg, batch, rows=rows)
+
+
+def test_pad_rows_fills_with_cls():
+    rows = pad_rows([[0, 3, 5], [0], np.array([0, 2])])
+    np.testing.assert_array_equal(rows, [[0, 3, 5], [0, 0, 0], [0, 2, 0]])
+    assert rows.dtype == np.int64
+
+
+def test_readers_without_sentence_markers_are_refused():
+    from slm.probe import export_reps
+    from slm.trainer import evaluate_unshuffle
+    from slm.textpipe import SPECIAL_TOKENS, Vocab
+
+    cfg = small_config(sentence_reps_enabled=False, sr_enabled=False)
+    params = build_params(cfg)
+    ex = masked_example(cfg, np.random.default_rng(14))
+    with pytest.raises(ContractError, match="sentence representations"):
+        evaluate_unshuffle(params, cfg, [ex])
+    with pytest.raises(ContractError, match="sentence representations"):
+        export_reps(params, cfg, [["the cat sat."]],
+                    Vocab(SPECIAL_TOKENS + ["the", "cat", "sat"]))
+
+
+def test_readers_of_a_few_rows_match_the_full_encode(monkeypatch):
+    """Unshuffle eval, probe export and classification scoring give the
+    same bytes as when every row runs through the last layer."""
+    from slm import heads, probe, trainer
+    from slm.textpipe import SPECIAL_TOKENS, Vocab
+
+    words = ["the", "cat", "sat", "dog", "ran", "sun", "rose", "home"]
+    vocab = Vocab(SPECIAL_TOKENS + words)
+    cfg = small_config(vocab_size=len(vocab.id_to_token), batch_size=3)
+    params = build_params(cfg, seed=3)
+    rng = np.random.default_rng(15)
+    texts = [[" ".join(rng.choice(words, size=int(rng.integers(1, 5))))
+              + "." for _ in range(int(rng.integers(1, 5)))]
+             for _ in range(7)]
+    packed = trainer.pack_corpus(
+        [Document([vocab.encode(t.rstrip(".").split()) for t in doc])
+         for doc in texts], cfg)
+    singles = [heads.pack_pair(doc[0], None, vocab, cfg) for doc in texts]
+    head = heads.init_cls_head(cfg, 3, 1, np.random.default_rng(0))
+    classify = heads.classify
+
+    def readers():
+        logits = []
+
+        def recording(*args):
+            out, loss = classify(*args)
+            logits.append(out.data.tobytes())
+            return out, loss
+
+        monkeypatch.setattr(heads, "classify", recording)
+        return (trainer.evaluate_unshuffle(params, cfg, packed, seed=2),
+                probe.export_reps(params, cfg, texts, vocab).matrix.tobytes(),
+                heads.cls_accuracy(params, head, cfg, singles), logits)
+
+    selected = readers()
+    for module in (trainer, probe, heads):
+        monkeypatch.setattr(module, "encode_batch", encode_all_rows)
+    assert readers() == selected

@@ -5,10 +5,10 @@ import pytest
 
 from slm.encoder import encode_batch
 from slm.errors import ContractError, DataError
-from slm.heads import (best_span, classify, cls_accuracy, finetune_cls,
-                       finetune_qa, init_cls_head, pack_pair, pack_qa,
-                       qa_forward, qa_metrics, read_cls_tsv, read_qa_jsonl,
-                       init_qa_head)
+from slm.heads import (best_span, classify, cls_accuracy, feature_rows,
+                       finetune_cls, finetune_qa, init_cls_head, pack_pair,
+                       pack_qa, qa_forward, qa_metrics, read_cls_tsv,
+                       read_qa_jsonl, init_qa_head)
 from slm.tensor import Tensor
 from slm.textpipe import CLS, SENT, SEP, Vocab, SPECIAL_TOKENS
 
@@ -87,10 +87,21 @@ def test_zero_projection_gives_uniform_probabilities():
     head["cls.w"].data[:] = 0.0
     ex = pack_pair("the cat sat", None, vocab, cfg)
     ex.label = 2.0
-    h = encode_batch(params, cfg, [ex.packed])
+    h = encode_batch(params, cfg, [ex.packed], rows=feature_rows([ex], cfg))
     out, loss = classify(h, [ex], head, cfg)
     np.testing.assert_allclose(out.data, 0.0, atol=1e-7)
     np.testing.assert_allclose(float(loss.data), np.log(4.0), rtol=1e-6)
+
+
+def test_classify_refuses_rows_other_than_the_feature_rows():
+    vocab = toy_vocab()
+    cfg = cfg_for(vocab)
+    params = build_params(cfg)
+    head = init_cls_head(cfg, 2, 1, np.random.default_rng(0))
+    ex = pack_pair("the cat sat", None, vocab, cfg)
+    h = encode_batch(params, cfg, [ex.packed])
+    with pytest.raises(ContractError, match="feature rows"):
+        classify(h, [ex], head, cfg)
 
 
 def test_feature_width_tracks_sentence_inputs():
@@ -113,6 +124,20 @@ def test_mixed_sentence_counts_rejected():
     h = encode_batch(params, cfg, [pair.packed, single.packed])
     with pytest.raises(ContractError):
         classify(h, [pair, single], head, cfg)
+
+
+def test_cls_accuracy_of_no_examples_is_a_contract_error():
+    cfg = cfg_for(toy_vocab())
+    head = init_cls_head(cfg, 2, 1, np.random.default_rng(0))
+    with pytest.raises(ContractError, match="cls_accuracy"):
+        cls_accuracy(build_params(cfg), head, cfg, [])
+
+
+def test_qa_metrics_of_no_examples_is_a_contract_error():
+    cfg = cfg_for(toy_vocab())
+    head = init_qa_head(cfg, np.random.default_rng(0))
+    with pytest.raises(ContractError, match="qa_metrics"):
+        qa_metrics(build_params(cfg), head, cfg, [])
 
 
 def test_tsv_reader_classification(tmp_path):
@@ -191,7 +216,8 @@ def test_regression_constant_target_drives_loss_to_zero():
         ex.label = 2.5
         examples.append(ex)
     head = finetune_cls(params, cfg, examples, 1, steps=150, seed=2)
-    h = encode_batch(params, cfg, [ex.packed for ex in examples])
+    h = encode_batch(params, cfg, [ex.packed for ex in examples],
+                     rows=feature_rows(examples, cfg))
     _, loss = classify(h, examples, head, cfg)
     assert float(loss.data) < 1e-2
 

@@ -3,7 +3,7 @@ import pytest
 
 from slm import trainer
 from slm.config import RunConfig
-from slm.errors import DataError
+from slm.errors import ContractError, DataError
 from slm.textpipe import Document
 from slm.trainer import (METRICS_COLUMNS, evaluate_unshuffle, kendall_tau,
                          pack_corpus, prepare_batch, train_loop)
@@ -202,6 +202,12 @@ def test_evaluate_unshuffle_bounds():
     assert scores["n"] == 6
     assert 0.0 <= scores["em"] <= 1.0
     assert -1.0 <= scores["tau"] <= 1.0
+
+
+def test_evaluate_unshuffle_of_no_examples_is_a_contract_error():
+    cfg = run_config()
+    with pytest.raises(ContractError, match="evaluate_unshuffle"):
+        evaluate_unshuffle(build_params(cfg), cfg, [])
 
 
 def test_evaluate_unshuffle_breaks_scores_down(monkeypatch):

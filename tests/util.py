@@ -1,12 +1,13 @@
 """Shared test fixtures: tiny configs, random documents, an independent
-physical-shuffle constructor used as the equivalence oracle, and a
-full-length encode used as the oracle for the trimmed one."""
+physical-shuffle constructor used as the equivalence oracle, a
+full-length encode used as the oracle for the trimmed one, and an
+every-row encode used as the oracle for the row-selected one."""
 import numpy as np
 
 from slm.config import RunConfig
-from slm.encoder import attention_bias, embed, encode
+from slm.encoder import attention_bias, embed, encode, encode_batch
 from slm.masking import apply_span_masking
-from slm.model import init_params
+from slm.model import init_params, select_rows
 from slm.textpipe import CLS, NUM_SPECIALS, PAD, SEP, Document, PackedExample, pack_example
 
 
@@ -45,6 +46,15 @@ def encode_full_length(params: dict, cfg: RunConfig, examples, rng=None,
     h0 = embed(params, cfg, stack("token_ids"), stack("position_ids"),
                stack("sentence_ids"), stack("segment_ids"), rng)
     return encode(params, cfg, h0, bias, rng)
+
+
+def encode_all_rows(params: dict, cfg: RunConfig, examples, rng=None,
+                    training: bool = False, *, rows=None):
+    """``encode_batch`` with every row through every layer, then the
+    ``rows`` asked for, where ``encode_batch`` runs only those through
+    the last layer. Takes its arguments, so it can stand in for it."""
+    h = encode_batch(params, cfg, examples, rng, training)
+    return h if rows is None else select_rows(h, rows)
 
 
 def masked_example(cfg: RunConfig, rng, n_sents=3):
