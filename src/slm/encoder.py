@@ -20,11 +20,13 @@ every query row against every key, since a product of fewer rows can
 round differently, then runs the softmax, the weighted values, the
 output projection, the residual, both norms and the FFN on the R rows
 only. Unshuffle eval asks for the summary rows, probe export for the
-[SENT] rows and classification scoring for the feature rows.
-Pretraining and fine-tuning read every row of the full encode:
-restricting rows where a graph is recorded would change how the weight
-gradients sum and which dropout draws are made. QA scoring reads
-nearly every row.
+[SENT] rows, and classification fine-tuning and scoring for the feature
+rows. Under a recorded graph the backward runs on the same rows: the
+last layer's weight gradients sum over the R rows only and its dropout
+draws masks of their shape, so fine-tuning's bits differ from a full
+encode's, while with dropout off its loss and gradients equal them to
+float64 round-off. Pretraining reads every row of the full encode, and
+QA reads nearly every row.
 
 The selected rows equal the full encode's bit for bit wherever numpy's
 matrix product rounds a row alike for any row count, as it does on the

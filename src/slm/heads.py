@@ -30,7 +30,7 @@ from . import tensor as T
 from .config import RunConfig
 from .encoder import encode_batch
 from .errors import ContractError, DataError, read_text
-from .model import INIT_STD, select_rows, trunc_normal
+from .model import INIT_STD, trunc_normal
 from .optim import AdamState, adam_update, clip_global_norm, zero_grads
 from .tensor import Tensor, backward, no_grad
 from .textpipe import (PackedExample, Vocab, document_from_text,
@@ -161,8 +161,10 @@ def cls_features(h: Tensor, examples: list[ClsExample],
 def classify(h: Tensor, examples: list[ClsExample], head: dict,
              cfg: RunConfig) -> tuple[Tensor, Tensor]:
     """Returns (outputs, loss). ``h`` is the encoder output at
-    ``feature_rows(examples, cfg)``. Outputs are logits [B, n_classes]
-    for classification or scores [B, 1] for regression (squared error)."""
+    ``feature_rows(examples, cfg)``, as ``finetune_cls`` and
+    ``cls_accuracy`` ask ``encode_batch`` for it. Outputs are logits
+    [B, n_classes] for classification or scores [B, 1] for regression
+    (squared error)."""
     feats = cls_features(h, examples, cfg)
     out = T.matmul(feats, head["cls.w"]) + head["cls.b"]
     if cfg.task_type == "regression":
@@ -175,10 +177,11 @@ def classify(h: Tensor, examples: list[ClsExample], head: dict,
 
 
 def _finetune(params: dict, cfg: RunConfig, examples: list, head: dict,
-              steps: int, rng, batch_loss) -> dict:
+              steps: int, batch_loss) -> dict:
     """The fine-tuning loop of both heads: ``steps`` Adam steps on the
     encoder and ``head`` jointly, cycling through ``examples`` in order;
-    ``batch_loss(h, batch)`` is the scalar loss of one encoded batch."""
+    ``batch_loss(batch)`` encodes one batch, with dropout, and returns
+    its scalar loss."""
     trained = {**params, **head}
     for p in trained.values():
         p.requires_grad = True
@@ -192,9 +195,7 @@ def _finetune(params: dict, cfg: RunConfig, examples: list, head: dict,
             batch = [examples[(lo + k) % n]
                      for k in range(min(cfg.batch_size, n))]
             zero_grads(trained)
-            h = encode_batch(params, cfg, [ex.packed for ex in batch],
-                             rng, training=True)
-            backward(batch_loss(h, batch))
+            backward(batch_loss(batch))
             clip_global_norm(trained, cfg.grad_clip)
             adam_update(trained, state, cfg.finetune_lr, cfg)
     return head
@@ -204,21 +205,30 @@ def finetune_cls(params: dict, cfg: RunConfig, examples: list[ClsExample],
                  n_outputs: int, steps: int, seed: int = 0) -> dict:
     """Joint fine-tuning of the encoder and a fresh classifier head.
 
+    Each batch is encoded as ``cls_accuracy`` encodes it: the last
+    encoder layer runs, forward and backward, only at the feature rows.
     Trains the caller's encoder Tensors in ``params`` in place and
     returns only the new head; score with ``params`` plus the head.
     """
     rng = np.random.default_rng([seed, 90])
     head = init_cls_head(cfg, n_outputs, examples[0].num_texts, rng)
-    return _finetune(params, cfg, examples, head, steps, rng,
-                     lambda h, batch: classify(
-                         select_rows(h, feature_rows(batch, cfg)), batch,
-                         head, cfg)[1])
+
+    def batch_loss(batch):
+        h = encode_batch(params, cfg, [ex.packed for ex in batch], rng,
+                         training=True, rows=feature_rows(batch, cfg))
+        return classify(h, batch, head, cfg)[1]
+
+    return _finetune(params, cfg, examples, head, steps, batch_loss)
 
 
 def cls_accuracy(params: dict, head: dict, cfg: RunConfig,
                  examples: list[ClsExample]) -> float:
     """Share of ``examples`` whose argmax class is the label; the
-    encoder's last layer runs only at the feature rows."""
+    encoder's last layer runs only at the feature rows. A regression
+    head has no classes to take the argmax of."""
+    if cfg.task_type == "regression":
+        raise ContractError("cls_accuracy needs a classification task, "
+                            "not regression")
     if not examples:
         raise ContractError("cls_accuracy needs at least one example")
     hits = 0
@@ -350,14 +360,16 @@ def finetune_qa(params: dict, cfg: RunConfig, examples: list[QaExample],
     rng = np.random.default_rng([seed, 91])
     head = init_qa_head(cfg, rng)
 
-    def batch_loss(h, batch):
+    def batch_loss(batch):
+        h = encode_batch(params, cfg, [ex.packed for ex in batch], rng,
+                         training=True)
         acc = None
         for b, ex in enumerate(batch):
             loss, _ = qa_forward(h, ex, head, cfg, b)
             acc = loss if acc is None else acc + loss
         return T.mul(acc, 1.0 / len(batch))
 
-    return _finetune(params, cfg, examples, head, steps, rng, batch_loss)
+    return _finetune(params, cfg, examples, head, steps, batch_loss)
 
 
 def qa_metrics(params: dict, head: dict, cfg: RunConfig,

@@ -1,25 +1,30 @@
 """Fine-tuning and pretraining encode each batch at its longest real
-sequence.
+sequence, and classification fine-tuning runs the last encoder layer at
+the feature rows only.
 
 Each check runs one optimizer step (or one pretraining forward and
 backward) twice on a float64 model and a batch of mixed lengths: once
 as shipped (trimmed to ``max(attention_len)``) and once with the
 encoder replaced by the full-``seq_len`` oracle
 ``util.encode_full_length``. The loss and every parameter gradient must
-agree to float64 round-off. Dropout is off because its masks are drawn
-per position, so the two widths draw different masks.
+agree to float64 round-off. Classification fine-tuning is also checked
+against ``util.encode_all_rows``, which runs every row through the last
+layer. Dropout is off because its masks are drawn per position, so the
+two widths, and the two row counts, draw different masks.
 """
 import numpy as np
 import pytest
 
-from slm import heads, objectives
+import util
+from slm import encoder, heads, objectives
 from slm import tensor as T
 from slm.heads import finetune_cls, finetune_qa, pack_pair, pack_qa
 from slm.objectives import pretrain_bundle
 from slm.shuffling import apply_shuffle, sample_permutation
 from slm.textpipe import SPECIAL_TOKENS, Vocab
 
-from util import build_params, encode_full_length, masked_example, small_config
+from util import (build_params, encode_all_rows, encode_full_length,
+                  masked_example, small_config)
 
 WORDS = ["the", "cat", "sat", "dog", "ran", "fast", "sun", "rose", "red",
          "blue", "one", "two", "bird", "flew", "home", "now"]
@@ -37,16 +42,20 @@ def fresh_params(cfg):
     return build_params(cfg, seed=11, dtype=np.float64)
 
 
-def one_step(monkeypatch, run, full_width: bool):
-    """Run one fine-tuning step; return (encoder widths, loss, grads)."""
-    widths, losses, grads = [], [], {}
-    encode, backward, clip = (heads.encode_batch, heads.backward,
-                              heads.clip_global_norm)
+def one_step(monkeypatch, run, stand_in=None):
+    """Run one fine-tuning step, with ``stand_in`` in place of
+    ``heads.encode_batch`` if given; return (encoder widths, loss, grads).
 
-    def spy_encode(*args, **kwargs):
-        h = (encode_full_length if full_width else encode)(*args, **kwargs)
-        widths.append(h.shape[1])
-        return h
+    The width is that of the embedded input, since classification asks
+    the encoder for its feature rows only."""
+    widths, losses, grads = [], [], {}
+    backward, clip, embed = (heads.backward, heads.clip_global_norm,
+                             encoder.embed)
+
+    def spy_embed(*args, **kwargs):
+        h0 = embed(*args, **kwargs)
+        widths.append(h0.shape[1])
+        return h0
 
     def spy_backward(loss):
         losses.append(float(loss.data))
@@ -58,7 +67,10 @@ def one_step(monkeypatch, run, full_width: bool):
         return clip(params, max_norm)
 
     with monkeypatch.context() as m:
-        m.setattr(heads, "encode_batch", spy_encode)
+        if stand_in:
+            m.setattr(heads, "encode_batch", stand_in)
+        m.setattr(encoder, "embed", spy_embed)
+        m.setattr(util, "embed", spy_embed)
         m.setattr(heads, "backward", spy_backward)
         m.setattr(heads, "clip_global_norm", spy_clip)
         run()
@@ -78,8 +90,9 @@ def assert_same_step(trim, full, lengths, seq_len):
 
 
 def assert_finetune_step(monkeypatch, make_run, examples, seq_len):
-    assert_same_step(one_step(monkeypatch, make_run(), full_width=False),
-                     one_step(monkeypatch, make_run(), full_width=True),
+    assert_same_step(one_step(monkeypatch, make_run()),
+                     one_step(monkeypatch, make_run(),
+                              stand_in=encode_full_length),
                      [ex.packed.attention_len for ex in examples], seq_len)
 
 
@@ -101,6 +114,59 @@ def test_finetune_cls_step_matches_full_width(monkeypatch, pair):
         return lambda: finetune_cls(params, cfg, examples, 3, steps=1, seed=4)
 
     assert_finetune_step(monkeypatch, make_run, examples, cfg.seq_len)
+
+
+@pytest.mark.parametrize("reps", [True, False], ids=["reps", "no-reps"])
+@pytest.mark.parametrize("pair", [False, True], ids=["single", "pair"])
+@pytest.mark.parametrize("layers", [0, 1, 2])
+def test_finetune_cls_step_matches_every_row_encode(monkeypatch, layers,
+                                                     pair, reps):
+    """Classification fine-tuning runs the last layer at the feature rows
+    only: [CLS] and one [SENT] per text, or [CLS] alone without sentence
+    representations, which encodes two rows. On random batches of mixed
+    widths, the loss and every gradient equal those of the path that runs
+    every row through every layer and then keeps the feature rows."""
+    vocab = Vocab(SPECIAL_TOKENS + WORDS)
+    rng = np.random.default_rng(100 * layers + 10 * pair + reps)
+
+    def text():
+        return " ".join(
+            " ".join(rng.choice(WORDS, size=int(rng.integers(1, 5)))) + "."
+            for _ in range(int(rng.integers(1, 4))))
+
+    compared = 0
+    for trial in range(3):
+        cfg = small_config(vocab_size=len(vocab.id_to_token), seq_len=48,
+                           encoder_layers=layers, sentence_reps_enabled=reps,
+                           sr_enabled=reps,
+                           batch_size=int(rng.integers(2, 6)))
+        examples = []
+        for i in range(cfg.batch_size):
+            ex = pack_pair(text(), text() if pair else None, vocab, cfg)
+            ex.label = float(i % 3)
+            examples.append(ex)
+        lengths = [ex.packed.attention_len for ex in examples]
+        if len(set(lengths)) == 1:
+            continue
+
+        def make_run():
+            params = fresh_params(cfg)
+            return lambda: finetune_cls(params, cfg, examples, 3, steps=1,
+                                        seed=trial)
+
+        rows = one_step(monkeypatch, make_run())
+        every = one_step(monkeypatch, make_run(), stand_in=encode_all_rows)
+        assert rows[0] == every[0] == [max(lengths)]
+        np.testing.assert_allclose(rows[1], every[1], rtol=0, atol=1e-10)
+        assert set(rows[2]) == set(every[2])
+        assert {"cls.w", "cls.b"} <= set(every[2])
+        if layers:
+            assert f"enc.{layers - 1}.ffn.w1" in every[2]
+        for name, grad in every[2].items():
+            np.testing.assert_allclose(rows[2][name], grad, rtol=0,
+                                       atol=1e-10, err_msg=name)
+        compared += 1
+    assert compared
 
 
 def test_finetune_qa_step_matches_full_width(monkeypatch):

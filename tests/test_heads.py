@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from slm import heads
 from slm.encoder import encode_batch
 from slm.errors import ContractError, DataError
 from slm.heads import (best_span, classify, cls_accuracy, feature_rows,
@@ -133,6 +134,22 @@ def test_cls_accuracy_of_no_examples_is_a_contract_error():
         cls_accuracy(build_params(cfg), head, cfg, [])
 
 
+def test_cls_accuracy_of_a_regression_head_is_a_contract_error():
+    """The argmax of a single score column is always 0, so an accuracy
+    against int(target) would mean nothing."""
+    vocab = toy_vocab()
+    cfg = cfg_for(vocab, task_type="regression")
+    examples = []
+    for t, target in (("the cat sat", 0.0), ("the dog ran", 0.4),
+                      ("the sun rose", 7.3)):
+        ex = pack_pair(t, None, vocab, cfg)
+        ex.label = target
+        examples.append(ex)
+    head = init_cls_head(cfg, 1, 1, np.random.default_rng(0))
+    with pytest.raises(ContractError, match="regression"):
+        cls_accuracy(build_params(cfg), head, cfg, examples)
+
+
 def test_qa_metrics_of_no_examples_is_a_contract_error():
     cfg = cfg_for(toy_vocab())
     head = init_qa_head(cfg, np.random.default_rng(0))
@@ -203,6 +220,39 @@ def test_classification_overfits_tiny_task():
         examples.append(ex)
     head = finetune_cls(params, cfg, examples, 2, steps=120, seed=1)
     assert cls_accuracy(params, head, cfg, examples) == 1.0
+
+
+def test_finetune_cls_with_dropout_is_deterministic(monkeypatch):
+    """Dropout draws come from the seed alone: the row-selected encode
+    draws the same masks on every run, and another seed draws others."""
+    vocab = toy_vocab()
+    cfg = cfg_for(vocab, batch_size=3, dropout=0.1, attn_dropout=0.1)
+    examples = []
+    for i, (a, b) in enumerate((("the cat sat. the dog ran.", "red sun"),
+                                ("one bird flew home", "the sun rose fast"),
+                                ("blue", "two dog sat. the cat ran now."))):
+        ex = pack_pair(a, b, vocab, cfg)
+        ex.label = float(i % 2)
+        examples.append(ex)
+    encode, asked = heads.encode_batch, []
+
+    def spy(*args, **kwargs):
+        asked.append((kwargs["training"], kwargs["rows"].shape))
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(heads, "encode_batch", spy)
+
+    def run(seed):
+        params = build_params(cfg, seed=4)
+        head = finetune_cls(params, cfg, examples, 2, steps=3, seed=seed)
+        return ({n: t.data.tobytes() for n, t in head.items()},
+                {n: t.data.tobytes() for n, t in params.items()})
+
+    first = run(7)
+    assert asked == [(True, (3, 3))] * 3
+    assert run(7) == first
+    other = run(8)
+    assert other[0]["cls.w"] != first[0]["cls.w"]
 
 
 def test_regression_constant_target_drives_loss_to_zero():

@@ -32,10 +32,12 @@ def build_params(cfg: RunConfig, seed=0, dtype=np.float32):
 
 
 def encode_full_length(params: dict, cfg: RunConfig, examples, rng=None,
-                       training: bool = False):
+                       training: bool = False, *, rows=None):
     """[B, seq_len, hidden]: embed + encode over every position, padding
     keys masked, where ``encode_batch`` stops at the longest real row.
-    Takes ``encode_batch``'s arguments, so it can stand in for it."""
+    With ``rows``, every row still runs through every layer and then the
+    ``rows`` asked for are kept, [B, R, hidden]. Takes ``encode_batch``'s
+    arguments, so it can stand in for it."""
     rng = rng if training else None
 
     def stack(field):
@@ -45,7 +47,8 @@ def encode_full_length(params: dict, cfg: RunConfig, examples, rng=None,
                           dtype=params["emb.token"].data.dtype)
     h0 = embed(params, cfg, stack("token_ids"), stack("position_ids"),
                stack("sentence_ids"), stack("segment_ids"), rng)
-    return encode(params, cfg, h0, bias, rng)
+    h = encode(params, cfg, h0, bias, rng)
+    return h if rows is None else select_rows(h, rows)
 
 
 def encode_all_rows(params: dict, cfg: RunConfig, examples, rng=None,
