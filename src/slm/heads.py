@@ -6,8 +6,13 @@ with the first sentence representation of each provided text (so the
 projection width is (1 + #texts) * hidden); with sentence
 representations disabled the feature is the [CLS] row alone. QA scores
 every context word twice (answer start, answer end) and every context
-sentence once, each with its own learned vector, and the task loss is
-the plain sum of the three cross-entropies.
+sentence once, each with its own learned vector. It scores a whole
+batch in one pass: each vector multiplies every encoder row of the
+batch at once, and a constant additive mask puts ``NEG_INF`` on every
+row that is not a candidate of that example (its context words, or its
+[SENT] markers for the sentence pointer). The task loss is the sum of
+the three pointers' batch-mean cross-entropies. Training runs no span
+search; ``qa_metrics`` runs ``best_span`` on each example's word logits.
 
 Inputs are laid out by ``textpipe.pack_segments``: pairs as one segment
 per text, QA as the question followed by the context. The ``textpipe``
@@ -30,7 +35,7 @@ from . import tensor as T
 from .config import RunConfig
 from .encoder import encode_batch
 from .errors import ContractError, DataError, read_text
-from .model import INIT_STD, trunc_normal
+from .model import INIT_STD, NEG_INF, trunc_normal
 from .optim import AdamState, adam_update, clip_global_norm, zero_grads
 from .tensor import Tensor, backward, no_grad
 from .textpipe import (PackedExample, Vocab, document_from_text,
@@ -210,6 +215,8 @@ def finetune_cls(params: dict, cfg: RunConfig, examples: list[ClsExample],
     Trains the caller's encoder Tensors in ``params`` in place and
     returns only the new head; score with ``params`` plus the head.
     """
+    if not examples:
+        raise ContractError("finetune_cls needs at least one example")
     rng = np.random.default_rng([seed, 90])
     head = init_cls_head(cfg, n_outputs, examples[0].num_texts, rng)
 
@@ -310,64 +317,84 @@ def init_qa_head(cfg: RunConfig, rng) -> dict:
             for name in ("qa.start", "qa.end", "qa.sent")}
 
 
-def qa_forward(h: Tensor, ex: QaExample, head: dict, cfg: RunConfig,
-               batch_index: int = 0):
-    """Loss (sum of three pointer cross-entropies) plus the predicted
-    (start, end, sentence) triple under the max-answer-length pair
-    search with start <= end."""
+def qa_forward(h: Tensor, examples: list[QaExample], head: dict,
+               cfg: RunConfig):
+    """Loss and masked logits of the three pointers over a whole batch.
+
+    Each of ``qa.start``, ``qa.end`` and ``qa.sent`` scores every row of
+    ``h`` [B, L, hidden] in one product, [B, L]. A constant additive
+    mask, as attention masks padding, leaves the example's context-word
+    rows (its [SENT] rows for the sentence pointer) and puts ``NEG_INF``
+    everywhere else, so each softmax runs over the example's own
+    candidates. The loss is the sum of the three pointers' batch-mean
+    cross-entropies, with targets at packed positions. Returns (loss,
+    (start, end, sentence) masked logits as [B, L] arrays).
+    """
     bsz, length, hidden = h.shape
+    if len(examples) != bsz:
+        raise ContractError(f"qa_forward got {len(examples)} examples for "
+                            f"an encoder batch of {bsz}")
+    word_bias = np.full((bsz, length), NEG_INF, dtype=h.data.dtype)
+    sent_bias = word_bias.copy()
+    for b, ex in enumerate(examples):
+        word_bias[b, ex.word_positions] = 0.0
+        sent_bias[b, ex.marker_positions] = 0.0
+    targets = [
+        [ex.word_positions[ex.gold_start] for ex in examples],
+        [ex.word_positions[ex.gold_end] for ex in examples],
+        [ex.marker_positions[ex.gold_sentence] for ex in examples],
+    ]
     flat = h.reshape(bsz * length, hidden)
-    word_rows = T.take(flat, batch_index * length + ex.word_positions)
-    sent_rows = T.take(flat, batch_index * length + ex.marker_positions)
-    start_logits = T.matmul(word_rows, head["qa.start"]).reshape(-1)
-    end_logits = T.matmul(word_rows, head["qa.end"]).reshape(-1)
-    sent_logits = T.matmul(sent_rows, head["qa.sent"]).reshape(-1)
-
-    loss = (T.cross_entropy(start_logits, ex.gold_start)
-            + T.cross_entropy(end_logits, ex.gold_end)
-            + T.cross_entropy(sent_logits, ex.gold_sentence))
-
-    pred_start, pred_end = best_span(start_logits.data, end_logits.data,
-                                     cfg.max_answer_len)
-    pred_sentence = int(np.argmax(sent_logits.data))
-    return loss, (pred_start, pred_end, pred_sentence)
+    loss, logits = None, []
+    for name, bias, target in zip(("qa.start", "qa.end", "qa.sent"),
+                                  (word_bias, word_bias, sent_bias), targets):
+        scores = T.matmul(flat, head[name]).reshape(bsz, length) + bias
+        term = T.cross_entropy(scores, target)
+        loss = term if loss is None else loss + term
+        logits.append(scores.data)
+    return loss, tuple(logits)
 
 
 def best_span(start_logits: np.ndarray, end_logits: np.ndarray,
               max_answer_len: int) -> tuple[int, int]:
     """Highest-scoring (start, end) with start <= end < start + window.
 
-    Ties go to the first pair in row-major order; (0, 0) when no legal
-    pair scores above -inf.
+    Scores only the legal band, a [starts, window] array whose row i
+    adds start i to the ends i .. i + window - 1, with -inf past the
+    last end. Ties go to the first pair in row-major order; (0, 0) when
+    no legal pair scores above -inf.
     """
-    scores = np.add.outer(start_logits, end_logits)
-    if scores.size == 0:
+    n = start_logits.shape[0]
+    width = min(max_answer_len, end_logits.shape[0])
+    if n == 0 or width <= 0:
         return 0, 0
-    gap = np.arange(scores.shape[1]) - np.arange(scores.shape[0])[:, None]
+    padded = np.full(n + width - 1, -np.inf, dtype=end_logits.dtype)
+    ends = end_logits[:padded.size]
+    padded[:ends.size] = ends
+    scores = start_logits[:, None] + padded[np.arange(n)[:, None]
+                                            + np.arange(width)]
     # a NaN score never wins, exactly as under a strict ">" scan
-    legal = (gap >= 0) & (gap < max_answer_len) & ~np.isnan(scores)
+    scores[np.isnan(scores)] = -np.inf
     # argmax returns the first maximum, which is (0, 0) when all are -inf
-    i, j = np.unravel_index(np.argmax(np.where(legal, scores, -np.inf)),
-                            scores.shape)
-    return int(i), int(j)
+    i, k = divmod(int(np.argmax(scores)), width)
+    return i, i + k
 
 
 def finetune_qa(params: dict, cfg: RunConfig, examples: list[QaExample],
                 steps: int, seed: int = 0) -> dict:
-    """Joint fine-tuning of the encoder and a fresh QA head on the mean
-    ``qa_forward`` loss of each batch. Like ``finetune_cls``, trains the
-    caller's encoder Tensors in place and returns only the new head."""
+    """Joint fine-tuning of the encoder and a fresh QA head on the
+    ``qa_forward`` loss of each batch, which runs no span search. Like
+    ``finetune_cls``, trains the caller's encoder Tensors in place and
+    returns only the new head."""
+    if not examples:
+        raise ContractError("finetune_qa needs at least one example")
     rng = np.random.default_rng([seed, 91])
     head = init_qa_head(cfg, rng)
 
     def batch_loss(batch):
         h = encode_batch(params, cfg, [ex.packed for ex in batch], rng,
                          training=True)
-        acc = None
-        for b, ex in enumerate(batch):
-            loss, _ = qa_forward(h, ex, head, cfg, b)
-            acc = loss if acc is None else acc + loss
-        return T.mul(acc, 1.0 / len(batch))
+        return qa_forward(h, batch, head, cfg)[0]
 
     return _finetune(params, cfg, examples, head, steps, batch_loss)
 
@@ -384,11 +411,14 @@ def qa_metrics(params: dict, head: dict, cfg: RunConfig,
         for lo in range(0, len(examples), cfg.batch_size):
             batch = examples[lo:lo + cfg.batch_size]
             h = encode_batch(params, cfg, [ex.packed for ex in batch])
+            _, (start, end, sent) = qa_forward(h, batch, head, cfg)
             for b, ex in enumerate(batch):
-                _, (ps, pe, psent) = qa_forward(h, ex, head, cfg, b)
+                words = ex.word_positions
+                ps, pe = best_span(start[b, words], end[b, words],
+                                   cfg.max_answer_len)
+                psent = int(np.argmax(sent[b, ex.marker_positions]))
                 em += int(ps == ex.gold_start and pe == ex.gold_end)
-                span_sents = ex.packed.sentence_ids[ex.word_positions[ps]], \
-                    ex.packed.sentence_ids[ex.word_positions[pe]]
+                span_sents = ex.packed.sentence_ids[words[[ps, pe]]]
                 consistent += int(span_sents[0] == psent == span_sents[1])
     n = len(examples)
     return {"n": n, "em": em / n, "sentence_consistency": consistent / n}

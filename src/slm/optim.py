@@ -54,7 +54,7 @@ def clip_global_norm(params: dict[str, Tensor], max_norm: float) -> float:
     total = 0.0
     for p in params.values():
         if p.grad is not None:
-            total += float(np.sum(p.grad.astype(np.float64) ** 2))
+            total += float(np.sum(np.square(p.grad, dtype=np.float64)))
     norm = float(np.sqrt(total))
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm
@@ -88,7 +88,7 @@ def adam_update(params: dict[str, Tensor], state: AdamState, lr: float,
         update = (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
         if cfg.weight_decay > 0 and decays(name, p):
             update = update + cfg.weight_decay * p.data
-        p.data -= (lr * update).astype(p.data.dtype)
+        p.data -= (lr * update).astype(p.data.dtype, copy=False)
 
 
 def zero_grads(params: dict[str, Tensor]) -> None:

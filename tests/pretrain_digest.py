@@ -26,7 +26,8 @@ sentence pairs from those stories (``cls-features``).
 A third leg, ``finetune``, loads the ``tiny-dropout`` checkpoint twice
 and runs ``finetune_cls`` and ``finetune_qa`` on pairs and questions
 built from held-out stories, dropout still on. It prints a digest of
-each returned head and of the encoder tensors each one trained.
+each returned head and of the encoder tensors each one trained, and the
+``qa_metrics`` scores of the trained QA head on its questions.
 
 Run it from the repository root at two commits and compare the lines:
 
@@ -167,7 +168,8 @@ def reader_digests(params, cfg, stories, vocab) -> tuple[str, str]:
 
 def finetune_leg(ckpt_path: str, vocab, stories) -> None:
     """Fine-tune both heads from one checkpoint, dropout on, and print
-    digests of each head and of the encoder tensors it trained."""
+    digests of each head and of the encoder tensors it trained, then the
+    QA head's ``qa_metrics`` scores."""
     from corpus_gen import OBJECTS
 
     from slm import heads
@@ -202,6 +204,10 @@ def finetune_leg(ckpt_path: str, vocab, stories) -> None:
         print(f"finetune {name} encoder "
               f"{arrays_digest((n, params[n].data) for n in encoder)}",
               flush=True)
+        if name == "qa":
+            scores = heads.qa_metrics(params, head, cfg, questions)
+            print("finetune qa scores " + " ".join(
+                f"{k}={v!r}" for k, v in scores.items()), flush=True)
 
 
 def main() -> None:

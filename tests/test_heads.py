@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from slm import heads
+from slm import tensor as T
 from slm.encoder import encode_batch
 from slm.errors import ContractError, DataError
 from slm.heads import (best_span, classify, cls_accuracy, feature_rows,
                        finetune_cls, finetune_qa, init_cls_head, pack_pair,
                        pack_qa, qa_forward, qa_metrics, read_cls_tsv,
                        read_qa_jsonl, init_qa_head)
+from slm.model import NEG_INF
 from slm.tensor import Tensor
 from slm.textpipe import CLS, SENT, SEP, Vocab, SPECIAL_TOKENS
 
@@ -148,6 +150,15 @@ def test_cls_accuracy_of_a_regression_head_is_a_contract_error():
     head = init_cls_head(cfg, 1, 1, np.random.default_rng(0))
     with pytest.raises(ContractError, match="regression"):
         cls_accuracy(build_params(cfg), head, cfg, examples)
+
+
+def test_finetuning_on_no_examples_is_a_contract_error():
+    cfg = cfg_for(toy_vocab())
+    params = build_params(cfg)
+    with pytest.raises(ContractError, match="finetune_cls"):
+        finetune_cls(params, cfg, [], 2, 1)
+    with pytest.raises(ContractError, match="finetune_qa"):
+        finetune_qa(params, cfg, [], 1)
 
 
 def test_qa_metrics_of_no_examples_is_a_contract_error():
@@ -315,15 +326,21 @@ def test_qa_gold_truncated_away_is_data_error():
 
 
 def test_qa_loss_is_sum_of_three_cross_entropies():
-    from slm import tensor as T
     vocab = toy_vocab()
     cfg = cfg_for(vocab)
     params = build_params(cfg, seed=3)
     head = init_qa_head(cfg, np.random.default_rng(3))
     ex = pack_qa("the cat sat. the dog ran fast.", "the cat", 3, 4, vocab, cfg)
     h = encode_batch(params, cfg, [ex.packed])
-    loss, _ = qa_forward(h, ex, head, cfg)
+    loss, (start, end, sent) = qa_forward(h, [ex], head, cfg)
 
+    # only the example's own candidates escape the mask
+    for logits, rows in ((start, ex.word_positions), (end, ex.word_positions),
+                         (sent, ex.marker_positions)):
+        off = np.ones(logits.shape[1], dtype=bool)
+        off[rows] = False
+        assert (logits[0, off] <= NEG_INF / 2).all()
+        assert (logits[0, rows] > NEG_INF / 2).all()
     flat = h.data.reshape(-1, cfg.hidden)
     terms = []
     for vec, rows, gold in (
@@ -336,6 +353,70 @@ def test_qa_loss_is_sum_of_three_cross_entropies():
     np.testing.assert_allclose(float(loss.data), sum(terms), atol=1e-6)
 
 
+def per_example_qa_loss(h, examples, head):
+    """The per-example formula: the batch mean of each example's three
+    1-D log-softmax terms, over its own word and marker rows."""
+    bsz, length, hidden = h.shape
+    flat = h.reshape(bsz * length, hidden)
+    total = None
+    for b, ex in enumerate(examples):
+        for name, rows, gold in (
+                ("qa.start", ex.word_positions, ex.gold_start),
+                ("qa.end", ex.word_positions, ex.gold_end),
+                ("qa.sent", ex.marker_positions, ex.gold_sentence)):
+            logits = T.matmul(T.take(flat, b * length + rows), head[name])
+            term = T.cross_entropy(logits.reshape(-1), gold)
+            total = term if total is None else total + term
+    return T.mul(total, 1.0 / bsz)
+
+
+def test_batched_qa_loss_and_grads_equal_the_per_example_formula():
+    vocab = toy_vocab()
+    cfg = cfg_for(vocab)
+    data = [("the cat sat. the dog ran.", "the cat", 1, 1),
+            ("the sun rose. the bird flew home now. one red sun.",
+             "the sun", 4, 6),
+            ("red sun home.", "red sun", 2, 2),
+            ("blue bird now. the cat sat fast.", "the cat", 3, 5)]
+    examples = [pack_qa(c, q, s, e, vocab, cfg) for c, q, s, e in data]
+    assert len({ex.packed.attention_len for ex in examples}) == 4
+
+    def run(loss_of):
+        params = build_params(cfg, seed=7, dtype=np.float64)
+        head = {name: Tensor(t.data.astype(np.float64), requires_grad=True)
+                for name, t in init_qa_head(
+                    cfg, np.random.default_rng(7)).items()}
+        for p in params.values():
+            p.requires_grad = True
+        h = encode_batch(params, cfg, [ex.packed for ex in examples])
+        loss = loss_of(h, head)
+        T.backward(loss)
+        grads = {name: p.grad for name, p in {**params, **head}.items()
+                 if p.grad is not None}
+        return float(loss.data), grads
+
+    loss, grads = run(lambda h, head: qa_forward(h, examples, head, cfg)[0])
+    want, want_grads = run(
+        lambda h, head: per_example_qa_loss(h, examples, head))
+    assert abs(loss - want) <= 1e-10
+    assert set(grads) == set(want_grads)
+    assert {"qa.start", "qa.end", "qa.sent", "emb.token",
+            f"enc.{cfg.encoder_layers - 1}.ffn.w1"} <= set(grads)
+    for name, grad in want_grads.items():
+        np.testing.assert_allclose(grads[name], grad, rtol=0, atol=1e-10,
+                                   err_msg=name)
+
+
+def test_qa_forward_wants_one_example_per_encoder_row():
+    vocab = toy_vocab()
+    cfg = cfg_for(vocab)
+    ex = pack_qa("the cat sat.", "the cat", 1, 1, vocab, cfg)
+    h = encode_batch(build_params(cfg), cfg, [ex.packed, ex.packed])
+    head = init_qa_head(cfg, np.random.default_rng(0))
+    with pytest.raises(ContractError, match="qa_forward"):
+        qa_forward(h, [ex], head, cfg)
+
+
 def test_qa_single_word_context_forces_prediction():
     vocab = toy_vocab()
     cfg = cfg_for(vocab)
@@ -343,8 +424,11 @@ def test_qa_single_word_context_forces_prediction():
     head = init_qa_head(cfg, np.random.default_rng(4))
     ex = pack_qa("cat", "the cat", 0, 0, vocab, cfg)
     h = encode_batch(params, cfg, [ex.packed])
-    _, pred = qa_forward(h, ex, head, cfg)
-    assert pred == (0, 0, 0)
+    _, (start, end, sent) = qa_forward(h, [ex], head, cfg)
+    words = ex.word_positions
+    assert best_span(start[0, words], end[0, words], cfg.max_answer_len) \
+        == (0, 0)
+    assert int(np.argmax(sent[0, ex.marker_positions])) == 0
 
 
 def test_best_span_respects_order_and_window():
@@ -464,9 +548,11 @@ def test_tsv_reader_names_the_line_of_a_row_that_does_not_pack(
     assert str(exc.value) == f"{path}:2: {message}"
 
 
-def test_batched_qa_metrics_match_per_example_scoring():
-    """qa_metrics encodes batch_size examples per call under no_grad;
-    scoring one full-length example at a time gives the same numbers."""
+def test_batched_qa_metrics_match_per_example_scoring(monkeypatch):
+    """qa_metrics encodes and scores batch_size examples per pass under
+    no_grad; its spans are ``best_span`` of each example's own word
+    logits, here taken from a full-length encode of that example alone
+    by a plain numpy product, and its scores follow from them."""
     vocab = toy_vocab()
     cfg = cfg_for(vocab, batch_size=3, finetune_lr=5e-3)
     params = build_params(cfg, seed=6)
@@ -479,14 +565,28 @@ def test_batched_qa_metrics_match_per_example_scoring():
     ]
     examples = [pack_qa(c, q, s, e, vocab, cfg) for c, q, s, e in data]
     head = finetune_qa(params, cfg, examples, steps=20, seed=6)
-    em = consistent = 0
+    vec = {name: head[name].data.reshape(-1) for name in head}
+    spans, em, consistent = [], 0, 0
     for ex in examples:
-        h = encode_full_length(params, cfg, [ex.packed])
-        _, (ps, pe, psent) = qa_forward(h, ex, head, cfg)
+        flat = encode_full_length(params, cfg, [ex.packed]).data[0]
+        words = flat[ex.word_positions]
+        ps, pe = best_span(words @ vec["qa.start"], words @ vec["qa.end"],
+                           cfg.max_answer_len)
+        psent = int(np.argmax(flat[ex.marker_positions] @ vec["qa.sent"]))
+        spans.append((ps, pe))
         em += int((ps, pe) == (ex.gold_start, ex.gold_end))
         sent_ids = ex.packed.sentence_ids[ex.word_positions[[ps, pe]]]
         consistent += int(sent_ids[0] == psent == sent_ids[1])
+
+    scored = []
+
+    def recording(*args):
+        scored.append(best_span(*args))
+        return scored[-1]
+
+    monkeypatch.setattr(heads, "best_span", recording)
     scores = qa_metrics(params, head, cfg, examples)
+    assert scored == spans
     assert scores == {"n": 5, "em": em / 5,
                       "sentence_consistency": consistent / 5}
 
