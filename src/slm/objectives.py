@@ -4,9 +4,12 @@ Word prediction projects encoder outputs at labeled positions through
 the tied token embedding plus a bias; the reconstruction term averages
 pointer cross-entropy over the N+1 steps of each example and then over
 the batch. The two terms add with no weighting. The bundle also reports
-two training signals of the teacher-forced pointer, read from the
+three training signals of the teacher-forced pointer, read from the
 decoder output with plain numpy (no graph node, no rng draw): the share
-of steps whose argmax hits the target and the mean entropy in nats.
+of steps whose argmax hits the target, the share whose argmax is the row
+fed in at that step, and the mean entropy in nats. All three score the
+unmasked logits over all N+2 rows of C, the candidate set the loss
+uses; greedy decoding blocks [CLS] and the rows already placed.
 """
 from __future__ import annotations
 
@@ -37,6 +40,7 @@ class LossBundle:
     slm_steps: int
     pointer_acc: float      # nan without the ordering objective
     pointer_entropy: float  # nats; nan without the ordering objective
+    pointer_self: float     # nan without the ordering objective
     loss: Tensor
 
 
@@ -55,14 +59,19 @@ def mlm_loss(h: Tensor, params: dict, labels: np.ndarray) -> tuple[Tensor, int]:
 
 
 def _pointer_signals(w: Tensor, c: Tensor,
-                    targets: np.ndarray) -> tuple[int, float]:
-    """Argmax hits and summed entropy (nats) of one example's pointer
-    distributions, from the arrays alone."""
+                    targets: np.ndarray) -> tuple[int, int, float]:
+    """Argmax hits on the target, argmax hits on the row fed in (row 0
+    at step 0, then the previous step's target) and summed entropy
+    (nats) of one example's pointer distributions, from the arrays
+    alone."""
     logits = np.matmul(w.data[0], c.data[0].T).astype(np.float64)
     shifted = logits - logits.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    hits = int(np.count_nonzero(logits.argmax(axis=1) == targets))
-    return hits, float(-(np.exp(logp) * logp).sum())
+    best = logits.argmax(axis=1)
+    hits = int(np.count_nonzero(best == targets))
+    fed = np.concatenate([[0], targets[:-1]])
+    self_hits = int(np.count_nonzero(best == fed))
+    return hits, self_hits, float(-(np.exp(logp) * logp).sum())
 
 
 def total_loss(l_mlm: Tensor, l_slm: Tensor) -> Tensor:
@@ -85,20 +94,22 @@ def pretrain_bundle(params: dict, cfg: RunConfig,
     l_mlm, masked_count = mlm_loss(h, params, labels)
 
     slm_steps = 0
-    pointer_acc = pointer_entropy = float("nan")
+    pointer_acc = pointer_entropy = pointer_self = float("nan")
     if cfg.sr_enabled:
         per_example = []
-        hits, entropy = 0, 0.0
+        hits, self_hits, entropy = 0, 0, 0.0
         for b, ex in enumerate(examples):
             targets = order_targets(ex.perm, ex.num_sentences)
             c = extract_summary(h, ex, b)
             w = decode_sequence(params, cfg, c, targets, rng)
             per_example.append(pointer_nll(w, c, targets))
             slm_steps += len(targets)
-            ex_hits, ex_entropy = _pointer_signals(w, c, targets)
+            ex_hits, ex_self, ex_entropy = _pointer_signals(w, c, targets)
             hits += ex_hits
+            self_hits += ex_self
             entropy += ex_entropy
         pointer_acc, pointer_entropy = hits / slm_steps, entropy / slm_steps
+        pointer_self = self_hits / slm_steps
         acc = per_example[0]
         for term in per_example[1:]:
             acc = acc + term
@@ -117,5 +128,6 @@ def pretrain_bundle(params: dict, cfg: RunConfig,
         slm_steps=slm_steps,
         pointer_acc=pointer_acc,
         pointer_entropy=pointer_entropy,
+        pointer_self=pointer_self,
         loss=loss,
     )

@@ -4,7 +4,13 @@ Exports the encoder output at every [SENT] position of an unshuffled,
 unmasked corpus into a flat matrix with one JSON record per row (doc
 id, sentence index, sentence text, previous sentence text). Retrieval
 is an exact brute-force cosine scan done in double precision, self
-excluded, ties broken by record order.
+excluded, ties broken by record order. An index's fields cannot be
+rebound. It builds its float64 unit rows once, on its first query, and
+its matrix is read-only from then on, so an in-place write raises
+instead of serving stale neighbours; an index that is only exported or
+loaded builds none. Each query is one matrix-vector product against
+the unit rows and a partial selection of the top k, which returns what
+a full stable sort would.
 
 Index file layout: two little-endian u64 (n, hidden) followed by the
 raw row-major float32 matrix; records live next to it in a .jsonl
@@ -20,6 +26,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +37,7 @@ from .tensor import no_grad
 from .textpipe import Document, Vocab, merge_to_max, pack_example, tokenize
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmbeddingIndex:
     matrix: np.ndarray          # [n, hidden] float32
     records: list[dict]
@@ -38,6 +45,17 @@ class EmbeddingIndex:
     def __post_init__(self):
         if len(self.records) != self.matrix.shape[0]:
             raise ContractError("index records out of step with matrix rows")
+
+    @cached_property
+    def unit(self) -> np.ndarray:
+        """float64 rows scaled to unit norm (a zero row stays zero),
+        built on the first query; the matrix is read-only after it."""
+        m = self.matrix.astype(np.float64)
+        norms = np.maximum(np.linalg.norm(m, axis=1), 1e-300)
+        unit = m / norms[:, None]
+        unit.flags.writeable = False
+        self.matrix.flags.writeable = False
+        return unit
 
 
 def export_reps(params: dict, cfg: RunConfig,
@@ -152,18 +170,29 @@ def load_index(path: str) -> EmbeddingIndex:
 
 def nearest_neighbors(index: EmbeddingIndex, query_row: int,
                       k: int) -> list[tuple[int, float]]:
-    """Top-k rows by cosine similarity to the query row, best first."""
+    """Top-k rows by cosine similarity to the query row, best first.
+
+    The index's unit rows are built on its first query and reused by
+    every later one; its matrix is read-only from then on. The top k is
+    a partial selection: only the rows not strictly worse than the k-th
+    are sorted, so equal similarities still rank in record order and NaN
+    still ranks last, exactly as in a full stable sort of every row.
+    """
     n = index.matrix.shape[0]
     if not 0 <= query_row < n:
         raise ContractError(f"query row {query_row} outside [0, {n})")
+    if k < 1:
+        raise ContractError(f"k={k} must be at least 1")
     if k >= n:
         raise ContractError(f"k={k} must leave room to exclude self (n={n})")
-    m = index.matrix.astype(np.float64)
-    norms = np.maximum(np.linalg.norm(m, axis=1), 1e-300)
-    unit = m / norms[:, None]
+    unit = index.unit
     sims = unit @ unit[query_row]
     sims[query_row] = -np.inf
-    order = np.argsort(-sims, kind="stable")[:k]
+    neg = -sims
+    kth = np.partition(neg, k - 1)[k - 1]
+    # rows not strictly worse than the k-th: its ties and any NaN stay
+    keep = np.flatnonzero(~(neg > kth))
+    order = keep[np.argsort(neg[keep], kind="stable")[:k]]
     return [(int(i), float(sims[i])) for i in order]
 
 

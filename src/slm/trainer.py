@@ -8,16 +8,19 @@ is reproducible end to end and two runs with the same seed, config and
 corpus write byte-identical metrics when timing is disabled.
 
 Metrics are an append-only CSV (step,lr,l_mlm,l_slm,total,shuffled,
-tokens_per_s,grad_norm,masked_count,pointer_acc,pointer_entropy)
-preceded by `# key=value` lines echoing the full config. With
+tokens_per_s,grad_norm,masked_count,pointer_acc,pointer_entropy,
+pointer_self) preceded by `# key=value` lines echoing the full config. With
 `accum_steps > 1` a row's losses are means over the step's
 micro-batches, `shuffled` counts its shuffled micro-batches and
 `masked_count` sums their MLM targets. `grad_norm` is the global
 gradient norm before clipping. `pointer_acc` is the share of
 teacher-forced reconstruction steps whose argmax pointer hits the
-target and `pointer_entropy` the mean entropy of those pointer
-distributions in nats, both means over the micro-batches and `nan`
-when the ordering objective is off.
+target, `pointer_entropy` the mean entropy of those pointer
+distributions in nats and `pointer_self` the share of steps whose
+argmax is the row fed in at that step (row 0 at step 0, then the
+previous step's target). All three score the unmasked logits over all
+N+2 rows of C, are means over the micro-batches and are `nan` when the
+ordering objective is off.
 """
 from __future__ import annotations
 
@@ -47,7 +50,8 @@ log = logging.getLogger(__name__)
 _PACK, _SAMPLE, _DROPOUT, _EVAL = 1, 2, 3, 4
 
 METRICS_COLUMNS = ("step,lr,l_mlm,l_slm,total,shuffled,tokens_per_s,"
-                   "grad_norm,masked_count,pointer_acc,pointer_entropy")
+                   "grad_norm,masked_count,pointer_acc,pointer_entropy,"
+                   "pointer_self")
 
 
 def pack_corpus(docs: list[Document], cfg: RunConfig) -> list[PackedExample]:
@@ -133,10 +137,11 @@ def train_loop(docs: list[Document], cfg: RunConfig, out_dir: str,
                 shuffled += int(micro_shuffled)
                 masked += bundle.masked_count
                 losses.append((bundle.l_mlm, bundle.l_slm, bundle.total,
-                               bundle.pointer_acc, bundle.pointer_entropy))
+                               bundle.pointer_acc, bundle.pointer_entropy,
+                               bundle.pointer_self))
             # mean over micro-batches; with one micro-batch each mean is
             # that batch's value, bit for bit
-            l_mlm, l_slm, total, pointer_acc, pointer_entropy = (
+            l_mlm, l_slm, total, pointer_acc, pointer_entropy, pointer_self = (
                 sum(col) / len(losses) for col in zip(*losses))
             if cfg.accum_steps > 1:
                 for p in params.values():
@@ -155,7 +160,7 @@ def train_loop(docs: list[Document], cfg: RunConfig, out_dir: str,
             metrics.write(f"{step},{lr:.10g},{l_mlm:.6f},{l_slm:.6f},"
                           f"{total:.6f},{shuffled},{tokens_per_s:.6g},"
                           f"{grad_norm:.8g},{masked},{pointer_acc:.6f},"
-                          f"{pointer_entropy:.6f}\n")
+                          f"{pointer_entropy:.6f},{pointer_self:.6f}\n")
             if cfg.log_every and step % cfg.log_every == 0:
                 log.info("step %d lr %.3g mlm %.4f slm %.4f total %.4f",
                          step, lr, l_mlm, l_slm, total)

@@ -101,6 +101,7 @@ def test_sr_disabled_total_is_mlm_and_decoder_gets_no_gradient():
     assert bundle.l_slm == 0.0
     assert bundle.total == bundle.l_mlm
     assert np.isnan(bundle.pointer_acc) and np.isnan(bundle.pointer_entropy)
+    assert np.isnan(bundle.pointer_self)
     backward(bundle.loss)
     for name, p in params.items():
         if name.startswith("dec."):
@@ -185,8 +186,9 @@ def test_no_grad_bundle_matches_graph_recording_bundle():
 
 
 def test_pointer_signals_match_direct_numpy():
-    """pointer_acc and pointer_entropy equal argmax hits and entropy
-    taken by hand from each example's teacher-forced pointer rows."""
+    """pointer_acc, pointer_self and pointer_entropy equal argmax hits
+    on the target and on the row fed in, and entropy, taken by hand from
+    each example's teacher-forced pointer rows."""
     cfg = small_config()
     params = build_params(cfg, seed=4, dtype=np.float64)
     rng = np.random.default_rng(21)
@@ -197,20 +199,23 @@ def test_pointer_signals_match_direct_numpy():
     bundle = pretrain_bundle(params, cfg, batch)
 
     h = encode_batch(params, cfg, batch)
-    hits, entropies = [], []
+    hits, selfs, entropies = [], [], []
     for b, ex in enumerate(batch):
         c = extract_summary(h, ex, b)
         targets = order_targets(ex.perm, ex.num_sentences)
         w = decode_sequence(params, cfg, c, targets)
-        for row, target in zip(w.data[0], targets):
+        fed = [0] + list(targets[:-1])
+        for row, target, fed_row in zip(w.data[0], targets, fed):
             logits = c.data[0] @ row
             p = np.exp(logits - logits.max())
             p /= p.sum()
             hits.append(int(np.argmax(logits)) == target)
+            selfs.append(int(np.argmax(logits)) == fed_row)
             entropies.append(-sum(q * np.log(q) for q in p if q > 0))
     assert bundle.slm_steps == len(hits) == 9
     # an untrained pointer is saturated on a wrong row: no step hits
     assert bundle.pointer_acc == sum(hits) / len(hits) == 0.0
+    assert bundle.pointer_self == sum(selfs) / len(selfs)
     assert bundle.pointer_entropy == pytest.approx(np.mean(entropies),
                                                    rel=1e-9)
 
@@ -218,15 +223,17 @@ def test_pointer_signals_match_direct_numpy():
 def test_pointer_signals_on_hand_built_rows():
     # step 0 is uniform over the four candidates (entropy ln 4) and its
     # argmax, row 0, misses; step 1 hits row 1; step 2 prefers row 2
-    # over its target, row 3
+    # over its target, row 3. The rows fed in are 0, 1 and 1: steps 0
+    # and 1 point at their own input, step 2 does not
     c = Tensor(np.array([[[0, 0], [1, 0], [0, 1], [-1, -1]]], dtype=np.float32))
     w = Tensor(np.array([[[0, 0], [3, 0], [0, 3]]], dtype=np.float32))
-    hits, entropy = _pointer_signals(w, c, np.array([1, 1, 3]))
+    hits, self_hits, entropy = _pointer_signals(w, c, np.array([1, 1, 3]))
 
     def h(logits):
         p = np.exp(logits) / np.exp(logits).sum()
         return -np.sum(p * np.log(p))
     assert hits == 1
+    assert self_hits == 2
     assert entropy == pytest.approx(
         np.log(4) + h(np.array([0, 3, 0, -3.0])) + h(np.array([0, 0, 3, -3.0])),
         rel=1e-12)

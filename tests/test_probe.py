@@ -1,4 +1,5 @@
 import struct
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -30,12 +31,15 @@ def probe_setup(seed=0):
     return params, cfg, docs, vocab
 
 
+def index_of(matrix):
+    records = [{"doc": 0, "sent": i, "text": f"s{i}", "prev": ""}
+               for i in range(matrix.shape[0])]
+    return EmbeddingIndex(matrix=matrix, records=records)
+
+
 def random_index(n, hidden=8, seed=0):
     rng = np.random.default_rng(seed)
-    matrix = rng.normal(size=(n, hidden)).astype(np.float32)
-    records = [{"doc": 0, "sent": i, "text": f"s{i}", "prev": ""}
-               for i in range(n)]
-    return EmbeddingIndex(matrix=matrix, records=records)
+    return index_of(rng.normal(size=(n, hidden)).astype(np.float32))
 
 
 def test_one_row_per_sentence():
@@ -134,6 +138,81 @@ def test_k_must_leave_room_for_self():
         nearest_neighbors(index, 0, 5)
     with pytest.raises(ContractError):
         nearest_neighbors(index, 9, 2)
+
+
+@pytest.mark.parametrize("k", [0, -1, -2])
+def test_k_below_one_is_a_contract_error(k):
+    with pytest.raises(ContractError, match=f"k={k} must be at least 1"):
+        nearest_neighbors(random_index(5), 0, k)
+
+
+def full_scan_neighbors(matrix, query_row, k):
+    """The formula the cached search replaced: normalize every row on
+    every call, then stable-sort all n similarities."""
+    m = matrix.astype(np.float64)
+    norms = np.maximum(np.linalg.norm(m, axis=1), 1e-300)
+    unit = m / norms[:, None]
+    sims = unit @ unit[query_row]
+    sims[query_row] = -np.inf
+    order = np.argsort(-sims, kind="stable")[:k]
+    return [(int(i), float(sims[i])) for i in order]
+
+
+def planted_ties_matrix(seed):
+    """Random rows plus duplicates, scaled copies, a zero row and rows
+    orthogonal to each other, shuffled, so many queries meet ties."""
+    rng = np.random.default_rng(seed)
+    hidden = 6
+    base = rng.normal(size=(6, hidden)).astype(np.float32)
+    base[:, :2] = 0                      # orthogonal to the rows below
+    eye = np.eye(hidden, dtype=np.float32)[:2]
+    rows = [*base, base[0], base[0] * 2.0, base[1] * 3.7, base[2] * 0.25,
+            base[2], np.zeros(hidden, dtype=np.float32), eye[0], eye[1],
+            eye[0] * 5.0]
+    matrix = np.stack(rows)
+    return matrix[rng.permutation(len(rows))]
+
+
+@pytest.mark.parametrize("seed,nan_row", [(0, None), (1, None), (2, None),
+                                          (3, None), (7, 4)])
+def test_partial_selection_matches_the_full_scan_bitwise(seed, nan_row):
+    matrix = planted_ties_matrix(seed)
+    if nan_row is not None:     # in memory only: load_index refuses it
+        matrix[nan_row, 3] = np.nan
+    index = index_of(matrix.copy())
+    n = matrix.shape[0]
+    for q in range(n):
+        for k in range(1, n):
+            hits = nearest_neighbors(index, q, k)
+            expect = full_scan_neighbors(matrix, q, k)
+            assert [i for i, _ in hits] == [i for i, _ in expect]
+            # bits, not ==, so a NaN similarity compares too
+            assert (np.array([s for _, s in hits]).tobytes()
+                    == np.array([s for _, s in expect]).tobytes())
+
+
+def test_unit_rows_are_built_once_on_the_first_query(tmp_path):
+    index = random_index(6)
+    assert "unit" not in index.__dict__
+    index.matrix[4] = index.matrix[1] * 2.0  # seen by the first query
+    assert nearest_neighbors(index, 1, 2)[0][0] == 4
+    unit = index.__dict__["unit"]
+    nearest_neighbors(index, 3, 2)
+    assert index.__dict__["unit"] is unit
+    with pytest.raises(ValueError):
+        index.matrix[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        index.unit[0, 0] = 1.0
+    with pytest.raises(FrozenInstanceError):
+        index.matrix = index.matrix.copy()
+
+    params, cfg, docs, vocab = probe_setup()
+    exported = export_reps(params, cfg, docs, vocab)
+    path = str(tmp_path / "sent.idx")
+    save_index(path, exported)
+    for built in (exported, load_index(path)):
+        assert "unit" not in built.__dict__
+        assert built.matrix.flags.writeable
 
 
 def test_index_save_load_round_trip(tmp_path):

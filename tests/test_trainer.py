@@ -271,7 +271,8 @@ def test_accumulated_rows_report_mean_losses_and_shuffled_count(tmp_path):
                                drop_rng, training=True)
                for micro in range(3)]
     columns = METRICS_COLUMNS.split(",")
-    for attr in ("l_mlm", "l_slm", "total", "pointer_acc", "pointer_entropy"):
+    for attr in ("l_mlm", "l_slm", "total", "pointer_acc", "pointer_entropy",
+                 "pointer_self"):
         mean = np.mean([getattr(b, attr) for b in bundles])
         assert float(rows[0][columns.index(attr)]) == pytest.approx(
             mean, abs=2e-6)
@@ -317,9 +318,9 @@ def test_pointer_columns_are_nan_without_the_ordering_objective(tmp_path):
     _, rows = read_metrics(train_loop(tiny_corpus(), cfg,
                                       str(tmp_path / "run"))["metrics"])
     columns = METRICS_COLUMNS.split(",")
-    assert columns[-4:] == ["grad_norm", "masked_count", "pointer_acc",
-                            "pointer_entropy"]
+    assert columns[-5:] == ["grad_norm", "masked_count", "pointer_acc",
+                            "pointer_entropy", "pointer_self"]
     for row in rows:
         assert len(row) == len(columns)
         assert int(row[columns.index("masked_count")]) > 0
-        assert row[-2:] == ["nan", "nan"]
+        assert row[-3:] == ["nan", "nan", "nan"]
