@@ -269,7 +269,7 @@ def cmd_gradcheck(args) -> int:
     # every parameter finishes quickly; --set can resize it
     check_defaults = ["encoder_layers=2", "decoder_layers=1", "heads=2",
                       "hidden=16", "ffn=32", "seq_len=32", "max_sentences=4",
-                      "vocab_size=32", "dropout=0", "attn_dropout=0"]
+                      "vocab_size=32", "dropout=0"]
     cfg = resolve_config(args.profile, args.config,
                          check_defaults + list(args.overrides), args.seed)
     rng = np.random.default_rng(cfg.seed)

@@ -16,7 +16,10 @@ command reads is deleted: ``--set`` rejects it like any unknown key and
 unless the stored value described a model the code no longer builds.
 Settings every run shares are constants, not keys: the masking recipe
 (``masking.P_GEOM``, ``MAX_SPAN``, ``MASK_RATE``, ``REPLACE_MASK``,
-``REPLACE_RANDOM``) and the gradcheck tolerance (``cli.GRADCHECK_TOL``).
+``REPLACE_RANDOM``), the gradcheck tolerance (``cli.GRADCHECK_TOL``),
+the layer norm epsilon (``tensor.layer_norm``'s default) and Adam's
+betas (``optim.BETA1``, ``BETA2``). Attention dropout runs at
+``dropout``.
 """
 from __future__ import annotations
 
@@ -39,8 +42,6 @@ class RunConfig:
     max_sentences: int = 8
     vocab_size: int = 2000
     dropout: float = 0.1
-    attn_dropout: float = 0.1
-    layer_norm_eps: float = 1e-5
 
     # objective switches
     shuffle_fraction: float = 0.5
@@ -53,8 +54,6 @@ class RunConfig:
     warmup: int = 100
     peak_lr: float = 1.5e-4
     adam_eps: float = 1e-6
-    beta1: float = 0.9
-    beta2: float = 0.999
     weight_decay: float = 0.01
     grad_clip: float = 1.0
     accum_steps: int = 1
@@ -115,11 +114,10 @@ _RANGES = (
       "checkpoint_every", "log_every"),
      lambda v: v >= 0, "must be >= 0"),
     (("query_row",), lambda v: v >= -1, "must be >= -1 (-1: no query)"),
-    (("dropout", "attn_dropout", "beta1", "beta2"),
-     lambda v: 0 <= v < 1, "must lie in [0, 1)"),
+    (("dropout",), lambda v: 0 <= v < 1, "must lie in [0, 1)"),
     (("shuffle_fraction",), lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
-    (("layer_norm_eps", "adam_eps"),
-     lambda v: 0 < v < math.inf, "must be positive and finite"),
+    (("adam_eps",), lambda v: 0 < v < math.inf,
+     "must be positive and finite"),
     (("peak_lr", "finetune_lr", "weight_decay"),
      lambda v: 0 <= v < math.inf, "must be >= 0 and finite"),
 )
@@ -137,7 +135,6 @@ PROFILES = {
         "max_sentences": 20,
         "vocab_size": 30522,
         "dropout": 0.1,
-        "attn_dropout": 0.1,
         "batch_size": 256,
         "steps": 1_000_000,
         "warmup": 10_000,
@@ -226,19 +223,28 @@ def config_echo(cfg: RunConfig) -> list[tuple[str, str]]:
 # never read; gradcheck_dtype=float32 could not pass the gradcheck
 # tolerance; position_mode=travel leaked the order through positions.
 # The masking recipe and the gradcheck tolerance are constants now, and
-# no checkpoint command masks or gradchecks, so any stored value loads
+# no checkpoint command masks or gradchecks, so any stored value loads.
+# Fine-tuning runs layer norm, Adam and attention dropout, so those keys
+# load only at the value now used; attn_dropout's entry names the key
+# whose stored value it must equal
 _RETIRED = {"dev_file": None, "gradcheck_dtype": None,
             "position_mode": "resequence",
             **dict.fromkeys(("p_geom", "max_span", "mask_rate",
                              "replace_mask", "replace_random",
-                             "replace_keep", "gradcheck_tol"))}
+                             "replace_keep", "gradcheck_tol")),
+            "layer_norm_eps": "1e-05", "beta1": "0.9", "beta2": "0.999",
+            "attn_dropout": "dropout"}
 
 
 def config_from_echo(pairs) -> RunConfig:
     """Inverse of config_echo; retired keys of older checkpoints are
     dropped, and one holding a value no longer built is refused."""
+    stored = dict(pairs)
     for k, v in pairs:
-        if _RETIRED.get(k) not in (None, v):
+        want = _RETIRED.get(k)
+        if want == "dropout":
+            want = stored.get("dropout")
+        if want not in (None, v):
             raise ContractError(f"retired key {k}={v} no longer loads")
     return RunConfig(**{k: _coerce(k, v) for k, v in pairs
                         if k not in _RETIRED}).validate()

@@ -80,8 +80,7 @@ def embed(params: dict, cfg: RunConfig, token_ids: np.ndarray,
     if cfg.sentence_reps_enabled:
         h0 = h0 + look(params["emb.sentence"], sentence_ids)
     h0 = h0 + look(params["emb.segment"], segment_ids)
-    h0 = T.layer_norm(h0, params["emb.ln.g"], params["emb.ln.b"],
-                      cfg.layer_norm_eps)
+    h0 = T.layer_norm(h0, params["emb.ln.g"], params["emb.ln.b"])
     return T.dropout(h0, cfg.dropout, rng)
 
 

@@ -160,7 +160,7 @@ def multi_head_attention(params: dict, prefix: str, x_q: Tensor,
     if rows is not None:
         scores = select_rows(scores, rows)
     probs = T.attention_softmax(scores, 1.0 / np.sqrt(dh), bias)
-    probs = T.dropout(probs, cfg.attn_dropout, rng)
+    probs = T.dropout(probs, cfg.dropout, rng)
     ctx = T.matmul(probs, v).swapaxes(1, 2)
     b, l, _, _ = ctx.shape
     ctx = ctx.reshape(b, l, cfg.hidden)
@@ -176,4 +176,4 @@ def post_norm(params: dict, prefix: str, residual: Tensor, out: Tensor,
               cfg: RunConfig, rng) -> Tensor:
     out = T.dropout(out, cfg.dropout, rng)
     return T.layer_norm(residual + out, params[f"{prefix}.g"],
-                        params[f"{prefix}.b"], cfg.layer_norm_eps)
+                        params[f"{prefix}.b"])

@@ -1,9 +1,10 @@
 """Joint pretraining loss: masked words plus sentence reconstruction.
 
 Word prediction projects encoder outputs at labeled positions through
-the tied token embedding plus a bias; the reconstruction term averages
-pointer cross-entropy over the N+1 steps of each example and then over
-the batch. The two terms add with no weighting. The bundle also reports
+the tied token embedding plus a bias; the reconstruction term is
+``reconstructor.pointer_nll``, the fused cross-entropy on the pointer
+logits, averaged over the N+1 steps of each example and then over the
+batch. The two terms add with no weighting. The bundle also reports
 three training signals of the teacher-forced pointer, read from the
 decoder output with plain numpy (no graph node, no rng draw): the share
 of steps whose argmax hits the target, the share whose argmax is the row
@@ -74,11 +75,6 @@ def _pointer_signals(w: Tensor, c: Tensor,
     return hits, self_hits, float(-(np.exp(logp) * logp).sum())
 
 
-def total_loss(l_mlm: Tensor, l_slm: Tensor) -> Tensor:
-    """Unweighted sum of the two objectives."""
-    return l_mlm + l_slm
-
-
 def pretrain_bundle(params: dict, cfg: RunConfig,
                     examples: list[PackedExample], rng=None,
                     training: bool = False) -> LossBundle:
@@ -117,7 +113,7 @@ def pretrain_bundle(params: dict, cfg: RunConfig,
     else:
         l_slm = Tensor(np.asarray(0.0, dtype=h.data.dtype))
 
-    loss = total_loss(l_mlm, l_slm)
+    loss = l_mlm + l_slm
     if not np.isfinite(loss.data):
         raise TrainingAbort("non-finite training loss")
     return LossBundle(

@@ -15,6 +15,8 @@ from .config import RunConfig
 from .errors import TrainingAbort
 from .tensor import Tensor
 
+BETA1, BETA2 = 0.9, 0.999     # Adam's moment decay rates
+
 
 def lr_schedule(step: int, cfg: RunConfig) -> float:
     if step < 0:
@@ -74,17 +76,17 @@ def adam_update(params: dict[str, Tensor], state: AdamState, lr: float,
 
     state.t += 1
     t = state.t
-    bc1 = 1.0 - cfg.beta1 ** t
-    bc2 = 1.0 - cfg.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name, p in params.items():
         g = p.grad
         if g is None:
             continue
         m, v = state.slot(name, p.data)
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * np.square(g)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * np.square(g)
         update = (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
         if cfg.weight_decay > 0 and decays(name, p):
             update = update + cfg.weight_decay * p.data

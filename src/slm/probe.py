@@ -110,11 +110,17 @@ def export_reps(params: dict, cfg: RunConfig,
 
 def save_index(path: str, index: EmbeddingIndex) -> None:
     """Write the sidecar, then the matrix, each atomically: the index
-    file exists only once both are whole."""
+    file exists only once both are whole. A row holding NaN or Inf,
+    which ``load_index`` would refuse, is refused before either file
+    is written."""
+    matrix = np.ascontiguousarray(index.matrix, dtype="<f4")
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise ContractError(f"{path}: row {bad[0]} holds non-finite values;"
+                            " the index is not written")
     records = "".join(json.dumps(rec, ensure_ascii=False) + "\n"
                       for rec in index.records).encode("utf-8")
     write_atomic(path + ".jsonl", lambda fh: fh.write(records))
-    matrix = np.ascontiguousarray(index.matrix, dtype="<f4")
     write_atomic(path, lambda fh: fh.writelines(
         [struct.pack("<QQ", *matrix.shape), matrix.tobytes()]))
 

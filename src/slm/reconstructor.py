@@ -3,9 +3,11 @@
 The decoder consumes only the sentence summary C. Teacher forcing feeds
 (h_cls, then the gold-ordered sentence rows); causal self-attention
 keeps step i blind to later steps while cross-attention sees all of C.
-Each output row is dotted against every row of C and softmaxed, giving
-one pointer distribution per reconstruction step; step i should select
-the sentence originally at position i and the final step selects [SEP].
+Each output row is dotted against every row of C, giving one row of
+pointer logits per reconstruction step; step i should select the
+sentence originally at position i and the final step selects [SEP]. The
+loss (``pointer_nll``) is one fused log-softmax cross-entropy on those
+logits.
 
 Greedy decoding runs the same decoder layers one step at a time over a
 batch of documents: a key/value cache keeps the self-attention keys and
@@ -81,29 +83,11 @@ def pointer_logits(w: Tensor, c: Tensor) -> Tensor:
     return out.reshape(out.shape[-2], out.shape[-1])
 
 
-def pointer_scores(w: Tensor, c: Tensor) -> Tensor:
-    """Pointer distributions: rows softmax over the N+2 candidates."""
-    return T.softmax_rows(pointer_logits(w, c))
-
-
-def slm_loss(p: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean negative log-probability of the correct candidate per step.
-
-    ``p`` holds row-stochastic pointer distributions [N+1, N+2]. A
-    target of 0 would point a step at h_cls, which is never correct.
-    """
-    targets = np.asarray(targets)
-    steps, cands = p.shape
-    if targets.shape != (steps,):
-        raise ContractError("one target per pointer row required")
-    if np.any(targets < 1) or np.any(targets >= cands):
-        raise ContractError("targets must avoid row 0 and stay in range")
-    picked = T.gather_elements(p, targets)
-    return T.mul(T.log(picked).mean(), -1.0)
-
-
 def pointer_nll(w: Tensor, c: Tensor, targets: np.ndarray) -> Tensor:
-    """slm_loss composed with the softmax, fused for stability."""
+    """The ordering loss: the mean over steps of the negative
+    log-softmax of each step's logits at its target row, one fused
+    cross-entropy. A target of 0 would point a step at h_cls, which is
+    never correct."""
     targets = np.asarray(targets)
     cands = c.shape[1]
     if np.any(targets < 1) or np.any(targets >= cands):

@@ -1,12 +1,17 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-The kernel set is exactly what the model needs: elementwise arithmetic
-with broadcasting, (stacked) matmul, shape moves, gathers, stabilized
-row softmax, the fused attention softmax (``attention_softmax``: scale,
-mask and row softmax as one op), layer norm, gelu, log, reductions,
-fused cross-entropy and dropout. Every op records a backward closure on
-its output; calling ``backward(loss)`` walks the recorded graph once in
-reverse topological order and accumulates gradients into the leaves.
+The kernel set is what the model needs: elementwise arithmetic with
+broadcasting, (stacked) matmul, shape moves, gathers, the fused
+attention softmax (``attention_softmax``: scale, mask and row softmax as
+one op), layer norm, gelu, reductions, fused cross-entropy and dropout.
+Every op records a backward closure on its output; calling
+``backward(loss)`` walks the recorded graph once in reverse topological
+order and accumulates gradients into the leaves.
+
+Four ops have no caller in the package: ``log``, ``gather_elements``,
+``softmax_rows`` and ``tsum``. They stay only because the benchmark's
+tracer (``TENSOR_OPS`` in ``perfbench/spans.py``) hooks each of them by
+name and fails on a missing one; they go when the tracer drops them.
 
 The heavy kernels (softmax, attention softmax, gelu, layer norm and
 dropout) write their arithmetic into buffers they allocate themselves

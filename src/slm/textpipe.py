@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, read_text
+from .errors import ContractError, read_text, write_atomic
 
 PAD, UNK, CLS, SEP, MASK, SENT = 0, 1, 2, 3, 4, 5
 SPECIAL_TOKENS = ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]", "[SENT]"]
@@ -120,13 +120,10 @@ def read_corpus(path: str) -> list[str]:
 
 
 def write_corpus(path: str, docs: list[list[str]]) -> None:
-    """One sentence per line, blank line between documents."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, doc in enumerate(docs):
-            if i:
-                fh.write("\n")
-            for sent in doc:
-                fh.write(sent + "\n")
+    """One sentence per line, blank line between documents, written
+    atomically."""
+    text = "\n".join("".join(sent + "\n" for sent in doc) for doc in docs)
+    write_atomic(path, lambda fh: fh.write(text.encode("utf-8")))
 
 
 def read_prepared(path: str) -> list[list[str]]:
@@ -158,9 +155,9 @@ class Vocab:
         return [get(t, UNK) for t in tokens]
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for t in self.id_to_token:
-                fh.write(t + "\n")
+        """One token per line, written atomically."""
+        text = "".join(t + "\n" for t in self.id_to_token)
+        write_atomic(path, lambda fh: fh.write(text.encode("utf-8")))
 
     @classmethod
     def load(cls, path: str) -> "Vocab":

@@ -51,7 +51,7 @@ def learning_setup(corpus_seed: int = 0):
                    encoder_layers=4, decoder_layers=1, heads=4, ffn=256,
                    seq_len=64, max_sentences=4, batch_size=16,
                    peak_lr=1e-3, warmup=100, steps=200,
-                   shuffle_fraction=1.0, dropout=0.0, attn_dropout=0.0,
+                   shuffle_fraction=1.0, dropout=0.0,
                    checkpoint_every=0, log_every=100)
     return train, held, base
 

@@ -8,7 +8,7 @@ by held-out greedy unshuffling:
 - ``learning``: the first leg of the learning check (acceptance
   criterion 5): its config, corpus seed 0 and leg seed 0, dropout off.
 - ``tiny-dropout``: the tiny profile on the same stories, with its
-  dropout and attention dropout on, for 40 steps.
+  dropout on (attention dropout runs at the same rate), for 40 steps.
 
 For each run it prints the sha256 of ``metrics.csv`` and of
 ``ckpt-final.bin``, and two digests that leave out the config echo:
@@ -31,21 +31,57 @@ each returned head and of the encoder tensors each one trained, and the
 
 Run it from the repository root at two commits and compare the lines:
 
-    PYTHONPATH=src SLM_THREADS=1 python tests/pretrain_digest.py
+    PYTHONPATH=src SLM_THREADS=1 python tests/pretrain_digest.py > parent.txt
+    PYTHONPATH=src SLM_THREADS=1 python tests/pretrain_digest.py \
+        --against parent.txt
+
+With ``--against`` it then prints each line's label (``learning
+metrics.csv``, ``finetune qa scores``, ...) with ``same`` or ``moved``
+and exits 1 if any line moved.
 
 Equal digests mean the change left every float of pretraining, greedy
-decoding, the readers above and fine-tuning as it was, so criterion 5 escapes at the same
-leg and needs no escape-leg rerun. A change that only adds or retires a
-config key moves the two file digests and none of the others. Digests
-match only on the same Python, numpy and BLAS. pytest does not collect
-this file.
+decoding, the readers above and fine-tuning as it was, so criterion 5
+escapes at the same leg and needs no escape-leg rerun. The config echo
+enters only the two file digests, so a change that only adds or retires
+a config key moves the ``metrics.csv`` and ``ckpt-final.bin`` lines of
+each run (``learning`` and ``tiny-dropout``) and none of the others.
+Digests match only on the same Python, numpy and BLAS. pytest does not
+collect this file.
 """
 from __future__ import annotations
 
 import hashlib
 import os
+import re
 import tempfile
 from dataclasses import replace
+
+
+def label(line: str) -> str:
+    """What a line reports on: its words up to the first digest, or its
+    words without ``=`` when it holds no digest (the QA scores)."""
+    words = line.split()
+    for k, word in enumerate(words):
+        if re.fullmatch(r"[0-9a-f]{64}", word):
+            return " ".join(words[:k])
+    return " ".join(w for w in words if "=" not in w)
+
+
+def compare(lines: list[str], saved: list[str]) -> int:
+    """Print each line's label with ``same`` or ``moved`` against the
+    saved lines (a label only the saved run has is ``gone``); 1 if any
+    line moved or went, else 0."""
+    before = {label(line): line for line in saved
+              if label(line) != line.strip()}   # digest lines only
+    moved = 0
+    print("--- against the saved run")
+    for line in lines:
+        same = before.pop(label(line), None) == line
+        moved += not same
+        print(f"{label(line)} {'same' if same else 'moved'}")
+    for gone in before:
+        print(f"{gone} gone")
+    return 1 if moved or before else 0
 
 
 def file_digest(path: str) -> str:
@@ -166,10 +202,10 @@ def reader_digests(params, cfg, stories, vocab) -> tuple[str, str]:
             arrays_digest((f"f{k}", f.data) for k, f in enumerate(features)))
 
 
-def finetune_leg(ckpt_path: str, vocab, stories) -> None:
-    """Fine-tune both heads from one checkpoint, dropout on, and print
-    digests of each head and of the encoder tensors it trained, then the
-    QA head's ``qa_metrics`` scores."""
+def finetune_leg(ckpt_path: str, vocab, stories, report) -> None:
+    """Fine-tune both heads from one checkpoint, dropout on, and
+    ``report`` digests of each head and of the encoder tensors it
+    trained, then the QA head's ``qa_metrics`` scores."""
     from corpus_gen import OBJECTS
 
     from slm import heads
@@ -177,7 +213,7 @@ def finetune_leg(ckpt_path: str, vocab, stories) -> None:
     from slm.textpipe import tokenize
 
     cfg = load_checkpoint(ckpt_path).config
-    assert cfg.dropout > 0 and cfg.attn_dropout > 0
+    assert cfg.dropout > 0
 
     pairs = pair_examples(stories, vocab, cfg)
     questions = []
@@ -197,20 +233,25 @@ def finetune_leg(ckpt_path: str, vocab, stories) -> None:
     for name, run in legs:
         params = load_checkpoint(ckpt_path).params
         head = run(params)
-        print(f"finetune {name} head "
-              f"{arrays_digest((n, head[n].data) for n in sorted(head))}",
-              flush=True)
+        report(f"finetune {name} head "
+               f"{arrays_digest((n, head[n].data) for n in sorted(head))}")
         encoder = sorted(n for n in params if not n.startswith("dec."))
-        print(f"finetune {name} encoder "
-              f"{arrays_digest((n, params[n].data) for n in encoder)}",
-              flush=True)
+        report(f"finetune {name} encoder "
+               f"{arrays_digest((n, params[n].data) for n in encoder)}")
         if name == "qa":
             scores = heads.qa_metrics(params, head, cfg, questions)
-            print("finetune qa scores " + " ".join(
-                f"{k}={v!r}" for k, v in scores.items()), flush=True)
+            report("finetune qa scores " + " ".join(
+                f"{k}={v!r}" for k, v in scores.items()))
 
 
-def main() -> None:
+def main() -> list[str]:
+    """Print every digest line as it is computed; return the lines."""
+    lines = []
+
+    def report(line: str) -> None:
+        print(line, flush=True)
+        lines.append(line)
+
     from slm.config import resolve_config
     from slm.trainer import train_loop
 
@@ -235,27 +276,36 @@ def main() -> None:
             metrics = os.path.join(out, "metrics.csv")
             ckpt = os.path.join(out, "ckpt-final.bin")
             for fname in ("metrics.csv", "ckpt-final.bin"):
-                print(f"{name} {fname} "
-                      f"{file_digest(os.path.join(out, fname))}", flush=True)
-            print(f"{name} metrics-rows {metrics_rows_digest(metrics)}",
-                  flush=True)
-            print(f"{name} ckpt-tensors {checkpoint_tensors_digest(ckpt)}",
-                  flush=True)
+                report(f"{name} {fname} "
+                       f"{file_digest(os.path.join(out, fname))}")
+            report(f"{name} metrics-rows {metrics_rows_digest(metrics)}")
+            report(f"{name} ckpt-tensors {checkpoint_tensors_digest(ckpt)}")
             orders, summaries, em = unshuffle_orders(res["params"], cfg,
                                                      held)
-            print(f"{name} unshuffle-orders {orders} em={em:.3f}", flush=True)
-            print(f"{name} unshuffle-c {summaries}", flush=True)
+            report(f"{name} unshuffle-orders {orders} em={em:.3f}")
+            report(f"{name} unshuffle-c {summaries}")
             export, features = reader_digests(res["params"], cfg,
                                               held_texts, vocab)
-            print(f"{name} export {export}", flush=True)
-            print(f"{name} cls-features {features}", flush=True)
+            report(f"{name} export {export}")
+            report(f"{name} cls-features {features}")
 
         finetune_leg(os.path.join(tmp, "tiny-dropout", "ckpt-final.bin"),
-                     vocab, make_corpus(16, 1))
+                     vocab, make_corpus(16, 1), report)
+    return lines
 
 
 if __name__ == "__main__":
+    import argparse
+    import sys
+
     from slm.cli import _cap_threads
 
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="FILE",
+                        help="saved output of a run at another commit")
+    args = parser.parse_args()
     _cap_threads()
-    main()
+    lines = main()
+    if args.against:
+        with open(args.against, encoding="utf-8") as fh:
+            sys.exit(compare(lines, fh.read().splitlines()))

@@ -25,7 +25,7 @@ from slm.masking import apply_span_masking, sample_span_length
 from slm.model import parameter_counts
 from slm.objectives import pretrain_bundle
 from slm.probe import EmbeddingIndex, nearest_neighbors
-from slm.reconstructor import slm_loss
+from slm.reconstructor import pointer_nll
 from slm.shuffling import apply_shuffle, sample_permutation
 from slm.tensor import Tensor, grad_check
 from slm.textpipe import SPECIAL_TOKENS, Vocab, pack_example
@@ -77,25 +77,29 @@ def test_criterion_1_gradient_correctness():
 
 def test_criterion_2_ordering_loss_oracle():
     with criterion(2, "ordering loss matches scalar double-loop oracle") as info:
+        # an identity C in float64 makes pointer_logits(w, c) equal the
+        # drawn logits exactly, so the loss training runs sees them as is
         rng = np.random.default_rng(2)
         worst = 0.0
         for _ in range(1000):
             n = int(rng.integers(1, 7))
             logits = rng.normal(scale=3.0, size=(n + 1, n + 2))
-            p = np.exp(logits - logits.max(axis=1, keepdims=True))
-            p /= p.sum(axis=1, keepdims=True)
             targets = rng.integers(1, n + 2, size=n + 1)
-            got = float(slm_loss(Tensor(p), targets).data)
+            c = Tensor(np.eye(n + 2)[None])
+            got = float(pointer_nll(Tensor(logits[None]), c, targets).data)
             want = 0.0
             for i in range(n + 1):
+                top = max(logits[i])
+                lse = top + math.log(sum(math.exp(x - top) for x in logits[i]))
                 for j in range(1, n + 2):
                     if j == targets[i]:
-                        want -= math.log(p[i, j])
+                        want -= logits[i, j] - lse
             want /= n + 1
             worst = max(worst, abs(got - want))
 
-        uniform = np.full((2, 3), 1.0 / 3.0)
-        u = float(slm_loss(Tensor(uniform), np.array([1, 2])).data)
+        uniform = Tensor(np.zeros((1, 2, 3)))
+        u = float(pointer_nll(uniform, Tensor(np.eye(3)[None]),
+                              np.array([1, 2])).data)
         u_err = abs(u - math.log(3.0))
         info["detail"] = f"worst |diff| {worst:.2e}, uniform N=1 off by {u_err:.2e}"
         assert worst <= 1e-6

@@ -91,9 +91,10 @@ def test_truncation_is_a_format_error(tmp_path):
 
 
 @pytest.mark.parametrize("old,new,message", [
-    (b"beta1=0.9", b"beta1=\xff.9", "undecodable"),
+    (b"adam_eps=1e-06", b"adam_eps=\xffe-06", "undecodable"),
     (b"emb.token", b"emb.\xffoken", "undecodable"),
-    (b"beta1=0.9", b"beta1=2.0", "stored config: beta1 must lie in"),
+    (b"adam_eps=1e-06", b"adam_eps=-1e-6",
+     "stored config: adam_eps must be positive"),
 ])
 def test_undecodable_or_invalid_stored_text_is_a_format_error(
         tmp_path, old, new, message):
@@ -185,13 +186,14 @@ def test_stored_config_with_the_retired_gradcheck_dtype_key_loads(
         assert ck.params[name].data.tobytes() == params[name].data.tobytes()
 
 
-def save_with_stored_key(tmp_path, monkeypatch, key, value):
+def save_with_stored_key(tmp_path, monkeypatch, key, value, **others):
     """save_small with one more ``key=value`` pair in the stored config,
-    as a checkpoint written while RunConfig had that key would hold."""
+    as a checkpoint written while RunConfig had that key would hold;
+    ``others`` are more pairs laid over the stored config."""
     from slm import checkpoint
     from slm.config import config_echo
     monkeypatch.setattr(checkpoint, "config_echo", lambda cfg: sorted(
-        config_echo(cfg) + [(key, value)]))
+        {**dict(config_echo(cfg)), **others, key: value}.items()))
     saved = save_small(tmp_path)
     monkeypatch.undo()
     assert f"{key}={value}".encode() in open(saved[3], "rb").read()
@@ -238,6 +240,32 @@ def test_stored_masking_and_tolerance_keys_load(tmp_path, monkeypatch,
     value they stored: no checkpoint command masks or gradchecks."""
     assert_loads_as_saved(*save_with_stored_key(
         tmp_path, monkeypatch, key, value))
+
+
+def test_stored_layer_norm_adam_and_attention_keys_load(tmp_path,
+                                                        monkeypatch):
+    """Checkpoints written while the layer norm epsilon, Adam's betas and
+    the attention dropout were config keys load with identical tensors
+    when they hold the values the code now uses (attn_dropout equal to
+    the stored dropout, 0.0 in ``small_config``)."""
+    assert_loads_as_saved(*save_with_stored_key(
+        tmp_path, monkeypatch, "layer_norm_eps", "1e-05", beta1="0.9",
+        beta2="0.999", attn_dropout="0.0"))
+
+
+@pytest.mark.parametrize("key,value,others", [
+    ("layer_norm_eps", "1e-12", {}), ("beta2", "0.98", {}),
+    ("attn_dropout", "0.0", {"dropout": "0.1"}),
+], ids=["layer_norm_eps", "beta2", "attn_dropout"])
+def test_stored_layer_norm_adam_or_attention_key_off_its_value_is_refused(
+        tmp_path, monkeypatch, key, value, others):
+    """Fine-tuning runs layer norm, Adam and attention dropout, so a
+    checkpoint trained with another value is refused, naming the key."""
+    _, _, _, path = save_with_stored_key(tmp_path, monkeypatch, key, value,
+                                         **others)
+    with pytest.raises(FormatError, match=f"{path}: stored config: retired "
+                       f"key {key}={value} no longer loads"):
+        load_checkpoint(path)
 
 
 def test_stored_travel_position_mode_is_a_format_error(tmp_path,

@@ -14,7 +14,7 @@ The sun rose early. The river ran cold. The cat ran home.
 
 SMALL_MODEL = ["encoder_layers=1", "decoder_layers=1", "heads=2",
                "hidden=16", "ffn=32", "seq_len=32", "max_sentences=4",
-               "dropout=0", "attn_dropout=0", "batch_size=2",
+               "dropout=0", "batch_size=2",
                "steps=6", "warmup=2", "checkpoint_every=0"]
 
 
@@ -190,7 +190,7 @@ def test_seed_changes_training_outcome(workspace, tmp_path, capsys):
 
 @pytest.mark.parametrize("bad", [
     ["accum_steps=0"], ["batch_size=0"], ["steps=0", "warmup=0"],
-    ["heads=0"], ["dropout=1.5"], ["dropout=-0.1"], ["attn_dropout=1.0"],
+    ["heads=0"], ["dropout=1.5"], ["dropout=-0.1"],
 ], ids=",".join)
 def test_out_of_range_config_exits_two_without_traceback(
         bad, workspace, tmp_path, capsys):
@@ -224,9 +224,9 @@ def test_log_level_shows_trainer_step_lines(workspace, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("bad", [
-    "hidden=0", "layer_norm_eps=-1", "beta2=1", "peak_lr=nan",
+    "hidden=0", "peak_lr=nan",
     "encoder_layers=-1", "decoder_layers=-1", "peak_lr=-1",
-    "finetune_lr=-1", "beta1=1.5", "weight_decay=-1", "warmup=-1",
+    "finetune_lr=-1", "weight_decay=-1", "warmup=-1",
     "p_geom=7", "max_span=0", "mask_rate=2", "replace_mask=1.5",
 ])
 def test_more_out_of_range_values_exit_two_without_traceback(
@@ -577,15 +577,16 @@ def test_non_finite_checkpoint_tensor_exits_two_naming_it(workspace, tmp_path,
 
 def test_non_finite_probe_index_row_exits_two_naming_it(workspace, tmp_path,
                                                        capsys):
-    from slm.probe import load_index, save_index
     args = checkpoint_args("probe", workspace, tmp_path, "query_row=0",
                            "top_k=2")
     assert run(args) == 0
     capsys.readouterr()
     index_path = str(tmp_path / "sent.idx")
-    index = load_index(index_path)
-    index.matrix[3, 1] = np.inf
-    save_index(index_path, index)
+    blob = bytearray(open(index_path, "rb").read())
+    _, hidden = struct.unpack_from("<QQ", blob)
+    at = 16 + 4 * (3 * hidden + 1)          # header, then row 3, column 1
+    blob[at:at + 4] = np.float32(np.inf).tobytes()
+    open(index_path, "wb").write(bytes(blob))
     assert run(args) == 2
     assert capsys.readouterr().err == (
         f"error: {index_path}: row 3 holds non-finite values\n")
@@ -679,7 +680,9 @@ def test_retired_gradcheck_dtype_key_exits_two(command, capsys):
 
 @pytest.mark.parametrize("command", ["pretrain", "eval-unshuffle",
                                      "gradcheck"])
-@pytest.mark.parametrize("pair", ["p_geom=0.3", "gradcheck_tol=1"])
+@pytest.mark.parametrize("pair", ["p_geom=0.3", "gradcheck_tol=1",
+                                  "layer_norm_eps=1e-05", "beta1=0.9",
+                                  "beta2=0.999", "attn_dropout=0.1"])
 def test_retired_masking_and_tolerance_keys_exit_two(command, pair, capsys):
     assert run([command, "--set", pair]) == 2
     key = pair.split("=")[0]
@@ -734,6 +737,53 @@ def test_failed_probe_export_leaves_no_index(workspace, tmp_path, capsys,
     assert run(args) == 0
     assert "exported 6 sentence rows" in capsys.readouterr().out
     assert probe.load_index(str(index)).matrix.shape[0] == 6
+
+
+def test_probe_export_with_a_non_finite_row_exits_two_and_writes_nothing(
+        workspace, tmp_path, capsys, monkeypatch):
+    """An export whose matrix holds NaN is refused before the index or
+    its sidecar is written, so no later run loads a broken index."""
+    from slm import probe
+    export_reps = probe.export_reps
+
+    def nan_in_row_4(*args):
+        index = export_reps(*args)
+        index.matrix[4, 0] = np.nan
+        return index
+
+    monkeypatch.setattr(probe, "export_reps", nan_in_row_4)
+    index = tmp_path / "sent.idx"
+    assert run(checkpoint_args("probe", workspace, tmp_path,
+                               "query_row=0")) == 2
+    assert capsys.readouterr().err == (
+        f"error: {index}: row 4 holds non-finite values; the index is not "
+        "written\n")
+    assert not index.exists()
+    assert not (tmp_path / "sent.idx.jsonl").exists()
+
+
+@pytest.mark.parametrize("command,name", [("prepare", "prepared.txt"),
+                                          ("build-vocab", "vocab.txt")])
+def test_failed_prepare_or_vocab_write_leaves_no_file(
+        command, name, workspace, tmp_path, capsys, monkeypatch):
+    """A write that fails partway (a full disk) leaves neither a
+    truncated output nor a temporary file, and names the output."""
+    from slm import errors
+    out = tmp_path / name
+    write_atomic = errors.write_atomic
+
+    def disk_full(path, write):
+        def half_then_full(fh):
+            fh.write(b"[PAD]\n")
+            raise OSError("disk full")
+        write_atomic(path, half_then_full)
+
+    monkeypatch.setattr("slm.textpipe.write_atomic", disk_full)
+    source = workspace["root"] / "raw.txt" if command == "prepare" \
+        else workspace["prepared"]
+    assert run([command, str(source), str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {out}: disk full\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_row_selected_readers_print_and_write_the_full_encode_bytes(

@@ -1,14 +1,16 @@
 """Range checks of RunConfig.validate: every out-of-range value raises
 ContractError naming its field; the edges that mean something stay
-valid."""
+valid. Retired keys are not fields, and both profiles survive the
+config echo round trip."""
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slm.config import RunConfig
+from slm.config import (_RETIRED, PROFILES, RunConfig, config_echo,
+                        config_from_echo, resolve_config)
 from slm.errors import ContractError
 
 NAN_OR_INF = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -44,10 +46,9 @@ BAD_VALUES = {
     "warmup": below(0),
     "query_row": below(-1),
     "seq_len": below(4),
-    **{key: floats_outside(0.0, 1.0, hi_open=True) for key in (
-        "dropout", "attn_dropout", "beta1", "beta2")},
+    "dropout": floats_outside(0.0, 1.0, hi_open=True),
     "shuffle_fraction": floats_outside(0.0, 1.0),
-    **{key: not_positive_finite() for key in ("layer_norm_eps", "adam_eps")},
+    "adam_eps": not_positive_finite(),
     **{key: negative_or_not_finite() for key in (
         "peak_lr", "finetune_lr", "weight_decay")},
     "task_type": st.text().filter(
@@ -74,10 +75,19 @@ def test_out_of_range_value_raises_contract_error(case):
     {"grad_clip": 0.0}, {"grad_clip": -1.0},
     {"encoder_layers": 0}, {"decoder_layers": 0},
     {"warmup": 0}, {"peak_lr": 0.0}, {"weight_decay": 0.0},
-    {"beta1": 0.0}, {"dropout": 0.0}, {"shuffle_fraction": 1.0},
+    {"dropout": 0.0}, {"shuffle_fraction": 1.0},
     {"query_row": -1}, {"checkpoint_every": 0}, {"log_every": 0},
     {"finetune_epochs": 0},
 ], ids=lambda c: ",".join(f"{k}={v}" for k, v in c.items()))
 def test_meaningful_edges_stay_valid(change):
     replace(RunConfig(), **change).validate()
 
+
+def test_retired_keys_are_not_fields():
+    assert not set(_RETIRED) & {f.name for f in fields(RunConfig)}
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_profiles_round_trip_through_the_echo(profile):
+    cfg = resolve_config(profile)
+    assert config_from_echo(config_echo(cfg)) == cfg

@@ -26,7 +26,7 @@ def test_embed_is_sum_of_table_rows():
               + params["emb.sentence"].data[1] + params["emb.segment"].data[0])
     mu = manual.mean()
     var = ((manual - mu) ** 2).mean()
-    expect = (manual - mu) / np.sqrt(var + cfg.layer_norm_eps)
+    expect = (manual - mu) / np.sqrt(var + 1e-5)
     np.testing.assert_allclose(h0.data[0, 0], expect, atol=1e-6)
 
 
@@ -184,7 +184,7 @@ def test_no_grad_encode_stops_at_longest_real_row():
 def test_encode_batch_draws_dropout_only_when_training():
     """A pass without training hands its rng to no dropout: the rng's
     state stays as it was and the output equals a pass without an rng."""
-    cfg = small_config(dropout=0.1, attn_dropout=0.1)
+    cfg = small_config(dropout=0.1)
     params = build_params(cfg)
     batch = [identity_record(masked_example(cfg, np.random.default_rng(3)))]
     rng = np.random.default_rng(4)

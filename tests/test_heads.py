@@ -26,7 +26,7 @@ def toy_vocab():
 
 def cfg_for(vocab, **kw):
     base = dict(vocab_size=len(vocab.id_to_token), seq_len=32,
-                max_sentences=6, dropout=0.0, attn_dropout=0.0)
+                max_sentences=6, dropout=0.0)
     base.update(kw)
     return small_config(**base)
 
@@ -237,7 +237,7 @@ def test_finetune_cls_with_dropout_is_deterministic(monkeypatch):
     """Dropout draws come from the seed alone: the row-selected encode
     draws the same masks on every run, and another seed draws others."""
     vocab = toy_vocab()
-    cfg = cfg_for(vocab, batch_size=3, dropout=0.1, attn_dropout=0.1)
+    cfg = cfg_for(vocab, batch_size=3, dropout=0.1)
     examples = []
     for i, (a, b) in enumerate((("the cat sat. the dog ran.", "red sun"),
                                 ("one bird flew home", "the sun rose fast"),

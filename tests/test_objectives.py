@@ -5,8 +5,7 @@ import pytest
 
 from slm.encoder import encode_batch, extract_summary
 from slm.masking import IGNORE
-from slm.objectives import (_pointer_signals, mlm_loss, pretrain_bundle,
-                            total_loss)
+from slm.objectives import _pointer_signals, mlm_loss, pretrain_bundle
 from slm.reconstructor import decode_sequence
 from slm.shuffling import (apply_shuffle, identity_record, order_targets,
                            sample_permutation)
@@ -74,12 +73,6 @@ def test_mlm_no_labels_returns_zero_and_warns(caplog):
     assert count == 0
     assert float(loss.data) == 0.0
     assert any("no labeled positions" in r.message for r in caplog.records)
-
-
-def test_total_is_exact_float_sum():
-    a = Tensor(np.asarray(1.25, dtype=np.float32))
-    b = Tensor(np.asarray(0.5, dtype=np.float32))
-    assert float(total_loss(a, b).data) == 1.75
 
 
 def test_bundle_totals_are_consistent():

@@ -3,8 +3,8 @@ import pytest
 
 from slm.config import RunConfig
 from slm.errors import TrainingAbort
-from slm.optim import (AdamState, adam_update, clip_global_norm, decays,
-                       lr_schedule, zero_grads)
+from slm.optim import (BETA1, BETA2, AdamState, adam_update,
+                       clip_global_norm, decays, lr_schedule, zero_grads)
 from slm.tensor import Tensor
 
 from util import small_config
@@ -64,8 +64,8 @@ def test_adam_matches_reference_formula_one_step():
     p = Tensor(w0.copy(), requires_grad=True)
     p.grad = g.copy()
     adam_update({"w": p}, AdamState(), 1e-2, cfg)
-    m = (1 - cfg.beta1) * g / (1 - cfg.beta1)
-    v = (1 - cfg.beta2) * g * g / (1 - cfg.beta2)
+    m = (1 - BETA1) * g / (1 - BETA1)
+    v = (1 - BETA2) * g * g / (1 - BETA2)
     expect = w0 - 1e-2 * m / (np.sqrt(v) + cfg.adam_eps)
     np.testing.assert_allclose(p.data, expect, rtol=1e-6)
 

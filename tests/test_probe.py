@@ -236,11 +236,26 @@ def test_truncated_index_is_format_error(tmp_path):
 
 def test_non_finite_index_row_is_format_error(tmp_path):
     index = random_index(7, hidden=4, seed=7)
-    index.matrix[5, 2] = np.nan
     path = str(tmp_path / "sent.idx")
     save_index(path, index)
+    blob = bytearray(open(path, "rb").read())
+    at = 16 + 4 * (5 * 4 + 2)   # header, then row 5, column 2
+    blob[at:at + 4] = np.float32(np.nan).tobytes()
+    open(path, "wb").write(bytes(blob))
     with pytest.raises(FormatError, match=f"{path}: row 5 holds non-finite"):
         load_index(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_save_refuses_a_non_finite_row_and_writes_nothing(tmp_path, value):
+    """A row that load_index would refuse is refused on save, before the
+    sidecar or the matrix is written."""
+    index = random_index(7, hidden=4, seed=7)
+    index.matrix[5, 2] = value
+    path = tmp_path / "sent.idx"
+    with pytest.raises(ContractError, match=f"{path}: row 5 holds non-finite"):
+        save_index(str(path), index)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("n,hidden", [(2**40, 16), (2**62, 2**62), (0, 2**63)])

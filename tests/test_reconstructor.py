@@ -5,8 +5,7 @@ from slm import reconstructor
 from slm import tensor as T
 from slm.errors import ContractError
 from slm.reconstructor import (causal_bias, decode_sequence, decoder_stack,
-                               greedy_unshuffle, pointer_nll, pointer_scores,
-                               slm_loss)
+                               greedy_unshuffle, pointer_logits, pointer_nll)
 from slm.shuffling import apply_shuffle, order_targets, sample_permutation
 from slm.tensor import Tensor, grad_check
 
@@ -60,30 +59,44 @@ def test_pointer_uniform_when_c_is_zero():
     cfg = small_config()
     c = Tensor(np.zeros((1, 4, cfg.hidden), dtype=np.float32))
     w = Tensor(np.random.default_rng(0).normal(size=(1, 3, cfg.hidden)).astype(np.float32))
-    p = pointer_scores(w, c)
-    np.testing.assert_allclose(p.data, np.full((3, 4), 0.25), atol=1e-6)
+    np.testing.assert_array_equal(pointer_logits(w, c).data, np.zeros((3, 4)))
+    loss = pointer_nll(w, c, np.array([1, 2, 3]))
+    np.testing.assert_allclose(loss.data, np.log(4.0), atol=1e-6)
 
 
 def test_pointer_scores_match_numpy_oracle():
     rng = np.random.default_rng(3)
     w = Tensor(rng.normal(size=(1, 3, 8)).astype(np.float32))
     c = Tensor(rng.normal(size=(1, 4, 8)).astype(np.float32))
-    p = pointer_scores(w, c).data
-    logits = w.data[0] @ c.data[0].T
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    np.testing.assert_allclose(p, e / e.sum(axis=1, keepdims=True), atol=1e-6)
-    assert p.shape == (3, 4)
+    targets = np.array([2, 1, 3])
+    logits = pointer_logits(w, c).data
+    assert logits.shape == (3, 4)
+    np.testing.assert_allclose(logits, w.data[0] @ c.data[0].T, atol=1e-6)
+    x = logits.astype(np.float64)
+    logp = x - x.max(axis=1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
+    want = -logp[np.arange(3), targets].mean()
+    np.testing.assert_allclose(float(pointer_nll(w, c, targets).data), want,
+                               atol=1e-6)
 
 
+def eye_c(n_plus_2, dtype=np.float64):
+    """An identity C: ``pointer_logits(w, eye_c(k))`` is exactly ``w``'s
+    rows, so a test can hand ``pointer_nll`` the logits it wants."""
+    return Tensor(np.eye(n_plus_2, dtype=dtype)[None])
+
+
+# the SLM loss below is pointer_nll, the training objective on logits
 def test_slm_loss_perfect_prediction_is_zero():
-    p = Tensor(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=np.float32))
-    loss = slm_loss(p, np.array([1, 2]))
+    logits = np.array([[0.0, 50.0, 0.0], [0.0, 0.0, 50.0]], dtype=np.float32)
+    loss = pointer_nll(Tensor(logits[None]), eye_c(3, np.float32),
+                       np.array([1, 2]))
     np.testing.assert_allclose(loss.data, 0.0, atol=1e-7)
 
 
 def test_slm_loss_uniform_n1_is_ln3():
-    p = Tensor(np.full((2, 3), 1 / 3, dtype=np.float32))
-    loss = slm_loss(p, np.array([1, 2]))
+    w = Tensor(np.zeros((1, 2, 3), dtype=np.float32))
+    loss = pointer_nll(w, eye_c(3, np.float32), np.array([1, 2]))
     np.testing.assert_allclose(loss.data, np.log(3.0), atol=1e-6)
 
 
@@ -91,32 +104,23 @@ def test_slm_loss_matches_double_loop_oracle():
     rng = np.random.default_rng(7)
     for _ in range(200):
         n = int(rng.integers(1, 9))
-        raw = rng.random((n + 1, n + 2)) + 1e-3
-        p = raw / raw.sum(axis=1, keepdims=True)
+        logits = rng.normal(scale=2.0, size=(n + 1, n + 2))
         targets = np.append(rng.integers(1, n + 2, size=n), n + 1)
-        got = float(slm_loss(Tensor(p.astype(np.float32)), targets).data)
+        got = float(pointer_nll(Tensor(logits[None].astype(np.float32)),
+                                eye_c(n + 2, np.float32), targets).data)
         acc = 0.0
         for i in range(n + 1):
+            lse = np.log(np.exp(logits[i]).sum())
             for j in range(n + 2):
                 if j == targets[i]:
-                    acc -= np.log(p[i, j])
+                    acc -= logits[i, j] - lse
         np.testing.assert_allclose(got, acc / (n + 1), rtol=1e-5)
 
 
 def test_slm_loss_rejects_cls_target():
-    p = Tensor(np.full((2, 3), 1 / 3, dtype=np.float32))
+    w = Tensor(np.zeros((1, 2, 3), dtype=np.float32))
     with pytest.raises(ContractError):
-        slm_loss(p, np.array([0, 2]))
-
-
-def test_pointer_nll_equals_slm_loss_of_softmax():
-    rng = np.random.default_rng(9)
-    w = Tensor(rng.normal(size=(1, 4, 8)).astype(np.float32))
-    c = Tensor(rng.normal(size=(1, 5, 8)).astype(np.float32))
-    targets = np.array([2, 1, 3, 4])
-    fused = float(pointer_nll(w, c, targets).data)
-    via_p = float(slm_loss(pointer_scores(w, c), targets).data)
-    np.testing.assert_allclose(fused, via_p, atol=1e-6)
+        pointer_nll(w, eye_c(3, np.float32), np.array([0, 2]))
 
 
 def test_loss_invariant_under_candidate_reordering():

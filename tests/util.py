@@ -14,7 +14,7 @@ from slm.textpipe import CLS, NUM_SPECIALS, PAD, SEP, Document, PackedExample, p
 def small_config(**kw) -> RunConfig:
     base = dict(encoder_layers=2, decoder_layers=1, heads=2, hidden=16,
                 ffn=32, seq_len=32, max_sentences=6, vocab_size=40,
-                dropout=0.0, attn_dropout=0.0)
+                dropout=0.0)
     base.update(kw)
     return RunConfig(**base).validate()
 
