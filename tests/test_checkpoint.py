@@ -91,10 +91,12 @@ def test_truncation_is_a_format_error(tmp_path):
 
 
 @pytest.mark.parametrize("old,new,message", [
-    (b"adam_eps=1e-06", b"adam_eps=\xffe-06", "undecodable"),
+    pytest.param(b"adam_eps=1e-06", b"adam_eps=\xffe-06", "undecodable",
+                 id="eps-undecodable"),
     (b"emb.token", b"emb.\xffoken", "undecodable"),
-    (b"adam_eps=1e-06", b"adam_eps=-1e-6",
-     "stored config: adam_eps must be positive"),
+    pytest.param(b"adam_eps=1e-06", b"adam_eps=-1e-6",
+                 "stored config: adam_eps must be positive",
+                 id="eps-out-of-range"),
 ])
 def test_undecodable_or_invalid_stored_text_is_a_format_error(
         tmp_path, old, new, message):
