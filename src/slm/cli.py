@@ -280,9 +280,12 @@ def cmd_gradcheck(args) -> int:
         [int(w) for w in rng.integers(NUM_SPECIALS, cfg.vocab_size,
                                       size=int(rng.integers(3, 7)))]
         for _ in range(cfg.max_sentences)])
-    ex = pack_example(doc, cfg.seq_len, cfg.max_sentences, rng)
+    # as pretraining: no markers and no shuffle without sentence reps
+    ex = pack_example(doc, cfg.seq_len, cfg.max_sentences, rng,
+                      use_sentence_tokens=cfg.sentence_reps_enabled)
     ex = apply_span_masking(ex, cfg, rng)
-    ex = apply_shuffle(ex, sample_permutation(ex.num_sentences, rng))
+    if cfg.sentence_reps_enabled:
+        ex = apply_shuffle(ex, sample_permutation(ex.num_sentences, rng))
 
     def f():
         return pretrain_bundle(params, cfg, [ex]).loss

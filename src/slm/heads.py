@@ -1,10 +1,11 @@
 """Fine-tuning heads: sentence-pair classification/regression and
 extractive QA with three pointer scores.
 
-Classification builds its feature by concatenating the [CLS] output
-with the first sentence representation of each provided text (so the
-projection width is (1 + #texts) * hidden); with sentence
-representations disabled the feature is the [CLS] row alone. QA scores
+Classification builds its feature by concatenating the encoder output
+at the feature rows a ``ClsExample`` carries: [CLS], then the first
+[SENT] of each provided text, or [CLS] alone with sentence
+representations disabled. ``pack_pair`` alone decides those ``rows``,
+and the projection width is ``len(rows) * hidden``. QA scores
 every context word twice (answer start, answer end) and every context
 sentence once, each with its own learned vector. It scores a whole
 batch in one pass: each vector multiplies every encoder row of the
@@ -45,9 +46,8 @@ from .textpipe import (PackedExample, Vocab, document_from_text,
 @dataclass
 class ClsExample:
     packed: PackedExample
-    markers: list[int]          # positions of the first [SENT] per text
+    rows: list[int]             # [CLS], then the first [SENT] per text
     label: float                # class index or regression target
-    num_texts: int
 
 
 @dataclass
@@ -76,9 +76,8 @@ def pack_pair(text_a: str, text_b: str | None, vocab: Vocab,
         first.setdefault(int(packed.segment_ids[start]), sent_pos)
     if len(first) != len(texts):
         raise DataError("no room to pack every text in the pair")
-    markers = list(first.values()) if cfg.sentence_reps_enabled else []
-    return ClsExample(packed=packed, markers=markers, label=0.0,
-                      num_texts=len(texts))
+    rows = [0] + (list(first.values()) if cfg.sentence_reps_enabled else [])
+    return ClsExample(packed=packed, rows=rows, label=0.0)
 
 
 def _nonblank_lines(path: str) -> list[tuple[int, str]]:
@@ -126,52 +125,37 @@ def read_cls_tsv(path: str, vocab: Vocab, cfg: RunConfig):
     return examples, label_names
 
 
-def init_cls_head(cfg: RunConfig, n_outputs: int, num_texts: int,
+def init_cls_head(cfg: RunConfig, n_outputs: int, n_rows: int,
                   rng) -> dict:
-    width = cfg.hidden * (1 + (num_texts if cfg.sentence_reps_enabled else 0))
+    """A fresh head on ``n_rows`` feature rows of ``cfg.hidden`` each."""
     return {
-        "cls.w": Tensor(trunc_normal((width, n_outputs), INIT_STD, rng),
-                        requires_grad=True),
+        "cls.w": Tensor(trunc_normal((n_rows * cfg.hidden, n_outputs),
+                                     INIT_STD, rng), requires_grad=True),
         "cls.b": Tensor(np.zeros(n_outputs, dtype=np.float32), requires_grad=True),
     }
 
 
-def feature_rows(examples: list[ClsExample], cfg: RunConfig) -> np.ndarray:
-    """[B, 1 + texts] positions of each example's feature: [CLS], then,
-    with sentence representations, the first [SENT] of each text."""
-    per = 1 + (examples[0].num_texts if cfg.sentence_reps_enabled else 0)
-    rows = []
-    for ex in examples:
-        if cfg.sentence_reps_enabled and len(ex.markers) != ex.num_texts:
-            raise ContractError("example does not carry one marker per text")
-        row = [0] + (ex.markers if cfg.sentence_reps_enabled else [])
-        if len(row) != per:
-            raise ContractError("inconsistent sentence-input count in batch")
-        rows.append(row)
-    return np.asarray(rows)
-
-
-def cls_features(h: Tensor, examples: list[ClsExample],
-                 cfg: RunConfig) -> Tensor:
-    """Each example's feature rows side by side, [B, (1 + texts) * hidden];
-    ``h`` is the encoder output at ``feature_rows(examples, cfg)``."""
-    bsz, per, hidden = h.shape
-    want = feature_rows(examples, cfg).shape
-    if want != (bsz, per):
-        raise ContractError(f"encoder rows {(bsz, per)} do not match the "
-                            f"examples' feature rows {want}")
-    return h.reshape(bsz, per * hidden)
+def feature_rows(examples: list[ClsExample]) -> np.ndarray:
+    """[B, R] positions of each example's feature rows."""
+    if len({len(ex.rows) for ex in examples}) != 1:
+        raise ContractError("batch mixes examples with different numbers "
+                            "of feature rows")
+    return np.asarray([ex.rows for ex in examples])
 
 
 def classify(h: Tensor, examples: list[ClsExample], head: dict,
              cfg: RunConfig) -> tuple[Tensor, Tensor]:
-    """Returns (outputs, loss). ``h`` is the encoder output at
-    ``feature_rows(examples, cfg)``, as ``finetune_cls`` and
+    """Returns (outputs, loss). ``h`` [B, R, hidden] is the encoder
+    output at ``feature_rows(examples)``, as ``finetune_cls`` and
     ``cls_accuracy`` ask ``encode_batch`` for it. Outputs are logits
     [B, n_classes] for classification or scores [B, 1] for regression
     (squared error)."""
-    feats = cls_features(h, examples, cfg)
-    out = T.matmul(feats, head["cls.w"]) + head["cls.b"]
+    bsz, per, hidden = h.shape
+    want = feature_rows(examples).shape
+    if want != (bsz, per):
+        raise ContractError(f"encoder rows {(bsz, per)} do not match the "
+                            f"examples' feature rows {want}")
+    out = T.matmul(h.reshape(bsz, per * hidden), head["cls.w"]) + head["cls.b"]
     if cfg.task_type == "regression":
         targets = np.asarray([[ex.label] for ex in examples],
                              dtype=out.data.dtype)
@@ -218,11 +202,11 @@ def finetune_cls(params: dict, cfg: RunConfig, examples: list[ClsExample],
     if not examples:
         raise ContractError("finetune_cls needs at least one example")
     rng = np.random.default_rng([seed, 90])
-    head = init_cls_head(cfg, n_outputs, examples[0].num_texts, rng)
+    head = init_cls_head(cfg, n_outputs, len(examples[0].rows), rng)
 
     def batch_loss(batch):
         h = encode_batch(params, cfg, [ex.packed for ex in batch], rng,
-                         training=True, rows=feature_rows(batch, cfg))
+                         training=True, rows=feature_rows(batch))
         return classify(h, batch, head, cfg)[1]
 
     return _finetune(params, cfg, examples, head, steps, batch_loss)
@@ -243,7 +227,7 @@ def cls_accuracy(params: dict, head: dict, cfg: RunConfig,
         for lo in range(0, len(examples), cfg.batch_size):
             batch = examples[lo:lo + cfg.batch_size]
             h = encode_batch(params, cfg, [ex.packed for ex in batch],
-                             rows=feature_rows(batch, cfg))
+                             rows=feature_rows(batch))
             out, _ = classify(h, batch, head, cfg)
             preds = np.argmax(out.data, axis=1)
             hits += int(sum(p == int(ex.label)

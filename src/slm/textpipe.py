@@ -1,9 +1,10 @@
 """Corpus handling: sentence segmentation, vocabulary, packing.
 
 A corpus file is UTF-8 text with documents separated by blank lines.
-Documents are segmented into sentences, tokenized into lowercased
-word/punctuation tokens, merged down to at most M sentences, and packed
-into fixed-length examples.
+Documents are segmented into sentences by one regex scan for runs of
+terminal punctuation followed by whitespace (``segment_sentences``),
+tokenized into lowercased word/punctuation tokens, merged down to at
+most M sentences, and packed into fixed-length examples.
 
 ``pack_segments`` lays out every model input; nothing else writes a
 layout array. Pretraining packs one segment:
@@ -50,6 +51,8 @@ _ABBREVIATIONS = {
 }
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
+# a run of terminal punctuation and the whitespace after it
+_BOUNDARY_RE = re.compile(r"([.!?]+)\s+")
 
 
 def tokenize(text: str) -> list[str]:
@@ -60,44 +63,27 @@ def tokenize(text: str) -> list[str]:
 def segment_sentences(text: str) -> list[str]:
     """Split a document into sentences on ., !, ? boundaries.
 
-    A boundary needs terminal punctuation followed by whitespace and an
-    uppercase letter or digit. Periods after known abbreviations or
-    single-letter initials do not split. Joining the result restores the
-    input up to the whitespace that separated sentences.
+    A boundary is one regex match: a run of terminal punctuation (like
+    "?!" or "...") followed by whitespace. It splits only when an
+    uppercase letter or digit comes next, and a lone period after a
+    known abbreviation or a single-letter initial does not split. Both
+    tests use ``str`` methods and the regex's ``\\s`` is ``str.isspace``,
+    so Unicode letters, digits and spaces count as ``str`` counts them.
+    Joining the result restores the input up to the whitespace that
+    separated sentences.
     """
     text = text.strip()
-    if not text:
-        return []
-    sentences = []
-    start = 0
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in ".!?":
-            # absorb runs like "?!" or "..."
-            j = i
-            while j + 1 < n and text[j + 1] in ".!?":
-                j += 1
-            k = j + 1
-            if k < n and text[k].isspace():
-                nxt = k
-                while nxt < n and text[nxt].isspace():
-                    nxt += 1
-                if nxt < n and (text[nxt].isupper() or text[nxt].isdigit()):
-                    if ch == "." and i == j and _is_abbreviation(text, i):
-                        i += 1
-                        continue
-                    sentences.append(text[start:k].strip())
-                    start = nxt
-                    i = nxt
-                    continue
-            i = j + 1
+    sentences, start = [], 0
+    for m in _BOUNDARY_RE.finditer(text):
+        nxt = text[m.end()]     # text is stripped, so a character follows
+        if not (nxt.isupper() or nxt.isdigit()):
             continue
-        i += 1
-    tail = text[start:].strip()
-    if tail:
-        sentences.append(tail)
+        if m.group(1) == "." and _is_abbreviation(text, m.start()):
+            continue
+        sentences.append(text[start:m.end(1)])
+        start = m.end()
+    if text:
+        sentences.append(text[start:])
     return sentences
 
 
@@ -128,12 +114,8 @@ def write_corpus(path: str, docs: list[list[str]]) -> None:
 
 def read_prepared(path: str) -> list[list[str]]:
     """Documents as sentence lists from a prepare-formatted file."""
-    docs = []
-    for block in re.split(r"\n\s*\n", read_text(path, "corpus")):
-        sents = [l.strip() for l in block.split("\n") if l.strip()]
-        if sents:
-            docs.append(sents)
-    return docs
+    return [[l.strip() for l in doc.split("\n") if l.strip()]
+            for doc in read_corpus(path)]
 
 
 class Vocab:

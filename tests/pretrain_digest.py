@@ -20,8 +20,9 @@ with the trained parameters, plus that eval's em, and three digests of
 what the readers of the encoder read: every summary C that
 ``greedy_unshuffle`` receives in that eval (``unshuffle-c``), the
 ``export_reps`` matrix of the held-out stories (``export``), and the
-``cls_features`` rows that ``cls_accuracy`` scores with a fresh head on
-sentence pairs from those stories (``cls-features``).
+feature rows that ``cls_accuracy`` hands ``classify`` to score with a
+fresh head on sentence pairs from those stories, side by side as
+[B, rows * hidden] (``cls-features``).
 
 A third leg, ``finetune``, loads the ``tiny-dropout`` checkpoint twice
 and runs ``finetune_cls`` and ``finetune_qa`` on pairs and questions
@@ -176,7 +177,8 @@ def pair_examples(stories, vocab, cfg) -> list:
 
 def reader_digests(params, cfg, stories, vocab) -> tuple[str, str]:
     """Digests of the ``export_reps`` matrix of ``stories`` and of the
-    ``cls_features`` rows ``cls_accuracy`` scores on their pairs."""
+    feature rows ``cls_accuracy`` hands ``classify`` for their pairs,
+    each batch as [B, rows * hidden]."""
     import numpy as np
 
     from slm import heads
@@ -184,22 +186,21 @@ def reader_digests(params, cfg, stories, vocab) -> tuple[str, str]:
 
     index = export_reps(params, cfg, stories, vocab)
     features = []
-    cls_features = heads.cls_features
+    classify = heads.classify
 
-    def recording(*args):
-        feats = cls_features(*args)
-        features.append(feats)
-        return feats
+    def recording(h, *args):
+        features.append(h.data.reshape(h.shape[0], -1))
+        return classify(h, *args)
 
-    head = heads.init_cls_head(cfg, 2, 2, np.random.default_rng(5))
-    heads.cls_features = recording
+    head = heads.init_cls_head(cfg, 2, 3, np.random.default_rng(5))
+    heads.classify = recording
     try:
         heads.cls_accuracy(params, head, cfg,
                            pair_examples(stories, vocab, cfg))
     finally:
-        heads.cls_features = cls_features
+        heads.classify = classify
     return (arrays_digest([("export", index.matrix)]),
-            arrays_digest((f"f{k}", f.data) for k, f in enumerate(features)))
+            arrays_digest((f"f{k}", f) for k, f in enumerate(features)))
 
 
 def finetune_leg(ckpt_path: str, vocab, stories, report) -> None:

@@ -172,6 +172,29 @@ def test_gradcheck_passes_on_small_model(capsys):
     assert "float64" in out
 
 
+def test_gradcheck_without_sentence_reps_checks_the_pretraining_layout(
+        monkeypatch, capsys):
+    """Pretraining packs no [SENT] and never shuffles with sentence
+    representations off, so the checked example has neither."""
+    from slm import objectives
+    from slm.textpipe import SENT
+    seen = []
+    bundle = objectives.pretrain_bundle
+
+    def spy(params, cfg, batch, *args, **kwargs):
+        seen.extend(batch)
+        return bundle(params, cfg, batch, *args, **kwargs)
+
+    monkeypatch.setattr(objectives, "pretrain_bundle", spy)
+    assert run(["gradcheck", "--set", "sentence_reps_enabled=false",
+                "--set", "sr_enabled=false"]) == 0
+    assert "gradcheck max rel err" in capsys.readouterr().out
+    assert seen
+    for ex in seen:
+        assert SENT not in ex.token_ids
+        assert ex.perm is None
+
+
 def test_seed_changes_training_outcome(workspace, tmp_path, capsys):
     base = SMALL_MODEL + [f"vocab_size={workspace['n_vocab']}",
                           f"corpus={workspace['prepared']}",
@@ -227,7 +250,6 @@ def test_log_level_shows_trainer_step_lines(workspace, tmp_path, capsys):
     "hidden=0", "peak_lr=nan",
     "encoder_layers=-1", "decoder_layers=-1", "peak_lr=-1",
     "finetune_lr=-1", "weight_decay=-1", "warmup=-1",
-    "p_geom=7", "max_span=0", "mask_rate=2", "replace_mask=1.5",
 ])
 def test_more_out_of_range_values_exit_two_without_traceback(
         bad, workspace, tmp_path, capsys):
@@ -680,7 +702,9 @@ def test_retired_gradcheck_dtype_key_exits_two(command, capsys):
 
 @pytest.mark.parametrize("command", ["pretrain", "eval-unshuffle",
                                      "gradcheck"])
-@pytest.mark.parametrize("pair", ["p_geom=0.3", "gradcheck_tol=1",
+@pytest.mark.parametrize("pair", ["p_geom=0.3", "max_span=0", "mask_rate=2",
+                                  "replace_mask=1.5", "replace_random=0.1",
+                                  "gradcheck_tol=1",
                                   "layer_norm_eps=1e-05", "beta1=0.9",
                                   "beta2=0.999", "attn_dropout=0.1"])
 def test_retired_masking_and_tolerance_keys_exit_two(command, pair, capsys):

@@ -307,7 +307,7 @@ def test_readers_of_a_few_rows_match_the_full_encode(monkeypatch):
         [Document([vocab.encode(t.rstrip(".").split()) for t in doc])
          for doc in texts], cfg)
     singles = [heads.pack_pair(doc[0], None, vocab, cfg) for doc in texts]
-    head = heads.init_cls_head(cfg, 3, 1, np.random.default_rng(0))
+    head = heads.init_cls_head(cfg, 3, 2, np.random.default_rng(0))
     classify = heads.classify
 
     def readers():

@@ -39,8 +39,7 @@ def test_pack_single_text_layout():
     assert ids[0] == CLS and ids[1] == SENT
     assert ids[5] == SEP
     assert ex.packed.attention_len == 6
-    assert ex.markers == [1]
-    assert ex.num_texts == 1
+    assert ex.rows == [0, 1]
     assert not ex.packed.segment_ids.any()
 
 
@@ -51,12 +50,13 @@ def test_pack_pair_segments_and_markers():
                    vocab, cfg)
     packed = ex.packed
     # text_a has two sentences, so the second text's marker comes third
-    assert len(ex.markers) == 2
-    assert packed.token_ids[ex.markers[0]] == SENT
-    assert packed.token_ids[ex.markers[1]] == SENT
+    cls, first_a, first_b = ex.rows
+    assert packed.token_ids[cls] == CLS
+    assert packed.token_ids[first_a] == SENT
+    assert packed.token_ids[first_b] == SENT
     seg = packed.segment_ids
-    assert seg[ex.markers[0]] == 0
-    assert seg[ex.markers[1]] == 1
+    assert seg[first_a] == 0
+    assert seg[first_b] == 1
     # [CLS] and everything through the first [SEP] is segment 0
     first_sep = int(np.flatnonzero(packed.token_ids == SEP)[0])
     assert not seg[:first_sep + 1].any()
@@ -68,7 +68,7 @@ def test_pack_pair_without_sentence_reps():
     vocab = toy_vocab()
     cfg = cfg_for(vocab, sentence_reps_enabled=False, sr_enabled=False)
     ex = pack_pair("the cat sat", "the dog ran", vocab, cfg)
-    assert ex.markers == []
+    assert ex.rows == [0]
     assert SENT not in ex.packed.token_ids[:ex.packed.attention_len]
 
 
@@ -86,11 +86,11 @@ def test_zero_projection_gives_uniform_probabilities():
     vocab = toy_vocab()
     cfg = cfg_for(vocab)
     params = build_params(cfg)
-    head = init_cls_head(cfg, 4, 1, np.random.default_rng(0))
+    head = init_cls_head(cfg, 4, 2, np.random.default_rng(0))
     head["cls.w"].data[:] = 0.0
     ex = pack_pair("the cat sat", None, vocab, cfg)
     ex.label = 2.0
-    h = encode_batch(params, cfg, [ex.packed], rows=feature_rows([ex], cfg))
+    h = encode_batch(params, cfg, [ex.packed], rows=feature_rows([ex]))
     out, loss = classify(h, [ex], head, cfg)
     np.testing.assert_allclose(out.data, 0.0, atol=1e-7)
     np.testing.assert_allclose(float(loss.data), np.log(4.0), rtol=1e-6)
@@ -100,7 +100,7 @@ def test_classify_refuses_rows_other_than_the_feature_rows():
     vocab = toy_vocab()
     cfg = cfg_for(vocab)
     params = build_params(cfg)
-    head = init_cls_head(cfg, 2, 1, np.random.default_rng(0))
+    head = init_cls_head(cfg, 2, 2, np.random.default_rng(0))
     ex = pack_pair("the cat sat", None, vocab, cfg)
     h = encode_batch(params, cfg, [ex.packed])
     with pytest.raises(ContractError, match="feature rows"):
@@ -110,18 +110,34 @@ def test_classify_refuses_rows_other_than_the_feature_rows():
 def test_feature_width_tracks_sentence_inputs():
     vocab = toy_vocab()
     cfg = cfg_for(vocab)
-    rng = np.random.default_rng(0)
-    assert init_cls_head(cfg, 2, 1, rng)["cls.w"].shape[0] == 2 * cfg.hidden
-    assert init_cls_head(cfg, 2, 2, rng)["cls.w"].shape[0] == 3 * cfg.hidden
     off = cfg_for(vocab, sentence_reps_enabled=False, sr_enabled=False)
-    assert init_cls_head(off, 2, 2, rng)["cls.w"].shape[0] == off.hidden
+    rng = np.random.default_rng(0)
+
+    def width(cfg, *texts):
+        rows = pack_pair(*texts, vocab, cfg).rows
+        return init_cls_head(cfg, 2, len(rows), rng)["cls.w"].shape[0]
+
+    assert width(cfg, "the cat sat", None) == 2 * cfg.hidden
+    assert width(cfg, "the cat sat", "the dog ran") == 3 * cfg.hidden
+    assert width(off, "the cat sat", "the dog ran") == off.hidden
+
+
+def test_feature_rows_refuse_a_batch_of_mixed_width():
+    vocab = toy_vocab()
+    cfg = cfg_for(vocab)
+    single = pack_pair("the cat sat", None, vocab, cfg)
+    pair = pack_pair("the cat sat", "the dog ran", vocab, cfg)
+    np.testing.assert_array_equal(feature_rows([single, single]),
+                                  [[0, 1], [0, 1]])
+    with pytest.raises(ContractError, match="feature rows"):
+        feature_rows([pair, single])
 
 
 def test_mixed_sentence_counts_rejected():
     vocab = toy_vocab()
     cfg = cfg_for(vocab)
     params = build_params(cfg)
-    head = init_cls_head(cfg, 2, 2, np.random.default_rng(0))
+    head = init_cls_head(cfg, 2, 3, np.random.default_rng(0))
     single = pack_pair("the cat sat", None, vocab, cfg)
     pair = pack_pair("the cat sat", "the dog ran", vocab, cfg)
     h = encode_batch(params, cfg, [pair.packed, single.packed])
@@ -131,7 +147,7 @@ def test_mixed_sentence_counts_rejected():
 
 def test_cls_accuracy_of_no_examples_is_a_contract_error():
     cfg = cfg_for(toy_vocab())
-    head = init_cls_head(cfg, 2, 1, np.random.default_rng(0))
+    head = init_cls_head(cfg, 2, 2, np.random.default_rng(0))
     with pytest.raises(ContractError, match="cls_accuracy"):
         cls_accuracy(build_params(cfg), head, cfg, [])
 
@@ -147,7 +163,7 @@ def test_cls_accuracy_of_a_regression_head_is_a_contract_error():
         ex = pack_pair(t, None, vocab, cfg)
         ex.label = target
         examples.append(ex)
-    head = init_cls_head(cfg, 1, 1, np.random.default_rng(0))
+    head = init_cls_head(cfg, 1, 2, np.random.default_rng(0))
     with pytest.raises(ContractError, match="regression"):
         cls_accuracy(build_params(cfg), head, cfg, examples)
 
@@ -278,7 +294,7 @@ def test_regression_constant_target_drives_loss_to_zero():
         examples.append(ex)
     head = finetune_cls(params, cfg, examples, 1, steps=150, seed=2)
     h = encode_batch(params, cfg, [ex.packed for ex in examples],
-                     rows=feature_rows(examples, cfg))
+                     rows=feature_rows(examples))
     _, loss = classify(h, examples, head, cfg)
     assert float(loss.data) < 1e-2
 

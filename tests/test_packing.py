@@ -134,11 +134,11 @@ def test_pair_layout_properties(text_a, text_b, seq_len, max_sentences,
         seg_of += [seg] * in_seg
     truncated = check_layout(packed, seq_len, sentences, markers=markers)
     if markers:
-        assert ex.markers == [
+        assert ex.rows == [0] + [
             packed.sentence_spans[seg_of.index(seg)][0]
             for seg in range(len(texts))]
     else:
-        assert ex.markers == []
+        assert ex.rows == [0]
     dropped = truncated or len(sentences) < sum(map(len, groups))
     if dropped and packed.num_sentences < max_sentences:
         assert packed.attention_len >= seq_len - markers

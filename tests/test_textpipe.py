@@ -61,6 +61,49 @@ def test_segment_empty_input():
     assert segment_sentences("   ") == []
 
 
+@pytest.mark.parametrize("text, sentences", [
+    pytest.param("Wait?! Yes. No...", ["Wait?!", "Yes.", "No..."],
+                 id="run-?!"),
+    pytest.param("Well... Then we left. Fine",
+                 ["Well...", "Then we left.", "Fine"], id="run-..."),
+    pytest.param("Run. ... Then stop.", ["Run. ...", "Then stop."],
+                 id="lone-run"),
+    pytest.param("a.b! c? D", ["a.b! c?", "D"], id="no-space-after"),
+    pytest.param("He left.\tShe stayed.", ["He left.", "She stayed."],
+                 id="tab"),
+    pytest.param("He left.\nShe stayed.", ["He left.", "She stayed."],
+                 id="newline"),
+    pytest.param("He left.\xa0She stayed.", ["He left.", "She stayed."],
+                 id="nbsp"),
+    pytest.param("He left.\x1cShe stayed.", ["He left.", "She stayed."],
+                 id="file-separator"),
+    pytest.param("He left. \xc9mile stayed.",
+                 ["He left.", "\xc9mile stayed."], id="latin-capital"),
+    pytest.param("He left. \u03a3 was next.",
+                 ["He left.", "\u03a3 was next."], id="greek-capital"),
+    pytest.param("It ended. \u0663 came next.",
+                 ["It ended.", "\u0663 came next."], id="arabic-digit"),
+    pytest.param("\xc9T\xc9. \xc9t\xe9. \xe9t\xe9. X",
+                 ["\xc9T\xc9.", "\xc9t\xe9. \xe9t\xe9.", "X"],
+                 id="latin-lowercase"),
+    pytest.param("He left. she stayed.", ["He left. she stayed."],
+                 id="lowercase"),
+    pytest.param("Mr. Brown ran. He won.", ["Mr. Brown ran.", "He won."],
+                 id="abbreviation-first"),
+    pytest.param("No. 5 won. Yes.", ["No. 5 won.", "Yes."],
+                 id="abbreviation-digit"),
+    pytest.param("J. Smith arrived.", ["J. Smith arrived."],
+                 id="initial-first"),
+    pytest.param(". A b", [".", "A b"], id="period-first"),
+    pytest.param("The U.S. Army left. It rained.",
+                 ["The U.S.", "Army left.", "It rained."], id="U.S."),
+])
+def test_segment_edge_cases(text, sentences):
+    """Terminal runs, every kind of whitespace ``str`` knows, non-ASCII
+    capitals and digits, lowercase continuations and abbreviations."""
+    assert segment_sentences(text) == sentences
+
+
 # -- vocabulary -------------------------------------------------------------
 
 def test_vocab_spec_example():
