@@ -249,7 +249,7 @@ def test_log_level_shows_trainer_step_lines(workspace, tmp_path, capsys):
 @pytest.mark.parametrize("bad", [
     "hidden=0", "peak_lr=nan",
     "encoder_layers=-1", "decoder_layers=-1", "peak_lr=-1",
-    "finetune_lr=-1", "weight_decay=-1", "warmup=-1",
+    "finetune_lr=-1", "weight_decay=-1", "warmup=-1", "p_geom=7",
 ])
 def test_more_out_of_range_values_exit_two_without_traceback(
         bad, workspace, tmp_path, capsys):
