@@ -19,14 +19,15 @@ Readers that need a few rows ask ``encode_batch`` for them (``rows``,
 every query row against every key, since a product of fewer rows can
 round differently, then runs the softmax, the weighted values, the
 output projection, the residual, both norms and the FFN on the R rows
-only. Unshuffle eval asks for the summary rows, probe export for the
-[SENT] rows, and classification fine-tuning and scoring for the feature
-rows. Under a recorded graph the backward runs on the same rows: the
-last layer's weight gradients sum over the R rows only and its dropout
-draws masks of their shape, so fine-tuning's bits differ from a full
-encode's, while with dropout off its loss and gradients equal them to
-float64 round-off. Pretraining reads every row of the full encode, and
-QA reads nearly every row.
+only. Unshuffle eval asks for the summary rows (``pad_rows`` fills a
+short example's tail with [CLS]) and decodes that padded batch as it
+is, probe export for the [SENT] rows, and classification fine-tuning
+and scoring for the feature rows. Under a recorded graph the backward
+runs on the same rows: the last layer's weight gradients sum over the R
+rows only and its dropout draws masks of their shape, so fine-tuning's
+bits differ from a full encode's, while with dropout off its loss and
+gradients equal them to float64 round-off. Pretraining reads every row
+of the full encode, and QA reads nearly every row.
 
 The selected rows equal the full encode's bit for bit wherever numpy's
 matrix product rounds a row alike for any row count, as it does on the
@@ -144,18 +145,14 @@ def encode_batch(params: dict, cfg: RunConfig, examples: list[PackedExample],
     return encode(params, cfg, h0, bias, rng, rows)
 
 
-def extract_summary(h: Tensor, ex: PackedExample, batch_index: int,
-                    selected: bool = False) -> Tensor:
+def extract_summary(h: Tensor, ex: PackedExample, batch_index: int) -> Tensor:
     """Rows of C for one example: [CLS], display-ordered [SENT]s, [SEP].
 
     Returns a [1, N+2, hidden] tensor whose rows are exactly the encoder
-    output rows at the recorded indices. With ``selected``, ``h`` is an
-    ``encode_batch`` output at ``rows`` that list each example's
-    ``summary_positions`` first, so C is the example's first N+2 rows.
+    output rows at the recorded indices.
     """
     bsz, length, hidden = h.shape
-    positions = (np.arange(ex.num_sentences + 2) if selected
-                 else summary_positions(ex))
+    positions = summary_positions(ex)
     c = T.take(h.reshape(bsz * length, hidden),
                batch_index * length + positions)
     return c.reshape(1, len(positions), hidden)

@@ -76,12 +76,11 @@ def _pointer_signals(w: Tensor, c: Tensor,
 
 
 def pretrain_bundle(params: dict, cfg: RunConfig,
-                    examples: list[PackedExample], rng=None,
-                    training: bool = False) -> LossBundle:
+                    examples: list[PackedExample], rng=None) -> LossBundle:
     """Forward pass over one batch of masked (and possibly shuffled)
-    examples, returning losses plus the scalar graph root."""
-    rng = rng if training else None
-    h = encode_batch(params, cfg, examples, rng, training)
+    examples, returning losses plus the scalar graph root; dropout runs
+    exactly where ``rng`` is given."""
+    h = encode_batch(params, cfg, examples, rng, rng is not None)
 
     labels = np.stack([
         ex.mlm_labels if ex.mlm_labels is not None

@@ -10,9 +10,11 @@ loss (``pointer_nll``) is one fused log-softmax cross-entropy on those
 logits.
 
 Greedy decoding runs the same decoder layers one step at a time over a
-batch of documents: a key/value cache keeps the self-attention keys and
-values of earlier steps and the cross-attention keys and values of C,
-so each step computes one new row per document.
+padded batch of summaries, as the row-selected encode returns them: a
+key/value cache keeps the self-attention keys and values of earlier
+steps and the cross-attention keys and values of C, so each step
+computes one new row per document. Each document's picks, blocked rows
+and placed count live in arrays over the batch.
 """
 from __future__ import annotations
 
@@ -95,59 +97,53 @@ def pointer_nll(w: Tensor, c: Tensor, targets: np.ndarray) -> Tensor:
     return T.cross_entropy(pointer_logits(w, c), targets)
 
 
-def greedy_unshuffle(params: dict, cfg: RunConfig, c):
+def greedy_unshuffle(params: dict, cfg: RunConfig, c: Tensor, counts=None):
     """Greedy decode of the display-slot order of the original document.
 
-    ``c`` is one summary [1, N+2, hidden], which returns one order, or a
-    list of summaries, decoded together and returning one order each.
+    ``c`` is one summary [1, N+2, hidden], which returns one order, or
+    with ``counts`` a padded batch [B, W, hidden] of summaries whose
+    document b fills its first ``counts[b] + 2`` rows, decoded together
+    and returning one order each. The pad rows may hold anything finite.
     Feeds back the chosen candidate row at each step; [CLS] and already
     chosen sentences are excluded from the argmax. Choosing [SEP] early
     terminates and the remaining slots follow in display order. Each
     result is a permutation of {0..N-1}.
 
-    The summaries share one C padded to the longest; padded rows get
-    NEG_INF in cross-attention and never win the argmax. A document
-    stops once it picks its [SEP] row or has placed every sentence, and
-    the loop ends when all have stopped.
+    Pad rows get NEG_INF in cross-attention and never win the argmax. A
+    document stops once it picks its [SEP] row or has placed every
+    sentence, and the loop ends when all have stopped.
     """
-    summaries = [c] if isinstance(c, Tensor) else c
-    counts = np.array([s.shape[1] - 2 for s in summaries])
-    rows = np.arange(len(summaries))
-    width = int(counts.max()) + 2
-    padded = np.zeros((len(summaries), width, summaries[0].shape[2]),
-                      dtype=summaries[0].data.dtype)
-    for b, s in enumerate(summaries):
-        padded[b, :counts[b] + 2] = s.data[0]
+    single = counts is None
+    counts = np.asarray([c.shape[1] - 2] if single else counts)
+    data = c.data
+    bsz, width = data.shape[:2]
+    rows = np.arange(bsz)
     pad = np.arange(width) >= (counts + 2)[:, None]
-    c_bias = Tensor(np.where(pad, NEG_INF, 0.0).astype(padded.dtype)
-                    .reshape(len(summaries), 1, 1, width))
+    c_bias = Tensor(np.where(pad, NEG_INF, 0.0).astype(data.dtype)
+                    .reshape(bsz, 1, 1, width))
     blocked = pad.copy()
     blocked[:, 0] = True
-    chosen: list[list[int]] = [[] for _ in summaries]
+    picks = np.zeros((bsz, width), dtype=np.int64)
+    placed = np.zeros(bsz, dtype=np.int64)
     running = counts > 0
-    feed = np.zeros(len(summaries), dtype=np.int64)
-    c_all = Tensor(padded)
-    c_t = np.ascontiguousarray(padded.swapaxes(1, 2))
+    feed = np.zeros(bsz, dtype=np.int64)
+    c_t = np.ascontiguousarray(data.swapaxes(1, 2))
     cache: dict = {}
     with T.no_grad():
         while running.any():
-            x = Tensor(padded[rows, feed][:, None])
-            w = decoder_stack(params, cfg, x, c_all, None, c_bias=c_bias,
+            x = Tensor(data[rows, feed][:, None])
+            w = decoder_stack(params, cfg, x, c, None, c_bias=c_bias,
                               cache=cache)
             scores = np.matmul(w.data, c_t)[:, 0]
             scores[blocked] = -np.inf
             feed = np.argmax(scores, axis=1)
-            for b in np.flatnonzero(running):
-                pick = int(feed[b])
-                if pick == counts[b] + 1:
-                    running[b] = False
-                    continue
-                chosen[b].append(pick)
-                blocked[b, pick] = True
-                running[b] = len(chosen[b]) < counts[b]
-    orders = []
-    for n, picks in zip(counts, chosen):
-        order = [row - 1 for row in picks]
-        order += [slot for slot in range(n) if slot not in order]
-        orders.append(np.asarray(order, dtype=np.int64))
-    return orders[0] if isinstance(c, Tensor) else orders
+            running &= feed != counts + 1
+            live = np.flatnonzero(running)
+            picks[live, placed[live]] = feed[live]
+            blocked[live, feed[live]] = True
+            placed[live] += 1
+            running &= placed < counts
+    orders = [np.concatenate([picks[b, :placed[b]] - 1,
+                              np.flatnonzero(~blocked[b, 1:n + 1])])
+              for b, n in enumerate(counts)]
+    return orders[0] if single else orders

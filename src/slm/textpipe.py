@@ -94,8 +94,8 @@ def _is_abbreviation(text: str, dot: int) -> bool:
     word = text[j + 1:dot].rstrip(".")
     if not word:
         return False
-    if len(word) == 1 and word.isalpha():
-        return True  # initials like "J. Smith"
+    if all(len(part) == 1 and part.isalpha() for part in word.split(".")):
+        return True  # initials like "J. Smith", "U.S." and "e.g."
     return word.lower() in _ABBREVIATIONS
 
 
@@ -295,11 +295,3 @@ def pack_example(doc: Document, seq_len: int, max_sentences: int, rng,
     ex = pack_segments([merged.sentences], seq_len, max_sentences,
                        use_sentence_tokens)
     return ex if ex.num_sentences else None
-
-
-def unpack_words(ex: PackedExample) -> list[int]:
-    """Word ids in memory order, specials and pads dropped."""
-    out = []
-    for _, start, end in ex.sentence_spans:
-        out.extend(int(t) for t in ex.token_ids[start:end])
-    return out

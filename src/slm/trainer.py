@@ -32,6 +32,7 @@ import numpy as np
 
 from .checkpoint import save_checkpoint
 from .config import RunConfig, config_echo
+# unused here, but perfbench's tracer patches trainer.extract_summary by name
 from .encoder import encode_batch, extract_summary, pad_rows
 from .errors import ContractError, DataError
 from .masking import apply_span_masking
@@ -130,8 +131,7 @@ def train_loop(docs: list[Document], cfg: RunConfig, out_dir: str,
             for micro in range(cfg.accum_steps):
                 batch, micro_shuffled = prepare_batch(
                     packed, step * cfg.accum_steps + micro, cfg)
-                bundle = pretrain_bundle(params, cfg, batch, drop_rng,
-                                         training=True)
+                bundle = pretrain_bundle(params, cfg, batch, drop_rng)
                 backward(bundle.loss)
                 tokens += sum(ex.attention_len for ex in batch)
                 shuffled += int(micro_shuffled)
@@ -204,8 +204,9 @@ def evaluate_unshuffle(params: dict, cfg: RunConfig,
     display-slot order of each original document against the truth,
     ``pos_acc``, the share of display slots placed correctly, and
     ``by_n``, the n/em/tau of the documents of each sentence count.
-    Each encode batch is decoded as one batch. The encoder's last layer
-    runs only at the summary rows.
+    Each encode batch is decoded as one batch: the encoder's last layer
+    runs only at the summary rows, padded with [CLS] rows to the longest
+    document's, and greedy decoding reads that padded batch as it is.
     """
     if not cfg.sentence_reps_enabled:
         raise ContractError(
@@ -225,10 +226,9 @@ def evaluate_unshuffle(params: dict, cfg: RunConfig,
         for lo in range(0, len(shuffled), cfg.batch_size):
             chunk = shuffled[lo:lo + cfg.batch_size]
             rows = pad_rows([summary_positions(ex) for ex in chunk])
-            h = encode_batch(params, cfg, chunk, rows=rows)
-            preds = greedy_unshuffle(params, cfg, [
-                extract_summary(h, ex, b, selected=True)
-                for b, ex in enumerate(chunk)])
+            c = encode_batch(params, cfg, chunk, rows=rows)
+            preds = greedy_unshuffle(params, cfg, c,
+                                     [ex.num_sentences for ex in chunk])
             for pred, ex in zip(preds, chunk):
                 hits.append(np.array_equal(pred, ex.perm))
                 taus.append(kendall_tau(pred, ex.perm))

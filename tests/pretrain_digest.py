@@ -17,8 +17,9 @@ For each run it prints the sha256 of ``metrics.csv`` and of
 moment, as ``load_checkpoint`` reads them). Then it prints the digest
 of the orders ``evaluate_unshuffle`` predicts for the held-out stories
 with the trained parameters, plus that eval's em, and three digests of
-what the readers of the encoder read: every summary C that
-``greedy_unshuffle`` receives in that eval (``unshuffle-c``), the
+what the readers of the encoder read: every document's summary C in
+the padded batches ``greedy_unshuffle`` receives in that eval, its
+first N+2 rows as [1, N+2, hidden] (``unshuffle-c``), the
 ``export_reps`` matrix of the held-out stories (``export``), and the
 feature rows that ``cls_accuracy`` hands ``classify`` to score with a
 fresh head on sentence pairs from those stories, side by side as
@@ -139,9 +140,11 @@ def unshuffle_orders(params, cfg, held) -> tuple[str, str, float]:
     orders, summaries = [], []
     greedy = trainer.greedy_unshuffle
 
-    def recording(params, cfg, c):
-        summaries.extend(c)
-        preds = greedy(params, cfg, c)
+    def recording(params, cfg, c, counts):
+        # each document's own rows, [1, N+2, hidden] as a single C
+        summaries.extend(c.data[b:b + 1, :n + 2]
+                         for b, n in enumerate(counts))
+        preds = greedy(params, cfg, c, counts)
         orders.extend(preds)
         return preds
 
@@ -156,8 +159,7 @@ def unshuffle_orders(params, cfg, held) -> tuple[str, str, float]:
         order = np.asarray(order, dtype=np.int64)
         h.update(np.int64(order.size).tobytes())
         h.update(order.tobytes())
-    c_digest = arrays_digest((f"c{k}", c.data)
-                             for k, c in enumerate(summaries))
+    c_digest = arrays_digest((f"c{k}", c) for k, c in enumerate(summaries))
     return h.hexdigest(), c_digest, scores["em"]
 
 

@@ -194,7 +194,7 @@ def test_criterion_6_ablation_plumbing(tmp_path):
             p.requires_grad = True
         ex = masked_example(cfg_off, rng, n_sents=3)
         ex = apply_shuffle(ex, sample_permutation(ex.num_sentences, rng))
-        bundle = pretrain_bundle(params, cfg_off, [ex], training=True)
+        bundle = pretrain_bundle(params, cfg_off, [ex])
         T.backward(bundle.loss)
         dec_zero = all(p.grad is None or not p.grad.any()
                        for name, p in params.items()

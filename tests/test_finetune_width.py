@@ -207,7 +207,7 @@ def test_pretraining_step_matches_full_width(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(objectives, "encode_batch", spy)
             bundle = pretrain_bundle(params, cfg, batch,
-                                     np.random.default_rng(0), training=True)
+                                     np.random.default_rng(0))
         T.backward(bundle.loss)
         grads = {n: p.grad for n, p in params.items() if p.grad is not None}
         return widths, float(bundle.loss.data), grads

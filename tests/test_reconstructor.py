@@ -222,12 +222,23 @@ def full_prefix_greedy(params, cfg, c):
     return order, rows
 
 
-@pytest.mark.parametrize("layers", [0, 1, 2])
-def test_cached_batch_decode_matches_full_prefix_oracle(layers, monkeypatch):
-    cfg = small_config(decoder_layers=layers, max_sentences=20)
-    params = build_params(cfg, seed=layers, dtype=np.float64)
-    summaries = [rand_c(n, cfg.hidden, seed=30 + n, dtype=np.float64)
-                 for n in (1, 20, 7, 2)]
+def padded_batch(summaries, pad=None):
+    """The summaries as one [B, W, hidden] batch, and their sentence
+    counts. Rows past a document's own repeat its [CLS] row, as the
+    row-selected encode pads them, or are those of ``pad`` if given."""
+    counts = [s.shape[1] - 2 for s in summaries]
+    width = max(counts) + 2
+    if pad is None:
+        pad = np.stack([np.repeat(s.data[0, :1], width, axis=0)
+                        for s in summaries])
+    batch = pad.copy()
+    for b, s in enumerate(summaries):
+        batch[b, :counts[b] + 2] = s.data[0]
+    return Tensor(batch), counts
+
+
+def recorded_decode(params, cfg, c, counts, monkeypatch):
+    """The batch's orders, and the decoder's output rows of each step."""
     steps = []
 
     def recording(*args, **kwargs):
@@ -236,8 +247,19 @@ def test_cached_batch_decode_matches_full_prefix_oracle(layers, monkeypatch):
         return w
 
     monkeypatch.setattr(reconstructor, "decoder_stack", recording)
-    orders = greedy_unshuffle(params, cfg, summaries)
+    orders = greedy_unshuffle(params, cfg, c, counts)
     monkeypatch.undo()
+    return orders, steps
+
+
+@pytest.mark.parametrize("layers", [0, 1, 2])
+def test_cached_batch_decode_matches_full_prefix_oracle(layers, monkeypatch):
+    cfg = small_config(decoder_layers=layers, max_sentences=20)
+    params = build_params(cfg, seed=layers, dtype=np.float64)
+    summaries = [rand_c(n, cfg.hidden, seed=30 + n, dtype=np.float64)
+                 for n in (1, 20, 7, 2)]
+    orders, steps = recorded_decode(params, cfg, *padded_batch(summaries),
+                                    monkeypatch)
     lengths = []
     for b, c in enumerate(summaries):
         order, rows = full_prefix_greedy(params, cfg, c)
@@ -247,3 +269,22 @@ def test_cached_batch_decode_matches_full_prefix_oracle(layers, monkeypatch):
         lengths.append(len(rows))
     # the batch runs until its longest document stops
     assert len(steps) == max(lengths)
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_pad_rows_of_the_batch_leave_the_decode_unchanged(layers, monkeypatch):
+    # pad keys carry NEG_INF in cross-attention and pad candidates are
+    # blocked, so even large finite pad rows weigh exactly nothing
+    cfg = small_config(decoder_layers=layers, max_sentences=20)
+    params = build_params(cfg, seed=10 + layers)
+    summaries = [rand_c(n, cfg.hidden, seed=50 + n) for n in (3, 20, 1, 9)]
+    c, counts = padded_batch(summaries)
+    noise = np.random.default_rng(layers).uniform(-1e4, 1e4, size=c.shape)
+    loud, _ = padded_batch(summaries, noise.astype(np.float32))
+    orders, steps = recorded_decode(params, cfg, c, counts, monkeypatch)
+    loud_orders, loud_steps = recorded_decode(params, cfg, loud, counts,
+                                              monkeypatch)
+    assert [o.tolist() for o in loud_orders] == [o.tolist() for o in orders]
+    assert len(loud_steps) == len(steps)
+    for quiet_rows, loud_rows in zip(steps, loud_steps):
+        np.testing.assert_array_equal(loud_rows, quiet_rows)

@@ -4,8 +4,9 @@ import pytest
 from slm.errors import ContractError
 from slm.textpipe import (CLS, NUM_SPECIALS, PAD, SENT, SEP, SPECIAL_TOKENS,
                           Document, Vocab, build_vocab, merge_to_max,
-                          pack_example, segment_sentences, tokenize,
-                          unpack_words)
+                          pack_example, segment_sentences, tokenize)
+
+from util import unpack_words
 
 
 def rng(seed=0):
@@ -96,7 +97,12 @@ def test_segment_empty_input():
                  id="initial-first"),
     pytest.param(". A b", [".", "A b"], id="period-first"),
     pytest.param("The U.S. Army left. It rained.",
-                 ["The U.S.", "Army left.", "It rained."], id="U.S."),
+                 ["The U.S. Army left.", "It rained."], id="U.S."),
+    pytest.param("Bring fruit, e.g. Apples. Then go.",
+                 ["Bring fruit, e.g. Apples.", "Then go."], id="e.g."),
+    pytest.param("We met at 9 a.m. Tom came later. Rain fell.",
+                 ["We met at 9 a.m. Tom came later.", "Rain fell."],
+                 id="a.m."),
 ])
 def test_segment_edge_cases(text, sentences):
     """Terminal runs, every kind of whitespace ``str`` knows, non-ASCII

@@ -221,8 +221,9 @@ def test_evaluate_unshuffle_breaks_scores_down(monkeypatch):
     decoded = iter([[0, 1, 2], [1, 0, 2], [1, 0]])
     monkeypatch.setattr(trainer, "sample_permutation",
                         lambda n, rng: np.arange(n))
-    monkeypatch.setattr(trainer, "greedy_unshuffle", lambda params, cfg, cs: [
-        np.array(next(decoded)) for _ in cs])
+    monkeypatch.setattr(trainer, "greedy_unshuffle",
+                        lambda params, cfg, c, counts: [
+                            np.array(next(decoded)) for _ in counts])
     scores = evaluate_unshuffle(build_params(cfg), cfg, packed)
     assert scores["n"] == 3
     assert scores["em"] == pytest.approx(1 / 3)
@@ -268,7 +269,7 @@ def test_accumulated_rows_report_mean_losses_and_shuffled_count(tmp_path):
     drop_rng = np.random.default_rng([cfg.seed, _DROPOUT, 0])
     bundles = [pretrain_bundle(params, cfg,
                                prepare_batch(packed, micro, cfg)[0],
-                               drop_rng, training=True)
+                               drop_rng)
                for micro in range(3)]
     columns = METRICS_COLUMNS.split(",")
     for attr in ("l_mlm", "l_slm", "total", "pointer_acc", "pointer_entropy",
@@ -303,8 +304,7 @@ def test_grad_norm_column_is_the_pre_clip_norm(tmp_path):
         p.requires_grad = True
     batch, _ = prepare_batch(pack_corpus(docs, one), 0, one)
     bundle = pretrain_bundle(params, one, batch,
-                             np.random.default_rng([one.seed, _DROPOUT, 0]),
-                             training=True)
+                             np.random.default_rng([one.seed, _DROPOUT, 0]))
     backward(bundle.loss)
     grads = [p.grad.astype(np.float64).ravel() for p in params.values()
              if p.grad is not None]

@@ -1,7 +1,8 @@
 """Shared test fixtures: tiny configs, random documents, an independent
 physical-shuffle constructor used as the equivalence oracle, a
 full-length encode used as the oracle for the trimmed one, and an
-every-row encode used as the oracle for the row-selected one."""
+every-row encode used as the oracle for the row-selected one, and the
+word ids of a packed example in memory order."""
 import numpy as np
 
 from slm.config import RunConfig
@@ -58,6 +59,14 @@ def encode_all_rows(params: dict, cfg: RunConfig, examples, rng=None,
     the last layer. Takes its arguments, so it can stand in for it."""
     h = encode_batch(params, cfg, examples, rng, training)
     return h if rows is None else select_rows(h, rows)
+
+
+def unpack_words(ex: PackedExample) -> list[int]:
+    """Word ids in memory order, specials and pads dropped."""
+    out = []
+    for _, start, end in ex.sentence_spans:
+        out.extend(int(t) for t in ex.token_ids[start:end])
+    return out
 
 
 def masked_example(cfg: RunConfig, rng, n_sents=3):
