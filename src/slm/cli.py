@@ -95,9 +95,8 @@ def _log_to_stderr(level: str):
 
 def _load_corpus_documents(path: str, vocab):
     from .textpipe import document_from_sentences, read_prepared
-    docs = [document_from_sentences(sents, vocab)
+    return [document_from_sentences(sents, vocab)
             for sents in read_prepared(path)]
-    return [d for d in docs if d.sentences]
 
 
 def _require(cfg, field: str) -> str:
@@ -157,6 +156,8 @@ def cmd_prepare(args) -> int:
 def cmd_build_vocab(args) -> int:
     from .textpipe import build_vocab, read_corpus
     docs = read_corpus(args.input)
+    if not docs:
+        raise DataError(f"{args.input}: no documents found")
     vocab = build_vocab(docs, args.size)
     vocab.save(args.output)
     print(f"wrote {len(vocab.id_to_token)} tokens to {args.output}")

@@ -17,9 +17,10 @@ unless the stored value described a model the code no longer builds.
 Settings every run shares are constants, not keys: the masking recipe
 (``masking.P_GEOM``, ``MAX_SPAN``, ``MASK_RATE``, ``REPLACE_MASK``,
 ``REPLACE_RANDOM``), the gradcheck tolerance (``cli.GRADCHECK_TOL``),
-the layer norm epsilon (``tensor.layer_norm``'s default) and Adam's
-betas (``optim.BETA1``, ``BETA2``). Attention dropout runs at
-``dropout``.
+the layer norm epsilon (``tensor.layer_norm``'s default), Adam's betas
+(``optim.BETA1``, ``BETA2``), the weight decay and the gradient clipping
+norm (``optim.WEIGHT_DECAY``, ``GRAD_CLIP``) and the QA answer window
+(``heads.MAX_ANSWER_LEN``). Attention dropout runs at ``dropout``.
 """
 from __future__ import annotations
 
@@ -54,8 +55,6 @@ class RunConfig:
     warmup: int = 100
     peak_lr: float = 1.5e-4
     adam_eps: float = 1e-6
-    weight_decay: float = 0.01
-    grad_clip: float = 1.0
     accum_steps: int = 1
     seed: int = 0
 
@@ -77,7 +76,6 @@ class RunConfig:
     task_type: str = "classification"
     finetune_lr: float = 5e-4
     finetune_epochs: int = 3
-    max_answer_len: int = 30
 
     # probing
     query_row: int = -1
@@ -103,22 +101,22 @@ class RunConfig:
 
 
 # (fields, test, what the test demands). Comparisons are written so that
-# NaN fails every one. grad_clip has no range: <= 0 turns clipping off.
+# NaN fails every one
 _RANGES = (
     (("heads", "hidden", "ffn", "batch_size", "steps", "accum_steps",
-      "max_sentences", "max_answer_len", "top_k"),
+      "max_sentences", "top_k"),
      lambda v: v >= 1, "must be >= 1"),
     (("vocab_size",), lambda v: v > NUM_SPECIALS,
      f"must exceed the {NUM_SPECIALS} special tokens"),
     (("encoder_layers", "decoder_layers", "warmup", "finetune_epochs",
-      "checkpoint_every", "log_every"),
+      "checkpoint_every", "log_every", "seed"),
      lambda v: v >= 0, "must be >= 0"),
     (("query_row",), lambda v: v >= -1, "must be >= -1 (-1: no query)"),
     (("dropout",), lambda v: 0 <= v < 1, "must lie in [0, 1)"),
     (("shuffle_fraction",), lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
     (("adam_eps",), lambda v: 0 < v < math.inf,
      "must be positive and finite"),
-    (("peak_lr", "finetune_lr", "weight_decay"),
+    (("peak_lr", "finetune_lr"),
      lambda v: 0 <= v < math.inf, "must be >= 0 and finite"),
 )
 
@@ -224,16 +222,18 @@ def config_echo(cfg: RunConfig) -> list[tuple[str, str]]:
 # tolerance; position_mode=travel leaked the order through positions.
 # The masking recipe and the gradcheck tolerance are constants now, and
 # no checkpoint command masks or gradchecks, so any stored value loads.
-# Fine-tuning runs layer norm, Adam and attention dropout, so those keys
-# load only at the value now used; attn_dropout's entry names the key
-# whose stored value it must equal
+# Fine-tuning runs layer norm, Adam with weight decay and clipping,
+# attention dropout and (QA) the answer window, so those keys load only
+# at the value now used; attn_dropout's entry names the key whose stored
+# value it must equal
 _RETIRED = {"dev_file": None, "gradcheck_dtype": None,
             "position_mode": "resequence",
             **dict.fromkeys(("p_geom", "max_span", "mask_rate",
                              "replace_mask", "replace_random",
                              "replace_keep", "gradcheck_tol")),
             "layer_norm_eps": "1e-05", "beta1": "0.9", "beta2": "0.999",
-            "attn_dropout": "dropout"}
+            "attn_dropout": "dropout", "weight_decay": "0.01",
+            "grad_clip": "1.0", "max_answer_len": "30"}
 
 
 def config_from_echo(pairs) -> RunConfig:

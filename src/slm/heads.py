@@ -42,6 +42,8 @@ from .tensor import Tensor, backward, no_grad
 from .textpipe import (PackedExample, Vocab, document_from_text,
                        pack_segments, tokenize)
 
+MAX_ANSWER_LEN = 30     # BERT's longest predicted answer span, in words
+
 
 @dataclass
 class ClsExample:
@@ -185,7 +187,7 @@ def _finetune(params: dict, cfg: RunConfig, examples: list, head: dict,
                      for k in range(min(cfg.batch_size, n))]
             zero_grads(trained)
             backward(batch_loss(batch))
-            clip_global_norm(trained, cfg.grad_clip)
+            clip_global_norm(trained)
             adam_update(trained, state, cfg.finetune_lr, cfg)
     return head
 
@@ -399,7 +401,7 @@ def qa_metrics(params: dict, head: dict, cfg: RunConfig,
             for b, ex in enumerate(batch):
                 words = ex.word_positions
                 ps, pe = best_span(start[b, words], end[b, words],
-                                   cfg.max_answer_len)
+                                   MAX_ANSWER_LEN)
                 psent = int(np.argmax(sent[b, ex.marker_positions]))
                 em += int(ps == ex.gold_start and pe == ex.gold_end)
                 span_sents = ex.packed.sentence_ids[words[[ps, pe]]]

@@ -15,7 +15,10 @@ from .config import RunConfig
 from .errors import TrainingAbort
 from .tensor import Tensor
 
+# BERT's values (Devlin et al. 2019), which every run uses
 BETA1, BETA2 = 0.9, 0.999     # Adam's moment decay rates
+WEIGHT_DECAY = 0.01           # decoupled decay rate of the matrices
+GRAD_CLIP = 1.0               # largest global gradient norm a step applies
 
 
 def lr_schedule(step: int, cfg: RunConfig) -> float:
@@ -47,22 +50,18 @@ def decays(name: str, param: Tensor) -> bool:
     return param.data.ndim > 1
 
 
-def clip_global_norm(params: dict[str, Tensor], max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most max_norm.
+def clip_global_norm(params: dict[str, Tensor]) -> float:
+    """Scale all gradients so their joint L2 norm is at most GRAD_CLIP.
 
     Returns the pre-clip norm. The accumulation runs in 64-bit so the
     reported norm does not depend on parameter ordering at 32-bit.
     """
-    total = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            total += float(np.sum(np.square(p.grad, dtype=np.float64)))
-    norm = float(np.sqrt(total))
-    if max_norm > 0 and norm > max_norm:
-        scale = max_norm / norm
-        for p in params.values():
-            if p.grad is not None:
-                p.grad *= scale
+    grads = [p.grad for p in params.values() if p.grad is not None]
+    norm = float(np.sqrt(sum(float(np.sum(np.square(g, dtype=np.float64)))
+                             for g in grads)))
+    if norm > GRAD_CLIP:
+        for g in grads:
+            g *= GRAD_CLIP / norm
     return norm
 
 
@@ -88,8 +87,8 @@ def adam_update(params: dict[str, Tensor], state: AdamState, lr: float,
         v *= BETA2
         v += (1.0 - BETA2) * np.square(g)
         update = (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
-        if cfg.weight_decay > 0 and decays(name, p):
-            update = update + cfg.weight_decay * p.data
+        if decays(name, p):
+            update = update + WEIGHT_DECAY * p.data
         p.data -= (lr * update).astype(p.data.dtype, copy=False)
 
 

@@ -147,7 +147,7 @@ def train_loop(docs: list[Document], cfg: RunConfig, out_dir: str,
                 for p in params.values():
                     if p.grad is not None:
                         p.grad /= cfg.accum_steps
-            grad_norm = clip_global_norm(params, cfg.grad_clip)
+            grad_norm = clip_global_norm(params)
             lr = lr_schedule(step, cfg)
             adam_update(params, state, lr, cfg)
             shuffled_batches += shuffled

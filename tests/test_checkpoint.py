@@ -246,27 +246,40 @@ def test_stored_masking_and_tolerance_keys_load(tmp_path, monkeypatch,
 
 def test_stored_layer_norm_adam_and_attention_keys_load(tmp_path,
                                                         monkeypatch):
-    """Checkpoints written while the layer norm epsilon, Adam's betas and
-    the attention dropout were config keys load with identical tensors
-    when they hold the values the code now uses (attn_dropout equal to
-    the stored dropout, 0.0 in ``small_config``)."""
+    """Checkpoints written while the layer norm epsilon, Adam's betas,
+    weight decay and clipping norm, the attention dropout and the QA
+    answer window were config keys load with identical tensors when they
+    hold the values the code now uses (attn_dropout equal to the stored
+    dropout, 0.0 in ``small_config``)."""
     assert_loads_as_saved(*save_with_stored_key(
         tmp_path, monkeypatch, "layer_norm_eps", "1e-05", beta1="0.9",
-        beta2="0.999", attn_dropout="0.0"))
+        beta2="0.999", attn_dropout="0.0", weight_decay="0.01",
+        grad_clip="1.0", max_answer_len="30"))
 
 
 @pytest.mark.parametrize("key,value,others", [
     ("layer_norm_eps", "1e-12", {}), ("beta2", "0.98", {}),
     ("attn_dropout", "0.0", {"dropout": "0.1"}),
-], ids=["layer_norm_eps", "beta2", "attn_dropout"])
+    ("weight_decay", "0.0", {}), ("grad_clip", "0.0", {}),
+    ("max_answer_len", "10", {}),
+], ids=["layer_norm_eps", "beta2", "attn_dropout", "weight_decay",
+        "grad_clip", "max_answer_len"])
 def test_stored_layer_norm_adam_or_attention_key_off_its_value_is_refused(
         tmp_path, monkeypatch, key, value, others):
-    """Fine-tuning runs layer norm, Adam and attention dropout, so a
-    checkpoint trained with another value is refused, naming the key."""
+    """Fine-tuning runs layer norm, Adam with weight decay and clipping,
+    attention dropout and the QA answer window, so a checkpoint trained
+    with another value is refused, naming the key."""
     _, _, _, path = save_with_stored_key(tmp_path, monkeypatch, key, value,
                                          **others)
     with pytest.raises(FormatError, match=f"{path}: stored config: retired "
                        f"key {key}={value} no longer loads"):
+        load_checkpoint(path)
+
+
+def test_stored_negative_seed_is_a_format_error(tmp_path, monkeypatch):
+    _, _, _, path = save_with_stored_key(tmp_path, monkeypatch, "seed", "-1")
+    with pytest.raises(FormatError, match=f"{path}: stored config: seed "
+                       "must be >= 0"):
         load_checkpoint(path)
 
 

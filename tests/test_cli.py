@@ -249,7 +249,7 @@ def test_log_level_shows_trainer_step_lines(workspace, tmp_path, capsys):
 @pytest.mark.parametrize("bad", [
     "hidden=0", "peak_lr=nan",
     "encoder_layers=-1", "decoder_layers=-1", "peak_lr=-1",
-    "finetune_lr=-1", "weight_decay=-1", "warmup=-1", "p_geom=7",
+    "finetune_lr=-1", "warmup=-1", "p_geom=7", "seed=-1",
 ])
 def test_more_out_of_range_values_exit_two_without_traceback(
         bad, workspace, tmp_path, capsys):
@@ -480,16 +480,26 @@ def test_retired_position_mode_key_exits_two(command, capsys):
         "error: unknown config key 'position_mode'\n")
 
 
-def test_checkpoint_stored_with_travel_positions_exits_two(
-        workspace, tmp_path, capsys, monkeypatch):
+def checkpoint_storing(workspace, path, monkeypatch, **stored):
+    """The workspace checkpoint saved at ``path`` with the ``stored``
+    pairs added to its stored config, as a checkpoint written while
+    RunConfig had those keys would hold them."""
     from slm import checkpoint
     from slm.config import config_echo
     ck = checkpoint.load_checkpoint(str(workspace["ckpt"]))
     monkeypatch.setattr(checkpoint, "config_echo", lambda cfg: sorted(
-        config_echo(cfg) + [("position_mode", "travel")]))
-    travel = tmp_path / "travel.bin"
-    checkpoint.save_checkpoint(str(travel), ck.config, ck.params, ck.step)
+        {**dict(config_echo(cfg)), **stored}.items()))
+    checkpoint.save_checkpoint(str(path), ck.config, ck.params, ck.step)
     monkeypatch.undo()
+    assert all(f"{k}={v}".encode() in path.read_bytes()
+               for k, v in stored.items())
+    return path
+
+
+def test_checkpoint_stored_with_travel_positions_exits_two(
+        workspace, tmp_path, capsys, monkeypatch):
+    travel = checkpoint_storing(workspace, tmp_path / "travel.bin",
+                                monkeypatch, position_mode="travel")
     args = ["eval-unshuffle"] + sets([
         f"checkpoint={travel}", f"eval_corpus={workspace['prepared']}"])
     assert run(args) == 2
@@ -556,8 +566,7 @@ def checkpoint_args(command, workspace, tmp_path, *pairs):
 
 def test_diverging_pretrain_exits_one_without_traceback(workspace, tmp_path,
                                                          capsys):
-    args = pretrain_args(workspace, tmp_path, "peak_lr=1e30", "grad_clip=0",
-                         "warmup=0")
+    args = pretrain_args(workspace, tmp_path, "peak_lr=1e30", "warmup=0")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run(args) == 1
@@ -571,8 +580,7 @@ def test_diverging_pretrain_exits_one_without_traceback(workspace, tmp_path,
 def test_diverging_finetune_exits_one_without_traceback(workspace, tmp_path,
                                                          capsys):
     args = checkpoint_args("finetune-cls", workspace, tmp_path,
-                           "finetune_lr=1e30", "grad_clip=0",
-                           "finetune_epochs=3")
+                           "finetune_lr=1e30", "finetune_epochs=3")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run(args) == 1
@@ -706,11 +714,58 @@ def test_retired_gradcheck_dtype_key_exits_two(command, capsys):
                                   "replace_mask=1.5", "replace_random=0.1",
                                   "gradcheck_tol=1",
                                   "layer_norm_eps=1e-05", "beta1=0.9",
-                                  "beta2=0.999", "attn_dropout=0.1"])
+                                  "beta2=0.999", "attn_dropout=0.1",
+                                  "weight_decay=-1", "grad_clip=nan",
+                                  "max_answer_len=30"])
 def test_retired_masking_and_tolerance_keys_exit_two(command, pair, capsys):
     assert run([command, "--set", pair]) == 2
     key = pair.split("=")[0]
     assert capsys.readouterr().err == f"error: unknown config key '{key}'\n"
+
+
+@pytest.mark.parametrize("command", ["pretrain", "eval-unshuffle"])
+@pytest.mark.parametrize("pair", ["weight_decay=0.01", "grad_clip=1.0",
+                                  "max_answer_len=30"])
+def test_retired_optimizer_and_answer_window_keys_in_a_config_file_exit_two(
+        command, pair, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"steps = 2\n{pair}\n", encoding="utf-8")
+    assert run([command, "--config", str(config)]) == 2
+    key = pair.split("=")[0]
+    assert capsys.readouterr().err == f"error: unknown config key '{key}'\n"
+
+
+@pytest.mark.parametrize("command", CHECKPOINT_COMMANDS)
+def test_checkpoint_storing_the_retired_values_runs(command, workspace,
+                                                    tmp_path, capsys,
+                                                    monkeypatch):
+    """A checkpoint written while weight_decay, grad_clip and
+    max_answer_len were keys runs in every checkpoint command when it
+    holds the values the code now uses."""
+    old = checkpoint_storing(workspace, tmp_path / "old.bin", monkeypatch,
+                             weight_decay="0.01", grad_clip="1.0",
+                             max_answer_len="30")
+    args = checkpoint_args(command, workspace, tmp_path, f"checkpoint={old}")
+    assert run(args) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "gradcheck",
+                                     "eval-unshuffle"])
+def test_negative_seed_exits_two(command, workspace, tmp_path, capsys):
+    args = ([command] if command != "eval-unshuffle"
+            else checkpoint_args(command, workspace, tmp_path))
+    assert run(args + ["--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
+
+
+def test_build_vocab_of_a_file_without_documents_exits_one(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("\n  \n\n", encoding="utf-8")
+    vocab = tmp_path / "vocab.txt"
+    assert run(["build-vocab", str(empty), str(vocab)]) == 1
+    assert capsys.readouterr().err == f"error: {empty}: no documents found\n"
+    assert not vocab.exists()
 
 
 def test_qa_gold_span_outside_the_context_names_the_line(workspace, tmp_path,

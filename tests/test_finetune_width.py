@@ -61,10 +61,10 @@ def one_step(monkeypatch, run, stand_in=None):
         losses.append(float(loss.data))
         return backward(loss)
 
-    def spy_clip(params, max_norm):
+    def spy_clip(params):
         grads.update({n: p.grad.copy() for n, p in params.items()
                       if p.grad is not None})
-        return clip(params, max_norm)
+        return clip(params)
 
     with monkeypatch.context() as m:
         if stand_in:

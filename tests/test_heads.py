@@ -442,7 +442,7 @@ def test_qa_single_word_context_forces_prediction():
     h = encode_batch(params, cfg, [ex.packed])
     _, (start, end, sent) = qa_forward(h, [ex], head, cfg)
     words = ex.word_positions
-    assert best_span(start[0, words], end[0, words], cfg.max_answer_len) \
+    assert best_span(start[0, words], end[0, words], heads.MAX_ANSWER_LEN) \
         == (0, 0)
     assert int(np.argmax(sent[0, ex.marker_positions])) == 0
 
@@ -587,7 +587,7 @@ def test_batched_qa_metrics_match_per_example_scoring(monkeypatch):
         flat = encode_full_length(params, cfg, [ex.packed]).data[0]
         words = flat[ex.word_positions]
         ps, pe = best_span(words @ vec["qa.start"], words @ vec["qa.end"],
-                           cfg.max_answer_len)
+                           heads.MAX_ANSWER_LEN)
         psent = int(np.argmax(flat[ex.marker_positions] @ vec["qa.sent"]))
         spans.append((ps, pe))
         em += int((ps, pe) == (ex.gold_start, ex.gold_end))

@@ -3,8 +3,9 @@ import pytest
 
 from slm.config import RunConfig
 from slm.errors import TrainingAbort
-from slm.optim import (BETA1, BETA2, AdamState, adam_update,
-                       clip_global_norm, decays, lr_schedule, zero_grads)
+from slm.optim import (BETA1, BETA2, GRAD_CLIP, WEIGHT_DECAY, AdamState,
+                       adam_update, clip_global_norm, decays, lr_schedule,
+                       zero_grads)
 from slm.tensor import Tensor
 
 from util import small_config
@@ -50,15 +51,16 @@ def test_adam_no_gradient_leaves_params_unchanged():
 
 
 def test_adam_zero_gradient_without_decay_is_noop():
-    cfg = small_config(weight_decay=0.0)
-    p = Tensor(np.ones((3, 3), dtype=np.float32), requires_grad=True)
-    p.grad = np.zeros((3, 3), dtype=np.float32)
-    adam_update({"w": p}, AdamState(), 1e-3, cfg)
-    np.testing.assert_array_equal(p.data, np.ones((3, 3)))
+    # a vector, like every bias and norm parameter, is not decayed
+    cfg = small_config()
+    p = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    p.grad = np.zeros(3, dtype=np.float32)
+    adam_update({"b": p}, AdamState(), 1e-3, cfg)
+    np.testing.assert_array_equal(p.data, np.ones(3))
 
 
 def test_adam_matches_reference_formula_one_step():
-    cfg = small_config(weight_decay=0.0)
+    cfg = small_config()
     w0 = np.array([[1.0, -2.0]], dtype=np.float32)
     g = np.array([[0.5, 0.25]], dtype=np.float32)
     p = Tensor(w0.copy(), requires_grad=True)
@@ -66,12 +68,12 @@ def test_adam_matches_reference_formula_one_step():
     adam_update({"w": p}, AdamState(), 1e-2, cfg)
     m = (1 - BETA1) * g / (1 - BETA1)
     v = (1 - BETA2) * g * g / (1 - BETA2)
-    expect = w0 - 1e-2 * m / (np.sqrt(v) + cfg.adam_eps)
+    expect = w0 - 1e-2 * (m / (np.sqrt(v) + cfg.adam_eps) + WEIGHT_DECAY * w0)
     np.testing.assert_allclose(p.data, expect, rtol=1e-6)
 
 
 def test_quadratic_converges_within_200_steps():
-    cfg = small_config(weight_decay=0.0)
+    cfg = small_config()
     p = Tensor(np.asarray([5.0], dtype=np.float32), requires_grad=True)
     state = AdamState()
     for _ in range(200):
@@ -81,14 +83,16 @@ def test_quadratic_converges_within_200_steps():
 
 
 def test_weight_decay_shrinks_matrices_but_not_vectors():
-    cfg = small_config(weight_decay=0.1)
+    cfg = small_config()
     w = Tensor(np.full((2, 2), 2.0, dtype=np.float32), requires_grad=True)
     b = Tensor(np.full(2, 2.0, dtype=np.float32), requires_grad=True)
     w.grad = np.zeros_like(w.data)
     b.grad = np.zeros_like(b.data)
     assert decays("w", w) and not decays("b", b)
     adam_update({"w": w, "b": b}, AdamState(), 1e-1, cfg)
-    np.testing.assert_allclose(w.data, 2.0 - 1e-1 * 0.1 * 2.0, rtol=1e-6)
+    assert WEIGHT_DECAY == 0.01
+    np.testing.assert_allclose(w.data, 2.0 - 1e-1 * WEIGHT_DECAY * 2.0,
+                               rtol=1e-6)
     np.testing.assert_array_equal(b.data, np.full(2, 2.0))
 
 
@@ -106,23 +110,23 @@ def test_clip_rescales_to_unit_norm():
     a.grad = np.full(3, 2.0, dtype=np.float32)
     b.grad = np.full(4, 2.0, dtype=np.float32)
     before = float(np.sqrt(np.sum(a.grad ** 2) + np.sum(b.grad ** 2)))
-    norm = clip_global_norm({"a": a, "b": b}, 1.0)
+    norm = clip_global_norm({"a": a, "b": b})
     assert norm == pytest.approx(before)
     after = float(np.sqrt(np.sum(a.grad ** 2) + np.sum(b.grad ** 2)))
-    assert after == pytest.approx(1.0, rel=1e-5)
+    assert GRAD_CLIP == 1.0 and after == pytest.approx(1.0, rel=1e-5)
 
 
 def test_clip_leaves_small_gradients_alone():
     a = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
     a.grad = np.array([0.3, 0.4], dtype=np.float32)
-    norm = clip_global_norm({"a": a}, 1.0)
+    norm = clip_global_norm({"a": a})
     assert norm == pytest.approx(0.5)
     np.testing.assert_allclose(a.grad, [0.3, 0.4])
 
 
 def test_same_seed_runs_reach_identical_params():
     # a deterministic optimization trace: same start, same grads
-    cfg = small_config(weight_decay=0.01)
+    cfg = small_config()
 
     def run():
         rng = np.random.default_rng(0)
@@ -132,7 +136,7 @@ def test_same_seed_runs_reach_identical_params():
         for step in range(100):
             g_rng = np.random.default_rng(step)
             p.grad = g_rng.normal(size=(4, 4)).astype(np.float32)
-            clip_global_norm({"w": p}, 1.0)
+            clip_global_norm({"w": p})
             adam_update({"w": p}, state, lr_schedule(step, cfg), cfg)
         return p.data
 
