@@ -8,10 +8,12 @@ failed, interrupted or power-cut save leaves a whole checkpoint.
 Loading verifies the header and, when the caller passes the expected
 tensor names, reports any missing or unexpected ones by name. A path
 that cannot be opened is a DataError; a file that is not a well-formed
-checkpoint is a FormatError naming it. That includes a length or shape larger than the
-bytes left in the file (checked before anything is read) and a tensor
-or Adam moment holding NaN or Inf, which the model's ops do not check
-for themselves.
+checkpoint is a FormatError naming it. One reader (``read_exact``,
+``read_f32``, ``first_non_finite_row``) serves the probe index too: a
+size larger than the bytes left is refused before anything is read, as
+are an empty shape with an impossible dimension and a tensor, Adam
+moment or index row holding NaN or Inf, which the model's ops do not
+check for themselves.
 """
 from __future__ import annotations
 
@@ -46,36 +48,50 @@ def _write_tensor(fh, name: str, arr: np.ndarray):
     fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-def _read(fh, n: int) -> bytes:
+def read_exact(fh, n: int) -> bytes:
     # n may come from the file: compare it (a Python int) with the bytes
     # left before reading, so a corrupt length never asks for more
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     buf = fh.read(n) if n <= left else b""
     if len(buf) != n:
-        raise FormatError(f"{fh.name}: checkpoint truncated: a field needs "
+        raise FormatError(f"{fh.name}: file truncated: a field needs "
                           f"{n} bytes, {left} remain")
     return buf
 
 
 def _read_bytes(fh) -> bytes:
-    (n,) = struct.unpack("<Q", _read(fh, 8))
-    return _read(fh, n)
+    (n,) = struct.unpack("<Q", read_exact(fh, 8))
+    return read_exact(fh, n)
+
+
+def read_f32(fh, shape: tuple, what: str) -> np.ndarray:
+    """A fresh float32 copy of the row-major little-endian array of
+    ``shape`` at ``fh``'s position; ``what`` names it in a FormatError."""
+    raw = read_exact(fh, 4 * math.prod(shape))
+    try:
+        data = np.frombuffer(raw, dtype="<f4").reshape(shape)
+    except ValueError as exc:   # an empty array with a huge dim
+        raise FormatError(f"{fh.name}: {what} has shape {shape}: "
+                          f"{exc}") from exc
+    return data.astype(np.float32)
+
+
+def first_non_finite_row(data: np.ndarray) -> int | None:
+    """The first row of ``data`` holding NaN or Inf, or None."""
+    if np.isfinite(data).all():     # one whole-array pass when finite
+        return None
+    return int(np.argwhere(~np.isfinite(data))[0, 0]) if data.ndim else 0
 
 
 def _read_tensor(fh) -> tuple[str, np.ndarray]:
-    (name_len,) = struct.unpack("<H", _read(fh, 2))
-    name = _read(fh, name_len).decode("utf-8")
-    (ndim,) = struct.unpack("<B", _read(fh, 1))
-    shape = struct.unpack(f"<{ndim}Q", _read(fh, 8 * ndim))
-    raw = _read(fh, 4 * math.prod(shape))
-    try:
-        data = np.frombuffer(raw, dtype="<f4").reshape(shape)
-    except ValueError as exc:   # an empty tensor with a huge dim
-        raise FormatError(f"{fh.name}: tensor {name} has shape {shape}: "
-                          f"{exc}") from exc
-    if not np.all(np.isfinite(data)):
+    (name_len,) = struct.unpack("<H", read_exact(fh, 2))
+    name = read_exact(fh, name_len).decode("utf-8")
+    (ndim,) = struct.unpack("<B", read_exact(fh, 1))
+    shape = struct.unpack(f"<{ndim}Q", read_exact(fh, 8 * ndim))
+    data = read_f32(fh, shape, f"tensor {name}")
+    if first_non_finite_row(data) is not None:
         raise FormatError(f"{fh.name}: tensor {name} holds non-finite values")
-    return name, data.astype(np.float32, copy=True)
+    return name, data
 
 
 @dataclass
@@ -129,30 +145,30 @@ def load_checkpoint(path: str, expected_names=None) -> Checkpoint:
 
 
 def _read_checkpoint(fh, path: str) -> Checkpoint:
-    if _read(fh, len(MAGIC)) != MAGIC:
+    if read_exact(fh, len(MAGIC)) != MAGIC:
         raise FormatError(f"{path}: bad magic, not a checkpoint")
-    (version,) = struct.unpack("<I", _read(fh, 4))
+    (version,) = struct.unpack("<I", read_exact(fh, 4))
     if version != FORMAT_VERSION:
         raise FormatError(
             f"{path}: format version {version}, expected {FORMAT_VERSION}")
-    (step,) = struct.unpack("<Q", _read(fh, 8))
+    (step,) = struct.unpack("<Q", read_exact(fh, 8))
     echo = _read_bytes(fh).decode("utf-8")
     pairs = [line.partition("=")[::2] for line in echo.splitlines() if line]
     try:
         cfg = config_from_echo(pairs)
     except ContractError as exc:
         raise FormatError(f"{path}: stored config: {exc}") from exc
-    (n_tensors,) = struct.unpack("<I", _read(fh, 4))
+    (n_tensors,) = struct.unpack("<I", read_exact(fh, 4))
     params = {}
     for _ in range(n_tensors):
         name, data = _read_tensor(fh)
         params[name] = Tensor(data, requires_grad=True)
-    (has_opt,) = struct.unpack("<B", _read(fh, 1))
+    (has_opt,) = struct.unpack("<B", read_exact(fh, 1))
     opt_state = None
     if has_opt:
         opt_state = AdamState()
-        (opt_state.t,) = struct.unpack("<Q", _read(fh, 8))
-        (n_moments,) = struct.unpack("<I", _read(fh, 4))
+        (opt_state.t,) = struct.unpack("<Q", read_exact(fh, 8))
+        (n_moments,) = struct.unpack("<I", read_exact(fh, 4))
         for _ in range(n_moments):
             m_name, m_data = _read_tensor(fh)
             v_name, v_data = _read_tensor(fh)

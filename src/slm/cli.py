@@ -1,18 +1,18 @@
 """Command-line entry point.
 
 Subcommands: prepare, build-vocab, pretrain, eval-unshuffle,
-finetune-cls, finetune-qa, probe, gradcheck. Only pretrain and
-gradcheck take ``--profile``, only pretrain ``--out``. Exit codes: 0
-success; 1 data problems (missing/bad files), training aborted on a
-non-finite loss or gradient, and running out of memory; 2 contract or
-format violations: a malformed checkpoint or probe index or one
-holding NaN/Inf, a vocab file with more tokens than ``vocab_size``
-(pretrain: any other count), and argparse's usage errors, such as a
-flag the command does not take. ``-v`` / ``--log-level LEVEL`` on any
-subcommand sends log records (the trainer's step lines at ``info``) to
-stderr; the default, ``warning``, keeps a run quiet. A file the system
-refuses to create or write, such as an ``--out`` under a regular file
-or a write to a full disk, is ``error: <path>: <reason>`` with exit 1.
+finetune-cls, finetune-qa, probe, gradcheck. Only pretrain takes
+``--profile`` and ``--out``. Exit codes: 0 success; 1 data problems
+(missing/bad files), training aborted on a non-finite loss or gradient,
+and running out of memory; 2 contract or format violations: a malformed
+checkpoint or probe index or one holding NaN/Inf, a malformed vocab
+file or one with more tokens than ``vocab_size`` (pretrain: any other
+count), and argparse's usage errors, such as a flag the command does
+not take. ``-v`` / ``--log-level LEVEL`` on any subcommand sends log
+records (the trainer's step lines at ``info``) to stderr; the default,
+``warning``, keeps a run quiet. A file the system refuses to create or
+write, such as an ``--out`` under a regular file or a write to a full
+disk, is ``error: <path>: <reason>`` with exit 1.
 
 Heavy imports happen inside main() so SLM_THREADS can cap the BLAS
 thread pools before numpy loads.
@@ -34,7 +34,7 @@ def _cap_threads() -> None:
         return
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
+        os.environ[var] = cap
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -62,10 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("pretrain", "eval-unshuffle", "finetune-cls",
                  "finetune-qa", "probe", "gradcheck"):
         _add_common(subs.add_parser(name))
-    # the checkpoint commands start from the stored config, not a profile
-    for name in ("pretrain", "gradcheck"):
-        subs.choices[name].add_argument("--profile", default="tiny",
-                                        help="config profile name")
+    # the checkpoint commands start from the stored config and gradcheck
+    # from its own small model, so only pretrain reads a profile
+    subs.choices["pretrain"].add_argument("--profile", default="tiny",
+                                          help="config profile name")
     subs.choices["pretrain"].add_argument("--out", default="runs/latest",
                                           help="output directory")
     for sub in subs.choices.values():
@@ -271,7 +271,7 @@ def cmd_gradcheck(args) -> int:
     check_defaults = ["encoder_layers=2", "decoder_layers=1", "heads=2",
                       "hidden=16", "ffn=32", "seq_len=32", "max_sentences=4",
                       "vocab_size=32", "dropout=0"]
-    cfg = resolve_config(args.profile, args.config,
+    cfg = resolve_config("tiny", args.config,
                          check_defaults + list(args.overrides), args.seed)
     rng = np.random.default_rng(cfg.seed)
     # float64 only: float32 differencing is too rough for the tolerance

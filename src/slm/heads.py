@@ -303,8 +303,7 @@ def init_qa_head(cfg: RunConfig, rng) -> dict:
             for name in ("qa.start", "qa.end", "qa.sent")}
 
 
-def qa_forward(h: Tensor, examples: list[QaExample], head: dict,
-               cfg: RunConfig):
+def qa_forward(h: Tensor, examples: list[QaExample], head: dict):
     """Loss and masked logits of the three pointers over a whole batch.
 
     Each of ``qa.start``, ``qa.end`` and ``qa.sent`` scores every row of
@@ -380,7 +379,7 @@ def finetune_qa(params: dict, cfg: RunConfig, examples: list[QaExample],
     def batch_loss(batch):
         h = encode_batch(params, cfg, [ex.packed for ex in batch], rng,
                          training=True)
-        return qa_forward(h, batch, head, cfg)[0]
+        return qa_forward(h, batch, head)[0]
 
     return _finetune(params, cfg, examples, head, steps, batch_loss)
 
@@ -397,7 +396,7 @@ def qa_metrics(params: dict, head: dict, cfg: RunConfig,
         for lo in range(0, len(examples), cfg.batch_size):
             batch = examples[lo:lo + cfg.batch_size]
             h = encode_batch(params, cfg, [ex.packed for ex in batch])
-            _, (start, end, sent) = qa_forward(h, batch, head, cfg)
+            _, (start, end, sent) = qa_forward(h, batch, head)
             for b, ex in enumerate(batch):
                 words = ex.word_positions
                 ps, pe = best_span(start[b, words], end[b, words],

@@ -38,7 +38,6 @@ class LossBundle:
     l_slm: float
     total: float
     masked_count: int
-    slm_steps: int
     pointer_acc: float      # nan without the ordering objective
     pointer_entropy: float  # nats; nan without the ordering objective
     pointer_self: float     # nan without the ordering objective
@@ -88,11 +87,10 @@ def pretrain_bundle(params: dict, cfg: RunConfig,
         for ex in examples])[:, :h.shape[1]]  # the encode stops at L_max
     l_mlm, masked_count = mlm_loss(h, params, labels)
 
-    slm_steps = 0
     pointer_acc = pointer_entropy = pointer_self = float("nan")
     if cfg.sr_enabled:
         per_example = []
-        hits, self_hits, entropy = 0, 0, 0.0
+        hits, self_hits, entropy, slm_steps = 0, 0, 0.0, 0
         for b, ex in enumerate(examples):
             targets = order_targets(ex.perm, ex.num_sentences)
             c = extract_summary(h, ex, b)
@@ -120,7 +118,6 @@ def pretrain_bundle(params: dict, cfg: RunConfig,
         l_slm=float(l_slm.data),
         total=float(loss.data),
         masked_count=masked_count,
-        slm_steps=slm_steps,
         pointer_acc=pointer_acc,
         pointer_entropy=pointer_entropy,
         pointer_self=pointer_self,

@@ -45,7 +45,7 @@ class AdamState:
         return self.m[name], self.v[name]
 
 
-def decays(name: str, param: Tensor) -> bool:
+def decays(param: Tensor) -> bool:
     # biases and norm gains/shifts are all the 1-D tensors here
     return param.data.ndim > 1
 
@@ -87,7 +87,7 @@ def adam_update(params: dict[str, Tensor], state: AdamState, lr: float,
         v *= BETA2
         v += (1.0 - BETA2) * np.square(g)
         update = (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
-        if decays(name, p):
+        if decays(p):
             update = update + WEIGHT_DECAY * p.data
         p.data -= (lr * update).astype(p.data.dtype, copy=False)
 

@@ -15,21 +15,21 @@ a full stable sort would.
 Index file layout: two little-endian u64 (n, hidden) followed by the
 raw row-major float32 matrix; records live next to it in a .jsonl
 sidecar. Both are written atomically, the sidecar first, so the index
-file exists only once an export has finished. Loading checks the
-header's size against the bytes in the file before reading the matrix,
-and rejects a row holding NaN or Inf; either is a FormatError naming
-the file (and the row).
+file exists only once an export has finished. Loading reads the header
+and the matrix with the checkpoint's reader (``checkpoint.read_f32``), so
+a size beyond the file, an impossible empty shape or a row holding NaN
+or Inf is a FormatError naming the file (and the sizes or the row).
 """
 from __future__ import annotations
 
 import json
-import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from .checkpoint import first_non_finite_row, read_exact, read_f32
 from .config import RunConfig
 from .encoder import encode_batch, pad_rows
 from .errors import ContractError, DataError, FormatError, write_atomic
@@ -95,8 +95,8 @@ def export_reps(params: dict, cfg: RunConfig,
             h = encode_batch(params, cfg, [ex for _, ex, _ in chunk],
                              rows=markers).data
             for b, (doc_id, ex, texts) in enumerate(chunk):
+                rows.append(h[b, :len(ex.sentence_spans)])
                 for k in range(len(ex.sentence_spans)):
-                    rows.append(h[b, k].astype(np.float32))
                     records.append({
                         "doc": doc_id,
                         "sent": k,
@@ -105,7 +105,7 @@ def export_reps(params: dict, cfg: RunConfig,
                     })
     if not rows:
         raise DataError("corpus produced no sentence representations")
-    return EmbeddingIndex(matrix=np.stack(rows), records=records)
+    return EmbeddingIndex(np.concatenate(rows, dtype=np.float32), records)
 
 
 def save_index(path: str, index: EmbeddingIndex) -> None:
@@ -114,9 +114,9 @@ def save_index(path: str, index: EmbeddingIndex) -> None:
     which ``load_index`` would refuse, is refused before either file
     is written."""
     matrix = np.ascontiguousarray(index.matrix, dtype="<f4")
-    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
-    if bad.size:
-        raise ContractError(f"{path}: row {bad[0]} holds non-finite values;"
+    bad = first_non_finite_row(matrix)
+    if bad is not None:
+        raise ContractError(f"{path}: row {bad} holds non-finite values;"
                             " the index is not written")
     records = "".join(json.dumps(rec, ensure_ascii=False) + "\n"
                       for rec in index.records).encode("utf-8")
@@ -128,25 +128,17 @@ def save_index(path: str, index: EmbeddingIndex) -> None:
 def load_index(path: str) -> EmbeddingIndex:
     try:
         with open(path, "rb") as fh:
-            head = fh.read(16)
-            if len(head) != 16:
-                raise FormatError(f"{path}: truncated index header")
-            n, hidden = struct.unpack("<QQ", head)
-            # Python ints: compare before reading, so a corrupt header
-            # never asks for more than the file holds
-            size = 4 * n * hidden
-            left = os.fstat(fh.fileno()).st_size - 16
-            raw = fh.read(size) if size <= left else b""
-        if len(raw) != size:
-            raise FormatError(f"{path}: truncated index payload: {n} rows of "
-                              f"{hidden} need {size} bytes, the file has "
-                              f"{left}")
+            n, hidden = struct.unpack("<QQ", read_exact(fh, 16))
+            matrix = read_f32(fh, (n, hidden), "index")
         with open(path + ".jsonl", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise DataError(f"cannot read index {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}.jsonl: not UTF-8 text: {exc}") from exc
+    bad = first_non_finite_row(matrix)
+    if bad is not None:
+        raise FormatError(f"{path}: row {bad} holds non-finite values")
     records = []
     for ln, line in enumerate(lines, 1):
         if not line.strip():
@@ -163,15 +155,7 @@ def load_index(path: str) -> EmbeddingIndex:
     if len(records) != n:
         raise FormatError(f"{path}.jsonl: {len(records)} records for the "
                           f"{n} rows of {path}")
-    try:
-        matrix = np.frombuffer(raw, dtype="<f4").reshape(n, hidden)
-    except ValueError as exc:   # an empty matrix with a huge dim
-        raise FormatError(
-            f"{path}: index shape ({n}, {hidden}): {exc}") from exc
-    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
-    if bad.size:
-        raise FormatError(f"{path}: row {bad[0]} holds non-finite values")
-    return EmbeddingIndex(matrix=matrix.astype(np.float32), records=records)
+    return EmbeddingIndex(matrix=matrix, records=records)
 
 
 def nearest_neighbors(index: EmbeddingIndex, query_row: int,

@@ -29,7 +29,7 @@ token that belongs to no sentence.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,7 +144,10 @@ class Vocab:
     @classmethod
     def load(cls, path: str) -> "Vocab":
         lines = read_text(path, "vocab").split("\n")
-        return cls([line for line in lines if line.strip()])
+        try:
+            return cls([line for line in lines if line.strip()])
+        except ContractError as exc:
+            raise ContractError(f"{path}: {exc}") from exc
 
 
 def build_vocab(docs: list[str], size: int) -> Vocab:

@@ -36,14 +36,14 @@ from .config import RunConfig, config_echo
 from .encoder import encode_batch, extract_summary, pad_rows
 from .errors import ContractError, DataError
 from .masking import apply_span_masking
-from .model import init_params, param_shapes
+from .model import init_params
 from .objectives import pretrain_bundle
 from .optim import AdamState, adam_update, clip_global_norm, lr_schedule, zero_grads
 from .reconstructor import greedy_unshuffle
 from .shuffling import (apply_shuffle, batch_shuffle_mask, identity_record,
                         sample_permutation, summary_positions)
 from .tensor import backward, no_grad
-from .textpipe import Document, PackedExample, Vocab, pack_example
+from .textpipe import Document, PackedExample, pack_example
 
 log = logging.getLogger(__name__)
 

@@ -251,7 +251,7 @@ def test_criterion_8_heads_and_probe():
         qa_params = build_params(qa_cfg, seed=9)
         qa_head = init_qa_head(qa_cfg, np.random.default_rng(9))
         h = encode_batch(qa_params, qa_cfg, [qa_ex.packed])
-        loss, _ = qa_forward(h, [qa_ex], qa_head, qa_cfg)
+        loss, _ = qa_forward(h, [qa_ex], qa_head)
         flat = h.data.reshape(-1, qa_cfg.hidden)
         terms = []
         for vec, rows, gold in (

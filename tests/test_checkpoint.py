@@ -332,6 +332,14 @@ def test_non_finite_tensor_or_moment_is_a_format_error(tmp_path, where):
         load_checkpoint(path)
 
 
+def test_non_finite_scalar_tensor_is_a_format_error(tmp_path):
+    cfg, _, _, _ = save_small(tmp_path)
+    path = str(tmp_path / "scalar.bin")
+    save_checkpoint(path, cfg, {"x": Tensor(np.float32(np.nan))}, step=1)
+    with pytest.raises(FormatError, match=f"{path}: tensor x holds non-finite"):
+        load_checkpoint(path)
+
+
 def test_empty_tensor_with_an_impossible_dim_is_a_format_error(tmp_path):
     cfg, _, _, _ = save_small(tmp_path)
     empty = Tensor(np.zeros((0, 3), dtype=np.float32))

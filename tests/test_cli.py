@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from slm.cli import build_parser, main
+from slm.cli import _cap_threads, build_parser, main
+from slm.textpipe import SPECIAL_TOKENS
 
 RAW = """The cat sat home. The dog ran fast. The bird flew away.
 
@@ -93,6 +94,18 @@ def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run(["pretrain", "--bogus"])
     assert exc.value.code == 2
+
+
+def test_slm_threads_sets_every_blas_variable_even_one_already_set(
+        monkeypatch):
+    blas_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+    for var in blas_vars:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.setenv("SLM_THREADS", "1")
+    _cap_threads()
+    assert [os.environ[var] for var in blas_vars] == ["1"] * 4
 
 
 def test_missing_required_path_exits_two(capsys):
@@ -451,8 +464,8 @@ def test_non_utf8_input_exits_one_naming_it(case, workspace, tmp_path,
 
 CHECKPOINT_COMMANDS = ["eval-unshuffle", "finetune-cls", "finetune-qa",
                        "probe"]
-UNREAD_FLAGS = ([(c, "--out") for c in CHECKPOINT_COMMANDS + ["gradcheck"]]
-                + [(c, "--profile") for c in CHECKPOINT_COMMANDS])
+UNREAD_FLAGS = ([(c, flag) for c in CHECKPOINT_COMMANDS + ["gradcheck"]
+                 for flag in ("--out", "--profile")])
 
 
 @pytest.mark.parametrize("command,flag", UNREAD_FLAGS,
@@ -655,8 +668,7 @@ def test_checkpoint_size_beyond_the_file_exits_two(field, workspace,
         f"checkpoint={bad}", f"eval_corpus={workspace['prepared']}"])
     assert run(args) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {bad}: checkpoint truncated: a field "
-                          "needs ")
+    assert err.startswith(f"error: {bad}: file truncated: a field needs ")
     assert "Traceback" not in err
 
 
@@ -670,8 +682,8 @@ def test_probe_index_size_beyond_the_file_exits_two(n, hidden, workspace,
                              f"index={index}", "query_row=0"])
     assert run(args) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {index}: truncated index payload: "
-                          f"{n} rows of {hidden} need {4 * n * hidden} bytes")
+    assert err.startswith(f"error: {index}: file truncated: a field needs "
+                          f"{4 * n * hidden} bytes, 64 remain")
     assert "Traceback" not in err
 
 
@@ -687,6 +699,22 @@ def test_vocab_larger_than_vocab_size_exits_two(command, workspace, tmp_path,
     assert capsys.readouterr().err == (
         f"error: {big} holds {n + 2} tokens but vocab_size is {n}\n")
     assert not (tmp_path / "sent.idx").exists()
+
+
+@pytest.mark.parametrize("tokens,message", [
+    (["cat", "dog"], "vocab must start with the special tokens"),
+    (SPECIAL_TOKENS + ["cat", "dog", "cat"], "vocab contains duplicate tokens"),
+], ids=["no-specials", "duplicate"])
+def test_malformed_vocab_file_exits_two_naming_it(tokens, message, workspace,
+                                                  tmp_path, capsys):
+    bad = tmp_path / "bad-vocab.txt"
+    bad.write_text("\n".join(tokens) + "\n", encoding="utf-8")
+    args = ["pretrain", "--out", str(tmp_path / "run")] + sets(
+        SMALL_MODEL + [f"vocab_size={workspace['n_vocab']}",
+                       f"corpus={workspace['prepared']}", f"vocab={bad}"])
+    assert run(args) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("command", CHECKPOINT_COMMANDS)

@@ -348,7 +348,7 @@ def test_qa_loss_is_sum_of_three_cross_entropies():
     head = init_qa_head(cfg, np.random.default_rng(3))
     ex = pack_qa("the cat sat. the dog ran fast.", "the cat", 3, 4, vocab, cfg)
     h = encode_batch(params, cfg, [ex.packed])
-    loss, (start, end, sent) = qa_forward(h, [ex], head, cfg)
+    loss, (start, end, sent) = qa_forward(h, [ex], head)
 
     # only the example's own candidates escape the mask
     for logits, rows in ((start, ex.word_positions), (end, ex.word_positions),
@@ -411,7 +411,7 @@ def test_batched_qa_loss_and_grads_equal_the_per_example_formula():
                  if p.grad is not None}
         return float(loss.data), grads
 
-    loss, grads = run(lambda h, head: qa_forward(h, examples, head, cfg)[0])
+    loss, grads = run(lambda h, head: qa_forward(h, examples, head)[0])
     want, want_grads = run(
         lambda h, head: per_example_qa_loss(h, examples, head))
     assert abs(loss - want) <= 1e-10
@@ -430,7 +430,7 @@ def test_qa_forward_wants_one_example_per_encoder_row():
     h = encode_batch(build_params(cfg), cfg, [ex.packed, ex.packed])
     head = init_qa_head(cfg, np.random.default_rng(0))
     with pytest.raises(ContractError, match="qa_forward"):
-        qa_forward(h, [ex], head, cfg)
+        qa_forward(h, [ex], head)
 
 
 def test_qa_single_word_context_forces_prediction():
@@ -440,7 +440,7 @@ def test_qa_single_word_context_forces_prediction():
     head = init_qa_head(cfg, np.random.default_rng(4))
     ex = pack_qa("cat", "the cat", 0, 0, vocab, cfg)
     h = encode_batch(params, cfg, [ex.packed])
-    _, (start, end, sent) = qa_forward(h, [ex], head, cfg)
+    _, (start, end, sent) = qa_forward(h, [ex], head)
     words = ex.word_positions
     assert best_span(start[0, words], end[0, words], heads.MAX_ANSWER_LEN) \
         == (0, 0)

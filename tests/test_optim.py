@@ -88,7 +88,7 @@ def test_weight_decay_shrinks_matrices_but_not_vectors():
     b = Tensor(np.full(2, 2.0, dtype=np.float32), requires_grad=True)
     w.grad = np.zeros_like(w.data)
     b.grad = np.zeros_like(b.data)
-    assert decays("w", w) and not decays("b", b)
+    assert decays(w) and not decays(b)
     adam_update({"w": w, "b": b}, AdamState(), 1e-1, cfg)
     assert WEIGHT_DECAY == 0.01
     np.testing.assert_allclose(w.data, 2.0 - 1e-1 * WEIGHT_DECAY * 2.0,
