@@ -6,7 +6,12 @@ attention softmax (``attention_softmax``: scale, mask and row softmax as
 one op), layer norm, gelu, reductions, fused cross-entropy and dropout.
 Every op records a backward closure on its output; calling
 ``backward(loss)`` walks the recorded graph once in reverse topological
-order and accumulates gradients into the leaves.
+order and accumulates gradients into the leaves. The sweep frees the
+graph as it goes: each node drops its gradient, its closure and its
+inputs once its closure has run, so a step's activations go as the
+sweep passes them and only the leaves' gradients outlive it. A graph
+can therefore be walked once; a second ``backward`` over it raises
+``ContractError``.
 
 Four ops have no caller in the package: ``log``, ``gather_elements``,
 ``softmax_rows`` and ``tsum``. They stay only because the benchmark's
@@ -18,7 +23,9 @@ dropout) write their arithmetic into buffers they allocate themselves
 (``out=``, ``*=``, ``+=``), never into an input's ``.data`` or another
 node's ``.grad``. Each element goes through the same ufuncs in the same
 order as the plain expression would, so results keep its bits while
-making fewer temporaries and passes over memory.
+making fewer temporaries and passes over memory. A gradient buffer an
+op allocates for one input alone is kept as that input's ``.grad``
+when it already has the data's layout, instead of being copied.
 
 Arrays stay in 32-bit floats by default; passing float64 arrays into
 the leaves promotes the whole graph, which the finite-difference
@@ -92,13 +99,18 @@ class Tensor:
 
     # -- graph plumbing -------------------------------------------------
 
-    def _accumulate(self, g):
+    def _accumulate(self, g, owned: bool = False):
         # the first gradient is written into a fresh array of the data's
         # layout, not copied with g's (possibly transposed) strides:
-        # matmul rounding follows operand layout
+        # matmul rounding follows operand layout. An ``owned`` g is one
+        # the op allocated itself and hands to no other node; it is kept
+        # as it is when it already has that layout.
         if self.grad is None:
-            self.grad = np.empty_like(self.data)
-            self.grad[...] = g
+            if owned and _c_layout_of(g, self.data):
+                self.grad = g
+            else:
+                self.grad = np.empty_like(self.data)
+                self.grad[...] = g
         else:
             self.grad += g
 
@@ -136,6 +148,14 @@ class Tensor:
 
     def mean(self, axis=None):
         return tmean(self, axis)
+
+
+def _c_layout_of(g, data: np.ndarray) -> bool:
+    """Whether ``g`` is an array of ``data``'s dtype and shape, both in C
+    order: the layout a copy into ``np.empty_like(data)`` would give."""
+    return (isinstance(g, np.ndarray) and g.dtype == data.dtype
+            and g.shape == data.shape and g.flags.c_contiguous
+            and data.flags.c_contiguous)
 
 
 def _wrap(other, like: Tensor) -> Tensor:
@@ -197,9 +217,9 @@ def mul(a: Tensor, b) -> Tensor:
 
     def bw(out):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(out.grad * b.data, a.shape))
+            a._accumulate(_unbroadcast(out.grad * b.data, a.shape), owned=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(out.grad * a.data, b.shape))
+            b._accumulate(_unbroadcast(out.grad * a.data, b.shape), owned=True)
 
     return _make(out_data, (a, b), bw)
 
@@ -217,10 +237,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         g = out.grad
         if a.requires_grad:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a._accumulate(_unbroadcast(ga, a.shape))
+            a._accumulate(_unbroadcast(ga, a.shape), owned=True)
         if b.requires_grad:
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b._accumulate(_unbroadcast(gb, b.shape))
+            b._accumulate(_unbroadcast(gb, b.shape), owned=True)
 
     return _make(out_data, (a, b), bw)
 
@@ -363,7 +383,7 @@ def attention_softmax(scores: Tensor, scale,
             bias._accumulate(_unbroadcast(gx, bias.shape))
         if scores.requires_grad:
             gx *= scale
-            scores._accumulate(gx)
+            scores._accumulate(gx, owned=True)
 
     prev = (scores,) if bias is None else (scores, bias)
     return _make(y, prev, bw)
@@ -386,9 +406,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         red = tuple(range(g.ndim - 1))
         buf = g * xhat
         if gamma.requires_grad:
-            gamma._accumulate(buf.sum(axis=red))
+            gamma._accumulate(buf.sum(axis=red), owned=True)
         if beta.requires_grad:
-            beta._accumulate(g.sum(axis=red))
+            beta._accumulate(g.sum(axis=red), owned=True)
         if x.requires_grad:
             gh = g * gamma.data
             t1 = gh.sum(axis=-1, keepdims=True)
@@ -399,7 +419,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             buf /= d
             gh -= buf
             gh *= inv
-            x._accumulate(gh)
+            x._accumulate(gh, owned=True)
 
     return _make(out_data, (x, gamma, beta), bw)
 
@@ -439,7 +459,7 @@ def gelu(x: Tensor) -> Tensor:
             half *= 0.5
             local += half
             local *= out.grad
-            x._accumulate(local)
+            x._accumulate(local, owned=True)
 
     return _make(out_data, (x,), bw)
 
@@ -472,7 +492,7 @@ def cross_entropy(logits: Tensor, target) -> Tensor:
         if logits.requires_grad:
             p = np.exp(shifted - lse[:, None])
             p[np.arange(m), tgt] -= 1.0
-            logits._accumulate(out.grad * p / m)
+            logits._accumulate(out.grad * p / m, owned=True)
 
     return _make(out_data, (logits,), bw)
 
@@ -489,7 +509,7 @@ def dropout(x: Tensor, p: float, rng) -> Tensor:
 
     def bw(out):
         if x.requires_grad:
-            x._accumulate(out.grad * keep)
+            x._accumulate(out.grad * keep, owned=True)
 
     return _make(x.data * keep, (x,), bw)
 
@@ -497,8 +517,22 @@ def dropout(x: Tensor, p: float, rng) -> Tensor:
 # -- backward and checking ---------------------------------------------
 
 
+def _consumed(node: Tensor) -> None:
+    """The backward of a node whose graph a sweep has already walked."""
+    raise ContractError("backward over a graph it already consumed")
+
+
 def backward(loss: Tensor) -> None:
-    """Reverse-mode sweep from a scalar loss over the recorded graph."""
+    """Reverse-mode sweep from a scalar loss over the recorded graph.
+
+    The sweep frees the graph as it goes: once a node's closure has run,
+    the node drops its ``.grad``, its closure and its links to its
+    inputs, so its activations and gradient go as soon as no later
+    closure needs them. Leaves (the parameters) keep their gradients. A
+    graph can be walked once: a second sweep that reaches a consumed
+    node raises ``ContractError`` before any closure runs, so every leaf
+    gradient stays as the first sweep left it.
+    """
     if loss.data.size != 1:
         raise ContractError("backward requires a scalar loss")
     topo = []
@@ -511,15 +545,24 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in visited:
             continue
+        if node._backward is _consumed:
+            _consumed(node)  # raises
         visited.add(id(node))
         stack.append((node, True))
         for p in node._prev:
             if id(p) not in visited:
                 stack.append((p, False))
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward is not None:
-            node._backward(node)
+    # popping walks the topological order in reverse, so the list never
+    # holds a node whose closure has run
+    while topo:
+        node = topo.pop()
+        if node._backward is None:
+            continue
+        node._backward(node)
+        node.grad = None
+        node._backward = _consumed
+        node._prev = ()
 
 
 def grad_check(f, params, eps: float = 1e-3) -> float:

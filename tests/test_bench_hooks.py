@@ -9,7 +9,11 @@ import importlib.util
 import inspect
 import pathlib
 
+import numpy as np
+
 from slm import reconstructor, tensor, trainer
+
+from util import random_document, small_config
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 SPANS_PATH = PERFBENCH / "spans.py"
@@ -88,3 +92,30 @@ def test_every_benchmark_call_binds_to_the_current_signature():
         except TypeError as exc:
             broken.append(f"bench.py:{line}: {name}: {exc}")
     assert not broken, broken
+
+
+def test_traced_steps_keep_every_gradient(tmp_path):
+    """The tracer wraps each backward closure when the op runs, and the
+    sweep swaps the closure for its consumed marker once it has run: two
+    traced pretraining steps record backward spans and end with the
+    parameters and gradients of two untraced ones, bit for bit."""
+    spans = load_spans()
+    cfg = small_config(steps=2, warmup=1, batch_size=2, dropout=0.1,
+                       checkpoint_every=0)
+    rng = np.random.default_rng(0)
+    docs = [random_document(rng, vocab_size=cfg.vocab_size) for _ in range(4)]
+    untraced = trainer.train_loop(docs, cfg, str(tmp_path / "untraced"))
+    tracer, patches = spans.Tracer(), spans.Patches()
+    tracer.install(patches)
+    try:
+        traced = trainer.train_loop(docs, cfg, str(tmp_path / "traced"))
+    finally:
+        patches.undo()
+    table = tracer.table()
+    assert table.calls("tensor.bwd.matmul", tracer.runs) > 0
+    assert table.calls("tensor.backward", tracer.runs) == cfg.steps
+    assert tracer.counts[("setup", "tensor.graph_nodes")] > 0
+    for name, p in untraced["params"].items():
+        q = traced["params"][name]
+        assert p.grad.tobytes() == q.grad.tobytes(), name
+        assert p.data.tobytes() == q.data.tobytes(), name

@@ -176,6 +176,138 @@ def test_backward_accumulates_over_reuse():
     np.testing.assert_allclose(x.grad, [2.0])
 
 
+def test_second_backward_over_a_consumed_graph_raises():
+    """Before the sweep freed its graph, a second backward re-added the
+    stale intermediate gradients: x.grad read 6, not 4."""
+    x = t(np.ones(3))
+    y = T.mul(x, 2.0)
+    loss = y.sum()
+    backward(loss)
+    with pytest.raises(ContractError, match="already consumed"):
+        backward(loss)
+    # a new loss over a consumed node raises before any closure runs
+    with pytest.raises(ContractError, match="already consumed"):
+        backward(T.mul(y, x).sum())
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+
+
+def _copy_accumulate(self, g, owned=False):
+    """``Tensor._accumulate`` as it was before owned buffers: the first
+    gradient is always copied into a fresh array of the data's layout,
+    whatever ``owned`` says."""
+    if self.grad is None:
+        self.grad = np.empty_like(self.data)
+        self.grad[...] = g
+    else:
+        self.grad += g
+
+
+def _keep_everything_backward(loss):
+    """The sweep as it was before it freed its graph: every closure runs in
+    reverse topological order, and every node keeps what it holds."""
+    topo, visited, stack = [], set(), [(loss, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for p in node._prev:
+            if id(p) not in visited:
+                stack.append((p, False))
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(topo):
+        if node._backward is not None:
+            node._backward(node)
+
+
+def _reachable(loss):
+    seen, stack, out = set(), [loss], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            out.append(node)
+            stack.extend(node._prev)
+    return out
+
+
+_GRAPH = (2, 4, 4)
+
+
+def _random_graph(seed):
+    """Leaves and a scalar loss over a seeded random graph: shared operands
+    (``a + a``, ``x * x``), tensors feeding several ops, reshape and
+    swapaxes chains, and attention softmaxes whose full-shape bias
+    requires grad (a leaf or a graph node)."""
+    rng = np.random.default_rng(seed)
+    drop = np.random.default_rng([seed, 1])
+    xs = [t(rng.normal(size=_GRAPH)) for _ in range(3)]
+    gamma, beta = t(rng.normal(size=4)), t(rng.normal(size=4))
+    bias = t(rng.normal(size=_GRAPH))
+    leaves = xs + [gamma, beta, bias]
+    pool = xs + [xs[0] + xs[0], T.mul(xs[1], xs[1])]
+    for _ in range(10):
+        a, b = (pool[i] for i in rng.integers(len(pool), size=2))
+        pool.append([
+            lambda: a + b,
+            lambda: T.mul(T.mul(a, b), 0.5),
+            lambda: T.mul(matmul(a, b), 0.25),
+            lambda: a.reshape(8, 4).swapaxes(0, 1).reshape(*_GRAPH),
+            lambda: a.swapaxes(1, 2).reshape(4, 8).reshape(*_GRAPH),
+            lambda: gelu(a),
+            lambda: layer_norm(a, gamma, beta),
+            lambda: T.attention_softmax(a, 0.5, bias),
+            lambda: T.attention_softmax(a, 0.5, b),
+            lambda: dropout(a, 0.25, drop),
+        ][rng.integers(10)]())
+    loss = cross_entropy(pool[-1].reshape(8, 4), rng.integers(4, size=8))
+    for node in pool[3:-1]:
+        w = Tensor(rng.normal(size=_GRAPH).astype(np.float32))
+        loss = loss + T.mul(node, w).mean()
+    return leaves, loss
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_freeing_sweep_keeps_the_keep_everything_sweeps_leaf_grads(
+        seed, monkeypatch):
+    leaves, loss = _random_graph(seed)
+    assert np.isfinite(loss.data)
+    nodes = _reachable(loss)
+    backward(loss)
+    with monkeypatch.context() as m:
+        m.setattr(Tensor, "_accumulate", _copy_accumulate)
+        want, want_loss = _random_graph(seed)
+        _keep_everything_backward(want_loss)
+
+    got = [leaf.grad for leaf in leaves]
+    for g, w in zip(got, want):
+        if w.grad is None:
+            assert g is None
+        else:
+            assert g.dtype == w.grad.dtype and g.shape == w.grad.shape
+            assert g.tobytes() == w.grad.tobytes()
+    # every non-leaf dropped its gradient and its inputs
+    leaf_ids = {id(leaf) for leaf in leaves}
+    for node in nodes:
+        if id(node) not in leaf_ids:
+            assert node.grad is None and node._prev == ()
+    # each leaf owns its gradient outright
+    held = [g for g in got if g is not None]
+    for i, a in enumerate(held):
+        for b in held[i + 1:]:
+            assert not np.shares_memory(a, b)
+    # a second sweep raises and leaves every leaf gradient as it was
+    before = [None if g is None else g.tobytes() for g in got]
+    with pytest.raises(ContractError, match="already consumed"):
+        backward(loss)
+    assert [None if leaf.grad is None else leaf.grad.tobytes()
+            for leaf in leaves] == before
+
+
 def test_composed_matmul_softmax_ce_matches_fd_float32():
     # float32 central differences sit near the 1e-3 roundoff floor, so
     # this fixes a seed where the probe is well conditioned; float64
