@@ -15,19 +15,22 @@ row, so the real rows equal the full-length ones up to float rounding,
 and every caller reads only rows below ``attention_len``.
 
 Readers that need a few rows ask ``encode_batch`` for them (``rows``,
-[B, R] positions) and get [B, R, hidden]. The last layer still scores
-every query row against every key, since a product of fewer rows can
-round differently, then runs the softmax, the weighted values, the
-output projection, the residual, both norms and the FFN on the R rows
-only. Unshuffle eval asks for the summary rows (``pad_rows`` fills a
-short example's tail with [CLS]) and decodes that padded batch as it
-is, probe export for the [SENT] rows, and classification fine-tuning
-and scoring for the feature rows. Under a recorded graph the backward
-runs on the same rows: the last layer's weight gradients sum over the R
-rows only and its dropout draws masks of their shape, so fine-tuning's
-bits differ from a full encode's, while with dropout off its loss and
-gradients equal them to float64 round-off. Pretraining reads every row
-of the full encode, and QA reads nearly every row.
+[B, R] positions) and get [B, R, hidden]. The last layer's attention
+op still scores every query row against every key, since a product of
+fewer rows can round differently, but one block of (example, head)
+slices at a time: it gathers each block's R rows before the softmax, so
+the full [B, heads, L, L] scores are never stored. The softmax, the
+weighted values, the output projection, the residual, both norms and
+the FFN run on the R rows only. Unshuffle eval asks for the summary
+rows (``pad_rows`` fills a short example's tail with [CLS]) and decodes
+that padded batch as it is, probe export for the [SENT] rows, and
+classification fine-tuning and scoring for the feature rows. Under a
+recorded graph the backward runs on the same rows: the last layer's
+weight gradients sum over the R rows only and its dropout draws masks
+of their shape, so fine-tuning's bits differ from a full encode's,
+while with dropout off its loss and gradients equal them to float64
+round-off. Pretraining reads every row of the full encode, and QA reads
+nearly every row.
 
 The selected rows equal the full encode's bit for bit wherever numpy's
 matrix product rounds a row alike for any row count, as it does on the

@@ -120,10 +120,12 @@ def multi_head_attention(params: dict, prefix: str, x_q: Tensor,
     """Scaled dot-product attention over the last two axes.
 
     ``bias`` (a Tensor, or None) is an additive mask broadcast onto the
-    [.., heads, L_q, L_k] score array; masked keys carry NEG_INF and
-    receive zero weight. One ``attention_softmax`` op scales the scores
-    by 1/sqrt(head width), adds the mask and takes the row softmax in a
-    single buffer, for the encoder, the decoder and the cached greedy
+    [B, heads, L_q, L_k] score array; masked keys carry NEG_INF and
+    receive zero weight. Between the projections one ``tensor.attention``
+    op scores the heads-split queries against the keys, scales by
+    1/sqrt(head width), masks, takes the row softmax, drops out and
+    weights the values, block by block, and returns the heads merged:
+    one graph node for the encoder, the decoder and the cached greedy
     decode alike.
 
     ``cache`` serves step-by-step decoding without a graph: a dict that
@@ -131,10 +133,11 @@ def multi_head_attention(params: dict, prefix: str, x_q: Tensor,
     values of ``x_kv`` are appended to the prefix's cached ones, and
     ``x_kv=None`` attends to the cached ones as they stand.
 
-    ``rows`` ([B, R] positions) keeps only those query rows: every row
-    of ``x_q`` is scored, so each score is the product the full
-    attention computes, with its rounding, and the softmax, the weighted
-    values and the output projection run on R rows: [B, R, hidden].
+    ``rows`` ([B, R] positions) keeps only those query rows: the op
+    scores every row of ``x_q``, so each score is the product the full
+    attention computes, with its rounding, then gathers the R rows, and
+    the softmax, the weighted values and the output projection run on
+    them: [B, R, hidden].
     """
     nh = cfg.heads
     dh = cfg.hidden // nh
@@ -156,14 +159,8 @@ def multi_head_attention(params: dict, prefix: str, x_q: Tensor,
                 v = Tensor(np.concatenate([old_v.data, v.data], axis=2))
             cache[prefix] = (k, v)
 
-    scores = T.matmul(q, k.swapaxes(-1, -2))
-    if rows is not None:
-        scores = select_rows(scores, rows)
-    probs = T.attention_softmax(scores, 1.0 / np.sqrt(dh), bias)
-    probs = T.dropout(probs, cfg.dropout, rng)
-    ctx = T.matmul(probs, v).swapaxes(1, 2)
-    b, l, _, _ = ctx.shape
-    ctx = ctx.reshape(b, l, cfg.hidden)
+    ctx = T.attention(q, k, v, 1.0 / np.sqrt(dh), bias, cfg.dropout, rng,
+                      rows)
     return T.matmul(ctx, params[f"{prefix}.wo"]) + params[f"{prefix}.bo"]
 
 

@@ -1,9 +1,14 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 The kernel set is what the model needs: elementwise arithmetic with
-broadcasting, (stacked) matmul, shape moves, gathers, the fused
-attention softmax (``attention_softmax``: scale, mask and row softmax as
-one op), layer norm, gelu, reductions, fused cross-entropy and dropout.
+broadcasting, (stacked) matmul, shape moves, gathers, attention as one
+op (``attention``: scores, row gather, scale, mask, row softmax,
+dropout and the weighted values), layer norm, gelu, reductions, fused
+cross-entropy and dropout. ``attention`` walks its (example, head)
+slices in blocks of at most ``ATTENTION_BLOCK_BYTES`` (256 KiB) of
+scores, so a block's intermediates stay in cache and none is stored
+whole; for the backward it keeps the probabilities and a one-byte
+dropout mask.
 Every op records a backward closure on its output; calling
 ``backward(loss)`` walks the recorded graph once in reverse topological
 order and accumulates gradients into the leaves. The sweep frees the
@@ -17,15 +22,19 @@ Four ops have no caller in the package: ``log``, ``gather_elements``,
 ``softmax_rows`` and ``tsum``. They stay only because the benchmark's
 tracer (``TENSOR_OPS`` in ``perfbench/spans.py``) hooks each of them by
 name and fails on a missing one; they go when the tracer drops them.
+The fused ``attention_softmax`` (scale, mask and row softmax) now
+serves only ``softmax_rows`` and the tests, and goes with it.
 
-The heavy kernels (softmax, attention softmax, gelu, layer norm and
-dropout) write their arithmetic into buffers they allocate themselves
+The heavy kernels (softmax, attention, gelu, layer norm and dropout)
+write their arithmetic into buffers they allocate themselves
 (``out=``, ``*=``, ``+=``), never into an input's ``.data`` or another
 node's ``.grad``. Each element goes through the same ufuncs in the same
 order as the plain expression would, so results keep its bits while
 making fewer temporaries and passes over memory. A gradient buffer an
 op allocates for one input alone is kept as that input's ``.grad``
-when it already has the data's layout, instead of being copied.
+when it already has the data's layout, instead of being copied; so is
+the output's own gradient that ``reshape`` and ``add``'s left operand
+pass on, since the sweep drops it once their closure has run.
 
 Arrays stay in 32-bit floats by default; passing float64 arrays into
 the leaves promotes the whole graph, which the finite-difference
@@ -53,6 +62,11 @@ from .errors import ContractError
 # The one module switch: grad_enabled=False skips graph recording
 # entirely (used by finite-difference probes and eval).
 grad_enabled = True
+
+# Score bytes of one block of ``attention``: its (example, head) slices
+# are scored, normalised, dropped out and weighted while their scores
+# stay in cache.
+ATTENTION_BLOCK_BYTES = 256 * 1024
 
 
 class no_grad:
@@ -103,8 +117,10 @@ class Tensor:
         # the first gradient is written into a fresh array of the data's
         # layout, not copied with g's (possibly transposed) strides:
         # matmul rounding follows operand layout. An ``owned`` g is one
-        # the op allocated itself and hands to no other node; it is kept
-        # as it is when it already has that layout.
+        # no other node holds or reads later: a buffer the op allocated
+        # and hands to this input alone, or the op output's own gradient,
+        # which the sweep drops once the closure has run. It is kept as
+        # it is when it already has that layout.
         if self.grad is None:
             if owned and _c_layout_of(g, self.data):
                 self.grad = g
@@ -203,8 +219,10 @@ def add(a: Tensor, b) -> Tensor:
     out_data = a.data + b.data
 
     def bw(out):
+        # the sweep drops out.grad once this closure has run, so ``a``
+        # may keep it; ``b`` copies, which keeps ``a + a`` right
         if a.requires_grad:
-            a._accumulate(_unbroadcast(out.grad, a.shape))
+            a._accumulate(_unbroadcast(out.grad, a.shape), owned=True)
         if b.requires_grad:
             b._accumulate(_unbroadcast(out.grad, b.shape))
 
@@ -253,7 +271,7 @@ def reshape(a: Tensor, shape) -> Tensor:
 
     def bw(out):
         if a.requires_grad:
-            a._accumulate(out.grad.reshape(old))
+            a._accumulate(out.grad.reshape(old), owned=True)
 
     return _make(a.data.reshape(shape), (a,), bw)
 
@@ -267,6 +285,19 @@ def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
     return _make(np.ascontiguousarray(np.swapaxes(a.data, ax1, ax2)), (a,), bw)
 
 
+def _scatter_add(dst: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
+    """``dst[idx] += g`` along axis 0 for non-negative ``idx``, repeats
+    summed: each index's slices in one reduceat over a stable sort, in
+    their order, then added into their row once (np.add.at is several
+    times slower)."""
+    if not idx.size:
+        return
+    order = np.argsort(idx, kind="stable")
+    idx = idx[order]
+    starts = np.flatnonzero(np.r_[True, idx[1:] != idx[:-1]])
+    dst[idx[starts]] += np.add.reduceat(g[order], starts, axis=0)
+
+
 def take(a: Tensor, indices, axis: int = 0) -> Tensor:
     """Gather slices along an axis; repeated indices accumulate in backward."""
     idx = np.asarray(indices)
@@ -278,19 +309,8 @@ def take(a: Tensor, indices, axis: int = 0) -> Tensor:
         if a.requires_grad:
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
-            if not idx.size:
-                return
-            # sum each index's slices in one reduceat over a stable
-            # sort, then add the sums into their rows once (np.add.at
-            # is several times slower); slices of one index keep their
-            # order
-            rows = idx % a.shape[axis]
-            order = np.argsort(rows, kind="stable")
-            rows = rows[order]
-            starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-            g = np.moveaxis(out.grad, axis, 0)[order]
-            np.moveaxis(a.grad, axis, 0)[rows[starts]] += np.add.reduceat(
-                g, starts, axis=0)
+            _scatter_add(np.moveaxis(a.grad, axis, 0), idx % a.shape[axis],
+                         np.moveaxis(out.grad, axis, 0))
 
     return _make(out_data, (a,), bw)
 
@@ -387,6 +407,161 @@ def attention_softmax(scores: Tensor, scale,
 
     prev = (scores,) if bias is None else (scores, bias)
     return _make(y, prev, bw)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale,
+              bias: Tensor | None = None, p: float = 0.0, rng=None,
+              rows=None) -> Tensor:
+    """Scaled dot-product attention as one op, walked in cache-sized blocks.
+
+    ``q`` is [B, H, Lq, dh], ``k`` and ``v`` [B, H, Lk, dh]. Returns the
+    heads-merged context ``softmax(q @ k^T * scale + bias) @ v`` as
+    [B, Lq, H * dh]; the probabilities drop out at rate ``p`` exactly
+    when an rng is given and p > 0. ``scale`` is cast to q's dtype as
+    ``mul`` casts a scalar. ``bias`` (None for no mask) is a constant
+    that every head shares, [B or 1, 1, Lq or 1, Lk], added to the
+    scores: a key-padding or a causal mask. ``rows`` ([B, R]
+    positions below Lq) scores every query row and keeps only those
+    rows from the softmax on: [B, R, H * dh].
+
+    The B * H (example, head) slices run in blocks whose scores fit
+    ``ATTENTION_BLOCK_BYTES`` (one slice at least). Each block runs the
+    steps of the unfused op chain with the same ufuncs in the same
+    order: the scores matmul against contiguous transposed keys, the
+    row gather, scale, mask and row softmax, the dropout draw (block by
+    block, the C order of one whole draw) and the context matmul. The
+    output, the gradients and the rng's state are therefore the chain's
+    bits. The backward keeps only the probabilities and a one-byte keep
+    mask, not the scores, the float mask and the dropped probabilities;
+    each block rebuilds its float mask. Without a graph one set of
+    block buffers serves every block.
+    """
+    if q.ndim != 4 or k.ndim != 4 or v.shape != k.shape \
+            or k.shape[:2] + k.shape[3:] != q.shape[:2] + q.shape[3:]:
+        raise ContractError("attention expects q [B, H, Lq, dh] and k, v "
+                            f"[B, H, Lk, dh], got {q.shape}, {k.shape}, "
+                            f"{v.shape}")
+    bsz, heads, lq, dh = q.shape
+    lk = k.shape[2]
+    if rows is None:
+        r = lq
+    else:
+        rows = np.asarray(rows)
+        if rows.ndim != 2 or rows.shape[0] != bsz:
+            raise ContractError(f"rows must be [{bsz}, R] positions, "
+                                f"got shape {rows.shape}")
+        if rows.size and (rows.min() < 0 or rows.max() >= lq):
+            raise ContractError(f"row positions must lie in [0, {lq})")
+        r = rows.shape[1]
+    if bias is not None:
+        if bias.requires_grad:
+            raise ContractError("attention takes a constant bias")
+        bb, bh, br, bk = bias.shape if bias.ndim == 4 else (0, 0, 0, 0)
+        if bb not in (1, bsz) or bh != 1 or br not in (1, r) or bk != lk:
+            raise ContractError(f"bias must be [{bsz} or 1, 1, {r} or 1, "
+                                f"{lk}], got shape {bias.shape}")
+    dtype = q.data.dtype
+    scale = np.asarray(scale, dtype=dtype)
+    drop = rng is not None and p > 0.0
+    record = grad_enabled and (q.requires_grad or k.requires_grad
+                               or v.requires_grad)
+    slices = bsz * heads
+    qd = q.data.reshape(slices, lq, dh)
+    kd = k.data.reshape(slices, lk, dh)
+    vd = v.data.reshape(slices, lk, dh)
+    step = max(1, ATTENTION_BLOCK_BYTES // max(1, lq * lk * dtype.itemsize))
+    blocks = [(a, min(a + step, slices)) for a in range(0, slices, step)]
+    if rows is not None:
+        # each slice's rows as rows of its block's [n * Lq, Lk] scores
+        local = ((np.arange(slices) % step)[:, None] * lq
+                 + np.repeat(rows, heads, axis=0)).reshape(-1)
+    if bias is not None:
+        # one mask that every slice shares, or one per slice
+        bias_n = bias.data[:, 0]
+        shared = len(bias_n) == 1
+        if not shared:
+            bias_n = np.repeat(bias_n, heads, axis=0)
+
+    # the probabilities and keep mask of every slice stay for the
+    # backward; without a graph, block-sized buffers serve every block
+    n0 = min(step, slices)
+    kept = slices if record else n0
+    scores = np.empty((n0, lq, lk), dtype)
+    probs = scores if not record and rows is None else np.empty(
+        (kept, r, lk), dtype)
+    if drop:
+        keep = np.empty((kept, r, lk), bool)
+        draw = np.empty((n0, r, lk))
+        wbuf = np.empty((n0, r, lk), dtype)
+    ctx = np.empty((slices, r, dh), dtype)
+    kt = np.ascontiguousarray(np.swapaxes(kd, 1, 2))
+    for a, b in blocks:
+        n = b - a
+        at = slice(a, b) if record else slice(0, n)
+        s = np.matmul(qd[a:b], kt[a:b], out=scores[:n])
+        y = probs[at]
+        if rows is None:
+            np.multiply(s, scale, out=y)
+        else:
+            np.take(s.reshape(n * lq, lk), local[a * r:b * r], axis=0,
+                    out=y.reshape(n * r, lk), mode="clip")
+            y *= scale
+        if bias is not None:
+            y += bias_n if shared else bias_n[a:b]
+        # the ufuncs behind y.max and y.sum, without their Python wrappers
+        y -= np.maximum.reduce(y, axis=-1, keepdims=True)
+        np.exp(y, out=y)
+        y /= np.add.reduce(y, axis=-1, keepdims=True)
+        if drop:
+            m = keep[at]
+            np.greater_equal(rng.random(out=draw[:n]), p, out=m)
+            w = wbuf[:n]
+            w[...] = m
+            w /= 1.0 - p
+            w *= y
+            y = w
+        np.matmul(y, vd[a:b], out=ctx[a:b])
+    out_data = np.ascontiguousarray(
+        ctx.reshape(bsz, heads, r, dh).swapaxes(1, 2)).reshape(
+            bsz, r, heads * dh)
+
+    def bw(out):
+        g = np.ascontiguousarray(out.grad.reshape(
+            bsz, r, heads, dh).swapaxes(1, 2)).reshape(slices, r, dh)
+        dq = np.empty_like(qd) if q.requires_grad else None
+        dk = np.empty_like(kd) if k.requires_grad else None
+        dv = np.empty_like(vd) if v.requires_grad else None
+        kt = np.ascontiguousarray(np.swapaxes(kd, 1, 2))
+        for a, b in blocks:
+            y, gb = probs[a:b], g[a:b]
+            if drop:
+                w = keep[a:b].astype(dtype)
+                w /= 1.0 - p
+            if dv is not None:
+                np.matmul(np.swapaxes(y * w if drop else y, 1, 2), gb,
+                          out=dv[a:b])
+            if dq is None and dk is None:
+                continue
+            gy = np.matmul(gb, np.swapaxes(vd[a:b], 1, 2))
+            if drop:
+                gy *= w
+            gx = _softmax_grad(gy, y)
+            gx *= scale
+            if rows is not None:
+                n = b - a
+                gs = np.zeros((n * lq, lk), dtype)
+                _scatter_add(gs, local[a * r:b * r], gx.reshape(n * r, lk))
+                gx = gs.reshape(n, lq, lk)
+            if dq is not None:
+                np.matmul(gx, np.swapaxes(kt[a:b], 1, 2), out=dq[a:b])
+            if dk is not None:
+                dk[a:b] = np.swapaxes(
+                    np.matmul(np.swapaxes(qd[a:b], 1, 2), gx), 1, 2)
+        for t, d in ((q, dq), (k, dk), (v, dv)):
+            if d is not None:
+                t._accumulate(d.reshape(t.shape), owned=True)
+
+    return _make(out_data, (q, k, v), bw)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

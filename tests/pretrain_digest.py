@@ -2,13 +2,21 @@
 of fine-tuning or of what eval, probe export and classification scoring
 read from the encoder.
 
-Two short pretraining runs on the ``corpus_gen`` stories, each followed
-by held-out greedy unshuffling:
+Three short pretraining runs, each followed by held-out greedy
+unshuffling:
 
 - ``learning``: the first leg of the learning check (acceptance
   criterion 5): its config, corpus seed 0 and leg seed 0, dropout off.
-- ``tiny-dropout``: the tiny profile on the same stories, with its
-  dropout on (attention dropout runs at the same rate), for 40 steps.
+- ``tiny-dropout``: the tiny profile on the same ``corpus_gen``
+  stories, with its dropout on (attention dropout runs at the same
+  rate), for 40 steps.
+- ``long-dropout``: the tiny profile at the long-docs benchmark's shape
+  (seq_len 256, max_sentences 20), dropout on, for 10 steps, on
+  documents of 20 to 28 sentences that ``long_stories`` runs together
+  from the stories. Its attention walks several blocks of slices, with
+  dropout, and its eval and export select rows from encodes about 250
+  positions wide; the two story legs (about 52 positions) run attention
+  in one block.
 
 For each run it prints the sha256 of ``metrics.csv`` and of
 ``ckpt-final.bin``, and two digests that leave out the config echo:
@@ -20,12 +28,12 @@ with the trained parameters, plus that eval's em, and three digests of
 what the readers of the encoder read: every document's summary C in
 the padded batches ``greedy_unshuffle`` receives in that eval, its
 first N+2 rows as [1, N+2, hidden] (``unshuffle-c``), the
-``export_reps`` matrix of the held-out stories (``export``), and the
-feature rows that ``cls_accuracy`` hands ``classify`` to score with a
-fresh head on sentence pairs from those stories, side by side as
+``export_reps`` matrix of the held-out documents (``export``), and
+the feature rows that ``cls_accuracy`` hands ``classify`` to score with
+a fresh head on sentence pairs from those documents, side by side as
 [B, rows * hidden] (``cls-features``).
 
-A third leg, ``finetune``, loads the ``tiny-dropout`` checkpoint twice
+A fourth leg, ``finetune``, loads the ``tiny-dropout`` checkpoint twice
 and runs ``finetune_cls`` and ``finetune_qa`` on pairs and questions
 built from held-out stories, dropout still on. It prints a digest of
 each returned head and of the encoder tensors each one trained, and the
@@ -39,14 +47,19 @@ Run it from the repository root at two commits and compare the lines:
 
 With ``--against`` it then prints each line's label (``learning
 metrics.csv``, ``finetune qa scores``, ...) with ``same`` or ``moved``
-and exits 1 if any line moved.
+and exits 1 if any line moved. For a commit whose copy of this file
+lacks a leg, run this file against that commit's ``src`` to get the
+leg's lines there:
+
+    PYTHONPATH=<that commit>/src SLM_THREADS=1 \
+        python tests/pretrain_digest.py > parent.txt
 
 Equal digests mean the change left every float of pretraining, greedy
 decoding, the readers above and fine-tuning as it was, so criterion 5
 escapes at the same leg and needs no escape-leg rerun. The config echo
 enters only the two file digests, so a change that only adds or retires
 a config key moves the ``metrics.csv`` and ``ckpt-final.bin`` lines of
-each run (``learning`` and ``tiny-dropout``) and none of the others.
+each pretraining run and none of the others.
 Digests match only on the same Python, numpy and BLAS. pytest does not
 collect this file.
 """
@@ -247,6 +260,20 @@ def finetune_leg(ckpt_path: str, vocab, stories, report) -> None:
                 f"{k}={v!r}" for k, v in scores.items()))
 
 
+def long_stories(n_docs: int, seed: int) -> list[list[str]]:
+    """Documents of 20 to 28 sentences: the k-th runs ``5 + k % 3``
+    consecutive stories of ``make_corpus`` together."""
+    from corpus_gen import make_corpus
+
+    sizes = [5 + k % 3 for k in range(n_docs)]
+    stories = make_corpus(sum(sizes), seed)
+    docs, at = [], 0
+    for n in sizes:
+        docs.append([s for story in stories[at:at + n] for s in story])
+        at += n
+    return docs
+
+
 def main() -> list[str]:
     """Print every digest line as it is computed; return the lines."""
     lines = []
@@ -256,6 +283,7 @@ def main() -> list[str]:
         lines.append(line)
 
     from slm.config import resolve_config
+    from slm.textpipe import document_from_sentences
     from slm.trainer import train_loop
 
     from corpus_gen import corpus_assets, make_corpus
@@ -264,18 +292,24 @@ def main() -> list[str]:
     train, held, base = learning_setup(corpus_seed=0)
     vocab = corpus_assets(5000, 200, 0)[2]
     held_texts = make_corpus(200, 1)    # the sentences of ``held``
+    long_train, long_held = long_stories(48, 2), long_stories(12, 3)
+    tiny = replace(resolve_config("tiny"), vocab_size=base.vocab_size,
+                   checkpoint_every=0, seed=0)
     runs = [
-        ("learning", replace(base, seed=0)),
-        ("tiny-dropout", replace(resolve_config("tiny"),
-                                 vocab_size=base.vocab_size, steps=40,
-                                 warmup=10, checkpoint_every=0,
-                                 log_every=10, seed=0)),
+        ("learning", replace(base, seed=0), train, held, held_texts),
+        ("tiny-dropout", replace(tiny, steps=40, warmup=10, log_every=10),
+         train, held, held_texts),
+        ("long-dropout", replace(tiny, seq_len=256, max_sentences=20,
+                                 steps=10, warmup=2, log_every=5),
+         [document_from_sentences(d, vocab) for d in long_train],
+         [document_from_sentences(d, vocab) for d in long_held],
+         long_held),
     ]
     with tempfile.TemporaryDirectory() as tmp:
-        for name, cfg in runs:
+        for name, cfg, docs, held_docs, texts in runs:
             cfg = cfg.validate()
             out = os.path.join(tmp, name)
-            res = train_loop(train, cfg, out)
+            res = train_loop(docs, cfg, out)
             metrics = os.path.join(out, "metrics.csv")
             ckpt = os.path.join(out, "ckpt-final.bin")
             for fname in ("metrics.csv", "ckpt-final.bin"):
@@ -284,11 +318,11 @@ def main() -> list[str]:
             report(f"{name} metrics-rows {metrics_rows_digest(metrics)}")
             report(f"{name} ckpt-tensors {checkpoint_tensors_digest(ckpt)}")
             orders, summaries, em = unshuffle_orders(res["params"], cfg,
-                                                     held)
+                                                     held_docs)
             report(f"{name} unshuffle-orders {orders} em={em:.3f}")
             report(f"{name} unshuffle-c {summaries}")
             export, features = reader_digests(res["params"], cfg,
-                                              held_texts, vocab)
+                                              texts, vocab)
             report(f"{name} export {export}")
             report(f"{name} cls-features {features}")
 

@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,8 +243,11 @@ _GRAPH = (2, 4, 4)
 def _random_graph(seed):
     """Leaves and a scalar loss over a seeded random graph: shared operands
     (``a + a``, ``x * x``), tensors feeding several ops, reshape and
-    swapaxes chains, and attention softmaxes whose full-shape bias
-    requires grad (a leaf or a graph node)."""
+    swapaxes chains, a reshape feeding two ops, adds that broadcast
+    either operand, attention softmaxes whose full-shape bias requires
+    grad (a leaf or a graph node) and attention with dropout. ``add``
+    and ``reshape`` hand their output's gradient on to an input, so
+    these are the cases where a shared buffer would show."""
     rng = np.random.default_rng(seed)
     drop = np.random.default_rng([seed, 1])
     xs = [t(rng.normal(size=_GRAPH)) for _ in range(3)]
@@ -250,20 +255,34 @@ def _random_graph(seed):
     bias = t(rng.normal(size=_GRAPH))
     leaves = xs + [gamma, beta, bias]
     pool = xs + [xs[0] + xs[0], T.mul(xs[1], xs[1])]
-    for _ in range(10):
+
+    def heads(x):
+        return x.reshape(2, 1, 4, 4)
+
+    def twice(r):
+        return (r + T.mul(r, 0.5)).reshape(*_GRAPH)
+
+    for _ in range(14):
         a, b = (pool[i] for i in rng.integers(len(pool), size=2))
-        pool.append([
+        ops = [
             lambda: a + b,
+            lambda: a + a,
+            lambda: a + beta,
+            lambda: T.add(gamma, a),
             lambda: T.mul(T.mul(a, b), 0.5),
             lambda: T.mul(matmul(a, b), 0.25),
             lambda: a.reshape(8, 4).swapaxes(0, 1).reshape(*_GRAPH),
             lambda: a.swapaxes(1, 2).reshape(4, 8).reshape(*_GRAPH),
+            lambda: twice(a.reshape(8, 4)),
             lambda: gelu(a),
             lambda: layer_norm(a, gamma, beta),
             lambda: T.attention_softmax(a, 0.5, bias),
             lambda: T.attention_softmax(a, 0.5, b),
             lambda: dropout(a, 0.25, drop),
-        ][rng.integers(10)]())
+            lambda: T.attention(heads(a), heads(b), heads(a), 0.5,
+                                p=0.25, rng=drop),
+        ]
+        pool.append(ops[rng.integers(len(ops))]())
     loss = cross_entropy(pool[-1].reshape(8, 4), rng.integers(4, size=8))
     for node in pool[3:-1]:
         w = Tensor(rng.normal(size=_GRAPH).astype(np.float32))
@@ -649,6 +668,182 @@ def test_attention_softmax_grads_match_fd_with_masked_keys():
         return T.mul(T.attention_softmax(scores, 0.7, bias), w).sum()
 
     assert grad_check(f, [scores, bias], eps=1e-5) < 1e-6
+
+
+# -- attention as one blocked op -------------------------------------------
+# ``attention`` must give the bits of the op chain multi_head_attention ran
+# before it: output, gradients and the rng's state after the dropout draw.
+
+def _attention_chain(q, k, v, scale, bias=None, p=0.0, rng=None, rows=None):
+    """The chain: scores matmul, row gather, attention softmax, dropout,
+    context matmul and the heads merged, one graph node each."""
+    scores = matmul(q, k.swapaxes(-1, -2))
+    if rows is not None:
+        b, h, lq, lk = scores.shape
+        flat = (np.arange(b * h).reshape(b, h, 1) * lq
+                + rows[:, None, :]).reshape(-1)
+        scores = take(scores.reshape(-1, lk), flat).reshape(
+            b, h, rows.shape[1], lk)
+    probs = dropout(T.attention_softmax(scores, scale, bias), p, rng)
+    ctx = matmul(probs, v).swapaxes(1, 2)
+    return ctx.reshape(ctx.shape[0], ctx.shape[1], -1)
+
+
+def _attention_run(op, arrays, g, bias, p, rows):
+    """``op`` on leaves holding ``arrays`` (q, k, v) and a seeded rng,
+    backward from the upstream gradient ``g``: the output, the q, k and
+    v gradients and the rng's state."""
+    leaves = [t(a, dtype=a.dtype) for a in arrays]
+    rng = np.random.default_rng(41)
+    out = op(*leaves, 1.0 / np.sqrt(arrays[0].shape[-1]),
+             None if bias is None else Tensor(bias), p, rng, rows)
+    backward(T.mul(out, Tensor(g)).sum())
+    return [out.data] + [leaf.grad for leaf in leaves], rng.bit_generator.state
+
+
+# each example's rows as pad_rows makes them: [CLS] (0) fills the tail
+_PAD_ROWS = np.array([[0, 3, 9, 31], [0, 5, 0, 0], [0, 0, 0, 0]])
+
+
+@pytest.mark.parametrize("blocks", ["one", "several"])
+@pytest.mark.parametrize("mask,rows", [("padding", False), ("causal", False),
+                                       ("none", False), ("padding", True),
+                                       ("none", True)])
+@pytest.mark.parametrize("p", [0.0, 0.1])
+def test_attention_is_the_op_chain_bit_for_bit(blocks, mask, rows, p,
+                                               monkeypatch):
+    bsz, heads, length, dh = 3, 2, 32, 8
+    if blocks == "several":
+        # four float32 slices per block: blocks of 4 and 2 slices
+        monkeypatch.setattr(T, "ATTENTION_BLOCK_BYTES",
+                            4 * length * length * 4)
+    arrays = [_f32((bsz, heads, length, dh), 42 + i, scale=2.0)
+              for i in range(3)]
+    bias = {"padding": _padding_bias([32, 20, 7], length),
+            "causal": _causal_bias(length), "none": None}[mask]
+    rows = _PAD_ROWS if rows else None
+    width = length if rows is None else rows.shape[1]
+    g = _f32((bsz, width, heads * dh), 45)
+    got, got_state = _attention_run(T.attention, arrays, g, bias, p, rows)
+    want, want_state = _attention_run(_attention_chain, arrays, g, bias, p,
+                                      rows)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert got_state == want_state
+
+
+@pytest.mark.parametrize("p", [0.0, 0.1])
+def test_one_query_row_without_a_graph_is_the_chain(p, monkeypatch):
+    """The cached greedy decode: one new query row per sequence against
+    the keys so far, no graph recorded."""
+    monkeypatch.setattr(T, "ATTENTION_BLOCK_BYTES", 3 * 12 * 4)
+    q = Tensor(_f32((4, 2, 1, 8), 46))
+    k, v = Tensor(_f32((4, 2, 12, 8), 47)), Tensor(_f32((4, 2, 12, 8), 48))
+    bias = Tensor(_padding_bias([12, 9, 5, 1], 12))
+    outs, states = [], []
+    for op in (T.attention, _attention_chain):
+        rng = np.random.default_rng(49)
+        with T.no_grad():
+            out = op(q, k, v, 0.25, bias, p, rng)
+        assert out._backward is None
+        outs.append(out.data)
+        states.append(rng.bit_generator.state)
+    assert outs[0].shape == (4, 1, 16)
+    assert outs[0].tobytes() == outs[1].tobytes()
+    assert states[0] == states[1]
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3])
+def test_attention_grads_match_fd(p, monkeypatch):
+    monkeypatch.setattr(T, "ATTENTION_BLOCK_BYTES", 2 * 4 * 5 * 8)
+    rng = np.random.default_rng(50)
+    q, k, v = (t(rng.normal(size=(2, 3, n, 3)), dtype=np.float64)
+               for n in (4, 5, 5))
+    bias = rng.normal(size=(2, 1, 1, 5))
+    bias[1, ..., 3:] = -1e9
+    bias = Tensor(bias)
+    rows = np.array([[0, 2, 2], [3, 0, 1]])
+    w = Tensor(rng.normal(size=(2, 3, 9)))
+
+    def f():
+        drop = np.random.default_rng(51)     # the same mask on every call
+        return T.mul(T.attention(q, k, v, 0.7, bias, p, drop, rows), w).sum()
+
+    assert grad_check(f, [q, k, v], eps=1e-5) < 1e-6
+
+
+@pytest.mark.parametrize("case", ["bias-requires-grad", "row-negative",
+                                  "row-past-the-end", "rows-1d",
+                                  "rows-wrong-batch"])
+def test_attention_rejects_a_trained_bias_and_bad_rows(case):
+    q, k, v = (t(np.zeros((2, 2, 4, 3))) for _ in range(3))
+    bias, rows = None, None
+    if case == "bias-requires-grad":
+        bias = t(np.zeros((2, 1, 1, 4)))
+    else:
+        rows = {"row-negative": np.array([[0, -1], [0, 1]]),
+                "row-past-the-end": np.array([[0, 4], [0, 1]]),
+                "rows-1d": np.array([0, 1]),
+                "rows-wrong-batch": np.array([[0, 1]])}[case]
+    with pytest.raises(ContractError):
+        T.attention(q, k, v, 0.5, bias, rows=rows)
+
+
+def _held_array_bytes(build):
+    """Bytes of numpy data that ``build()``'s result keeps alive, its own
+    data left out."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = build()
+        # numpy traces its data buffers in a domain of their own
+        arrays = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    finally:
+        tracemalloc.stop()
+    return sum(trace.size for trace in arrays.traces) - out.data.nbytes
+
+
+@pytest.mark.parametrize("p", [0.0, 0.1])
+def test_attention_keeps_the_probabilities_and_a_byte_mask(p):
+    """For its backward the op keeps 4 bytes (float32 probabilities) per
+    score and 1 more (the keep mask) with dropout; the chain kept the
+    scores, the probabilities, the float mask and the dropped
+    probabilities, 16 with dropout."""
+    bsz, heads, length, dh = 2, 4, 128, 8
+    q, k, v = (t(_f32((bsz, heads, length, dh), 52 + i)) for i in range(3))
+    bias = Tensor(_padding_bias([128, 77], length))
+    scores = bsz * heads * length * length
+
+    def run(op):
+        return op(q, k, v, 0.25, bias, p, np.random.default_rng(55))
+
+    held = _held_array_bytes(lambda: run(T.attention))
+    # 64 bytes for 0-d arrays such as the scale
+    assert held <= (5 if p else 4) * scores + 64
+    if p:
+        assert _held_array_bytes(lambda: run(_attention_chain)) >= 16 * scores
+
+
+def test_multi_head_attention_records_one_attention_node():
+    from slm.config import RunConfig
+    from slm.model import init_params, multi_head_attention
+
+    cfg = RunConfig(hidden=16, heads=2, ffn=32, seq_len=12,
+                    vocab_size=40).validate()
+    params = init_params(cfg, np.random.default_rng(56))
+    x = Tensor(_f32((3, 12, 16), 57))
+    bias = Tensor(_padding_bias([12, 8, 3], 12))
+    out = multi_head_attention(params, "enc.0.attn", x, x, bias, cfg,
+                               np.random.default_rng(58))
+    ops = [node._backward.__qualname__.split(".")[0]
+           for node in _reachable(out) if node._backward is not None]
+    assert ops.count("attention") == 1
+    # q, k and v: matmul, add, reshape, swapaxes; then the output
+    # projection: matmul, add
+    assert len(ops) == 3 * 4 + 1 + 2
+    assert all(node.shape[-2:] != (12, 12) for node in _reachable(out))
 
 
 def _digest(a):
