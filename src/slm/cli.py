@@ -28,12 +28,18 @@ import sys
 from .errors import ContractError, DataError, FormatError, TrainingAbort
 
 
+# the thread-pool variables of OpenMP, OpenBLAS, MKL, numexpr, Apple
+# Accelerate and BLIS: whichever one numpy's BLAS reads, SLM_THREADS caps it
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+               "BLIS_NUM_THREADS")
+
+
 def _cap_threads() -> None:
     cap = os.environ.get("SLM_THREADS")
     if not cap:
         return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    for var in THREAD_VARS:
         os.environ[var] = cap
 
 

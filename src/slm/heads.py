@@ -157,7 +157,7 @@ def classify(h: Tensor, examples: list[ClsExample], head: dict,
     if want != (bsz, per):
         raise ContractError(f"encoder rows {(bsz, per)} do not match the "
                             f"examples' feature rows {want}")
-    out = T.matmul(h.reshape(bsz, per * hidden), head["cls.w"]) + head["cls.b"]
+    out = T.linear(h.reshape(bsz, per * hidden), head["cls.w"], head["cls.b"])
     if cfg.task_type == "regression":
         targets = np.asarray([[ex.label] for ex in examples],
                              dtype=out.data.dtype)

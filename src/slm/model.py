@@ -5,7 +5,9 @@ with ``emb.``, ``enc.`` or ``mlm.``; reconstructor names start with
 ``dec.``. The word-prediction projection is tied to the token embedding
 table, so only a bias appears under ``mlm.``. Blocks follow the
 post-norm arrangement: sublayer output is dropped out, added to the
-residual, then layer-normalized. A block drops out exactly when given an rng.
+residual, then layer-normalized, all in one ``tensor.residual_norm`` op.
+Every affine projection is one ``tensor.linear`` op. A block drops out
+exactly when given an rng.
 """
 from __future__ import annotations
 
@@ -146,12 +148,16 @@ def multi_head_attention(params: dict, prefix: str, x_q: Tensor,
         b, l, h = x.shape
         return x.reshape(b, l, nh, dh).swapaxes(1, 2)
 
-    q = heads_split(T.matmul(x_q, params[f"{prefix}.wq"]) + params[f"{prefix}.bq"])
+    def proj(x, name):
+        return T.linear(x, params[f"{prefix}.w{name}"],
+                        params[f"{prefix}.b{name}"])
+
+    q = heads_split(proj(x_q, "q"))
     if x_kv is None:
         k, v = cache[prefix]
     else:
-        k = heads_split(T.matmul(x_kv, params[f"{prefix}.wk"]) + params[f"{prefix}.bk"])
-        v = heads_split(T.matmul(x_kv, params[f"{prefix}.wv"]) + params[f"{prefix}.bv"])
+        k = heads_split(proj(x_kv, "k"))
+        v = heads_split(proj(x_kv, "v"))
         if cache is not None:
             if prefix in cache:
                 old_k, old_v = cache[prefix]
@@ -161,16 +167,16 @@ def multi_head_attention(params: dict, prefix: str, x_q: Tensor,
 
     ctx = T.attention(q, k, v, 1.0 / np.sqrt(dh), bias, cfg.dropout, rng,
                       rows)
-    return T.matmul(ctx, params[f"{prefix}.wo"]) + params[f"{prefix}.bo"]
+    return proj(ctx, "o")
 
 
 def feed_forward(params: dict, prefix: str, x: Tensor) -> Tensor:
-    h = T.gelu(T.matmul(x, params[f"{prefix}.w1"]) + params[f"{prefix}.b1"])
-    return T.matmul(h, params[f"{prefix}.w2"]) + params[f"{prefix}.b2"]
+    h = T.gelu(T.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
+    return T.linear(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
 def post_norm(params: dict, prefix: str, residual: Tensor, out: Tensor,
               cfg: RunConfig, rng) -> Tensor:
-    out = T.dropout(out, cfg.dropout, rng)
-    return T.layer_norm(residual + out, params[f"{prefix}.g"],
-                        params[f"{prefix}.b"])
+    """``layer_norm(residual + dropout(out))``, one graph node."""
+    return T.residual_norm(residual, out, params[f"{prefix}.g"],
+                           params[f"{prefix}.b"], cfg.dropout, rng)

@@ -54,7 +54,8 @@ def mlm_loss(h: Tensor, params: dict, labels: np.ndarray) -> tuple[Tensor, int]:
         zero = Tensor(np.asarray(0.0, dtype=h.data.dtype))
         return zero, 0
     rows = T.take(h.reshape(bsz * length, hidden), sel)
-    logits = T.matmul(rows, params["emb.token"].swapaxes(0, 1)) + params["mlm.bias"]
+    logits = T.linear(rows, params["emb.token"].swapaxes(0, 1),
+                      params["mlm.bias"])
     return T.cross_entropy(logits, flat_labels[sel]), int(sel.size)
 
 

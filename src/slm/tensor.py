@@ -1,14 +1,21 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 The kernel set is what the model needs: elementwise arithmetic with
-broadcasting, (stacked) matmul, shape moves, gathers, attention as one
-op (``attention``: scores, row gather, scale, mask, row softmax,
-dropout and the weighted values), layer norm, gelu, reductions, fused
-cross-entropy and dropout. ``attention`` walks its (example, head)
-slices in blocks of at most ``ATTENTION_BLOCK_BYTES`` (256 KiB) of
-scores, so a block's intermediates stay in cache and none is stored
-whole; for the backward it keeps the probabilities and a one-byte
-dropout mask.
+broadcasting, (stacked) matmul, an affine layer as one op (``linear``:
+``x @ w + b``), shape moves, gathers, attention as one op
+(``attention``: scores, row gather, scale, mask, row softmax, dropout
+and the weighted values), layer norm, the post-norm residual step as
+one op (``residual_norm``: dropout, residual add and layer norm),
+gelu, reductions, fused cross-entropy and dropout. ``attention`` walks
+its (example, head) slices in blocks of at most
+``ATTENTION_BLOCK_BYTES`` (256 KiB) of scores, so a block's
+intermediates stay in cache and none is stored whole; for the backward
+it keeps the probabilities and a one-byte dropout mask. Each fused op
+keeps only what its backward reads: ``linear`` nothing beyond its
+inputs, ``residual_norm`` layer norm's ``xhat`` and ``inv`` and a
+one-byte mask. Every dropout keeps its mask as one byte per element
+and rebuilds the scaled float mask (``_scaled_mask``) where it
+multiplies.
 Every op records a backward closure on its output; calling
 ``backward(loss)`` walks the recorded graph once in reverse topological
 order and accumulates gradients into the leaves. The sweep frees the
@@ -25,16 +32,18 @@ name and fails on a missing one; they go when the tracer drops them.
 The fused ``attention_softmax`` (scale, mask and row softmax) now
 serves only ``softmax_rows`` and the tests, and goes with it.
 
-The heavy kernels (softmax, attention, gelu, layer norm and dropout)
-write their arithmetic into buffers they allocate themselves
-(``out=``, ``*=``, ``+=``), never into an input's ``.data`` or another
-node's ``.grad``. Each element goes through the same ufuncs in the same
-order as the plain expression would, so results keep its bits while
-making fewer temporaries and passes over memory. A gradient buffer an
-op allocates for one input alone is kept as that input's ``.grad``
-when it already has the data's layout, instead of being copied; so is
-the output's own gradient that ``reshape`` and ``add``'s left operand
-pass on, since the sweep drops it once their closure has run.
+The heavy kernels (softmax, attention, ``linear``, gelu, layer norm,
+``residual_norm`` and dropout) write their arithmetic into buffers
+they allocate themselves (``out=``, ``*=``, ``+=``), never into an
+input's ``.data`` or another node's ``.grad``. Each element goes
+through the same ufuncs in the same order as the plain expression (or
+the chain of ops a fused op replaces) would, so results keep its bits
+while making fewer temporaries and passes over memory. A gradient
+buffer an op allocates for one input alone is kept as that input's
+``.grad`` when it already has the data's layout, instead of being
+copied; so is the output's own gradient that ``reshape`` and ``add``'s
+left operand pass on, since the sweep drops it once their closure has
+run.
 
 Arrays stay in 32-bit floats by default; passing float64 arrays into
 the leaves promotes the whole graph, which the finite-difference
@@ -242,25 +251,59 @@ def mul(a: Tensor, b) -> Tensor:
     return _make(out_data, (a, b), bw)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    b = _wrap(b, a)
+def _check_matmul(a: Tensor, b: Tensor) -> None:
     if a.ndim < 2 or b.ndim < 2:
         raise ContractError("matmul operands must have ndim >= 2")
     if a.shape[-1] != b.shape[-2]:
         raise ContractError(
             f"matmul dimension mismatch: {a.shape} @ {b.shape}")
-    out_data = np.matmul(a.data, b.data)
+
+
+def _matmul_grads(g: np.ndarray, a: Tensor, b: Tensor) -> None:
+    """Accumulate the gradients of ``a @ b`` from its output's ``g``."""
+    if a.requires_grad:
+        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+        a._accumulate(_unbroadcast(ga, a.shape), owned=True)
+    if b.requires_grad:
+        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        b._accumulate(_unbroadcast(gb, b.shape), owned=True)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    b = _wrap(b, a)
+    _check_matmul(a, b)
+
+    def bw(out):
+        _matmul_grads(out.grad, a, b)
+
+    return _make(np.matmul(a.data, b.data), (a, b), bw)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """An affine layer, ``x @ w + b``, as one op.
+
+    ``b`` is [w.shape[-1]]. The product is ``matmul``'s and the bias is
+    added into its buffer, so the output has the bits of
+    ``matmul(x, w) + b``. The backward runs ``add``'s bias reduction,
+    then ``matmul``'s two products, on the same gradient. The graph
+    keeps no intermediate: the chain held the product until the sweep
+    passed it, though no backward reads it.
+    """
+    _check_matmul(x, w)
+    if b.shape != w.shape[-1:]:
+        raise ContractError(f"linear bias must be [{w.shape[-1]}], "
+                            f"got shape {b.shape}")
+    out_data = np.matmul(x.data, w.data)
+    out_data += b.data
 
     def bw(out):
         g = out.grad
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a._accumulate(_unbroadcast(ga, a.shape), owned=True)
         if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b._accumulate(_unbroadcast(gb, b.shape), owned=True)
+            b._accumulate(_unbroadcast(g, b.shape))
+        _matmul_grads(g, x, w)
 
-    return _make(out_data, (a, b), bw)
+    # the chain's input order, so the sweep visits the inputs as before
+    return _make(out_data, (x, w, b), bw)
 
 
 # -- shape moves --------------------------------------------------------
@@ -409,6 +452,20 @@ def attention_softmax(scores: Tensor, scale,
     return _make(y, prev, bw)
 
 
+def _scaled_mask(keep: np.ndarray, p: float, dtype,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Inverted dropout's multiplier from a one-byte keep mask: the mask
+    as 0/1 in ``dtype``, divided by 1 - p (into ``out`` when given).
+    Every dropout builds its multiplier here, in its forward and again
+    in its backward, so the graph keeps one byte per element."""
+    if out is None:
+        out = keep.astype(dtype)
+    else:
+        out[...] = keep
+    out /= 1.0 - p
+    return out
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, scale,
               bias: Tensor | None = None, p: float = 0.0, rng=None,
               rows=None) -> Tensor:
@@ -515,9 +572,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale,
         if drop:
             m = keep[at]
             np.greater_equal(rng.random(out=draw[:n]), p, out=m)
-            w = wbuf[:n]
-            w[...] = m
-            w /= 1.0 - p
+            w = _scaled_mask(m, p, dtype, out=wbuf[:n])
             w *= y
             y = w
         np.matmul(y, vd[a:b], out=ctx[a:b])
@@ -535,8 +590,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale,
         for a, b in blocks:
             y, gb = probs[a:b], g[a:b]
             if drop:
-                w = keep[a:b].astype(dtype)
-                w /= 1.0 - p
+                w = _scaled_mask(keep[a:b], p, dtype)
             if dv is not None:
                 np.matmul(np.swapaxes(y * w if drop else y, 1, 2), gb,
                           out=dv[a:b])
@@ -564,39 +618,102 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale,
     return _make(out_data, (q, k, v), bw)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xhat = x.data - mu
+def _norm(xd: np.ndarray, gamma: Tensor, beta: Tensor, eps: float):
+    """Layer norm's forward over the last axis of ``xd``: the output and
+    the ``xhat`` and per-row ``inv`` its backward reads."""
+    mu = xd.mean(axis=-1, keepdims=True)
+    xhat = xd - mu
     sq = xhat * xhat
     var = sq.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
     out_data = xhat * gamma.data
     out_data += beta.data
-    d = x.shape[-1]
+    return out_data, xhat, inv
+
+
+def _norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+                gamma: Tensor, beta: Tensor, want_x: bool):
+    """Layer norm's backward: accumulate the gain and shift gradients
+    and return the input's gradient in a fresh buffer (None unless
+    ``want_x``)."""
+    red = tuple(range(g.ndim - 1))
+    buf = g * xhat
+    if gamma.requires_grad:
+        gamma._accumulate(buf.sum(axis=red), owned=True)
+    if beta.requires_grad:
+        beta._accumulate(g.sum(axis=red), owned=True)
+    if not want_x:
+        return None
+    d = xhat.shape[-1]
+    gh = g * gamma.data
+    t1 = gh.sum(axis=-1, keepdims=True)
+    t2 = np.multiply(gh, xhat, out=buf).sum(axis=-1, keepdims=True)
+    # (gh - t1/d - xhat*t2/d) * inv, term by term
+    gh -= t1 / d
+    np.multiply(xhat, t2, out=buf)
+    buf /= d
+    gh -= buf
+    gh *= inv
+    return gh
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize over the last axis, then scale and shift."""
+    out_data, xhat, inv = _norm(x.data, gamma, beta, eps)
 
     def bw(out):
-        g = out.grad
-        red = tuple(range(g.ndim - 1))
-        buf = g * xhat
-        if gamma.requires_grad:
-            gamma._accumulate(buf.sum(axis=red), owned=True)
-        if beta.requires_grad:
-            beta._accumulate(g.sum(axis=red), owned=True)
-        if x.requires_grad:
-            gh = g * gamma.data
-            t1 = gh.sum(axis=-1, keepdims=True)
-            t2 = np.multiply(gh, xhat, out=buf).sum(axis=-1, keepdims=True)
-            # (gh - t1/d - xhat*t2/d) * inv, term by term
-            gh -= t1 / d
-            np.multiply(xhat, t2, out=buf)
-            buf /= d
-            gh -= buf
-            gh *= inv
-            x._accumulate(gh, owned=True)
+        gx = _norm_grads(out.grad, xhat, inv, gamma, beta, x.requires_grad)
+        if gx is not None:
+            x._accumulate(gx, owned=True)
 
     return _make(out_data, (x, gamma, beta), bw)
+
+
+def residual_norm(residual: Tensor, out: Tensor, gamma: Tensor,
+                  beta: Tensor, p: float = 0.0, rng=None,
+                  eps: float = 1e-5) -> Tensor:
+    """The post-norm residual step as one op: ``layer_norm(residual +
+    dropout(out, p, rng), gamma, beta)``.
+
+    ``out`` drops out exactly when an rng is given and p > 0, with the
+    draw ``dropout`` makes, so the rng ends in the same state. Each
+    element goes through the chain's ufuncs in its order, so the output
+    and the gradients are the chain's bits. The graph keeps layer
+    norm's ``xhat`` and ``inv`` and a one-byte keep mask, from which the
+    backward rebuilds the scaled float mask; the chain kept the dropped
+    output, a float32 mask and the sum beside them.
+    """
+    if residual.shape != out.shape:
+        raise ContractError(f"residual_norm operands differ in shape: "
+                            f"{residual.shape} and {out.shape}")
+    dtype = out.data.dtype
+    keep = None
+    if rng is not None and p > 0.0:
+        keep = rng.random(out.shape) >= p
+        s = _scaled_mask(keep, p, dtype)
+        s *= out.data
+        s += residual.data
+    else:
+        s = residual.data + out.data
+    out_data, xhat, inv = _norm(s, gamma, beta, eps)
+
+    def bw(node):
+        gh = _norm_grads(node.grad, xhat, inv, gamma, beta,
+                         residual.requires_grad or out.requires_grad)
+        if gh is None:
+            return
+        gout = gh
+        if out.requires_grad and keep is not None:
+            gout = _scaled_mask(keep, p, dtype)
+            gout *= gh
+        if residual.requires_grad:
+            residual._accumulate(gh, owned=True)
+        if out.requires_grad:
+            # without dropout ``residual`` may own gh, so ``out`` copies
+            out._accumulate(gout, owned=keep is not None)
+
+    return _make(out_data, (residual, out, gamma, beta), bw)
 
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
@@ -676,17 +793,19 @@ def dropout(x: Tensor, p: float, rng) -> Tensor:
     """Inverted dropout, run exactly when an rng is given and p > 0."""
     if rng is None or p <= 0.0:
         return x
-    # the float64 draw fixes the masks; the comparison writes 0/1
-    # straight into the scaled mask's buffer
-    keep = np.empty(x.shape, dtype=x.data.dtype)
-    np.greater_equal(rng.random(x.shape), p, out=keep)
-    keep /= 1.0 - p
+    # the graph keeps the one-byte mask; forward and backward each
+    # multiply by the scaled float mask rebuilt from it
+    keep = rng.random(x.shape) >= p
+    out_data = _scaled_mask(keep, p, x.data.dtype)
+    out_data *= x.data
 
     def bw(out):
         if x.requires_grad:
-            x._accumulate(out.grad * keep, owned=True)
+            g = _scaled_mask(keep, p, x.data.dtype)
+            g *= out.grad
+            x._accumulate(g, owned=True)
 
-    return _make(x.data * keep, (x,), bw)
+    return _make(out_data, (x,), bw)
 
 
 # -- backward and checking ---------------------------------------------

@@ -274,17 +274,11 @@ def long_stories(n_docs: int, seed: int) -> list[list[str]]:
     return docs
 
 
-def main() -> list[str]:
-    """Print every digest line as it is computed; return the lines."""
-    lines = []
-
-    def report(line: str) -> None:
-        print(line, flush=True)
-        lines.append(line)
-
+def pretraining_runs():
+    """The three pretraining legs, each as (name, config, training
+    documents, held-out documents, held-out texts), and the vocab."""
     from slm.config import resolve_config
     from slm.textpipe import document_from_sentences
-    from slm.trainer import train_loop
 
     from corpus_gen import corpus_assets, make_corpus
     from escape_legs import learning_setup
@@ -305,6 +299,22 @@ def main() -> list[str]:
          [document_from_sentences(d, vocab) for d in long_held],
          long_held),
     ]
+    return runs, vocab
+
+
+def main() -> list[str]:
+    """Print every digest line as it is computed; return the lines."""
+    lines = []
+
+    def report(line: str) -> None:
+        print(line, flush=True)
+        lines.append(line)
+
+    from slm.trainer import train_loop
+
+    from corpus_gen import make_corpus
+
+    runs, vocab = pretraining_runs()
     with tempfile.TemporaryDirectory() as tmp:
         for name, cfg, docs, held_docs, texts in runs:
             cfg = cfg.validate()

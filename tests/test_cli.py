@@ -98,14 +98,25 @@ def test_unknown_flag_is_usage_error():
 
 def test_slm_threads_sets_every_blas_variable_even_one_already_set(
         monkeypatch):
+    """Every pool the benchmark caps, Accelerate's and BLIS's included."""
+    import importlib.util
+    import pathlib
+
+    run_py = pathlib.Path(__file__).parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", run_py)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
     blas_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
+                 "VECLIB_MAXIMUM_THREADS", "BLIS_NUM_THREADS")
+    assert set(blas_vars) == set(bench.THREAD_VARS) - {"SLM_THREADS"}
     for var in blas_vars:
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.setenv("VECLIB_MAXIMUM_THREADS", "4")
     monkeypatch.setenv("SLM_THREADS", "1")
     _cap_threads()
-    assert [os.environ[var] for var in blas_vars] == ["1"] * 4
+    assert [os.environ[var] for var in blas_vars] == ["1"] * 6
 
 
 def test_missing_required_path_exits_two(capsys):

@@ -245,15 +245,18 @@ def _random_graph(seed):
     (``a + a``, ``x * x``), tensors feeding several ops, reshape and
     swapaxes chains, a reshape feeding two ops, adds that broadcast
     either operand, attention softmaxes whose full-shape bias requires
-    grad (a leaf or a graph node) and attention with dropout. ``add``
-    and ``reshape`` hand their output's gradient on to an input, so
-    these are the cases where a shared buffer would show."""
+    grad (a leaf or a graph node), attention with dropout, 2-D and 3-D
+    linears and residual norms with dropout or with one tensor as both
+    operands. ``add``, ``reshape`` and ``residual_norm`` hand a gradient
+    buffer on to an input, so these are the cases where a shared buffer
+    would show."""
     rng = np.random.default_rng(seed)
     drop = np.random.default_rng([seed, 1])
     xs = [t(rng.normal(size=_GRAPH)) for _ in range(3)]
     gamma, beta = t(rng.normal(size=4)), t(rng.normal(size=4))
     bias = t(rng.normal(size=_GRAPH))
-    leaves = xs + [gamma, beta, bias]
+    weight = t(np.random.default_rng([seed, 2]).normal(size=(4, 4)))
+    leaves = xs + [gamma, beta, bias, weight]
     pool = xs + [xs[0] + xs[0], T.mul(xs[1], xs[1])]
 
     def heads(x):
@@ -281,6 +284,11 @@ def _random_graph(seed):
             lambda: dropout(a, 0.25, drop),
             lambda: T.attention(heads(a), heads(b), heads(a), 0.5,
                                 p=0.25, rng=drop),
+            lambda: T.linear(a, weight, beta),
+            lambda: T.linear(a.reshape(8, 4), weight, gamma).reshape(*_GRAPH),
+            lambda: T.residual_norm(a, b, gamma, beta, 0.25, drop),
+            lambda: T.residual_norm(a, b, gamma, beta),
+            lambda: T.residual_norm(a, a, gamma, beta),
         ]
         pool.append(ops[rng.integers(len(ops))]())
     loss = cross_entropy(pool[-1].reshape(8, 4), rng.integers(4, size=8))
@@ -674,6 +682,22 @@ def test_attention_softmax_grads_match_fd_with_masked_keys():
 # ``attention`` must give the bits of the op chain multi_head_attention ran
 # before it: output, gradients and the rng's state after the dropout draw.
 
+def _float_mask_dropout(x, p, rng):
+    """``tensor.dropout`` as it was before one-byte masks: the graph keeps
+    the scaled float mask the forward multiplied by."""
+    if rng is None or p <= 0.0:
+        return x
+    keep = np.empty(x.shape, dtype=x.data.dtype)
+    np.greater_equal(rng.random(x.shape), p, out=keep)
+    keep /= 1.0 - p
+
+    def bw(out):
+        if x.requires_grad:
+            x._accumulate(out.grad * keep, owned=True)
+
+    return T._make(x.data * keep, (x,), bw)
+
+
 def _attention_chain(q, k, v, scale, bias=None, p=0.0, rng=None, rows=None):
     """The chain: scores matmul, row gather, attention softmax, dropout,
     context matmul and the heads merged, one graph node each."""
@@ -684,7 +708,8 @@ def _attention_chain(q, k, v, scale, bias=None, p=0.0, rng=None, rows=None):
                 + rows[:, None, :]).reshape(-1)
         scores = take(scores.reshape(-1, lk), flat).reshape(
             b, h, rows.shape[1], lk)
-    probs = dropout(T.attention_softmax(scores, scale, bias), p, rng)
+    probs = _float_mask_dropout(T.attention_softmax(scores, scale, bias), p,
+                                rng)
     ctx = matmul(probs, v).swapaxes(1, 2)
     return ctx.reshape(ctx.shape[0], ctx.shape[1], -1)
 
@@ -840,10 +865,195 @@ def test_multi_head_attention_records_one_attention_node():
     ops = [node._backward.__qualname__.split(".")[0]
            for node in _reachable(out) if node._backward is not None]
     assert ops.count("attention") == 1
-    # q, k and v: matmul, add, reshape, swapaxes; then the output
-    # projection: matmul, add
-    assert len(ops) == 3 * 4 + 1 + 2
+    # q, k and v: linear, reshape, swapaxes; then the output projection,
+    # one linear
+    assert len(ops) == 3 * 3 + 1 + 1
     assert all(node.shape[-2:] != (12, 12) for node in _reachable(out))
+
+
+# -- linear layers, the post-norm residual and dropout's byte mask ---------
+# ``linear`` and ``residual_norm`` must give the bits of the chains
+# model.py ran before them, and dropout those of its float-mask form:
+# output, every input gradient and the rng's state, compared by bytes so
+# that a zero's sign counts.
+
+def _linear_chain(x, w, b):
+    return matmul(x, w) + b
+
+
+def _residual_norm_chain(residual, out, gamma, beta, p=0.0, rng=None):
+    return layer_norm(residual + _float_mask_dropout(out, p, rng), gamma,
+                      beta)
+
+
+def _bytes_run(op, arrays, g, p=None):
+    """``op`` on leaves holding ``arrays`` (with ``p`` and a seeded rng
+    when ``p`` is given), backward from the upstream gradient ``g``: the
+    output and the leaf gradients, and the rng's state."""
+    leaves = [t(a, dtype=a.dtype) for a in arrays]
+    rng = np.random.default_rng(60)
+    out = op(*leaves) if p is None else op(*leaves, p, rng)
+    backward(T.mul(out, Tensor(g)).sum())
+    return [out.data] + [leaf.grad for leaf in leaves], \
+        rng.bit_generator.state
+
+
+def _assert_same_bytes(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(24, 32), (4, 12, 32)],
+                         ids=["2d", "3d"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_is_matmul_plus_bias_bit_for_bit(shape, dtype):
+    x = _f32(shape, 61, scale=2.0).astype(dtype)
+    w = _f32((32, 48), 62).astype(dtype)
+    b = _f32((48,), 63).astype(dtype)
+    g = _f32(shape[:-1] + (48,), 64).astype(dtype)
+    got, _ = _bytes_run(T.linear, [x, w, b], g)
+    want, _ = _bytes_run(_linear_chain, [x, w, b], g)
+    _assert_same_bytes(got, want)
+
+
+@pytest.mark.parametrize("shape", [(24, 96), (4, 12, 96)], ids=["2d", "3d"])
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.5])
+def test_residual_norm_is_the_post_norm_chain_bit_for_bit(shape, p):
+    # 96 is no power of two, so layer norm's division is no product
+    arrays = [_f32(shape, 65, scale=2.0), _f32(shape, 66, scale=3.0),
+              _f32((96,), 67), _f32((96,), 68)]
+    g = _f32(shape, 69)
+    got, got_state = _bytes_run(T.residual_norm, arrays, g, p)
+    want, want_state = _bytes_run(_residual_norm_chain, arrays, g, p)
+    _assert_same_bytes(got, want)
+    assert got_state == want_state
+
+
+def test_residual_norm_without_an_rng_drops_nothing():
+    arrays = [_f32((4, 12, 32), 70), _f32((4, 12, 32), 71),
+              _f32((32,), 72), _f32((32,), 73)]
+    g = _f32((4, 12, 32), 74)
+    got, _ = _bytes_run(lambda *a: T.residual_norm(*a, 0.1, None), arrays, g)
+    want, _ = _bytes_run(_residual_norm_chain, arrays, g)
+    _assert_same_bytes(got, want)
+
+
+@pytest.mark.parametrize("shape", [(24, 32), (4, 12, 32)], ids=["2d", "3d"])
+@pytest.mark.parametrize("p", [0.1, 0.5])
+def test_dropout_is_the_float_mask_dropout_bit_for_bit(shape, p):
+    """Negative inputs that drop give -0.0 in the output and the
+    gradient, as the product by a float mask does."""
+    x, g = _f32(shape, 75), _f32(shape, 76)
+    got, got_state = _bytes_run(dropout, [x], g, p)
+    want, want_state = _bytes_run(_float_mask_dropout, [x], g, p)
+    _assert_same_bytes(got, want)
+    assert got_state == want_state
+    y = got[0]
+    assert np.signbit(y[y == 0]).any()
+
+
+def test_linear_grads_match_fd():
+    rng = np.random.default_rng(77)
+    x = t(rng.normal(size=(2, 3, 4)), dtype=np.float64)
+    w = t(rng.normal(size=(4, 5)), dtype=np.float64)
+    b = t(rng.normal(size=5), dtype=np.float64)
+    m = Tensor(rng.normal(size=(2, 3, 5)))
+
+    def f():
+        return T.mul(T.linear(x, w, b), m).sum()
+
+    assert grad_check(f, [x, w, b], eps=1e-5) < 1e-6
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3])
+def test_residual_norm_grads_match_fd(p):
+    rng = np.random.default_rng(78)
+    residual, out = (t(rng.normal(size=(2, 3, 6)), dtype=np.float64)
+                     for _ in range(2))
+    gamma = t(rng.normal(size=6), dtype=np.float64)
+    beta = t(rng.normal(size=6), dtype=np.float64)
+    m = Tensor(rng.normal(size=(2, 3, 6)))
+
+    def f():
+        drop = np.random.default_rng(79)     # the same mask on every call
+        return T.mul(T.residual_norm(residual, out, gamma, beta, p, drop),
+                     m).sum()
+
+    assert grad_check(f, [residual, out, gamma, beta], eps=1e-5) < 1e-6
+
+
+@pytest.mark.parametrize("bias_shape", [(49,), (1,), (48, 1), (1, 48), ()])
+def test_linear_rejects_a_bias_that_is_not_one_per_output(bias_shape):
+    x, w = t(np.zeros((2, 3, 32))), t(np.zeros((32, 48)))
+    with pytest.raises(ContractError, match="bias"):
+        T.linear(x, w, t(np.zeros(bias_shape)))
+
+
+def test_residual_norm_rejects_operands_of_two_shapes():
+    with pytest.raises(ContractError):
+        T.residual_norm(t(np.zeros((2, 3, 4))), t(np.zeros((1, 3, 4))),
+                        t(np.ones(4)), t(np.zeros(4)))
+
+
+def test_linear_keeps_no_array_for_its_backward():
+    """The chain held the product, one output's worth, until the sweep
+    passed it."""
+    x = t(_f32((4, 64, 128), 80))
+    w, b = t(_f32((128, 256), 81)), t(_f32((256,), 82))
+    out_bytes = 4 * 64 * 256 * 4
+    assert _held_array_bytes(lambda: T.linear(x, w, b)) <= 64
+    assert _held_array_bytes(lambda: _linear_chain(x, w, b)) >= out_bytes
+
+
+@pytest.mark.parametrize("p", [0.0, 0.1])
+def test_residual_norm_keeps_xhat_inv_and_a_byte_mask(p):
+    """Layer norm's ``xhat`` (4 bytes per element), a keep mask (1 more
+    with dropout) and ``inv`` (4 per row); the chain also kept the sum,
+    and with dropout the dropped output and a float32 mask."""
+    rows, hidden = 4 * 64, 128
+    arrays = [t(_f32((4, 64, hidden), 83 + i)) for i in range(2)]
+    gamma, beta = t(_f32((hidden,), 85)), t(_f32((hidden,), 86))
+    n = rows * hidden
+
+    def run(op):
+        return op(*arrays, gamma, beta, p, np.random.default_rng(87))
+
+    held = _held_array_bytes(lambda: run(T.residual_norm))
+    assert held <= (5 if p else 4) * n + 4 * rows + 64
+    if p:
+        assert _held_array_bytes(lambda: run(_residual_norm_chain)) >= 16 * n
+
+
+def test_dropout_keeps_a_byte_mask():
+    x = t(_f32((4, 64, 128), 88))
+    n = x.data.size
+    drop = np.random.default_rng(89)
+    assert _held_array_bytes(lambda: dropout(x, 0.1, drop)) <= n + 64
+    assert _held_array_bytes(
+        lambda: _float_mask_dropout(x, 0.1, drop)) >= 4 * n
+
+
+def test_one_encoder_layer_records_sixteen_nodes():
+    """A post-norm is one node and the FFN three (linear, gelu, linear);
+    the attention block is the eleven of the test above."""
+    from collections import Counter
+
+    from slm.config import RunConfig
+    from slm.encoder import encode
+    from slm.model import init_params
+
+    cfg = RunConfig(hidden=16, heads=2, ffn=32, seq_len=12, vocab_size=40,
+                    encoder_layers=1).validate()
+    params = init_params(cfg, np.random.default_rng(90))
+    h0 = t(_f32((3, 12, 16), 91))
+    bias = Tensor(_padding_bias([12, 8, 3], 12))
+    out = encode(params, cfg, h0, bias, np.random.default_rng(92))
+    ops = Counter(node._backward.__qualname__.split(".")[0]
+                  for node in _reachable(out) if node._backward is not None)
+    assert ops == {"linear": 4 + 2, "reshape": 3, "swapaxes": 3,
+                   "attention": 1, "gelu": 1, "residual_norm": 2}
 
 
 def _digest(a):
@@ -851,7 +1061,8 @@ def _digest(a):
 
 
 @pytest.mark.parametrize("kernel", ["softmax_rows", "attention_softmax",
-                                    "gelu", "layer_norm", "dropout"])
+                                    "gelu", "layer_norm", "dropout",
+                                    "linear", "residual_norm"])
 def test_kernels_leave_their_inputs_and_upstream_gradient_alone(kernel):
     x = _f32((2, 4, 16, 16), 34, scale=3.0)
     ops = {
@@ -863,6 +1074,11 @@ def test_kernels_leave_their_inputs_and_upstream_gradient_alone(kernel):
         "layer_norm": (layer_norm, [x, _f32((16,), 35), _f32((16,), 36)]),
         "dropout": (lambda a: dropout(a, 0.3, np.random.default_rng(37)),
                     [x]),
+        "linear": (T.linear, [x, _f32((16, 16), 39), _f32((16,), 35)]),
+        "residual_norm": (
+            lambda r, a, g, b: T.residual_norm(
+                r, a, g, b, 0.3, np.random.default_rng(37)),
+            [x, _f32(x.shape, 39), _f32((16,), 35), _f32((16,), 36)]),
     }
     op, arrays = ops[kernel]
     g = _f32(x.shape, 38)
