@@ -299,7 +299,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def bw(out):
         g = out.grad
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
+            # ``g`` is at least 2-D and ``b`` 1-D: the sum is a fresh array
+            b._accumulate(_unbroadcast(g, b.shape), owned=True)
         _matmul_grads(g, x, w)
 
     # the chain's input order, so the sweep visits the inputs as before
@@ -618,7 +619,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale,
     return _make(out_data, (q, k, v), bw)
 
 
-def _norm(xd: np.ndarray, gamma: Tensor, beta: Tensor, eps: float):
+def _norm(xd: np.ndarray, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
     """Layer norm's forward over the last axis of ``xd``: the output and
     the ``xhat`` and per-row ``inv`` its backward reads."""
     mu = xd.mean(axis=-1, keepdims=True)
@@ -671,8 +672,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 def residual_norm(residual: Tensor, out: Tensor, gamma: Tensor,
-                  beta: Tensor, p: float = 0.0, rng=None,
-                  eps: float = 1e-5) -> Tensor:
+                  beta: Tensor, p: float = 0.0, rng=None) -> Tensor:
     """The post-norm residual step as one op: ``layer_norm(residual +
     dropout(out, p, rng), gamma, beta)``.
 
@@ -696,7 +696,7 @@ def residual_norm(residual: Tensor, out: Tensor, gamma: Tensor,
         s += residual.data
     else:
         s = residual.data + out.data
-    out_data, xhat, inv = _norm(s, gamma, beta, eps)
+    out_data, xhat, inv = _norm(s, gamma, beta)
 
     def bw(node):
         gh = _norm_grads(node.grad, xhat, inv, gamma, beta,
@@ -711,7 +711,8 @@ def residual_norm(residual: Tensor, out: Tensor, gamma: Tensor,
             residual._accumulate(gh, owned=True)
         if out.requires_grad:
             # without dropout ``residual`` may own gh, so ``out`` copies
-            out._accumulate(gout, owned=keep is not None)
+            out._accumulate(gout, owned=keep is not None
+                            or not residual.requires_grad)
 
     return _make(out_data, (residual, out, gamma, beta), bw)
 

@@ -20,7 +20,9 @@ Run from the repository root:
 
 and with ``PYTHONPATH=<other tree>/src`` to census another tree's ops
 on the same batches. Counts and bytes do not depend on the BLAS or the
-thread count. pytest does not collect this file.
+thread count. pytest does not collect this file; ``test_tensor.py``
+checks ``census`` on small graphs, so it fails when the internals it
+reads (``_prev``, the backward closures and their names) change.
 """
 from __future__ import annotations
 

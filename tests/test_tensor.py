@@ -11,6 +11,8 @@ from slm.tensor import (Tensor, backward, cross_entropy, dropout, gather_element
                         gelu, grad_check, layer_norm, log, matmul, softmax_rows,
                         take)
 
+from graph_census import census, topo_nodes
+
 
 def t(data, grad=True, dtype=np.float32):
     return Tensor(np.asarray(data, dtype=dtype), requires_grad=grad)
@@ -226,17 +228,6 @@ def _keep_everything_backward(loss):
             node._backward(node)
 
 
-def _reachable(loss):
-    seen, stack, out = set(), [loss], []
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            out.append(node)
-            stack.extend(node._prev)
-    return out
-
-
 _GRAPH = (2, 4, 4)
 
 
@@ -246,10 +237,10 @@ def _random_graph(seed):
     swapaxes chains, a reshape feeding two ops, adds that broadcast
     either operand, attention softmaxes whose full-shape bias requires
     grad (a leaf or a graph node), attention with dropout, 2-D and 3-D
-    linears and residual norms with dropout or with one tensor as both
-    operands. ``add``, ``reshape`` and ``residual_norm`` hand a gradient
-    buffer on to an input, so these are the cases where a shared buffer
-    would show."""
+    linears and residual norms with dropout, with one tensor as both
+    operands or with a residual that takes no gradient. ``add``,
+    ``reshape`` and ``residual_norm`` hand a gradient buffer on to an
+    input, so these are the cases where a shared buffer would show."""
     rng = np.random.default_rng(seed)
     drop = np.random.default_rng([seed, 1])
     xs = [t(rng.normal(size=_GRAPH)) for _ in range(3)]
@@ -257,6 +248,8 @@ def _random_graph(seed):
     bias = t(rng.normal(size=_GRAPH))
     weight = t(np.random.default_rng([seed, 2]).normal(size=(4, 4)))
     leaves = xs + [gamma, beta, bias, weight]
+    const = Tensor(np.random.default_rng([seed, 3]).normal(size=_GRAPH)
+                   .astype(np.float32))
     pool = xs + [xs[0] + xs[0], T.mul(xs[1], xs[1])]
 
     def heads(x):
@@ -289,6 +282,7 @@ def _random_graph(seed):
             lambda: T.residual_norm(a, b, gamma, beta, 0.25, drop),
             lambda: T.residual_norm(a, b, gamma, beta),
             lambda: T.residual_norm(a, a, gamma, beta),
+            lambda: T.residual_norm(const, b, gamma, beta),
         ]
         pool.append(ops[rng.integers(len(ops))]())
     loss = cross_entropy(pool[-1].reshape(8, 4), rng.integers(4, size=8))
@@ -303,7 +297,7 @@ def test_freeing_sweep_keeps_the_keep_everything_sweeps_leaf_grads(
         seed, monkeypatch):
     leaves, loss = _random_graph(seed)
     assert np.isfinite(loss.data)
-    nodes = _reachable(loss)
+    nodes = topo_nodes(loss)
     backward(loss)
     with monkeypatch.context() as m:
         m.setattr(Tensor, "_accumulate", _copy_accumulate)
@@ -863,12 +857,12 @@ def test_multi_head_attention_records_one_attention_node():
     out = multi_head_attention(params, "enc.0.attn", x, x, bias, cfg,
                                np.random.default_rng(58))
     ops = [node._backward.__qualname__.split(".")[0]
-           for node in _reachable(out) if node._backward is not None]
+           for node in topo_nodes(out) if node._backward is not None]
     assert ops.count("attention") == 1
     # q, k and v: linear, reshape, swapaxes; then the output projection,
     # one linear
     assert len(ops) == 3 * 3 + 1 + 1
-    assert all(node.shape[-2:] != (12, 12) for node in _reachable(out))
+    assert all(node.shape[-2:] != (12, 12) for node in topo_nodes(out))
 
 
 # -- linear layers, the post-norm residual and dropout's byte mask ---------
@@ -1038,8 +1032,6 @@ def test_dropout_keeps_a_byte_mask():
 def test_one_encoder_layer_records_sixteen_nodes():
     """A post-norm is one node and the FFN three (linear, gelu, linear);
     the attention block is the eleven of the test above."""
-    from collections import Counter
-
     from slm.config import RunConfig
     from slm.encoder import encode
     from slm.model import init_params
@@ -1050,10 +1042,17 @@ def test_one_encoder_layer_records_sixteen_nodes():
     h0 = t(_f32((3, 12, 16), 91))
     bias = Tensor(_padding_bias([12, 8, 3], 12))
     out = encode(params, cfg, h0, bias, np.random.default_rng(92))
-    ops = Counter(node._backward.__qualname__.split(".")[0]
-                  for node in _reachable(out) if node._backward is not None)
+    ops, _ = census(out)
     assert ops == {"linear": 4 + 2, "reshape": 3, "swapaxes": 3,
                    "attention": 1, "gelu": 1, "residual_norm": 2}
+
+
+def test_graph_census_counts_a_linear_node_and_its_output_alone():
+    """``tests/graph_census.py`` reads the graph's internals; a linear
+    keeps nothing for its backward but its inputs, which are leaves."""
+    x, w, b = t(_f32((3, 4), 93)), t(_f32((4, 5), 94)), t(_f32((5,), 95))
+    out = T.linear(x, w, b)
+    assert census(out) == ({"linear": 1}, {"linear": out.data.nbytes})
 
 
 def _digest(a):
