@@ -1,11 +1,13 @@
 """Transformer encoder over packed examples.
 
 The input embedding sums four tables (token, position, sentence,
-segment), normalizes and drops out, then runs post-norm self-attention
-blocks. Padding keys are excluded from every attention row. The
-sentence summary C gathers the output rows at [CLS], at each [SENT]
-marker in display order, and at [SEP]; those are the only rows the
-reconstructor may see. Dropout runs exactly where an rng is given.
+segment; the sentence table only with ``sentence_reps_enabled``),
+normalizes and drops out in one ``tensor.embedding`` op, then runs
+post-norm self-attention blocks. Padding keys are excluded from every
+attention row. The sentence summary C gathers the output rows at
+[CLS], at each [SENT] marker in display order, and at [SEP]; those are
+the only rows the reconstructor may see. Dropout runs exactly where an
+rng is given.
 
 ``encode_batch`` stops at the batch's longest real row: inputs are cut
 to ``max(attention_len)`` positions and the output is
@@ -66,26 +68,21 @@ def attention_bias(attention_lens, seq_len: int, dtype=np.float32) -> Tensor:
 def embed(params: dict, cfg: RunConfig, token_ids: np.ndarray,
           position_ids: np.ndarray, sentence_ids: np.ndarray,
           segment_ids: np.ndarray, rng=None) -> Tensor:
-    """Sum the embedding tables into H0, then layer norm and dropout."""
-    bsz, length = token_ids.shape
-    if token_ids.max() >= params["emb.token"].shape[0]:
-        raise ContractError("token id out of vocabulary range")
-    if position_ids.max() >= params["emb.position"].shape[0]:
-        raise ContractError("position id exceeds the position table")
-    if sentence_ids.max() >= params["emb.sentence"].shape[0]:
-        raise ContractError("sentence id exceeds the sentence table")
-
-    def look(table: Tensor, ids: np.ndarray) -> Tensor:
-        h = table.shape[1]
-        return T.take(table, ids.reshape(-1)).reshape(bsz, length, h)
-
-    h0 = look(params["emb.token"], token_ids) + look(
-        params["emb.position"], position_ids)
+    """Sum the embedding tables into H0, then layer norm and dropout,
+    as one ``tensor.embedding`` node. An id outside its table, negative
+    or past its last row, raises ``ContractError``."""
+    named = [("token", token_ids), ("position", position_ids)]
     if cfg.sentence_reps_enabled:
-        h0 = h0 + look(params["emb.sentence"], sentence_ids)
-    h0 = h0 + look(params["emb.segment"], segment_ids)
-    h0 = T.layer_norm(h0, params["emb.ln.g"], params["emb.ln.b"])
-    return T.dropout(h0, cfg.dropout, rng)
+        named.append(("sentence", sentence_ids))
+    named.append(("segment", segment_ids))
+    tables = [params[f"emb.{name}"] for name, _ in named]
+    for (name, idx), table in zip(named, tables):
+        if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+            raise ContractError(f"{name} id outside the {name} table "
+                                f"[0, {table.shape[0]})")
+    return T.embedding(tables, [idx for _, idx in named],
+                       params["emb.ln.g"], params["emb.ln.b"], cfg.dropout,
+                       rng)
 
 
 def pad_rows(positions: list) -> np.ndarray:

@@ -6,8 +6,11 @@ with ``emb.``, ``enc.`` or ``mlm.``; reconstructor names start with
 table, so only a bias appears under ``mlm.``. Blocks follow the
 post-norm arrangement: sublayer output is dropped out, added to the
 residual, then layer-normalized, all in one ``tensor.residual_norm`` op.
-Every affine projection is one ``tensor.linear`` op. A block drops out
-exactly when given an rng.
+Every affine projection is one ``tensor.linear`` op; the q, k and v
+projections write the heads-split layout attention reads, so no copy
+splits them. The FFN (linear, gelu, linear) is one
+``tensor.feed_forward`` op, which keeps only its pre-activation for the
+backward. A block drops out exactly when given an rng.
 """
 from __future__ import annotations
 
@@ -123,7 +126,9 @@ def multi_head_attention(params: dict, prefix: str, x_q: Tensor,
 
     ``bias`` (a Tensor, or None) is an additive mask broadcast onto the
     [B, heads, L_q, L_k] score array; masked keys carry NEG_INF and
-    receive zero weight. Between the projections one ``tensor.attention``
+    receive zero weight. The q, k and v projections come out split into
+    heads, [B, heads, L, head width], each one ``tensor.linear`` node.
+    Between the projections one ``tensor.attention``
     op scores the heads-split queries against the keys, scales by
     1/sqrt(head width), masks, takes the row softmax, drops out and
     weights the values, block by block, and returns the heads merged:
@@ -144,20 +149,16 @@ def multi_head_attention(params: dict, prefix: str, x_q: Tensor,
     nh = cfg.heads
     dh = cfg.hidden // nh
 
-    def heads_split(x):
-        b, l, h = x.shape
-        return x.reshape(b, l, nh, dh).swapaxes(1, 2)
-
-    def proj(x, name):
+    def proj(x, name, heads=None):
         return T.linear(x, params[f"{prefix}.w{name}"],
-                        params[f"{prefix}.b{name}"])
+                        params[f"{prefix}.b{name}"], heads)
 
-    q = heads_split(proj(x_q, "q"))
+    q = proj(x_q, "q", nh)
     if x_kv is None:
         k, v = cache[prefix]
     else:
-        k = heads_split(proj(x_kv, "k"))
-        v = heads_split(proj(x_kv, "v"))
+        k = proj(x_kv, "k", nh)
+        v = proj(x_kv, "v", nh)
         if cache is not None:
             if prefix in cache:
                 old_k, old_v = cache[prefix]
@@ -171,8 +172,9 @@ def multi_head_attention(params: dict, prefix: str, x_q: Tensor,
 
 
 def feed_forward(params: dict, prefix: str, x: Tensor) -> Tensor:
-    h = T.gelu(T.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
-    return T.linear(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
+    """``linear(gelu(linear(x)))``, one graph node."""
+    return T.feed_forward(x, *(params[f"{prefix}.{name}"]
+                               for name in ("w1", "b1", "w2", "b2")))
 
 
 def post_norm(params: dict, prefix: str, residual: Tensor, out: Tensor,

@@ -2,20 +2,24 @@
 
 The kernel set is what the model needs: elementwise arithmetic with
 broadcasting, (stacked) matmul, an affine layer as one op (``linear``:
-``x @ w + b``), shape moves, gathers, attention as one op
-(``attention``: scores, row gather, scale, mask, row softmax, dropout
-and the weighted values), layer norm, the post-norm residual step as
-one op (``residual_norm``: dropout, residual add and layer norm),
-gelu, reductions, fused cross-entropy and dropout. ``attention`` walks
-its (example, head) slices in blocks of at most
-``ATTENTION_BLOCK_BYTES`` (256 KiB) of scores, so a block's
-intermediates stay in cache and none is stored whole; for the backward
-it keeps the probabilities and a one-byte dropout mask. Each fused op
-keeps only what its backward reads: ``linear`` nothing beyond its
-inputs, ``residual_norm`` layer norm's ``xhat`` and ``inv`` and a
-one-byte mask. Every dropout keeps its mask as one byte per element
-and rebuilds the scaled float mask (``_scaled_mask``) where it
-multiplies.
+``x @ w + b``, optionally written split into attention heads), shape
+moves, gathers, attention as one op (``attention``: scores, row
+gather, scale, mask, row softmax, dropout and the weighted values), the
+FFN as one op (``feed_forward``: linear, gelu, linear), the input
+embedding as one op (``embedding``: table rows summed, layer norm and
+dropout), the post-norm residual step as one op (``residual_norm``:
+dropout, residual add and layer norm), reductions and fused
+cross-entropy. ``attention`` walks its (example, head) slices in
+blocks of at most ``ATTENTION_BLOCK_BYTES`` (256 KiB) of scores, so a
+block's intermediates stay in cache and none is stored whole; for the
+backward it keeps the probabilities and a one-byte dropout mask. Each
+fused op keeps only what its backward reads: ``linear`` nothing beyond
+its inputs, ``feed_forward`` its pre-activation (the backward rebuilds
+gelu's tanh and output from it), ``residual_norm`` and ``embedding``
+layer norm's ``xhat`` and ``inv`` and a one-byte mask. Every dropout
+keeps its mask as one byte per element and rebuilds the scaled float
+mask (``_scaled_mask``) where it multiplies.
+
 Every op records a backward closure on its output; calling
 ``backward(loss)`` walks the recorded graph once in reverse topological
 order and accumulates gradients into the leaves. The sweep frees the
@@ -25,17 +29,22 @@ sweep passes them and only the leaves' gradients outlive it. A graph
 can therefore be walked once; a second ``backward`` over it raises
 ``ContractError``.
 
-Four ops have no caller in the package: ``log``, ``gather_elements``,
-``softmax_rows`` and ``tsum``. They stay only because the benchmark's
+Seven ops have no caller in the package: ``log``,
+``gather_elements``, ``softmax_rows``, ``tsum``, ``gelu``,
+``layer_norm`` and ``dropout``. They stay only because the benchmark's
 tracer (``TENSOR_OPS`` in ``perfbench/spans.py``) hooks each of them by
 name and fails on a missing one; they go when the tracer drops them.
 The fused ``attention_softmax`` (scale, mask and row softmax) now
-serves only ``softmax_rows`` and the tests, and goes with it.
+serves only ``softmax_rows`` and the tests, and goes with it. The
+kernels of ``gelu``, ``layer_norm`` and ``dropout`` live on in the
+fused ops, which share them (``_gelu_tanh``, ``_norm``,
+``_keep_mask``).
 
-The heavy kernels (softmax, attention, ``linear``, gelu, layer norm,
-``residual_norm`` and dropout) write their arithmetic into buffers
-they allocate themselves (``out=``, ``*=``, ``+=``), never into an
-input's ``.data`` or another node's ``.grad``. Each element goes
+The heavy kernels (softmax, attention, ``linear``, ``feed_forward``,
+``embedding``, gelu, layer norm, ``residual_norm`` and dropout) write
+their arithmetic into buffers they allocate themselves (``out=``,
+``*=``, ``+=``), never into an input's ``.data`` or another node's
+``.grad``. Each element goes
 through the same ufuncs in the same order as the plain expression (or
 the chain of ops a fused op replaces) would, so results keep its bits
 while making fewer temporaries and passes over memory. A gradient
@@ -76,6 +85,9 @@ grad_enabled = True
 # are scored, normalised, dropped out and weighted while their scores
 # stay in cache.
 ATTENTION_BLOCK_BYTES = 256 * 1024
+
+# Bytes of one row block of ``feed_forward``'s elementwise gelu work.
+FFN_BLOCK_BYTES = 256 * 1024
 
 
 class no_grad:
@@ -279,7 +291,40 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(np.matmul(a.data, b.data), (a, b), bw)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def _check_linear(x, w, b: Tensor) -> None:
+    """``x @ w + b`` needs matching inner widths and one bias per output;
+    ``x`` may be a Tensor or an array."""
+    _check_matmul(x, w)
+    if b.shape != w.shape[-1:]:
+        raise ContractError(f"linear bias must be [{w.shape[-1]}], "
+                            f"got shape {b.shape}")
+
+
+def _linear_grads(g: np.ndarray, x: Tensor, w: Tensor, b: Tensor) -> None:
+    """Accumulate the gradients of ``x @ w + b`` from its output's ``g``:
+    ``add``'s bias reduction, then ``matmul``'s two products."""
+    if b.requires_grad:
+        # ``g`` is at least 2-D and ``b`` 1-D: the sum is a fresh array
+        b._accumulate(_unbroadcast(g, b.shape), owned=True)
+    _matmul_grads(g, x, w)
+
+
+def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """[B, L, H * dh] as a contiguous [B, H, L, dh] copy."""
+    bsz, length, width = a.shape
+    return np.ascontiguousarray(
+        a.reshape(bsz, length, heads, width // heads).swapaxes(1, 2))
+
+
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """[B, H, L, dh] as a contiguous [B, L, H * dh] copy."""
+    bsz, heads, length, dh = a.shape
+    return np.ascontiguousarray(a.swapaxes(1, 2)).reshape(
+        bsz, length, heads * dh)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor,
+           heads: int | None = None) -> Tensor:
     """An affine layer, ``x @ w + b``, as one op.
 
     ``b`` is [w.shape[-1]]. The product is ``matmul``'s and the bias is
@@ -288,20 +333,25 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     then ``matmul``'s two products, on the same gradient. The graph
     keeps no intermediate: the chain held the product until the sweep
     passed it, though no backward reads it.
+
+    With ``heads``, ``x`` is [B, L, h] and the output comes split into
+    heads, [B, heads, L, h / heads], the copy the chain's ``reshape``
+    and ``swapaxes`` made; the backward merges the heads of its
+    gradient as the chain's did. The [B, L, h] product is not kept.
     """
-    _check_matmul(x, w)
-    if b.shape != w.shape[-1:]:
-        raise ContractError(f"linear bias must be [{w.shape[-1]}], "
-                            f"got shape {b.shape}")
+    _check_linear(x, w, b)
+    if heads is not None and (x.ndim != 3 or w.shape[-1] % heads):
+        raise ContractError(f"a heads-split linear needs [B, L, h] input "
+                            f"and {heads} heads to divide its "
+                            f"{w.shape[-1]} outputs, got {x.shape}")
     out_data = np.matmul(x.data, w.data)
     out_data += b.data
+    if heads is not None:
+        out_data = _split_heads(out_data, heads)
 
     def bw(out):
-        g = out.grad
-        if b.requires_grad:
-            # ``g`` is at least 2-D and ``b`` 1-D: the sum is a fresh array
-            b._accumulate(_unbroadcast(g, b.shape), owned=True)
-        _matmul_grads(g, x, w)
+        g = out.grad if heads is None else _merge_heads(out.grad)
+        _linear_grads(g, x, w, b)
 
     # the chain's input order, so the sweep visits the inputs as before
     return _make(out_data, (x, w, b), bw)
@@ -467,6 +517,20 @@ def _scaled_mask(keep: np.ndarray, p: float, dtype,
     return out
 
 
+def _keep_mask(rng, shape, p: float) -> np.ndarray:
+    """The one-byte keep mask of a hidden dropout: one float64 draw per
+    element, kept where it is at least ``p``."""
+    return rng.random(shape) >= p
+
+
+def _dropped(keep: np.ndarray, p: float, a: np.ndarray) -> np.ndarray:
+    """``a`` times inverted dropout's multiplier, in a fresh buffer: the
+    scaled float mask times ``a``, as ``dropout`` multiplies."""
+    out = _scaled_mask(keep, p, a.dtype)
+    out *= a
+    return out
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, scale,
               bias: Tensor | None = None, p: float = 0.0, rng=None,
               rows=None) -> Tensor:
@@ -577,13 +641,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale,
             w *= y
             y = w
         np.matmul(y, vd[a:b], out=ctx[a:b])
-    out_data = np.ascontiguousarray(
-        ctx.reshape(bsz, heads, r, dh).swapaxes(1, 2)).reshape(
-            bsz, r, heads * dh)
+    out_data = _merge_heads(ctx.reshape(bsz, heads, r, dh))
 
     def bw(out):
-        g = np.ascontiguousarray(out.grad.reshape(
-            bsz, r, heads, dh).swapaxes(1, 2)).reshape(slices, r, dh)
+        g = _split_heads(out.grad, heads).reshape(slices, r, dh)
         dq = np.empty_like(qd) if q.requires_grad else None
         dk = np.empty_like(kd) if k.requires_grad else None
         dv = np.empty_like(vd) if v.requires_grad else None
@@ -687,12 +748,10 @@ def residual_norm(residual: Tensor, out: Tensor, gamma: Tensor,
     if residual.shape != out.shape:
         raise ContractError(f"residual_norm operands differ in shape: "
                             f"{residual.shape} and {out.shape}")
-    dtype = out.data.dtype
     keep = None
     if rng is not None and p > 0.0:
-        keep = rng.random(out.shape) >= p
-        s = _scaled_mask(keep, p, dtype)
-        s *= out.data
+        keep = _keep_mask(rng, out.shape, p)
+        s = _dropped(keep, p, out.data)
         s += residual.data
     else:
         s = residual.data + out.data
@@ -705,8 +764,7 @@ def residual_norm(residual: Tensor, out: Tensor, gamma: Tensor,
             return
         gout = gh
         if out.requires_grad and keep is not None:
-            gout = _scaled_mask(keep, p, dtype)
-            gout *= gh
+            gout = _dropped(keep, p, gh)
         if residual.requires_grad:
             residual._accumulate(gh, owned=True)
         if out.requires_grad:
@@ -720,9 +778,8 @@ def residual_norm(residual: Tensor, out: Tensor, gamma: Tensor,
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit, tanh form (matches x*Phi(x) to ~1e-3)."""
-    xd = x.data
+def _gelu_tanh(xd: np.ndarray) -> np.ndarray:
+    """``th``, the tanh in gelu's tanh form, in a fresh buffer."""
     # C * (x + 0.044715 * x^3), cubed by multiplying: numpy's float32
     # power takes a slow scalar path for negative bases, about 100x the
     # product
@@ -732,29 +789,151 @@ def gelu(x: Tensor) -> Tensor:
     th += xd
     th *= _GELU_C
     np.tanh(th, out=th)
-    out_data = 0.5 * xd
-    out_data *= 1.0 + th
+    return th
+
+
+def _gelu_out(xd: np.ndarray, th: np.ndarray, out=None) -> np.ndarray:
+    """Gelu's output, ``0.5 * x * (1 + th)`` (into ``out`` when given)."""
+    out = np.multiply(0.5, xd, out=out)
+    out *= 1.0 + th
+    return out
+
+
+def _gelu_local(xd: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """Gelu's derivative at ``xd`` from ``th``, in a fresh buffer."""
+    # local = 0.5 * (1 + th)
+    #         + 0.5 * x * sech2 * C * (1 + 3 * 0.044715 * x^2)
+    sech2 = th * th
+    np.subtract(1.0, sech2, out=sech2)
+    local = 0.5 * xd
+    local *= sech2
+    local *= _GELU_C
+    poly = np.square(xd, out=sech2)
+    poly *= 3 * 0.044715
+    poly += 1.0
+    local *= poly
+    half = np.add(th, 1.0, out=poly)
+    half *= 0.5
+    local += half
+    return local
+
+
+def gelu(x: Tensor) -> Tensor:
+    """Gaussian error linear unit, tanh form (matches x*Phi(x) to ~1e-3)."""
+    th = _gelu_tanh(x.data)
 
     def bw(out):
         if x.requires_grad:
-            # local = 0.5 * (1 + th)
-            #         + 0.5 * x * sech2 * C * (1 + 3 * 0.044715 * x^2)
-            sech2 = th * th
-            np.subtract(1.0, sech2, out=sech2)
-            local = 0.5 * xd
-            local *= sech2
-            local *= _GELU_C
-            poly = np.square(xd, out=sech2)
-            poly *= 3 * 0.044715
-            poly += 1.0
-            local *= poly
-            half = np.add(th, 1.0, out=poly)
-            half *= 0.5
-            local += half
+            local = _gelu_local(x.data, th)
             local *= out.grad
             x._accumulate(local, owned=True)
 
-    return _make(out_data, (x,), bw)
+    return _make(_gelu_out(x.data, th), (x,), bw)
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+                 b2: Tensor) -> Tensor:
+    """The position-wise FFN as one op: ``linear(gelu(linear(x, w1, b1)),
+    w2, b2)``.
+
+    The products are ``linear``'s and the gelu steps ``gelu``'s, so the
+    output and the gradients are the chain's bits. The graph keeps only
+    the pre-activation ``u`` (one [.., ffn] array); the backward rebuilds
+    gelu's output and ``th`` from it in one pass, where the chain kept
+    both. The elementwise gelu work runs in row blocks of at most
+    ``FFN_BLOCK_BYTES`` that stay in cache, so beside ``u`` only gelu's
+    output and its gradient are ever whole [.., ffn] arrays. Inputs are
+    listed, and their gradients accumulated, in the chain's order:
+    ``b2``, ``w2``, then ``b1``, ``x``, ``w1``.
+    """
+    _check_linear(x, w1, b1)
+    u = np.matmul(x.data, w1.data)
+    u += b1.data
+    _check_linear(u, w2, b2)
+    rows = u.reshape(-1, u.shape[-1])
+    step = max(1, FFN_BLOCK_BYTES // max(1, rows.shape[1] * u.itemsize))
+    blocks = [slice(i, i + step) for i in range(0, len(rows), step)]
+    hg = np.empty_like(u)
+    h_rows = hg.reshape(rows.shape)
+    for blk in blocks:
+        _gelu_out(rows[blk], _gelu_tanh(rows[blk]), out=h_rows[blk])
+    out_data = np.matmul(hg, w2.data)
+    out_data += b2.data
+    del hg
+
+    def bw(out):
+        g = out.grad
+        if b2.requires_grad:
+            b2._accumulate(_unbroadcast(g, b2.shape), owned=True)
+        # gelu's output gradient, as ``matmul``'s backward makes it; it
+        # becomes u's gradient in place, ``g * local`` block by block (a
+        # product commutes exactly, so this is gelu's ``local * g``),
+        # while the same pass rebuilds gelu's output for w2's gradient
+        gu = np.matmul(g, np.swapaxes(w2.data, -1, -2))
+        hg = np.empty_like(u)
+        g_rows, h_rows = gu.reshape(rows.shape), hg.reshape(rows.shape)
+        for blk in blocks:
+            th = _gelu_tanh(rows[blk])
+            _gelu_out(rows[blk], th, out=h_rows[blk])
+            g_rows[blk] *= _gelu_local(rows[blk], th)
+        if w2.requires_grad:
+            gw = np.matmul(np.swapaxes(hg, -1, -2), g)
+            w2._accumulate(_unbroadcast(gw, w2.shape), owned=True)
+        del hg
+        _linear_grads(gu, x, w1, b1)
+
+    return _make(out_data, (x, w1, b1, w2, b2), bw)
+
+
+def embedding(tables, ids, gamma: Tensor, beta: Tensor, p: float = 0.0,
+              rng=None) -> Tensor:
+    """The input embedding as one op: the rows of each table at its ids,
+    summed in order, layer-normalized, then dropped out.
+
+    ``tables`` are [rows, h] Tensors and ``ids`` one integer array per
+    table, all of one shape, each id in [0, rows) of its table; the
+    output is ids.shape + [h]. The output drops out exactly when an rng
+    is given and p > 0, with ``dropout``'s draw. The sum, the norm and
+    the dropout are the kernels of the chain of ``take``, ``add``,
+    ``layer_norm`` and ``dropout``, so the output, the gradients and the
+    rng's state are its bits. The graph keeps layer norm's ``xhat`` and
+    ``inv`` and a one-byte keep mask; the chain also kept every row
+    gather, every partial sum and the normalized sum. The backward
+    scatters the sum's gradient into each table in the tables' order,
+    repeated ids summed as ``take`` sums them.
+    """
+    ids = [np.asarray(i) for i in ids]
+    width = tables[0].shape[-1] if tables else 0
+    if not tables or len(ids) != len(tables) or any(
+            t.ndim != 2 or t.shape[1] != width or i.shape != ids[0].shape
+            for t, i in zip(tables, ids)):
+        raise ContractError("embedding expects [rows, h] tables of one "
+                            "width and one id array of one shape for each")
+    flat = [i.reshape(-1) for i in ids]
+    s = np.take(tables[0].data, flat[0], axis=0)
+    for table, idx in zip(tables[1:], flat[1:]):
+        s += np.take(table.data, idx, axis=0)
+    out_data, xhat, inv = _norm(s.reshape(ids[0].shape + (width,)), gamma,
+                                beta)
+    keep = None
+    if rng is not None and p > 0.0:
+        keep = _keep_mask(rng, out_data.shape, p)
+        out_data = _dropped(keep, p, out_data)
+
+    def bw(out):
+        g = out.grad if keep is None else _dropped(keep, p, out.grad)
+        gx = _norm_grads(g, xhat, inv, gamma, beta,
+                         any(t.requires_grad for t in tables))
+        if gx is None:
+            return
+        gx = gx.reshape(-1, width)
+        for table, idx in zip(tables, flat):
+            if table.requires_grad:
+                if table.grad is None:
+                    table.grad = np.zeros_like(table.data)
+                _scatter_add(table.grad, idx, gx)
+
+    return _make(out_data, (*tables, gamma, beta), bw)
 
 
 def cross_entropy(logits: Tensor, target) -> Tensor:
@@ -796,17 +975,13 @@ def dropout(x: Tensor, p: float, rng) -> Tensor:
         return x
     # the graph keeps the one-byte mask; forward and backward each
     # multiply by the scaled float mask rebuilt from it
-    keep = rng.random(x.shape) >= p
-    out_data = _scaled_mask(keep, p, x.data.dtype)
-    out_data *= x.data
+    keep = _keep_mask(rng, x.shape, p)
 
     def bw(out):
         if x.requires_grad:
-            g = _scaled_mask(keep, p, x.data.dtype)
-            g *= out.grad
-            x._accumulate(g, owned=True)
+            x._accumulate(_dropped(keep, p, out.grad), owned=True)
 
-    return _make(out_data, (x,), bw)
+    return _make(_dropped(keep, p, x.data), (x,), bw)
 
 
 # -- backward and checking ---------------------------------------------

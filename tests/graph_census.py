@@ -1,12 +1,21 @@
-"""What the recorded graph of one pretraining batch holds, op by op.
+"""What the recorded graph of one training batch holds, op by op.
 
 Between forward and backward the graph of a batch is alive whole, so
-it sets the peak memory of pretraining. This tool builds the first
-batch of the ``tiny-dropout`` and ``long-dropout`` legs of
-``pretrain_digest.py`` (dropout on), runs ``pretrain_bundle`` on it and
-walks the graph from the loss before any backward. For each op it
-prints the nodes that op recorded and the MiB of array data they hold:
-each node's output and every array its backward closure keeps.
+it sets the peak memory of a training step. This tool builds three
+batches, each with dropout on, and walks the graph from the loss
+before any backward:
+
+- the first pretraining batch (``pretrain_bundle``) of the
+  ``tiny-dropout`` and ``long-dropout`` legs of ``pretrain_digest.py``;
+- ``qa``: the first batch of ``finetune_qa`` at the ``long-dropout``
+  shape (seq_len 256, max_sentences 20), on questions about that leg's
+  held-out documents, from freshly initialised parameters. QA
+  fine-tuning runs only the encoder and three pointer products, so
+  this graph is the encoder's.
+
+For each op it prints the nodes that op recorded and the MiB of array
+data they hold: each node's output and every array its backward
+closure keeps.
 
 Each buffer counts once, for the first op that holds it: outputs
 before closure arrays, inputs before the ops that read them, so a view
@@ -95,16 +104,54 @@ def first_batch_loss(cfg, docs):
     return pretrain_bundle(params, cfg, batch, rng).loss
 
 
-def main() -> None:
-    from pretrain_digest import pretraining_runs
+class _Recorded(Exception):
+    """Stops ``finetune_qa`` once its first loss is recorded."""
 
-    mib = 1024.0 * 1024.0
-    runs, _ = pretraining_runs()
-    for name, cfg, docs, *_ in runs:
+
+def first_qa_batch_loss(cfg, questions):
+    """The loss of the first batch of ``finetune_qa`` on ``questions``,
+    from parameters initialised with ``cfg.seed``, its graph recorded
+    and not yet walked."""
+    from slm import heads
+    from slm.model import init_params
+
+    params = init_params(cfg, np.random.default_rng(cfg.seed))
+    losses = []
+
+    def record(loss):
+        losses.append(loss)
+        raise _Recorded
+
+    backward = heads.backward
+    heads.backward = record
+    try:
+        heads.finetune_qa(params, cfg, questions, steps=1)
+    except _Recorded:
+        pass
+    finally:
+        heads.backward = backward
+    return losses[0]
+
+
+def batches():
+    """(name, config, loss) of each censused batch."""
+    from pretrain_digest import pretraining_runs, qa_questions
+
+    runs, vocab = pretraining_runs()
+    for name, cfg, docs, _, texts in runs:
         if name not in ("tiny-dropout", "long-dropout"):
             continue
         cfg = cfg.validate()
-        count, held = census(first_batch_loss(cfg, docs))
+        yield name, cfg, first_batch_loss(cfg, docs)
+        if name == "long-dropout":
+            questions = qa_questions(texts, vocab, cfg)
+            yield "qa", cfg, first_qa_batch_loss(cfg, questions)
+
+
+def main() -> None:
+    mib = 1024.0 * 1024.0
+    for name, cfg, loss in batches():
+        count, held = census(loss)
         print(f"{name}: batch {cfg.batch_size}, seq_len {cfg.seq_len}, "
               f"dropout {cfg.dropout}")
         print(f"  {'op':<18}{'nodes':>7}{'held MiB':>10}")

@@ -218,20 +218,14 @@ def reader_digests(params, cfg, stories, vocab) -> tuple[str, str]:
             arrays_digest((f"f{k}", f) for k, f in enumerate(features)))
 
 
-def finetune_leg(ckpt_path: str, vocab, stories, report) -> None:
-    """Fine-tune both heads from one checkpoint, dropout on, and
-    ``report`` digests of each head and of the encoder tensors it
-    trained, then the QA head's ``qa_metrics`` scores."""
+def qa_questions(stories, vocab, cfg) -> list:
+    """One question per story, its answer the story's first object
+    word."""
     from corpus_gen import OBJECTS
 
     from slm import heads
-    from slm.checkpoint import load_checkpoint
     from slm.textpipe import tokenize
 
-    cfg = load_checkpoint(ckpt_path).config
-    assert cfg.dropout > 0
-
-    pairs = pair_examples(stories, vocab, cfg)
     questions = []
     for k, story in enumerate(stories):
         context = " ".join(story)
@@ -239,6 +233,21 @@ def finetune_leg(ckpt_path: str, vocab, stories, report) -> None:
         start = next(i for i, w in enumerate(words) if w in OBJECTS)
         questions.append(heads.pack_qa(context, f"what came {k % 4}?",
                                        start, start, vocab, cfg))
+    return questions
+
+
+def finetune_leg(ckpt_path: str, vocab, stories, report) -> None:
+    """Fine-tune both heads from one checkpoint, dropout on, and
+    ``report`` digests of each head and of the encoder tensors it
+    trained, then the QA head's ``qa_metrics`` scores."""
+    from slm import heads
+    from slm.checkpoint import load_checkpoint
+
+    cfg = load_checkpoint(ckpt_path).config
+    assert cfg.dropout > 0
+
+    pairs = pair_examples(stories, vocab, cfg)
+    questions = qa_questions(stories, vocab, cfg)
 
     legs = [
         ("cls", lambda p: heads.finetune_cls(p, cfg, pairs, 2, steps=6,

@@ -49,6 +49,18 @@ def test_embed_out_of_range_ids_rejected():
         embed(params, cfg, ids(1), ids(cfg.seq_len), ids(0), ids(0))
 
 
+@pytest.mark.parametrize("table", range(4))
+def test_embed_rejects_a_negative_id_in_every_table(table):
+    """np.take would wrap -1 to a table's last row."""
+    cfg = small_config()
+    params = build_params(cfg)
+    args = [ids(1, 2), ids(0, 1), ids(1, 1), ids(0, 0)]
+    args[table] = ids(1, -1)
+    name = ("token", "position", "sentence", "segment")[table]
+    with pytest.raises(ContractError, match=f"{name} id outside"):
+        embed(params, cfg, *args)
+
+
 def test_zero_layers_return_h0():
     cfg = small_config(encoder_layers=0)
     params = build_params(cfg)

@@ -238,9 +238,11 @@ def _random_graph(seed):
     either operand, attention softmaxes whose full-shape bias requires
     grad (a leaf or a graph node), attention with dropout, 2-D and 3-D
     linears and residual norms with dropout, with one tensor as both
-    operands or with a residual that takes no gradient. ``add``,
-    ``reshape`` and ``residual_norm`` hand a gradient buffer on to an
-    input, so these are the cases where a shared buffer would show."""
+    operands or with a residual that takes no gradient, FFNs with one
+    weight as both of theirs, heads-split linears, and embeddings whose
+    tables are graph nodes or a leaf. ``add``, ``reshape`` and
+    ``residual_norm`` hand a gradient buffer on to an input, so these
+    are the cases where a shared buffer would show."""
     rng = np.random.default_rng(seed)
     drop = np.random.default_rng([seed, 1])
     xs = [t(rng.normal(size=_GRAPH)) for _ in range(3)]
@@ -250,6 +252,7 @@ def _random_graph(seed):
     leaves = xs + [gamma, beta, bias, weight]
     const = Tensor(np.random.default_rng([seed, 3]).normal(size=_GRAPH)
                    .astype(np.float32))
+    ids = list(np.random.default_rng([seed, 4]).integers(4, size=(3, 2, 4)))
     pool = xs + [xs[0] + xs[0], T.mul(xs[1], xs[1])]
 
     def heads(x):
@@ -283,6 +286,10 @@ def _random_graph(seed):
             lambda: T.residual_norm(a, b, gamma, beta),
             lambda: T.residual_norm(a, a, gamma, beta),
             lambda: T.residual_norm(const, b, gamma, beta),
+            lambda: T.feed_forward(a, weight, beta, weight, gamma),
+            lambda: T.linear(a, weight, gamma, heads=2).reshape(*_GRAPH),
+            lambda: T.embedding([a.reshape(8, 4), weight, b.reshape(8, 4)],
+                                ids, gamma, beta, 0.25, drop),
         ]
         pool.append(ops[rng.integers(len(ops))]())
     loss = cross_entropy(pool[-1].reshape(8, 4), rng.integers(4, size=8))
@@ -859,9 +866,9 @@ def test_multi_head_attention_records_one_attention_node():
     ops = [node._backward.__qualname__.split(".")[0]
            for node in topo_nodes(out) if node._backward is not None]
     assert ops.count("attention") == 1
-    # q, k and v: linear, reshape, swapaxes; then the output projection,
-    # one linear
-    assert len(ops) == 3 * 3 + 1 + 1
+    # q, k and v: one heads-split linear each; then the output
+    # projection, one linear
+    assert len(ops) == 3 + 1 + 1
     assert all(node.shape[-2:] != (12, 12) for node in topo_nodes(out))
 
 
@@ -1029,9 +1036,9 @@ def test_dropout_keeps_a_byte_mask():
         lambda: _float_mask_dropout(x, 0.1, drop)) >= 4 * n
 
 
-def test_one_encoder_layer_records_sixteen_nodes():
-    """A post-norm is one node and the FFN three (linear, gelu, linear);
-    the attention block is the eleven of the test above."""
+def test_one_encoder_layer_records_eight_nodes():
+    """A post-norm is one node and so is the FFN; the attention block is
+    the five of the test above."""
     from slm.config import RunConfig
     from slm.encoder import encode
     from slm.model import init_params
@@ -1043,8 +1050,8 @@ def test_one_encoder_layer_records_sixteen_nodes():
     bias = Tensor(_padding_bias([12, 8, 3], 12))
     out = encode(params, cfg, h0, bias, np.random.default_rng(92))
     ops, _ = census(out)
-    assert ops == {"linear": 4 + 2, "reshape": 3, "swapaxes": 3,
-                   "attention": 1, "gelu": 1, "residual_norm": 2}
+    assert ops == {"linear": 4, "attention": 1, "feed_forward": 1,
+                   "residual_norm": 2}
 
 
 def test_graph_census_counts_a_linear_node_and_its_output_alone():
@@ -1055,15 +1062,454 @@ def test_graph_census_counts_a_linear_node_and_its_output_alone():
     assert census(out) == ({"linear": 1}, {"linear": out.data.nbytes})
 
 
+# -- the FFN, the heads-split projections and the embedding as one op each --
+# ``feed_forward``, ``linear(..., heads=)`` and ``embedding`` must give the
+# bits of the chains model.py and encoder.py ran before them: output, every
+# input gradient and the rng's state, compared by bytes.
+
+def _feed_forward_chain(x, w1, b1, w2, b2):
+    return T.linear(gelu(T.linear(x, w1, b1)), w2, b2)
+
+
+def _heads_linear_chain(x, w, b, heads):
+    bsz, length, _ = x.shape
+    return T.linear(x, w, b).reshape(bsz, length, heads, -1).swapaxes(1, 2)
+
+
+def _embedding_chain(tables, ids, gamma, beta, p=0.0, rng=None):
+    """The embedding as ``encoder.embed`` ran it: one ``take`` and
+    ``reshape`` per table, the rows added in order, then layer norm and
+    dropout."""
+    h = None
+    for table, idx in zip(tables, ids):
+        row = take(table, idx.reshape(-1)).reshape(*idx.shape, table.shape[1])
+        h = row if h is None else h + row
+    return dropout(layer_norm(h, gamma, beta), p, rng)
+
+
+def _mha_chain(params, prefix, x_q, x_kv, bias, cfg, rng, cache=None,
+               rows=None):
+    """``model.multi_head_attention`` with q, k and v each split into
+    heads by a ``reshape`` and a ``swapaxes`` copy of its linear."""
+    nh = cfg.heads
+
+    def proj(x, name):
+        return T.linear(x, params[f"{prefix}.w{name}"],
+                        params[f"{prefix}.b{name}"])
+
+    def split(x):
+        return x.reshape(x.shape[0], x.shape[1], nh, -1).swapaxes(1, 2)
+
+    q = split(proj(x_q, "q"))
+    if x_kv is None:
+        k, v = cache[prefix]
+    else:
+        k, v = split(proj(x_kv, "k")), split(proj(x_kv, "v"))
+        if cache is not None:
+            if prefix in cache:
+                old_k, old_v = cache[prefix]
+                k = Tensor(np.concatenate([old_k.data, k.data], axis=2))
+                v = Tensor(np.concatenate([old_v.data, v.data], axis=2))
+            cache[prefix] = (k, v)
+    ctx = T.attention(q, k, v, 1.0 / np.sqrt(cfg.hidden // nh), bias,
+                      cfg.dropout, rng, rows)
+    return proj(ctx, "o")
+
+
+def _ffn_chain(params, prefix, x):
+    return _feed_forward_chain(x, *(params[f"{prefix}.{n}"]
+                                    for n in ("w1", "b1", "w2", "b2")))
+
+
+def _tiny_model(dtype=np.float32, **kw):
+    from slm.config import RunConfig
+    from slm.model import init_params
+
+    cfg = RunConfig(**{"hidden": 16, "heads": 2, "ffn": 32, "seq_len": 12,
+                       "vocab_size": 40, **kw}).validate()
+    return cfg, init_params(cfg, np.random.default_rng(100), dtype)
+
+
+@pytest.mark.parametrize("shape", [(24, 32), (4, 12, 32)], ids=["2d", "3d"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shared", [False, True],
+                         ids=["own-weights", "one-weight-twice"])
+@pytest.mark.parametrize("blocks", ["one", "several"])
+def test_feed_forward_is_linear_gelu_linear_bit_for_bit(shape, dtype, shared,
+                                                        blocks, monkeypatch):
+    """With one [32, 32] weight as both ``w1`` and ``w2`` its gradient
+    sums the two products in the chain's order. Several blocks: five
+    float32 rows of 80 each, the last block short."""
+    if blocks == "several":
+        monkeypatch.setattr(T, "FFN_BLOCK_BYTES", 5 * 80 * 4)
+    ffn = 32 if shared else 80
+    x = _f32(shape, 101, scale=2.0).astype(dtype)
+    w1, w2 = _f32((32, ffn), 102).astype(dtype), _f32((ffn, 32), 103)
+    b1, b2 = _f32((ffn,), 104).astype(dtype), _f32((32,), 105).astype(dtype)
+    g = _f32(shape, 106).astype(dtype)
+    if shared:
+        def run(op):
+            return _bytes_run(lambda a, w, c, d: op(a, w, c, w, d),
+                              [x, w1, b1, b2], g)
+    else:
+        def run(op):
+            return _bytes_run(op, [x, w1, b1, w2.astype(dtype), b2], g)
+    _assert_same_bytes(run(T.feed_forward)[0], run(_feed_forward_chain)[0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_heads_split_linear_is_the_reshape_swapaxes_chain_bit_for_bit(dtype):
+    x = _f32((3, 12, 32), 107, scale=2.0).astype(dtype)
+    w, b = _f32((32, 48), 108).astype(dtype), _f32((48,), 109).astype(dtype)
+    g = _f32((3, 4, 12, 12), 110).astype(dtype)
+    got, _ = _bytes_run(lambda *a: T.linear(*a, heads=4), [x, w, b], g)
+    want, _ = _bytes_run(lambda *a: _heads_linear_chain(*a, 4), [x, w, b], g)
+    _assert_same_bytes(got, want)
+
+
+_EMBED_ROWS = {"token": 11, "position": 12, "sentence": 5, "segment": 2}
+
+
+def _embedding_inputs(names, dtype):
+    """Tables of width 96 and [4, 12] ids full of repeats: every
+    position, token ids from 11 rows, sentence and segment runs."""
+    tables = [_f32((_EMBED_ROWS[n], 96), 111 + k).astype(dtype)
+              for k, n in enumerate(names)]
+    rng = np.random.default_rng(115)
+    ids = {"token": rng.integers(11, size=(4, 12)),
+           "position": np.broadcast_to(np.arange(12), (4, 12)).copy(),
+           "sentence": np.sort(rng.integers(5, size=(4, 12)), axis=1),
+           "segment": (np.arange(12) >= 5).astype(np.int64)[None].repeat(
+               4, axis=0)}
+    gamma = _f32((96,), 116).astype(dtype)
+    beta = _f32((96,), 117).astype(dtype)
+    return tables + [gamma, beta], [ids[n] for n in names]
+
+
+@pytest.mark.parametrize("names", [("token", "position", "segment"),
+                                   ("token", "position", "sentence",
+                                    "segment")], ids=["3-tables", "4-tables"])
+@pytest.mark.parametrize("p", [0.0, 0.1])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_embedding_is_the_take_add_norm_dropout_chain_bit_for_bit(names, p,
+                                                                  dtype):
+    arrays, ids = _embedding_inputs(names, dtype)
+    g = _f32((4, 12, 96), 118).astype(dtype)
+
+    def run(op):
+        def call(*args):
+            *leaves, gamma, beta, p, rng = args
+            return op(leaves, ids, gamma, beta, p, rng)
+        return _bytes_run(call, arrays, g, p)
+
+    (got, got_state), (want, want_state) = run(T.embedding), run(
+        _embedding_chain)
+    _assert_same_bytes(got, want)
+    assert got_state == want_state
+
+
+def test_embedding_sums_a_table_used_thrice_in_the_chains_order():
+    """A row that three of the table's uses gather takes their gradients
+    in the tables' order, which the sum's rounding shows."""
+    arrays, ids = _embedding_inputs(("token", "position", "sentence",
+                                     "segment"), np.float32)
+    token, position, gamma, beta = arrays[0], arrays[1], arrays[-2], \
+        arrays[-1]
+    ids = [ids[0], ids[1], ids[0][::-1].copy(), np.roll(ids[0], 1, axis=1)]
+    g = _f32((4, 12, 96), 118)
+
+    def run(op):
+        def call(tok, pos, gamma, beta, p, rng):
+            return op([tok, pos, tok, tok], ids, gamma, beta, p, rng)
+        return _bytes_run(call, [token, position, gamma, beta], g, 0.1)
+
+    (got, got_state), (want, want_state) = run(T.embedding), run(
+        _embedding_chain)
+    _assert_same_bytes(got, want)
+    assert got_state == want_state
+
+
+@pytest.mark.parametrize("sentence_reps", [False, True])
+def test_embed_is_the_chain_over_the_configured_tables(sentence_reps):
+    """``encoder.embed`` sums the sentence table only with sentence reps
+    on; the dropout draw leaves the rng where the chain's left it."""
+    from slm.encoder import embed
+
+    names = ["token", "position"] + ["sentence"] * sentence_reps + [
+        "segment"]
+    _, ids = _embedding_inputs(names, np.float32)
+    ids = dict(zip(names, ids))
+    ids.setdefault("sentence", np.zeros((4, 12), dtype=np.int64))
+    cfg, params = _tiny_model(sentence_reps_enabled=sentence_reps,
+                              sr_enabled=sentence_reps)
+    g = Tensor(_f32((4, 12, 16), 119))
+
+    def run(op):
+        for param in params.values():
+            param.grad = None
+        rng = np.random.default_rng(120)
+        out = op(rng)
+        backward(T.mul(out, g).sum())
+        return [out.data] + [params[f"emb.{n}"].grad
+                             for n in _EMBED_ROWS] + [
+            params["emb.ln.g"].grad, params["emb.ln.b"].grad], \
+            rng.bit_generator.state
+
+    got, got_state = run(lambda rng: embed(
+        params, cfg, ids["token"], ids["position"], ids["sentence"],
+        ids["segment"], rng))
+    want, want_state = run(lambda rng: _embedding_chain(
+        [params[f"emb.{n}"] for n in names], [ids[n] for n in names],
+        params["emb.ln.g"], params["emb.ln.b"], cfg.dropout, rng))
+    assert (got[3] is None) == (not sentence_reps) == (want[3] is None)
+    _assert_same_bytes([a for a in got if a is not None],
+                       [a for a in want if a is not None])
+    assert got_state == want_state
+
+
+@pytest.mark.parametrize("kind", ["self", "cross"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_multi_head_attention_is_the_heads_split_chain_bit_for_bit(kind,
+                                                                   dtype):
+    """Self-attention sums x's gradient over q, k and v in the chain's
+    order; cross-attention sends k's and v's to the memory."""
+    from slm.model import multi_head_attention
+
+    cfg, params = _tiny_model(dtype)
+    prefix = "enc.0.attn" if kind == "self" else "dec.0.cross"
+    names = [f"{prefix}.{n}{p}" for n in "wb" for p in "qkvo"]
+    bias = Tensor(_padding_bias([12, 8, 3], 12 if kind == "self" else 7)
+                  .astype(dtype))
+    g = Tensor(_f32((3, 12, 16), 121).astype(dtype))
+
+    def run(op):
+        for name in names:
+            params[name].grad = None
+        x = t(_f32((3, 12, 16), 122).astype(dtype), dtype=dtype)
+        kv = x if kind == "self" else t(_f32((3, 7, 16), 123).astype(dtype),
+                                        dtype=dtype)
+        rng = np.random.default_rng(124)
+        out = op(params, prefix, x, kv, bias, cfg, rng)
+        backward(T.mul(out, g).sum())
+        grads = [out.data, x.grad] + [params[n].grad for n in names]
+        if kind == "cross":
+            grads.append(kv.grad)
+        return grads, rng.bit_generator.state
+
+    (got, got_state), (want, want_state) = run(multi_head_attention), run(
+        _mha_chain)
+    _assert_same_bytes(got, want)
+    assert got_state == want_state
+
+
+def test_cached_greedy_decode_is_the_chain_bit_for_bit(monkeypatch):
+    """Four one-row decoder steps under ``no_grad``, the keys and values
+    cached between them, as ``greedy_unshuffle`` runs them."""
+    from slm import reconstructor
+
+    cfg, params = _tiny_model()
+    c = Tensor(_f32((3, 6, 16), 125))
+    c_bias = Tensor(_padding_bias([6, 4, 5], 6))
+
+    def steps():
+        cache, outs = {}, []
+        with T.no_grad():
+            for step in range(4):
+                x = Tensor(np.ascontiguousarray(c.data[:, step:step + 1]))
+                out = reconstructor.decoder_stack(
+                    params, cfg, x, c, None, c_bias=c_bias, cache=cache)
+                assert out._backward is None
+                outs.append(out.data)
+        return outs
+
+    got = steps()
+    monkeypatch.setattr(reconstructor, "multi_head_attention", _mha_chain)
+    monkeypatch.setattr(reconstructor, "feed_forward", _ffn_chain)
+    _assert_same_bytes(got, steps())
+
+
+def test_pretraining_batch_is_the_chain_bit_for_bit(monkeypatch):
+    """One pretraining batch with dropout on: the loss, every parameter's
+    gradient and the dropout rng's state, against the encoder and the
+    decoder built from the chains."""
+    from slm import encoder, reconstructor
+    from slm.objectives import pretrain_bundle
+    from slm.trainer import pack_corpus, prepare_batch
+
+    from util import random_document
+
+    cfg, params = _tiny_model(seq_len=32, max_sentences=6, batch_size=4)
+    rng = np.random.default_rng(126)
+    docs = [random_document(rng, n_sents=4) for _ in range(8)]
+    batch, _ = prepare_batch(pack_corpus(docs, cfg), 0, cfg)
+
+    def run():
+        for param in params.values():
+            param.grad = None
+        drop = np.random.default_rng(127)
+        loss = pretrain_bundle(params, cfg, batch, drop).loss
+        backward(loss)
+        return [loss.data] + [params[n].grad for n in sorted(params)], \
+            drop.bit_generator.state
+
+    got, got_state = run()
+
+    def embed_chain(params, cfg, tok, pos, sent, seg, rng=None):
+        tables = ["token", "position", "sentence", "segment"]
+        return _embedding_chain(
+            [params[f"emb.{n}"] for n in tables], [tok, pos, sent, seg],
+            params["emb.ln.g"], params["emb.ln.b"], cfg.dropout, rng)
+
+    for module in (encoder, reconstructor):
+        monkeypatch.setattr(module, "multi_head_attention", _mha_chain)
+        monkeypatch.setattr(module, "feed_forward", _ffn_chain)
+    monkeypatch.setattr(encoder, "embed", embed_chain)
+    want, want_state = run()
+    _assert_same_bytes(got, want)
+    assert got_state == want_state
+
+
+def test_feed_forward_grads_match_fd(monkeypatch):
+    monkeypatch.setattr(T, "FFN_BLOCK_BYTES", 4 * 6 * 8)
+    rng = np.random.default_rng(128)
+    x = t(rng.normal(size=(2, 3, 4)), dtype=np.float64)
+    w1, w2 = (t(rng.normal(size=s), dtype=np.float64)
+              for s in ((4, 6), (6, 4)))
+    b1, b2 = (t(rng.normal(size=n), dtype=np.float64) for n in (6, 4))
+    m = Tensor(rng.normal(size=(2, 3, 4)))
+
+    def f():
+        return T.mul(T.feed_forward(x, w1, b1, w2, b2), m).sum()
+
+    assert grad_check(f, [x, w1, b1, w2, b2], eps=1e-5) < 1e-6
+
+
+def test_heads_split_linear_grads_match_fd():
+    rng = np.random.default_rng(129)
+    x = t(rng.normal(size=(2, 3, 4)), dtype=np.float64)
+    w = t(rng.normal(size=(4, 6)), dtype=np.float64)
+    b = t(rng.normal(size=6), dtype=np.float64)
+    m = Tensor(rng.normal(size=(2, 3, 3, 2)))
+
+    def f():
+        return T.mul(T.linear(x, w, b, heads=3), m).sum()
+
+    assert grad_check(f, [x, w, b], eps=1e-5) < 1e-6
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3])
+def test_embedding_grads_match_fd(p):
+    rng = np.random.default_rng(130)
+    tables = [t(rng.normal(size=(n, 6)), dtype=np.float64) for n in (5, 4, 2)]
+    gamma = t(rng.normal(size=6), dtype=np.float64)
+    beta = t(rng.normal(size=6), dtype=np.float64)
+    ids = [rng.integers(n, size=(2, 4)) for n in (5, 4, 2)]
+    ids[0][0, :2] = 3                     # a repeated id
+    m = Tensor(rng.normal(size=(2, 4, 6)))
+
+    def f():
+        drop = np.random.default_rng(131)     # the same mask on every call
+        return T.mul(T.embedding(tables, ids, gamma, beta, p, drop), m).sum()
+
+    assert grad_check(f, tables + [gamma, beta], eps=1e-5) < 1e-6
+
+
+@pytest.mark.parametrize("case", ["2d-input", "heads-do-not-divide"])
+def test_heads_split_linear_rejects_what_it_cannot_split(case):
+    x = t(np.zeros((4, 32) if case == "2d-input" else (2, 4, 32)))
+    w, b = t(np.zeros((32, 48))), t(np.zeros(48))
+    with pytest.raises(ContractError, match="heads"):
+        T.linear(x, w, b, heads=4 if case == "2d-input" else 5)
+
+
+@pytest.mark.parametrize("case", ["no-tables", "ids-per-table",
+                                  "widths", "id-shapes"])
+def test_embedding_rejects_mismatched_tables_and_ids(case):
+    tables = [t(np.zeros((5, 4))), t(np.zeros((3, 4)))]
+    ids = [np.zeros((2, 3), dtype=np.int64)] * 2
+    if case == "no-tables":
+        tables, ids = [], []
+    elif case == "ids-per-table":
+        ids = ids[:1]
+    elif case == "widths":
+        tables[1] = t(np.zeros((3, 5)))
+    else:
+        ids = [ids[0], np.zeros((2, 4), dtype=np.int64)]
+    with pytest.raises(ContractError, match="embedding"):
+        T.embedding(tables, ids, t(np.ones(4)), t(np.zeros(4)))
+
+
+def test_feed_forward_keeps_one_ffn_array():
+    """The pre-activation, [.., ffn]; the chain also kept gelu's output
+    and its tanh."""
+    x = t(_f32((4, 64, 64), 132))
+    w1, b1 = t(_f32((64, 256), 133)), t(_f32((256,), 134))
+    w2, b2 = t(_f32((256, 64), 135)), t(_f32((64,), 136))
+    n_ffn = 4 * 64 * 256 * 4
+    assert _held_array_bytes(
+        lambda: T.feed_forward(x, w1, b1, w2, b2)) <= n_ffn + 64
+    assert _held_array_bytes(
+        lambda: _feed_forward_chain(x, w1, b1, w2, b2)) >= 3 * n_ffn
+
+
+def test_heads_split_linear_keeps_no_array_for_its_backward():
+    """The chain held the [B, L, h] product until the sweep passed it."""
+    x = t(_f32((4, 64, 64), 137))
+    w, b = t(_f32((64, 64), 138)), t(_f32((64,), 139))
+    assert _held_array_bytes(lambda: T.linear(x, w, b, heads=2)) <= 64
+    assert _held_array_bytes(
+        lambda: _heads_linear_chain(x, w, b, 2)) >= 4 * 64 * 64 * 4
+
+
+@pytest.mark.parametrize("p", [0.0, 0.1])
+def test_embedding_keeps_xhat_inv_and_a_byte_mask(p):
+    """Layer norm's ``xhat`` (4 bytes per element), a keep mask (1 more
+    with dropout) and ``inv`` (4 per row); the chain also kept each
+    table's rows, each partial sum and the normalized sum."""
+    arrays, ids = _embedding_inputs(("token", "position", "sentence",
+                                     "segment"), np.float32)
+    *tables, gamma, beta = [t(a) for a in arrays]
+    rows, n = 4 * 12, 4 * 12 * 96
+
+    def run(op):
+        return op(tables, ids, gamma, beta, p, np.random.default_rng(140))
+
+    held = _held_array_bytes(lambda: run(T.embedding))
+    assert held <= (5 if p else 4) * n + 4 * rows + 64
+    assert _held_array_bytes(lambda: run(_embedding_chain)) >= 8 * 4 * n
+
+
+def test_a_training_encode_records_one_node_per_embedding_ffn_and_projection():
+    """The graph QA fine-tuning builds under its head: one embedding,
+    and per encoder layer four linears, one attention, one FFN and two
+    post-norms."""
+    from slm.encoder import encode_batch
+
+    from util import masked_example
+
+    cfg, params = _tiny_model(seq_len=32, max_sentences=6, dropout=0.1)
+    rng = np.random.default_rng(141)
+    h = encode_batch(params, cfg, [masked_example(cfg, rng)
+                                   for _ in range(3)], rng, training=True)
+    ops, _ = census(h)
+    layers = cfg.encoder_layers
+    assert ops == {"embedding": 1, "linear": 4 * layers,
+                   "attention": layers, "feed_forward": layers,
+                   "residual_norm": 2 * layers}
+
+
 def _digest(a):
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
 
 
 @pytest.mark.parametrize("kernel", ["softmax_rows", "attention_softmax",
                                     "gelu", "layer_norm", "dropout",
-                                    "linear", "residual_norm"])
+                                    "linear", "residual_norm", "feed_forward",
+                                    "heads_split_linear", "embedding"])
 def test_kernels_leave_their_inputs_and_upstream_gradient_alone(kernel):
     x = _f32((2, 4, 16, 16), 34, scale=3.0)
+    ids = [np.random.default_rng(40).integers(n, size=(2, 4, 16))
+           for n in (20, 16)]
     ops = {
         "softmax_rows": (softmax_rows, [x]),
         "attention_softmax": (
@@ -1078,9 +1524,23 @@ def test_kernels_leave_their_inputs_and_upstream_gradient_alone(kernel):
             lambda r, a, g, b: T.residual_norm(
                 r, a, g, b, 0.3, np.random.default_rng(37)),
             [x, _f32(x.shape, 39), _f32((16,), 35), _f32((16,), 36)]),
+        "feed_forward": (T.feed_forward, [x, _f32((16, 24), 39),
+                                          _f32((24,), 35),
+                                          _f32((24, 16), 36),
+                                          _f32((16,), 41)]),
+        # [8, 16, 16] split into 4 heads is [8, 4, 16, 4]
+        "heads_split_linear": (
+            lambda a, w, b: T.linear(a.reshape(8, 16, 16), w, b, heads=4),
+            [x, _f32((16, 16), 39), _f32((16,), 35)]),
+        "embedding": (
+            lambda t1, t2, g, b: T.embedding(
+                [t1, t2], ids, g, b, 0.3, np.random.default_rng(37)),
+            [_f32((20, 16), 39), _f32((16, 16), 42), _f32((16,), 35),
+             _f32((16,), 36)]),
     }
     op, arrays = ops[kernel]
-    g = _f32(x.shape, 38)
+    shape = (8, 4, 16, 4) if kernel == "heads_split_linear" else x.shape
+    g = _f32(shape, 38)
     before = [_digest(a) for a in arrays + [g]]
     _run(op, arrays, g)
     assert [_digest(a) for a in arrays + [g]] == before
