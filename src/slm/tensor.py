@@ -12,7 +12,9 @@ dropout, residual add and layer norm), reductions and fused
 cross-entropy. ``attention`` walks its (example, head) slices in
 blocks of at most ``ATTENTION_BLOCK_BYTES`` (256 KiB) of scores, so a
 block's intermediates stay in cache and none is stored whole; for the
-backward it keeps the probabilities and a one-byte dropout mask. Each
+backward it keeps each query row's softmax max and sum and a one-byte
+dropout mask, and the backward rebuilds each block's probabilities,
+bit for bit, with the forward's routine. Each
 fused op keeps only what its backward reads: ``linear`` nothing beyond
 its inputs, ``feed_forward`` its pre-activation (the backward rebuilds
 gelu's tanh and output from it), ``residual_norm`` and ``embedding``
@@ -553,10 +555,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale,
     row gather, scale, mask and row softmax, the dropout draw (block by
     block, the C order of one whole draw) and the context matmul. The
     output, the gradients and the rng's state are therefore the chain's
-    bits. The backward keeps only the probabilities and a one-byte keep
-    mask, not the scores, the float mask and the dropped probabilities;
-    each block rebuilds its float mask. Without a graph one set of
-    block buffers serves every block.
+    bits. For the backward the op keeps each query row's softmax max
+    and sum (two floats per row) and a one-byte keep mask, not the
+    probabilities: the backward rebuilds each block's probabilities
+    with the forward's routine (``probs``), subtracting the kept max
+    and dividing by the kept sum, so they are the forward's bits, and
+    rebuilds its float mask from the byte mask. The forward and the
+    backward each score and normalise in block buffers of their own.
     """
     if q.ndim != 4 or k.ndim != 4 or v.shape != k.shape \
             or k.shape[:2] + k.shape[3:] != q.shape[:2] + q.shape[3:]:
@@ -582,62 +587,70 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale,
         if bb not in (1, bsz) or bh != 1 or br not in (1, r) or bk != lk:
             raise ContractError(f"bias must be [{bsz} or 1, 1, {r} or 1, "
                                 f"{lk}], got shape {bias.shape}")
+        # one mask that every slice shares, or one per example
+        bias_n = bias.data[:, 0]
     dtype = q.data.dtype
     scale = np.asarray(scale, dtype=dtype)
     drop = rng is not None and p > 0.0
-    record = grad_enabled and (q.requires_grad or k.requires_grad
-                               or v.requires_grad)
     slices = bsz * heads
     qd = q.data.reshape(slices, lq, dh)
     kd = k.data.reshape(slices, lk, dh)
     vd = v.data.reshape(slices, lk, dh)
     step = max(1, ATTENTION_BLOCK_BYTES // max(1, lq * lk * dtype.itemsize))
+    n0 = min(step, slices)
     blocks = [(a, min(a + step, slices)) for a in range(0, slices, step)]
     if rows is not None:
         # each slice's rows as rows of its block's [n * Lq, Lk] scores
         local = ((np.arange(slices) % step)[:, None] * lq
                  + np.repeat(rows, heads, axis=0)).reshape(-1)
-    if bias is not None:
-        # one mask that every slice shares, or one per slice
-        bias_n = bias.data[:, 0]
-        shared = len(bias_n) == 1
-        if not shared:
-            bias_n = np.repeat(bias_n, heads, axis=0)
+    # each query row's softmax max and sum, taken by the forward
+    row_max = np.empty((slices, r, 1), dtype)
+    row_sum = np.empty_like(row_max)
 
-    # the probabilities and keep mask of every slice stay for the
-    # backward; without a graph, block-sized buffers serve every block
-    n0 = min(step, slices)
-    kept = slices if record else n0
-    scores = np.empty((n0, lq, lk), dtype)
-    probs = scores if not record and rows is None else np.empty(
-        (kept, r, lk), dtype)
+    def probs(first: bool):
+        """Yield each block's slice range, its contiguous transposed keys
+        and its probabilities, scored and normalised in block buffers
+        this call allocates. ``first`` (the forward) takes each row's max
+        and sum into ``row_max`` and ``row_sum``; later calls reuse them,
+        so every call yields the same bits."""
+        scores = np.empty((n0, lq, lk), dtype)
+        buf = np.empty((n0, r, lk), dtype)
+        for a, b in blocks:
+            n = b - a
+            kt = np.ascontiguousarray(np.swapaxes(kd[a:b], 1, 2))
+            s = np.matmul(qd[a:b], kt, out=scores[:n])
+            y = buf[:n]
+            if rows is None:
+                np.multiply(s, scale, out=y)
+            else:
+                np.take(s.reshape(n * lq, lk), local[a * r:b * r], axis=0,
+                        out=y.reshape(n * r, lk), mode="clip")
+                y *= scale
+            if bias is not None:
+                y += bias_n if len(bias_n) == 1 else \
+                    bias_n[np.arange(a, b) // heads]
+            mx, total = row_max[a:b], row_sum[a:b]
+            # the ufuncs behind y.max and y.sum, without their Python
+            # wrappers
+            if first:
+                np.maximum.reduce(y, axis=-1, keepdims=True, out=mx)
+            y -= mx
+            np.exp(y, out=y)
+            if first:
+                np.add.reduce(y, axis=-1, keepdims=True, out=total)
+            y /= total
+            yield a, b, kt, y
+
     if drop:
-        keep = np.empty((kept, r, lk), bool)
+        keep = np.empty((slices, r, lk), bool)
         draw = np.empty((n0, r, lk))
         wbuf = np.empty((n0, r, lk), dtype)
     ctx = np.empty((slices, r, dh), dtype)
-    kt = np.ascontiguousarray(np.swapaxes(kd, 1, 2))
-    for a, b in blocks:
-        n = b - a
-        at = slice(a, b) if record else slice(0, n)
-        s = np.matmul(qd[a:b], kt[a:b], out=scores[:n])
-        y = probs[at]
-        if rows is None:
-            np.multiply(s, scale, out=y)
-        else:
-            np.take(s.reshape(n * lq, lk), local[a * r:b * r], axis=0,
-                    out=y.reshape(n * r, lk), mode="clip")
-            y *= scale
-        if bias is not None:
-            y += bias_n if shared else bias_n[a:b]
-        # the ufuncs behind y.max and y.sum, without their Python wrappers
-        y -= np.maximum.reduce(y, axis=-1, keepdims=True)
-        np.exp(y, out=y)
-        y /= np.add.reduce(y, axis=-1, keepdims=True)
+    for a, b, _, y in probs(True):
         if drop:
-            m = keep[at]
-            np.greater_equal(rng.random(out=draw[:n]), p, out=m)
-            w = _scaled_mask(m, p, dtype, out=wbuf[:n])
+            n = b - a
+            np.greater_equal(rng.random(out=draw[:n]), p, out=keep[a:b])
+            w = _scaled_mask(keep[a:b], p, dtype, out=wbuf[:n])
             w *= y
             y = w
         np.matmul(y, vd[a:b], out=ctx[a:b])
@@ -648,9 +661,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale,
         dq = np.empty_like(qd) if q.requires_grad else None
         dk = np.empty_like(kd) if k.requires_grad else None
         dv = np.empty_like(vd) if v.requires_grad else None
-        kt = np.ascontiguousarray(np.swapaxes(kd, 1, 2))
-        for a, b in blocks:
-            y, gb = probs[a:b], g[a:b]
+        for a, b, kt, y in probs(False):
+            gb = g[a:b]
             if drop:
                 w = _scaled_mask(keep[a:b], p, dtype)
             if dv is not None:
@@ -669,7 +681,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale,
                 _scatter_add(gs, local[a * r:b * r], gx.reshape(n * r, lk))
                 gx = gs.reshape(n, lq, lk)
             if dq is not None:
-                np.matmul(gx, np.swapaxes(kt[a:b], 1, 2), out=dq[a:b])
+                np.matmul(gx, np.swapaxes(kt, 1, 2), out=dq[a:b])
             if dk is not None:
                 dk[a:b] = np.swapaxes(
                     np.matmul(np.swapaxes(qd[a:b], 1, 2), gx), 1, 2)

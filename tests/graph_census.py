@@ -1,7 +1,8 @@
 """What the recorded graph of one training batch holds, op by op.
 
-Between forward and backward the graph of a batch is alive whole, so
-it sets the peak memory of a training step. This tool builds three
+Between forward and backward the graph of a batch is alive whole, and
+the backward's gradients come on top of what is left of it, so the
+graph sets the peak memory of a training step. This tool builds three
 batches, each with dropout on, and walks the graph from the loss
 before any backward:
 
@@ -15,7 +16,11 @@ before any backward:
 
 For each op it prints the nodes that op recorded and the MiB of array
 data they hold: each node's output and every array its backward
-closure keeps.
+closure keeps, itself or through a nested helper function the closure
+calls. Then it walks the graph and prints the step's traced memory
+(tracemalloc) after the forward and at its peak over the forward and
+the backward; ``peak_rss_mb`` follows that peak, not what the graph
+holds after the forward.
 
 Each buffer counts once, for the first op that holds it: outputs
 before closure arrays, inputs before the ops that read them, so a view
@@ -35,6 +40,9 @@ reads (``_prev``, the backward closures and their names) change.
 """
 from __future__ import annotations
 
+import gc
+import tracemalloc
+import types
 from collections import Counter
 
 import numpy as np
@@ -61,6 +69,24 @@ def _owner(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _closure_arrays(fn, seen: set):
+    """The arrays in ``fn``'s closure cells, and in those of every
+    function a cell holds (a nested helper the backward calls), each
+    function read once."""
+    if id(fn) in seen:
+        return
+    seen.add(id(fn))
+    for cell in fn.__closure__ or ():
+        try:
+            value = cell.cell_contents
+        except ValueError:      # a variable the op never assigned
+            continue
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, types.FunctionType):
+            yield from _closure_arrays(value, seen)
+
+
 def census(loss) -> tuple[Counter, Counter]:
     """(nodes per op, held bytes per op) of the graph under ``loss``."""
     nodes = topo_nodes(loss)
@@ -80,20 +106,17 @@ def census(loss) -> tuple[Counter, Counter]:
     for node in ops:
         count[name(node)] += 1
         hold(name(node), node.data)
+    helpers = set()
     for node in ops:
-        for cell in node._backward.__closure__ or ():
-            try:
-                value = cell.cell_contents
-            except ValueError:      # a variable the op never assigned
-                continue
-            if isinstance(value, np.ndarray):
-                hold(name(node), value)
+        for value in _closure_arrays(node._backward, helpers):
+            hold(name(node), value)
     return count, held
 
 
-def first_batch_loss(cfg, docs):
-    """The loss of the first pretraining batch of ``train_loop`` on
-    ``docs``, its graph recorded and not yet walked."""
+def pretraining_run(cfg, docs):
+    """``run(step)`` for the first pretraining batch of ``train_loop``
+    on ``docs``: it records the batch's graph and hands its loss to
+    ``step``."""
     from slm.model import init_params
     from slm.objectives import pretrain_bundle
     from slm.trainer import _DROPOUT, pack_corpus, prepare_batch
@@ -101,40 +124,69 @@ def first_batch_loss(cfg, docs):
     params = init_params(cfg, np.random.default_rng(cfg.seed))
     batch, _ = prepare_batch(pack_corpus(docs, cfg), 0, cfg)
     rng = np.random.default_rng([cfg.seed, _DROPOUT, 0])
-    return pretrain_bundle(params, cfg, batch, rng).loss
+
+    def run(step):
+        step(pretrain_bundle(params, cfg, batch, rng).loss)
+
+    return run
 
 
-class _Recorded(Exception):
-    """Stops ``finetune_qa`` once its first loss is recorded."""
-
-
-def first_qa_batch_loss(cfg, questions):
-    """The loss of the first batch of ``finetune_qa`` on ``questions``,
-    from parameters initialised with ``cfg.seed``, its graph recorded
-    and not yet walked."""
+def qa_run(cfg, questions):
+    """``run(step)`` for the first batch of ``finetune_qa`` on
+    ``questions``, from parameters initialised with ``cfg.seed``:
+    ``step`` takes the place of the loop's ``backward``."""
     from slm import heads
     from slm.model import init_params
 
     params = init_params(cfg, np.random.default_rng(cfg.seed))
-    losses = []
 
-    def record(loss):
-        losses.append(loss)
-        raise _Recorded
+    def run(step):
+        backward = heads.backward
+        heads.backward = step
+        try:
+            heads.finetune_qa(params, cfg, questions, steps=1)
+        finally:
+            heads.backward = backward
 
-    backward = heads.backward
-    heads.backward = record
+    return run
+
+
+class _Measured(Exception):
+    """Stops a batch's run once its backward has run."""
+
+
+def measure(run):
+    """Census the graph ``run`` records, then walk it, under tracemalloc:
+    (nodes per op, held bytes per op, bytes traced after the forward,
+    traced peak over the forward and the backward). Traced bytes are
+    the step's own allocations, numpy's buffers and Python objects:
+    the parameters (and a pretraining batch) are made before tracing
+    starts, and the parameters' gradients count."""
+    from slm.tensor import backward
+
+    found = []
+
+    def step(loss):
+        found.append(tracemalloc.get_traced_memory()[0])
+        found.extend(census(loss))
+        backward(loss)
+        raise _Measured
+
+    gc.collect()
+    tracemalloc.start()
     try:
-        heads.finetune_qa(params, cfg, questions, steps=1)
-    except _Recorded:
+        run(step)
+    except _Measured:
         pass
     finally:
-        heads.backward = backward
-    return losses[0]
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    forward, count, held = found
+    return count, held, forward, peak
 
 
 def batches():
-    """(name, config, loss) of each censused batch."""
+    """(name, config, run) of each censused batch."""
     from pretrain_digest import pretraining_runs, qa_questions
 
     runs, vocab = pretraining_runs()
@@ -142,16 +194,16 @@ def batches():
         if name not in ("tiny-dropout", "long-dropout"):
             continue
         cfg = cfg.validate()
-        yield name, cfg, first_batch_loss(cfg, docs)
+        yield name, cfg, pretraining_run(cfg, docs)
         if name == "long-dropout":
             questions = qa_questions(texts, vocab, cfg)
-            yield "qa", cfg, first_qa_batch_loss(cfg, questions)
+            yield "qa", cfg, qa_run(cfg, questions)
 
 
 def main() -> None:
     mib = 1024.0 * 1024.0
-    for name, cfg, loss in batches():
-        count, held = census(loss)
+    for name, cfg, run in batches():
+        count, held, forward, peak = measure(run)
         print(f"{name}: batch {cfg.batch_size}, seq_len {cfg.seq_len}, "
               f"dropout {cfg.dropout}")
         print(f"  {'op':<18}{'nodes':>7}{'held MiB':>10}")
@@ -159,6 +211,8 @@ def main() -> None:
             print(f"  {op:<18}{count[op]:>7}{held[op] / mib:>10.2f}")
         print(f"  {'total':<18}{sum(count.values()):>7}"
               f"{sum(held.values()) / mib:>10.2f}")
+        print(f"  traced MiB: {forward / mib:.2f} after the forward, "
+              f"{peak / mib:.2f} at the step's peak")
 
 
 if __name__ == "__main__":

@@ -832,24 +832,58 @@ def _held_array_bytes(build):
 
 
 @pytest.mark.parametrize("p", [0.0, 0.1])
-def test_attention_keeps_the_probabilities_and_a_byte_mask(p):
-    """For its backward the op keeps 4 bytes (float32 probabilities) per
-    score and 1 more (the keep mask) with dropout; the chain kept the
-    scores, the probabilities, the float mask and the dropped
-    probabilities, 16 with dropout."""
+def test_attention_keeps_row_statistics_and_a_byte_mask(p):
+    """For its backward the op keeps each query row's softmax max and
+    sum (8 bytes per row) and, with dropout, the keep mask (1 byte per
+    score); the chain kept the scores, the probabilities, the float
+    mask and the dropped probabilities, 16 bytes per score with
+    dropout."""
     bsz, heads, length, dh = 2, 4, 128, 8
     q, k, v = (t(_f32((bsz, heads, length, dh), 52 + i)) for i in range(3))
     bias = Tensor(_padding_bias([128, 77], length))
-    scores = bsz * heads * length * length
+    query_rows = bsz * heads * length
+    scores = query_rows * length
 
     def run(op):
         return op(q, k, v, 0.25, bias, p, np.random.default_rng(55))
 
     held = _held_array_bytes(lambda: run(T.attention))
     # 64 bytes for 0-d arrays such as the scale
-    assert held <= (5 if p else 4) * scores + 64
+    assert held <= (1 if p else 0) * scores + 8 * query_rows + 64
     if p:
         assert _held_array_bytes(lambda: run(_attention_chain)) >= 16 * scores
+
+
+def test_two_attention_ops_in_one_graph_are_the_chain_bit_for_bit(
+        monkeypatch):
+    """Both ops are recorded before the sweep walks either, so each
+    backward must rebuild its own probabilities from its own row
+    statistics and keep mask: a causal self-attention, then an op that
+    reads the same leaves as queries, keys and values in another order,
+    with a padding mask and selected rows. Dropout on, several blocks."""
+    bsz, heads, length, dh = 3, 2, 32, 8
+    monkeypatch.setattr(T, "ATTENTION_BLOCK_BYTES", 4 * length * length * 4)
+    arrays = [_f32((bsz, heads, length, dh), 53 + i, scale=2.0)
+              for i in range(3)]
+    g1 = _f32((bsz, length, heads * dh), 56)
+    g2 = _f32((bsz, _PAD_ROWS.shape[1], heads * dh), 57)
+    causal = Tensor(_causal_bias(length))
+    padding = Tensor(_padding_bias([32, 20, 7], length))
+
+    def run(op):
+        q, k, v = (t(a) for a in arrays)
+        rng = np.random.default_rng(58)
+        first = op(q, k, v, 0.25, causal, 0.1, rng)
+        second = op(v, q, k, 0.25, padding, 0.1, rng, _PAD_ROWS)
+        backward(T.mul(first, Tensor(g1)).sum()
+                 + T.mul(second, Tensor(g2)).sum())
+        return ([first.data, second.data, q.grad, k.grad, v.grad],
+                rng.bit_generator.state)
+
+    (got, got_state), (want, want_state) = run(T.attention), run(
+        _attention_chain)
+    _assert_same_bytes(got, want)
+    assert got_state == want_state
 
 
 def test_multi_head_attention_records_one_attention_node():
@@ -1060,6 +1094,29 @@ def test_graph_census_counts_a_linear_node_and_its_output_alone():
     x, w, b = t(_f32((3, 4), 93)), t(_f32((4, 5), 94)), t(_f32((5,), 95))
     out = T.linear(x, w, b)
     assert census(out) == ({"linear": 1}, {"linear": out.data.nbytes})
+
+
+def _doubled_by_a_helper(x):
+    """A test-local op whose backward reads its one array through a
+    nested helper, which calls itself."""
+    saved = np.full(x.shape, 2.0, x.data.dtype)
+
+    def factor(depth):
+        return saved if depth == 0 else factor(depth - 1)
+
+    def bw(out):
+        x._accumulate(out.grad * factor(2), owned=True)
+
+    return T._make(x.data * 2.0, (x,), bw)
+
+
+def test_graph_census_follows_the_helpers_a_backward_calls():
+    """An array a closure holds through a nested helper counts for the
+    op, once, though the helper's closure also holds the helper."""
+    x = t(_f32((3, 4), 96))
+    out = _doubled_by_a_helper(x)
+    assert census(out) == ({"_doubled_by_a_helper": 1},
+                           {"_doubled_by_a_helper": 2 * out.data.nbytes})
 
 
 # -- the FFN, the heads-split projections and the embedding as one op each --
