@@ -9,8 +9,8 @@ residual, then layer-normalized, all in one ``tensor.residual_norm`` op.
 Every affine projection is one ``tensor.linear`` op; the q, k and v
 projections write the heads-split layout attention reads, so no copy
 splits them. The FFN (linear, gelu, linear) is one
-``tensor.feed_forward`` op, which keeps only its pre-activation for the
-backward. A block drops out exactly when given an rng.
+``tensor.feed_forward`` op, which keeps nothing beyond its inputs for
+the backward. A block drops out exactly when given an rng.
 """
 from __future__ import annotations
 

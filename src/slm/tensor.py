@@ -11,16 +11,15 @@ dropout), the post-norm residual step as one op (``residual_norm``:
 dropout, residual add and layer norm), reductions and fused
 cross-entropy. ``attention`` walks its (example, head) slices in
 blocks of at most ``ATTENTION_BLOCK_BYTES`` (256 KiB) of scores, so a
-block's intermediates stay in cache and none is stored whole; for the
-backward it keeps each query row's softmax max and sum and a one-byte
-dropout mask, and the backward rebuilds each block's probabilities,
-bit for bit, with the forward's routine. Each
-fused op keeps only what its backward reads: ``linear`` nothing beyond
-its inputs, ``feed_forward`` its pre-activation (the backward rebuilds
-gelu's tanh and output from it), ``residual_norm`` and ``embedding``
-layer norm's ``xhat`` and ``inv`` and a one-byte mask. Every dropout
-keeps its mask as one byte per element and rebuilds the scaled float
-mask (``_scaled_mask``) where it multiplies.
+block's intermediates stay in cache and none is stored whole.
+
+The fused ops keep, for the backward, only their inputs, one-byte
+dropout masks and per-row statistics (attention's softmax max and sum,
+layer norm's mean and ``inv``); each backward rebuilds what else it
+reads from them with the forward's own calls, so the rebuilt arrays
+have the forward's bits. This relies on no op writing into an input's
+``.data``. Every dropout keeps its mask as one byte per element and
+rebuilds the scaled float mask (``_scaled_mask``) where it multiplies.
 
 Every op records a backward closure on its output; calling
 ``backward(loss)`` walks the recorded graph once in reverse topological
@@ -693,8 +692,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale,
 
 
 def _norm(xd: np.ndarray, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
-    """Layer norm's forward over the last axis of ``xd``: the output and
-    the ``xhat`` and per-row ``inv`` its backward reads."""
+    """Layer norm's forward over the last axis of ``xd``: the output,
+    ``xhat``, and the per-row mean ``mu`` and ``inv`` from which
+    ``_xhat`` rebuilds ``xhat``."""
     mu = xd.mean(axis=-1, keepdims=True)
     xhat = xd - mu
     sq = xhat * xhat
@@ -703,7 +703,16 @@ def _norm(xd: np.ndarray, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
     xhat *= inv
     out_data = xhat * gamma.data
     out_data += beta.data
-    return out_data, xhat, inv
+    return out_data, xhat, mu, inv
+
+
+def _xhat(xd: np.ndarray, mu: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """``_norm``'s ``xhat`` of ``xd``, rebuilt with its ufuncs from the
+    row statistics it returned, so it has the forward's bits. ``xd`` is
+    a fresh buffer of the caller's, overwritten."""
+    xd -= mu
+    xd *= inv
+    return xd
 
 
 def _norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
@@ -734,7 +743,7 @@ def _norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
-    out_data, xhat, inv = _norm(x.data, gamma, beta, eps)
+    out_data, xhat, _, inv = _norm(x.data, gamma, beta, eps)
 
     def bw(out):
         gx = _norm_grads(out.grad, xhat, inv, gamma, beta, x.requires_grad)
@@ -752,10 +761,12 @@ def residual_norm(residual: Tensor, out: Tensor, gamma: Tensor,
     ``out`` drops out exactly when an rng is given and p > 0, with the
     draw ``dropout`` makes, so the rng ends in the same state. Each
     element goes through the chain's ufuncs in its order, so the output
-    and the gradients are the chain's bits. The graph keeps layer
-    norm's ``xhat`` and ``inv`` and a one-byte keep mask, from which the
-    backward rebuilds the scaled float mask; the chain kept the dropped
-    output, a float32 mask and the sum beside them.
+    and the gradients are the chain's bits. The graph keeps a one-byte
+    keep mask and layer norm's per-row mean and ``inv``: the backward
+    rebuilds the sum with the forward's calls from the inputs and
+    ``xhat`` from it (``_xhat``), and the scaled float mask from the
+    byte mask. The chain kept the dropped output, a float32 mask, the
+    sum and ``xhat``.
     """
     if residual.shape != out.shape:
         raise ContractError(f"residual_norm operands differ in shape: "
@@ -763,15 +774,19 @@ def residual_norm(residual: Tensor, out: Tensor, gamma: Tensor,
     keep = None
     if rng is not None and p > 0.0:
         keep = _keep_mask(rng, out.shape, p)
+
+    def summed():
+        if keep is None:
+            return residual.data + out.data
         s = _dropped(keep, p, out.data)
         s += residual.data
-    else:
-        s = residual.data + out.data
-    out_data, xhat, inv = _norm(s, gamma, beta)
+        return s
+
+    out_data, _, mu, inv = _norm(summed(), gamma, beta)
 
     def bw(node):
-        gh = _norm_grads(node.grad, xhat, inv, gamma, beta,
-                         residual.requires_grad or out.requires_grad)
+        gh = _norm_grads(node.grad, _xhat(summed(), mu, inv), inv, gamma,
+                         beta, residual.requires_grad or out.requires_grad)
         if gh is None:
             return
         gout = gh
@@ -830,6 +845,36 @@ def _gelu_local(xd: np.ndarray, th: np.ndarray) -> np.ndarray:
     return local
 
 
+def _gelu_parts(xd: np.ndarray, out: np.ndarray) -> None:
+    """Gelu's output at ``xd`` into ``out``, then its derivative over
+    ``xd``. The steps are ``_gelu_tanh``'s, ``_gelu_out``'s and
+    ``_gelu_local``'s, with ``x^2``, ``0.5 * x`` and ``1 + th`` taken once
+    for both (``np.square`` rounds as ``x * x`` does, and a product or
+    sum of two operands rounds alike in either order), so both keep
+    their bits. A function of its own, so one block's temporaries are
+    freed before the next block's are made."""
+    sq = xd * xd
+    th = sq * xd
+    th *= 0.044715
+    th += xd
+    th *= _GELU_C
+    np.tanh(th, out=th)
+    half_x = 0.5 * xd
+    one_th = 1.0 + th
+    np.multiply(half_x, one_th, out=out)
+    # local = 0.5 * x * sech2 * C * (1 + 3 * 0.044715 * x^2)
+    #         + 0.5 * (1 + th)
+    np.multiply(th, th, out=th)
+    np.subtract(1.0, th, out=th)
+    half_x *= th
+    half_x *= _GELU_C
+    sq *= 3 * 0.044715
+    sq += 1.0
+    half_x *= sq
+    one_th *= 0.5
+    np.add(half_x, one_th, out=xd)
+
+
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh form (matches x*Phi(x) to ~1e-3)."""
     th = _gelu_tanh(x.data)
@@ -849,49 +894,54 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
     w2, b2)``.
 
     The products are ``linear``'s and the gelu steps ``gelu``'s, so the
-    output and the gradients are the chain's bits. The graph keeps only
-    the pre-activation ``u`` (one [.., ffn] array); the backward rebuilds
-    gelu's output and ``th`` from it in one pass, where the chain kept
-    both. The elementwise gelu work runs in row blocks of at most
-    ``FFN_BLOCK_BYTES`` that stay in cache, so beside ``u`` only gelu's
-    output and its gradient are ever whole [.., ffn] arrays. Inputs are
-    listed, and their gradients accumulated, in the chain's order:
-    ``b2``, ``w2``, then ``b1``, ``x``, ``w1``.
+    output and the gradients are the chain's bits. The graph keeps
+    nothing beyond the inputs, where the chain kept the pre-activation
+    ``u``, gelu's output and its tanh. The backward recomputes ``u``
+    with the forward's calls and builds gelu's output into a second
+    buffer and its derivative over ``u`` (``_gelu_parts``). It takes
+    w2's gradient, then writes gelu's output gradient over gelu's
+    output, so beside ``u`` one [.., ffn] array is alive. The
+    elementwise gelu work runs in row blocks of at most
+    ``FFN_BLOCK_BYTES`` that stay in cache; the forward writes gelu's
+    output over ``u``. Inputs are listed, and their gradients
+    accumulated, in the chain's order: ``b2``, ``w2``, then ``b1``,
+    ``x``, ``w1``.
     """
     _check_linear(x, w1, b1)
-    u = np.matmul(x.data, w1.data)
-    u += b1.data
+
+    def pre_activation():
+        u = np.matmul(x.data, w1.data)
+        u += b1.data
+        return u, u.reshape(-1, u.shape[-1])
+
+    u, rows = pre_activation()
     _check_linear(u, w2, b2)
-    rows = u.reshape(-1, u.shape[-1])
     step = max(1, FFN_BLOCK_BYTES // max(1, rows.shape[1] * u.itemsize))
     blocks = [slice(i, i + step) for i in range(0, len(rows), step)]
-    hg = np.empty_like(u)
-    h_rows = hg.reshape(rows.shape)
     for blk in blocks:
-        _gelu_out(rows[blk], _gelu_tanh(rows[blk]), out=h_rows[blk])
-    out_data = np.matmul(hg, w2.data)
+        _gelu_out(rows[blk], _gelu_tanh(rows[blk]), out=rows[blk])
+    out_data = np.matmul(u, w2.data)
     out_data += b2.data
-    del hg
 
     def bw(out):
         g = out.grad
         if b2.requires_grad:
             b2._accumulate(_unbroadcast(g, b2.shape), owned=True)
-        # gelu's output gradient, as ``matmul``'s backward makes it; it
-        # becomes u's gradient in place, ``g * local`` block by block (a
-        # product commutes exactly, so this is gelu's ``local * g``),
-        # while the same pass rebuilds gelu's output for w2's gradient
-        gu = np.matmul(g, np.swapaxes(w2.data, -1, -2))
+        # u becomes gelu's derivative block by block while hg takes
+        # gelu's output, then gelu's output gradient as ``matmul``'s
+        # backward makes it, then u's gradient: ``g * local`` (a product
+        # commutes exactly, so this is gelu's ``local * g``)
+        u, rows = pre_activation()
         hg = np.empty_like(u)
-        g_rows, h_rows = gu.reshape(rows.shape), hg.reshape(rows.shape)
+        h_rows = hg.reshape(rows.shape)
         for blk in blocks:
-            th = _gelu_tanh(rows[blk])
-            _gelu_out(rows[blk], th, out=h_rows[blk])
-            g_rows[blk] *= _gelu_local(rows[blk], th)
+            _gelu_parts(rows[blk], h_rows[blk])
         if w2.requires_grad:
             gw = np.matmul(np.swapaxes(hg, -1, -2), g)
             w2._accumulate(_unbroadcast(gw, w2.shape), owned=True)
-        del hg
+        gu = np.matmul(g, np.swapaxes(w2.data, -1, -2), out=hg)
+        gu *= u
+        del u, rows
         _linear_grads(gu, x, w1, b1)
 
     return _make(out_data, (x, w1, b1, w2, b2), bw)
@@ -908,11 +958,13 @@ def embedding(tables, ids, gamma: Tensor, beta: Tensor, p: float = 0.0,
     is given and p > 0, with ``dropout``'s draw. The sum, the norm and
     the dropout are the kernels of the chain of ``take``, ``add``,
     ``layer_norm`` and ``dropout``, so the output, the gradients and the
-    rng's state are its bits. The graph keeps layer norm's ``xhat`` and
-    ``inv`` and a one-byte keep mask; the chain also kept every row
-    gather, every partial sum and the normalized sum. The backward
-    scatters the sum's gradient into each table in the tables' order,
-    repeated ids summed as ``take`` sums them.
+    rng's state are its bits. The graph keeps a one-byte keep mask and
+    layer norm's per-row mean and ``inv``: the backward gathers and sums
+    the table rows again with the forward's calls and rebuilds ``xhat``
+    from the sum (``_xhat``). The chain kept every row gather, every
+    partial sum, the normalized sum and ``xhat``. The backward scatters
+    the sum's gradient into each table in the tables' order, repeated
+    ids summed as ``take`` sums them.
     """
     ids = [np.asarray(i) for i in ids]
     width = tables[0].shape[-1] if tables else 0
@@ -922,11 +974,14 @@ def embedding(tables, ids, gamma: Tensor, beta: Tensor, p: float = 0.0,
         raise ContractError("embedding expects [rows, h] tables of one "
                             "width and one id array of one shape for each")
     flat = [i.reshape(-1) for i in ids]
-    s = np.take(tables[0].data, flat[0], axis=0)
-    for table, idx in zip(tables[1:], flat[1:]):
-        s += np.take(table.data, idx, axis=0)
-    out_data, xhat, inv = _norm(s.reshape(ids[0].shape + (width,)), gamma,
-                                beta)
+
+    def summed():
+        s = np.take(tables[0].data, flat[0], axis=0)
+        for table, idx in zip(tables[1:], flat[1:]):
+            s += np.take(table.data, idx, axis=0)
+        return s.reshape(ids[0].shape + (width,))
+
+    out_data, _, mu, inv = _norm(summed(), gamma, beta)
     keep = None
     if rng is not None and p > 0.0:
         keep = _keep_mask(rng, out_data.shape, p)
@@ -934,7 +989,7 @@ def embedding(tables, ids, gamma: Tensor, beta: Tensor, p: float = 0.0,
 
     def bw(out):
         g = out.grad if keep is None else _dropped(keep, p, out.grad)
-        gx = _norm_grads(g, xhat, inv, gamma, beta,
+        gx = _norm_grads(g, _xhat(summed(), mu, inv), inv, gamma, beta,
                          any(t.requires_grad for t in tables))
         if gx is None:
             return

@@ -20,7 +20,9 @@ closure keeps, itself or through a nested helper function the closure
 calls. Then it walks the graph and prints the step's traced memory
 (tracemalloc) after the forward and at its peak over the forward and
 the backward; ``peak_rss_mb`` follows that peak, not what the graph
-holds after the forward.
+holds after the forward. Last it names the op whose backward closure
+reaches the highest traced memory, with the MiB traced when that
+closure starts and its transient above that.
 
 Each buffer counts once, for the first op that holds it: outputs
 before closure arrays, inputs before the ops that read them, so a view
@@ -44,6 +46,7 @@ import gc
 import tracemalloc
 import types
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +63,12 @@ def topo_nodes(loss) -> list:
             stack.append((node, True))
             stack.extend((p, False) for p in node._prev)
     return order
+
+
+def op_name(closure) -> str:
+    """The op that recorded a backward closure: the function it is
+    nested in."""
+    return closure.__qualname__.split(".")[0]
 
 
 def _owner(arr: np.ndarray) -> np.ndarray:
@@ -101,7 +110,7 @@ def census(loss) -> tuple[Counter, Counter]:
             held[op] += owner.nbytes
 
     def name(node) -> str:
-        return node._backward.__qualname__.split(".")[0]
+        return op_name(node._backward)
 
     for node in ops:
         count[name(node)] += 1
@@ -151,6 +160,43 @@ def qa_run(cfg, questions):
     return run
 
 
+class PeakClosure(NamedTuple):
+    """The backward closure that reaches the highest traced memory."""
+
+    op: str
+    start: int       # bytes traced when the closure starts
+    transient: int   # its traced peak above ``start``
+
+
+def traced_backward(loss) -> tuple[int, PeakClosure]:
+    """``backward(loss)`` while tracemalloc traces: (the traced peak since
+    tracing or its last peak reset, up to the sweep's end; the closure
+    whose own traced peak is the highest). Each closure runs wrapped:
+    its traced peak is read from a peak reset at its start."""
+    from slm.tensor import backward
+
+    peak = tracemalloc.get_traced_memory()[1]
+    best = None
+
+    def wrap(closure):
+        def run(node):
+            nonlocal peak, best
+            start, before = tracemalloc.get_traced_memory()
+            peak = max(peak, before)
+            tracemalloc.reset_peak()
+            closure(node)
+            top = tracemalloc.get_traced_memory()[1]
+            if best is None or top > best.start + best.transient:
+                best = PeakClosure(op_name(closure), start, top - start)
+        return run
+
+    for node in topo_nodes(loss):
+        if node._backward is not None:
+            node._backward = wrap(node._backward)
+    backward(loss)
+    return max(peak, tracemalloc.get_traced_memory()[1]), best
+
+
 class _Measured(Exception):
     """Stops a batch's run once its backward has run."""
 
@@ -158,18 +204,16 @@ class _Measured(Exception):
 def measure(run):
     """Census the graph ``run`` records, then walk it, under tracemalloc:
     (nodes per op, held bytes per op, bytes traced after the forward,
-    traced peak over the forward and the backward). Traced bytes are
-    the step's own allocations, numpy's buffers and Python objects:
-    the parameters (and a pretraining batch) are made before tracing
-    starts, and the parameters' gradients count."""
-    from slm.tensor import backward
-
+    traced peak over the forward and the backward, the peak closure).
+    Traced bytes are the step's own allocations, numpy's buffers and
+    Python objects: the parameters (and a pretraining batch) are made
+    before tracing starts, and the parameters' gradients count."""
     found = []
 
     def step(loss):
         found.append(tracemalloc.get_traced_memory()[0])
         found.extend(census(loss))
-        backward(loss)
+        found.extend(traced_backward(loss))
         raise _Measured
 
     gc.collect()
@@ -179,10 +223,9 @@ def measure(run):
     except _Measured:
         pass
     finally:
-        peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-    forward, count, held = found
-    return count, held, forward, peak
+    forward, count, held, peak, closure = found
+    return count, held, forward, peak, closure
 
 
 def batches():
@@ -203,7 +246,7 @@ def batches():
 def main() -> None:
     mib = 1024.0 * 1024.0
     for name, cfg, run in batches():
-        count, held, forward, peak = measure(run)
+        count, held, forward, peak, closure = measure(run)
         print(f"{name}: batch {cfg.batch_size}, seq_len {cfg.seq_len}, "
               f"dropout {cfg.dropout}")
         print(f"  {'op':<18}{'nodes':>7}{'held MiB':>10}")
@@ -213,6 +256,9 @@ def main() -> None:
               f"{sum(held.values()) / mib:>10.2f}")
         print(f"  traced MiB: {forward / mib:.2f} after the forward, "
               f"{peak / mib:.2f} at the step's peak")
+        print(f"  peak closure: {closure.op}, {closure.start / mib:.2f} MiB "
+              f"traced at its start, {closure.transient / mib:.2f} MiB "
+              f"transient above it")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from slm.tensor import (Tensor, backward, cross_entropy, dropout, gather_element
                         gelu, grad_check, layer_norm, log, matmul, softmax_rows,
                         take)
 
-from graph_census import census, topo_nodes
+from graph_census import census, topo_nodes, traced_backward
 
 
 def t(data, grad=True, dtype=np.float32):
@@ -1043,10 +1043,11 @@ def test_linear_keeps_no_array_for_its_backward():
 
 
 @pytest.mark.parametrize("p", [0.0, 0.1])
-def test_residual_norm_keeps_xhat_inv_and_a_byte_mask(p):
-    """Layer norm's ``xhat`` (4 bytes per element), a keep mask (1 more
-    with dropout) and ``inv`` (4 per row); the chain also kept the sum,
-    and with dropout the dropped output and a float32 mask."""
+def test_residual_norm_keeps_row_statistics_and_a_byte_mask(p):
+    """Layer norm's per-row mean and ``inv`` (8 bytes per row) and, with
+    dropout, a keep mask (1 byte per element); the chain kept ``xhat``
+    and the sum, and with dropout the dropped output and a float32
+    mask."""
     rows, hidden = 4 * 64, 128
     arrays = [t(_f32((4, 64, hidden), 83 + i)) for i in range(2)]
     gamma, beta = t(_f32((hidden,), 85)), t(_f32((hidden,), 86))
@@ -1056,7 +1057,7 @@ def test_residual_norm_keeps_xhat_inv_and_a_byte_mask(p):
         return op(*arrays, gamma, beta, p, np.random.default_rng(87))
 
     held = _held_array_bytes(lambda: run(T.residual_norm))
-    assert held <= (5 if p else 4) * n + 4 * rows + 64
+    assert held <= (1 if p else 0) * n + 8 * rows + 64
     if p:
         assert _held_array_bytes(lambda: run(_residual_norm_chain)) >= 16 * n
 
@@ -1117,6 +1118,37 @@ def test_graph_census_follows_the_helpers_a_backward_calls():
     out = _doubled_by_a_helper(x)
     assert census(out) == ({"_doubled_by_a_helper": 1},
                            {"_doubled_by_a_helper": 2 * out.data.nbytes})
+
+
+def _spends_in_backward(x, nbytes):
+    """A test-local op whose backward allocates ``nbytes`` for a moment."""
+    def bw(out):
+        scratch = np.ones(nbytes // 8)
+        x._accumulate(out.grad * scratch[0], owned=True)
+
+    return T._make(x.data.copy(), (x,), bw)
+
+
+def test_graph_census_names_the_closure_that_sets_the_peak():
+    """Of two linears around an op whose backward spends 4 MiB, that op
+    sets the sweep's traced peak, with its transient above what was
+    traced at its start."""
+    x = t(_f32((8, 16), 155))
+    w, b = t(_f32((16, 16), 156)), t(_f32((16,), 157))
+    spend = 4 << 20
+    gc.collect()
+    tracemalloc.start()
+    try:
+        loss = T.linear(_spends_in_backward(T.linear(x, w, b), spend), w,
+                        b).sum()
+        start = tracemalloc.get_traced_memory()[0]
+        peak, closure = traced_backward(loss)
+    finally:
+        tracemalloc.stop()
+    assert closure.op == "_spends_in_backward"
+    assert spend <= closure.transient < spend + (64 << 10)
+    assert start - (64 << 10) < closure.start <= start + (64 << 10)
+    assert peak == closure.start + closure.transient
 
 
 # -- the FFN, the heads-split projections and the embedding as one op each --
@@ -1441,6 +1473,43 @@ def test_feed_forward_grads_match_fd(monkeypatch):
     assert grad_check(f, [x, w1, b1, w2, b2], eps=1e-5) < 1e-6
 
 
+def test_rebuilding_backwards_read_only_unchanged_inputs(monkeypatch):
+    """The FFN's and the post-norm's backwards rebuild their
+    intermediates from their inputs, so one graph where those inputs are
+    shared must still be the chains' bits: one ``x`` feeds two FFNs, one
+    with ``w1 is w2``, and a post-norm adds the first FFN's output to
+    ``x``. Several FFN blocks, dropout on. Every input of every node
+    holds its bytes from before the sweep after it."""
+    monkeypatch.setattr(T, "FFN_BLOCK_BYTES", 5 * 80 * 4)
+    arrays = [_f32((4, 12, 32), 142, scale=2.0), _f32((32, 80), 143),
+              _f32((80,), 144), _f32((80, 32), 145), _f32((32,), 146),
+              _f32((32, 32), 147), _f32((32,), 148), _f32((32,), 149),
+              _f32((32,), 150), _f32((32,), 151)]
+    g1, g2 = _f32((4, 12, 32), 152), _f32((4, 12, 32), 153)
+
+    def run(ffn, norm):
+        x, w1, b1, w2, b2, w, b, c, gamma, beta = leaves = [
+            t(a) for a in arrays]
+        rng = np.random.default_rng(154)
+        first = ffn(x, w1, b1, w2, b2)
+        second = ffn(x, w, b, w, c)
+        out = norm(x, first, gamma, beta, 0.1, rng)
+        loss = T.mul(out, Tensor(g1)).sum() + T.mul(second,
+                                                    Tensor(g2)).sum()
+        nodes = topo_nodes(loss)
+        before = [_digest(n.data) for n in nodes]
+        backward(loss)
+        assert [_digest(n.data) for n in nodes] == before
+        return [first.data, second.data, out.data] + [
+            leaf.grad for leaf in leaves], rng.bit_generator.state
+
+    (got, got_state), (want, want_state) = run(
+        T.feed_forward, T.residual_norm), run(_feed_forward_chain,
+                                              _residual_norm_chain)
+    _assert_same_bytes(got, want)
+    assert got_state == want_state
+
+
 def test_heads_split_linear_grads_match_fd():
     rng = np.random.default_rng(129)
     x = t(rng.normal(size=(2, 3, 4)), dtype=np.float64)
@@ -1496,15 +1565,15 @@ def test_embedding_rejects_mismatched_tables_and_ids(case):
         T.embedding(tables, ids, t(np.ones(4)), t(np.zeros(4)))
 
 
-def test_feed_forward_keeps_one_ffn_array():
-    """The pre-activation, [.., ffn]; the chain also kept gelu's output
-    and its tanh."""
+def test_feed_forward_keeps_no_array_for_its_backward():
+    """The chain kept the pre-activation, gelu's output and its tanh,
+    each [.., ffn]."""
     x = t(_f32((4, 64, 64), 132))
     w1, b1 = t(_f32((64, 256), 133)), t(_f32((256,), 134))
     w2, b2 = t(_f32((256, 64), 135)), t(_f32((64,), 136))
     n_ffn = 4 * 64 * 256 * 4
     assert _held_array_bytes(
-        lambda: T.feed_forward(x, w1, b1, w2, b2)) <= n_ffn + 64
+        lambda: T.feed_forward(x, w1, b1, w2, b2)) <= 64
     assert _held_array_bytes(
         lambda: _feed_forward_chain(x, w1, b1, w2, b2)) >= 3 * n_ffn
 
@@ -1519,10 +1588,10 @@ def test_heads_split_linear_keeps_no_array_for_its_backward():
 
 
 @pytest.mark.parametrize("p", [0.0, 0.1])
-def test_embedding_keeps_xhat_inv_and_a_byte_mask(p):
-    """Layer norm's ``xhat`` (4 bytes per element), a keep mask (1 more
-    with dropout) and ``inv`` (4 per row); the chain also kept each
-    table's rows, each partial sum and the normalized sum."""
+def test_embedding_keeps_row_statistics_and_a_byte_mask(p):
+    """Layer norm's per-row mean and ``inv`` (8 bytes per row) and, with
+    dropout, a keep mask (1 byte per element); the chain kept each
+    table's rows, each partial sum, the normalized sum and ``xhat``."""
     arrays, ids = _embedding_inputs(("token", "position", "sentence",
                                      "segment"), np.float32)
     *tables, gamma, beta = [t(a) for a in arrays]
@@ -1532,7 +1601,7 @@ def test_embedding_keeps_xhat_inv_and_a_byte_mask(p):
         return op(tables, ids, gamma, beta, p, np.random.default_rng(140))
 
     held = _held_array_bytes(lambda: run(T.embedding))
-    assert held <= (5 if p else 4) * n + 4 * rows + 64
+    assert held <= (1 if p else 0) * n + 8 * rows + 64
     assert _held_array_bytes(lambda: run(_embedding_chain)) >= 8 * 4 * n
 
 
