@@ -258,25 +258,23 @@ def cmd_probe(args) -> int:
     return 0
 
 
-GRADCHECK_TOL = 1e-3     # gradcheck passes when its max rel err is below
-
-
 def cmd_gradcheck(args) -> int:
     import numpy as np
 
     from .config import resolve_config
-    from .masking import apply_span_masking
     from .model import init_params
     from .objectives import pretrain_bundle
-    from .shuffling import apply_shuffle, sample_permutation
-    from .tensor import grad_check
-    from .textpipe import NUM_SPECIALS, Document, pack_example
+    from .tensor import GRADCHECK_TOL, grad_check
+    from .textpipe import NUM_SPECIALS, Document
+    from .trainer import pack_corpus, prepare_batch
 
     # the check instance stays small so the finite-difference sweep over
-    # every parameter finishes quickly; --set can resize it
+    # every parameter finishes quickly; --set can resize it. One example
+    # a batch, always shuffled when sentence reps are on
     check_defaults = ["encoder_layers=2", "decoder_layers=1", "heads=2",
                       "hidden=16", "ffn=32", "seq_len=32", "max_sentences=4",
-                      "vocab_size=32", "dropout=0"]
+                      "vocab_size=32", "dropout=0", "batch_size=1",
+                      "shuffle_fraction=1"]
     cfg = resolve_config("tiny", args.config,
                          check_defaults + list(args.overrides), args.seed)
     rng = np.random.default_rng(cfg.seed)
@@ -287,15 +285,10 @@ def cmd_gradcheck(args) -> int:
         [int(w) for w in rng.integers(NUM_SPECIALS, cfg.vocab_size,
                                       size=int(rng.integers(3, 7)))]
         for _ in range(cfg.max_sentences)])
-    # as pretraining: no markers and no shuffle without sentence reps
-    ex = pack_example(doc, cfg.seq_len, cfg.max_sentences, rng,
-                      use_sentence_tokens=cfg.sentence_reps_enabled)
-    ex = apply_span_masking(ex, cfg, rng)
-    if cfg.sentence_reps_enabled:
-        ex = apply_shuffle(ex, sample_permutation(ex.num_sentences, rng))
+    batch, _ = prepare_batch(pack_corpus([doc], cfg), 0, cfg)
 
     def f():
-        return pretrain_bundle(params, cfg, [ex]).loss
+        return pretrain_bundle(params, cfg, batch).loss
 
     err = grad_check(f, list(params.values()), eps=1e-4)
     print(f"gradcheck max rel err {err:.3e} "

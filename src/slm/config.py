@@ -16,8 +16,8 @@ command reads is deleted: ``--set`` rejects it like any unknown key and
 unless the stored value described a model the code no longer builds.
 Settings every run shares are constants, not keys: the masking recipe
 (``masking.P_GEOM``, ``MAX_SPAN``, ``MASK_RATE``, ``REPLACE_MASK``,
-``REPLACE_RANDOM``), the gradcheck tolerance (``cli.GRADCHECK_TOL``),
-the layer norm epsilon (``tensor.layer_norm``'s default), Adam's betas
+``REPLACE_RANDOM``), the gradcheck tolerance (``tensor.GRADCHECK_TOL``),
+the layer norm epsilon (``tensor._norm``'s default), Adam's betas
 (``optim.BETA1``, ``BETA2``), the weight decay and the gradient clipping
 norm (``optim.WEIGHT_DECAY``, ``GRAD_CLIP``) and the QA answer window
 (``heads.MAX_ANSWER_LEN``). Attention dropout runs at ``dropout``.

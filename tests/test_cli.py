@@ -1,3 +1,4 @@
+import inspect
 import os
 import struct
 import warnings
@@ -186,14 +187,83 @@ def test_probe_exports_then_reports(workspace, capsys, tmp_path):
     assert "The dog ran fast." in report
 
 
+SMALL_GRADCHECK = ["gradcheck"] + sets([
+    "hidden=8", "ffn=16", "seq_len=16", "max_sentences=2", "vocab_size=16",
+    "encoder_layers=1"])
+
+
 def test_gradcheck_passes_on_small_model(capsys):
-    args = (["gradcheck"]
-            + sets(["hidden=8", "ffn=16", "seq_len=16", "max_sentences=2",
-                    "vocab_size=16", "encoder_layers=1"]))
-    assert run(args) == 0
+    assert run(SMALL_GRADCHECK) == 0
     out = capsys.readouterr().out
     assert "gradcheck max rel err" in out
     assert "float64" in out
+
+
+# one backward kernel the pretraining loss runs, rewritten: (function,
+# source text, replacement). Five scale an input gradient by 1.01; one
+# drops layer norm's mean term, and one zeroes add's right-operand
+# gradient (it stays an array, so the sweep below it still runs)
+GRADIENT_MUTATIONS = {
+    "matmul_input_x1.01": ("_matmul_grads", "ga = np.matmul(",
+                           "ga = 1.01 * np.matmul("),
+    "norm_input_x1.01": ("_norm_grads", "    gh *= inv\n",
+                         "    gh *= inv\n    gh *= 1.01\n"),
+    "gelu_derivative_x1.01": ("_gelu_parts", "out=xd)\n",
+                              "out=xd)\n    xd *= 1.01\n"),
+    "softmax_input_x1.01": ("_softmax_grad", "    gx *= y\n",
+                            "    gx *= y\n    gx *= 1.01\n"),
+    "cross_entropy_x1.01": ("cross_entropy", "out.grad * p / m",
+                            "1.01 * out.grad * p / m"),
+    "norm_without_mean_term": ("_norm_grads", "    gh -= t1 / d\n", ""),
+    "add_without_right_operand": ("add", "(out.grad, b.shape)",
+                                  "(0.0 * out.grad, b.shape)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRADIENT_MUTATIONS))
+def test_gradcheck_fails_on_a_mutated_backward(name, monkeypatch, capsys):
+    """A gradient 1% off, or one missing a term, fails the gate, though
+    an entry above it is differenced again."""
+    from slm import tensor
+    func, old, new = GRADIENT_MUTATIONS[name]
+    source = inspect.getsource(getattr(tensor, func))
+    assert source.count(old) == 1
+    scope = {}
+    exec(compile(source.replace(old, new), tensor.__file__, "exec"),
+         vars(tensor), scope)
+    monkeypatch.setattr(tensor, func, scope[func])
+    assert run(SMALL_GRADCHECK) == 1
+    assert "gradcheck max rel err" in capsys.readouterr().out
+
+
+def test_gradcheck_checks_the_batch_prepare_batch_returns(monkeypatch,
+                                                          capsys):
+    """gradcheck packs, masks and shuffles its example with pretraining's
+    own code, and the loss it checks reads exactly that batch."""
+    from slm import objectives, trainer
+    from slm.masking import IGNORE
+    prepared, checked = [], []
+    prepare, bundle = trainer.prepare_batch, objectives.pretrain_bundle
+
+    def prepare_spy(*args):
+        out = prepare(*args)
+        prepared.append(out)
+        return out
+
+    def bundle_spy(params, cfg, batch, *args, **kwargs):
+        checked.append(batch)
+        return bundle(params, cfg, batch, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "prepare_batch", prepare_spy)
+    monkeypatch.setattr(objectives, "pretrain_bundle", bundle_spy)
+    assert run(SMALL_GRADCHECK) == 0
+    capsys.readouterr()
+    [(batch, shuffled)] = prepared
+    assert shuffled
+    assert checked and all(b is batch for b in checked)
+    [ex] = batch
+    assert (ex.mlm_labels != IGNORE).any()
+    assert ex.perm is not None
 
 
 def test_gradcheck_without_sentence_reps_checks_the_pretraining_layout(

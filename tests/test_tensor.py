@@ -439,6 +439,29 @@ def test_grad_check_constant_zero_analytic():
     assert grad_check(f, [x], eps=1e-6) < 1e-6
 
 
+def _cube_sum(x, grad_scale=1.0):
+    """sum(x ** 3) as a test-local op whose backward scales the true
+    gradient, 3 x^2, by ``grad_scale``."""
+    def bw(out):
+        x._accumulate(grad_scale * 3.0 * x.data * x.data * out.grad,
+                      owned=True)
+
+    return T._make(np.asarray((x.data ** 3).sum()), (x,), bw)
+
+
+def test_grad_check_differences_a_curved_entry_again():
+    """Near a cubic's inflection point the gradient is small against the
+    curvature: the two-point difference at eps misses it by more than
+    the tolerance, the four-point one is exact on a cubic up to
+    rounding, and a gradient 1% off still fails."""
+    x0, eps = 1e-3, 1e-4
+    x = t([x0], dtype=np.float64)
+    two_point = ((x0 + eps) ** 3 - (x0 - eps) ** 3) / (2 * eps)
+    assert abs(two_point - 3 * x0 ** 2) / (3 * x0 ** 2) > T.GRADCHECK_TOL
+    assert grad_check(lambda: _cube_sum(x), [x], eps) < 1e-9
+    assert grad_check(lambda: _cube_sum(x, 1.01), [x], eps) >= T.GRADCHECK_TOL
+
+
 # -- engine behavior -------------------------------------------------------
 
 def test_forward_bitwise_deterministic():
