@@ -145,14 +145,18 @@ def encode_batch(params: dict, cfg: RunConfig, examples: list[PackedExample],
     return encode(params, cfg, h0, bias, rng, rows)
 
 
-def extract_summary(h: Tensor, ex: PackedExample, batch_index: int) -> Tensor:
-    """Rows of C for one example: [CLS], display-ordered [SENT]s, [SEP].
+def extract_summary(h: Tensor, ex, batch_index) -> Tensor:
+    """Rows of C: [CLS], display-ordered [SENT]s, [SEP].
 
-    Returns a [1, N+2, hidden] tensor whose rows are exactly the encoder
-    output rows at the recorded indices.
+    ``ex`` and ``batch_index`` are one example and its row of ``h``,
+    which gives [1, N+2, hidden], or lists of examples that share one N
+    and their rows, which give [k, N+2, hidden] in one gather. Its rows
+    are exactly the encoder output rows at the recorded indices.
     """
+    if isinstance(ex, PackedExample):
+        ex, batch_index = [ex], [batch_index]
     bsz, length, hidden = h.shape
-    positions = summary_positions(ex)
-    c = T.take(h.reshape(bsz * length, hidden),
-               batch_index * length + positions)
-    return c.reshape(1, len(positions), hidden)
+    positions = np.stack([summary_positions(e) for e in ex])
+    rows = np.asarray(batch_index)[:, None] * length + positions
+    c = T.take(h.reshape(bsz * length, hidden), rows.reshape(-1))
+    return c.reshape(*positions.shape, hidden)

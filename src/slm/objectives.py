@@ -4,13 +4,26 @@ Word prediction projects encoder outputs at labeled positions through
 the tied token embedding plus a bias; the reconstruction term is
 ``reconstructor.pointer_nll``, the fused cross-entropy on the pointer
 logits, averaged over the N+1 steps of each example and then over the
-batch. The two terms add with no weighting. The bundle also reports
-three training signals of the teacher-forced pointer, read from the
-decoder output with plain numpy (no graph node, no rng draw): the share
-of steps whose argmax hits the target, the share whose argmax is the row
-fed in at that step, and the mean entropy in nats. All three score the
-unmasked logits over all N+2 rows of C, the candidate set the loss
-uses; greedy decoding blocks [CLS] and the rows already placed.
+batch. The two terms add with no weighting.
+
+The reconstructor runs once per group of examples with the same N
+(``equal_n_groups``), one ``decode_sequence`` and one ``pointer_nll``
+each, and its result keeps the bits of one pass per example: each
+decoder parameter reaches the groups through ``tensor.fan_out``, whose
+backward adds the examples' gradients in example order, also after an
+earlier micro-batch's; ``reconstructor.replay_dropout`` draws the
+decoder's dropout example by example before any group runs; and each
+example keeps its own loss term, the terms added in example order
+before the mean over the batch, ``mul(((t0 + t1) + ...), 1/B)``.
+
+The bundle also reports three training signals of the teacher-forced
+pointer, read from each group's decoder output with plain numpy (no
+graph node, no rng draw): the share of steps whose argmax hits the
+target, the share whose argmax is the row fed in at that step, and the
+mean entropy in nats, its per-example sums added in example order. All
+three score the unmasked logits over all N+2 rows of C, the candidate
+set the loss uses; greedy decoding blocks [CLS] and the rows already
+placed.
 """
 from __future__ import annotations
 
@@ -24,7 +37,7 @@ from .config import RunConfig
 from .encoder import encode_batch, extract_summary
 from .errors import TrainingAbort
 from .masking import IGNORE
-from .reconstructor import decode_sequence, pointer_nll
+from .reconstructor import decode_sequence, pointer_nll, replay_dropout
 from .shuffling import order_targets
 from .tensor import Tensor
 from .textpipe import PackedExample
@@ -59,20 +72,30 @@ def mlm_loss(h: Tensor, params: dict, labels: np.ndarray) -> tuple[Tensor, int]:
     return T.cross_entropy(logits, flat_labels[sel]), int(sel.size)
 
 
-def _pointer_signals(w: Tensor, c: Tensor,
-                    targets: np.ndarray) -> tuple[int, int, float]:
-    """Argmax hits on the target, argmax hits on the row fed in (row 0
-    at step 0, then the previous step's target) and summed entropy
-    (nats) of one example's pointer distributions, from the arrays
-    alone."""
-    logits = np.matmul(w.data[0], c.data[0].T).astype(np.float64)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    best = logits.argmax(axis=1)
-    hits = int(np.count_nonzero(best == targets))
-    fed = np.concatenate([[0], targets[:-1]])
-    self_hits = int(np.count_nonzero(best == fed))
-    return hits, self_hits, float(-(np.exp(logp) * logp).sum())
+def _pointer_signals(w: Tensor, c: Tensor, targets: np.ndarray):
+    """Per example of a group: argmax hits on the target, argmax hits on
+    the row fed in (row 0 at step 0, then the previous step's target)
+    and the summed entropy (nats) of its pointer distributions, from the
+    arrays alone. The logits are the group's W against its transposed
+    C, in float64; returns three [k] sequences."""
+    logits = np.matmul(w.data, c.data.swapaxes(1, 2)).astype(np.float64)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    best = logits.argmax(axis=-1)
+    hits = np.count_nonzero(best == targets, axis=1)
+    fed = np.concatenate([np.zeros_like(targets[:, :1]), targets[:, :-1]],
+                         axis=1)
+    self_hits = np.count_nonzero(best == fed, axis=1)
+    return hits, self_hits, [float(-(np.exp(lp) * lp).sum()) for lp in logp]
+
+
+def equal_n_groups(examples: list[PackedExample]) -> list[np.ndarray]:
+    """The batch indices of the examples of each sentence count N, in
+    order of each count's first example."""
+    groups: dict[int, list[int]] = {}
+    for b, ex in enumerate(examples):
+        groups.setdefault(ex.num_sentences, []).append(b)
+    return [np.asarray(idx) for idx in groups.values()]
 
 
 def pretrain_bundle(params: dict, cfg: RunConfig,
@@ -90,24 +113,39 @@ def pretrain_bundle(params: dict, cfg: RunConfig,
 
     pointer_acc = pointer_entropy = pointer_self = float("nan")
     if cfg.sr_enabled:
-        per_example = []
-        hits, self_hits, entropy, slm_steps = 0, 0, 0.0, 0
-        for b, ex in enumerate(examples):
-            targets = order_targets(ex.perm, ex.num_sentences)
-            c = extract_summary(h, ex, b)
-            w = decode_sequence(params, cfg, c, targets, rng)
-            per_example.append(pointer_nll(w, c, targets))
-            slm_steps += len(targets)
-            ex_hits, ex_self, ex_entropy = _pointer_signals(w, c, targets)
-            hits += ex_hits
-            self_hits += ex_self
-            entropy += ex_entropy
+        bsz = len(examples)
+        groups = equal_n_groups(examples)
+        names = [name for name in params if name.startswith("dec.")]
+        views = T.fan_out([params[name] for name in names], groups)
+        drops = replay_dropout(cfg, rng, [ex.num_sentences for ex in examples],
+                               groups)
+        terms, entropies = [None] * bsz, [0.0] * bsz
+        hits = self_hits = slm_steps = 0
+        for g, idx in enumerate(groups):
+            group = [examples[b] for b in idx]
+            targets = np.stack([order_targets(ex.perm, ex.num_sentences)
+                                for ex in group])
+            c = extract_summary(h, group, idx)
+            w = decode_sequence({name: v[g] for name, v in zip(names, views)},
+                                cfg, c, targets, drops[g])
+            nll = pointer_nll(w, c, targets)
+            g_hits, g_self, g_entropy = _pointer_signals(w, c, targets)
+            hits += int(g_hits.sum())
+            self_hits += int(g_self.sum())
+            slm_steps += targets.size
+            for j, b in enumerate(idx):
+                terms[b] = T.take(nll, [j])
+                entropies[b] = g_entropy[j]
+        # example by example, as a batch run one example at a time adds
+        entropy = 0.0
+        for value in entropies:
+            entropy += value
         pointer_acc, pointer_entropy = hits / slm_steps, entropy / slm_steps
         pointer_self = self_hits / slm_steps
-        acc = per_example[0]
-        for term in per_example[1:]:
+        acc = terms[0]
+        for term in terms[1:]:
             acc = acc + term
-        l_slm = T.mul(acc, 1.0 / len(per_example))
+        l_slm = T.reshape(T.mul(acc, 1.0 / bsz), ())
     else:
         l_slm = Tensor(np.asarray(0.0, dtype=h.data.dtype))
 

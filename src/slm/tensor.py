@@ -28,7 +28,17 @@ graph as it goes: each node drops its gradient, its closure and its
 inputs once its closure has run, so a step's activations go as the
 sweep passes them and only the leaves' gradients outlive it. A graph
 can therefore be walked once; a second ``backward`` over it raises
-``ContractError``.
+``ContractError``, and so does a node that the sweep reaches with no
+gradient, since a consumer's backward left it out.
+
+A batch can run as groups of examples stacked on a leading axis, each
+slice computed as that example alone would be: ``linear``,
+``feed_forward`` and ``residual_norm`` take stacked weights [k, h, f]
+and stacked biases, gains and shifts [k, 1, f], and reduce their
+gradients over each entry's rows apart; 3-D ``cross_entropy`` gives
+each entry its own mean; ``take`` with [B, R] indices gathers rows per
+example. ``fan_out`` hands a parameter to the groups as zero-copy
+stacked views and adds the examples' gradients to it in example order.
 
 Seven ops have no caller in the package: ``log``,
 ``gather_elements``, ``softmax_rows``, ``tsum``, ``gelu``,
@@ -61,7 +71,8 @@ checker uses to keep its own roundoff below the tolerance it asserts.
 A Python or numpy scalar operand becomes a constant of the other
 operand's dtype, so it neither promotes a float32 graph nor rounds a
 float64 one. Each op has one kernel: 1-D ``cross_entropy`` is its
-one-row case and ``gather_elements`` a ``take`` over the flattened rows.
+one-row case, 3-D its stack of 2-D cases, and ``gather_elements`` a
+``take`` over the flattened rows.
 Forward results are deterministic for fixed inputs: all reductions run
 through sequential numpy kernels with a fixed ordering.
 
@@ -190,10 +201,12 @@ class Tensor:
 
 def _c_layout_of(g, data: np.ndarray) -> bool:
     """Whether ``g`` is an array of ``data``'s dtype and shape, both in C
-    order: the layout a copy into ``np.empty_like(data)`` would give."""
+    order: the layout a copy into ``np.empty_like(data)`` would give. A
+    ``data`` that repeats along a stride-0 axis (a ``fan_out`` view) has
+    no layout a product could follow, and takes a C-order ``g`` as is."""
     return (isinstance(g, np.ndarray) and g.dtype == data.dtype
             and g.shape == data.shape and g.flags.c_contiguous
-            and data.flags.c_contiguous)
+            and (data.flags.c_contiguous or 0 in data.strides))
 
 
 def _wrap(other, like: Tensor) -> Tensor:
@@ -293,10 +306,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _check_linear(x, w, b: Tensor) -> None:
-    """``x @ w + b`` needs matching inner widths and one bias per output;
-    ``x`` may be a Tensor or an array."""
+    """``x @ w + b`` needs matching inner widths and one bias per output:
+    [f], or [k, 1, f] beside a stack of k weights [k, h, f] (one
+    ``fan_out`` view each); ``x`` may be a Tensor or an array."""
     _check_matmul(x, w)
-    if b.shape != w.shape[-1:]:
+    stacked = w.shape[:-2] + (1,) + w.shape[-1:]
+    if b.shape != w.shape[-1:] and (w.ndim < 3 or b.shape != stacked):
         raise ContractError(f"linear bias must be [{w.shape[-1]}], "
                             f"got shape {b.shape}")
 
@@ -305,7 +320,8 @@ def _linear_grads(g: np.ndarray, x: Tensor, w: Tensor, b: Tensor) -> None:
     """Accumulate the gradients of ``x @ w + b`` from its output's ``g``:
     ``add``'s bias reduction, then ``matmul``'s two products."""
     if b.requires_grad:
-        # ``g`` is at least 2-D and ``b`` 1-D: the sum is a fresh array
+        # a fresh sum, or, for a stacked bias beside one row per entry,
+        # ``g`` itself, which the closures here only read
         b._accumulate(_unbroadcast(g, b.shape), owned=True)
     _matmul_grads(g, x, w)
 
@@ -358,6 +374,57 @@ def linear(x: Tensor, w: Tensor, b: Tensor,
     return _make(out_data, (x, w, b), bw)
 
 
+def fan_out(tensors, groups) -> list[list[Tensor]]:
+    """Each of ``tensors`` once for every example of a batch that runs in
+    groups: per tensor, one read-only [k, ...] view of its data for each
+    group of k examples, with no copy. ``groups`` holds each group's
+    example indices; together they name 0..B-1 once each. A 1-D tensor
+    comes as [k, 1, n], so that it broadcasts over each example's rows
+    as a bias, gain or shift.
+
+    A tensor's views share one node, which keeps each example's gradient
+    unsummed in a [B, ...] buffer. Once every view has passed its
+    gradient on, that node adds the rows to the tensor's gradient one by
+    one, example 0 first: the order, and so the bits, of a batch that
+    ran one example at a time. A sum over the batch axis would add them
+    in numpy's pairwise order instead.
+    """
+    groups = [np.asarray(idx) for idx in groups]
+    total = sum(len(idx) for idx in groups)
+    if total and not np.array_equal(np.sort(np.concatenate(groups)),
+                                    np.arange(total)):
+        raise ContractError("fan_out groups must name 0..B-1 once each")
+    # a group that is the whole batch in example order
+    wholes = [np.array_equal(idx, np.arange(total)) for idx in groups]
+
+    def views(a: Tensor) -> list[Tensor]:
+        data = a.data if a.ndim > 1 else a.data.reshape(1, -1)
+
+        def add_in_order(out):
+            for g in out.grad:
+                a._accumulate(g.reshape(a.shape))
+
+        hub = _make(np.broadcast_to(data, (total,) + data.shape), (a,),
+                    add_in_order)
+
+        def view(idx, whole):
+            def bw(out):
+                if whole:
+                    # the gradient is the hub's buffer as it stands
+                    hub._accumulate(out.grad, owned=True)
+                    return
+                if hub.grad is None:
+                    hub.grad = np.zeros(hub.shape, data.dtype)
+                hub.grad[idx] = out.grad
+
+            # any k rows of the stride-0 stack are the tensor k times
+            return _make(hub.data[:len(idx)], (hub,), bw)
+
+        return [view(idx, whole) for idx, whole in zip(groups, wholes)]
+
+    return [views(a) for a in tensors]
+
+
 # -- shape moves --------------------------------------------------------
 
 
@@ -394,18 +461,34 @@ def _scatter_add(dst: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
 
 
 def take(a: Tensor, indices, axis: int = 0) -> Tensor:
-    """Gather slices along an axis; repeated indices accumulate in backward."""
+    """Gather slices along an axis; repeated indices accumulate in backward.
+
+    ``indices`` is 1-D, or [B, R] with ``axis=1``: then each example
+    ``a[b]`` gives its own R slices, ``indices[b]``, and its backward
+    scatters into ``a[b]``'s gradient as a 1-D take on ``a[b]`` would.
+    """
     idx = np.asarray(indices)
-    if idx.ndim != 1:
-        raise ContractError("take expects a 1-D index array")
-    out_data = np.take(a.data, idx, axis=axis)
+    per_example = idx.ndim == 2 and axis == 1 and len(idx) == a.shape[0]
+    if idx.ndim != 1 and not per_example:
+        raise ContractError("take expects a 1-D index array, or [B, R] "
+                            "rows of each example on axis 1")
+    if per_example:
+        out_data = np.take_along_axis(
+            a.data, idx.reshape(idx.shape + (1,) * (a.ndim - 2)), axis=1)
+    else:
+        out_data = np.take(a.data, idx, axis=axis)
 
     def bw(out):
         if a.requires_grad:
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
-            _scatter_add(np.moveaxis(a.grad, axis, 0), idx % a.shape[axis],
-                         np.moveaxis(out.grad, axis, 0))
+            rows = idx % a.shape[axis]
+            if per_example:
+                for dst, r, g in zip(a.grad, rows, out.grad):
+                    _scatter_add(dst, r, g)
+            else:
+                _scatter_add(np.moveaxis(a.grad, axis, 0), rows,
+                             np.moveaxis(out.grad, axis, 0))
 
     return _make(out_data, (a,), bw)
 
@@ -720,12 +803,14 @@ def _norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
     """Layer norm's backward: accumulate the gain and shift gradients
     and return the input's gradient in a fresh buffer (None unless
     ``want_x``)."""
-    red = tuple(range(g.ndim - 1))
     buf = g * xhat
     if gamma.requires_grad:
-        gamma._accumulate(buf.sum(axis=red), owned=True)
+        # summed over the rows of each stack entry for a stacked gain and
+        # shift, over all rows for 1-D ones; ``buf`` is reused below
+        gg = _unbroadcast(buf, gamma.shape)
+        gamma._accumulate(gg, owned=gg is not buf)
     if beta.requires_grad:
-        beta._accumulate(g.sum(axis=red), owned=True)
+        beta._accumulate(_unbroadcast(g, beta.shape), owned=True)
     if not want_x:
         return None
     d = xhat.shape[-1]
@@ -1008,29 +1093,37 @@ def cross_entropy(logits: Tensor, target) -> Tensor:
 
     With [m, n] logits and [m] targets, returns the mean loss over rows.
     1-D logits with an int target are the one-row case: the loss is
-    -log softmax(logits)[target]. Gradient w.r.t. logits is softmax minus
-    one-hot (scaled by the mean).
+    -log softmax(logits)[target]. [k, m, n] logits with [k, m] targets
+    are k such losses in one op, each entry's mean over its own m rows,
+    returned as [k, 1, 1] so that their gradient broadcasts onto each
+    entry's logits; every row and every mean runs the 2-D case's
+    kernels, so entry j has the bits of the 2-D loss of slice j.
+    Gradient w.r.t. logits is softmax minus one-hot (scaled by the mean).
     """
     if logits.ndim == 1:
         logits = reshape(logits, (1, logits.shape[0]))
         target = [int(target)]
-    if logits.ndim != 2:
-        raise ContractError("cross_entropy expects 1-D or 2-D logits")
+    if logits.ndim not in (2, 3):
+        raise ContractError("cross_entropy expects 1-D, 2-D or 3-D logits")
     tgt = np.asarray(target)
-    m, n = logits.shape
-    if tgt.shape != (m,):
-        raise ContractError("cross_entropy targets must be [m] for [m,n] logits")
+    *lead, m, n = logits.shape
+    if tgt.shape != (*lead, m):
+        raise ContractError("cross_entropy targets must be [m] for [m,n] "
+                            "logits and [k, m] for [k, m, n]")
     if tgt.size and (tgt.min() < 0 or tgt.max() >= n):
         raise IndexError("cross_entropy target out of range")
+    # each row's entry at its target
+    pick = (*np.indices(tgt.shape, sparse=True), tgt)
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1))
-    losses = lse - shifted[np.arange(m), tgt]
-    out_data = np.asarray(losses.mean(), dtype=logits.data.dtype)
+    losses = lse - shifted[pick]
+    out_data = np.asarray(losses.mean(axis=-1), dtype=logits.data.dtype)
+    out_data = out_data.reshape(out_data.shape + (1, 1) * len(lead))
 
     def bw(out):
         if logits.requires_grad:
-            p = np.exp(shifted - lse[:, None])
-            p[np.arange(m), tgt] -= 1.0
+            p = np.exp(shifted - lse[..., None])
+            p[pick] -= 1.0
             logits._accumulate(out.grad * p / m, owned=True)
 
     return _make(out_data, (logits,), bw)
@@ -1068,7 +1161,10 @@ def backward(loss: Tensor) -> None:
     closure needs them. Leaves (the parameters) keep their gradients. A
     graph can be walked once: a second sweep that reaches a consumed
     node raises ``ContractError`` before any closure runs, so every leaf
-    gradient stays as the first sweep left it.
+    gradient stays as the first sweep left it. A node the sweep reaches
+    with a closure but no gradient, which a consumer's backward left
+    out, raises ``ContractError`` naming the node's op (its closure's
+    ``__qualname__``), before that closure runs.
     """
     if loss.data.size != 1:
         raise ContractError("backward requires a scalar loss")
@@ -1096,6 +1192,12 @@ def backward(loss: Tensor) -> None:
         node = topo.pop()
         if node._backward is None:
             continue
+        if node.grad is None:
+            # every consumer has run: one of them left this input out
+            name = getattr(node._backward, "__qualname__", "an op")
+            raise ContractError(f"backward reached the output of {name} "
+                                "with no gradient: an op's backward left "
+                                "out an input that needs one")
         node._backward(node)
         node.grad = None
         node._backward = _consumed

@@ -86,7 +86,8 @@ def test_criterion_2_ordering_loss_oracle():
             logits = rng.normal(scale=3.0, size=(n + 1, n + 2))
             targets = rng.integers(1, n + 2, size=n + 1)
             c = Tensor(np.eye(n + 2)[None])
-            got = float(pointer_nll(Tensor(logits[None]), c, targets).data)
+            got = float(pointer_nll(Tensor(logits[None]), c,
+                                    targets[None]).data[0])
             want = 0.0
             for i in range(n + 1):
                 top = max(logits[i])
@@ -99,7 +100,7 @@ def test_criterion_2_ordering_loss_oracle():
 
         uniform = Tensor(np.zeros((1, 2, 3)))
         u = float(pointer_nll(uniform, Tensor(np.eye(3)[None]),
-                              np.array([1, 2])).data)
+                              np.array([[1, 2]])).data[0])
         u_err = abs(u - math.log(3.0))
         info["detail"] = f"worst |diff| {worst:.2e}, uniform N=1 off by {u_err:.2e}"
         assert worst <= 1e-6

@@ -236,6 +236,24 @@ def test_gradcheck_fails_on_a_mutated_backward(name, monkeypatch, capsys):
     assert "gradcheck max rel err" in capsys.readouterr().out
 
 
+def test_gradcheck_exits_2_when_a_backward_leaves_an_input_out(monkeypatch,
+                                                              capsys):
+    """An ``add`` whose backward skips its right operand leaves a node
+    below it with no gradient: backward names that node's op in a
+    ContractError, which ends gradcheck with exit 2 and a message, not
+    a traceback."""
+    from slm import tensor
+
+    from util import add_skipping_right_operand
+    monkeypatch.setattr(tensor, "add", add_skipping_right_operand())
+    assert run(SMALL_GRADCHECK) == 2
+    captured = capsys.readouterr()
+    assert "error: backward reached the output of " in captured.err
+    assert "<locals>.bw with no gradient" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert "gradcheck max rel err" not in captured.out
+
+
 def test_gradcheck_checks_the_batch_prepare_batch_returns(monkeypatch):
     """gradcheck packs, masks and shuffles its example with pretraining's
     own code, and the loss it checks reads exactly that batch."""

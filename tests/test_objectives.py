@@ -5,7 +5,8 @@ import pytest
 
 from slm.encoder import encode_batch, extract_summary
 from slm.masking import IGNORE
-from slm.objectives import _pointer_signals, mlm_loss, pretrain_bundle
+from slm.objectives import (_pointer_signals, equal_n_groups, mlm_loss,
+                            pretrain_bundle)
 from slm.reconstructor import decode_sequence
 from slm.shuffling import (apply_shuffle, identity_record, order_targets,
                            sample_permutation)
@@ -177,55 +178,170 @@ def test_no_grad_bundle_matches_graph_recording_bundle():
     np.testing.assert_allclose(short.l_slm, full.l_slm, atol=1e-5)
 
 
+def direct_signals(w_rows, c_rows, targets):
+    """Hits on the target, hits on the row fed in, and summed entropy of
+    one example's pointer rows, row by row in float64."""
+    hits = selfs = 0
+    entropy = 0.0
+    fed = [0] + list(targets[:-1])
+    for row, target, fed_row in zip(w_rows, targets, fed):
+        logits = c_rows.astype(np.float64) @ row.astype(np.float64)
+        p = np.exp(logits - logits.max())
+        p /= p.sum()
+        hits += int(np.argmax(logits)) == target
+        selfs += int(np.argmax(logits)) == fed_row
+        entropy -= sum(q * np.log(q) for q in p if q > 0)
+    return hits, selfs, entropy
+
+
 def test_pointer_signals_match_direct_numpy():
     """pointer_acc, pointer_self and pointer_entropy equal argmax hits
     on the target and on the row fed in, and entropy, taken by hand from
-    each example's teacher-forced pointer rows."""
+    each example's teacher-forced pointer rows; ``_pointer_signals``
+    gives each example of a group its own figures."""
     cfg = small_config()
     params = build_params(cfg, seed=4, dtype=np.float64)
     rng = np.random.default_rng(21)
     batch = []
-    for n in (1, 3, 2):
+    for n in (1, 3, 2, 3, 1):
         ex = masked_example(cfg, rng, n_sents=n)
         batch.append(apply_shuffle(ex, sample_permutation(n, rng)))
     bundle = pretrain_bundle(params, cfg, batch)
 
     h = encode_batch(params, cfg, batch)
-    hits, selfs, entropies = [], [], []
-    for b, ex in enumerate(batch):
-        c = extract_summary(h, ex, b)
-        targets = order_targets(ex.perm, ex.num_sentences)
+    hits, selfs, entropies, steps = 0, 0, [], 0
+    for idx in equal_n_groups(batch):
+        group = [batch[b] for b in idx]
+        assert len({ex.num_sentences for ex in group}) == 1
+        c = extract_summary(h, group, idx)
+        targets = np.stack([order_targets(ex.perm, ex.num_sentences)
+                            for ex in group])
         w = decode_sequence(params, cfg, c, targets)
-        fed = [0] + list(targets[:-1])
-        for row, target, fed_row in zip(w.data[0], targets, fed):
-            logits = c.data[0] @ row
-            p = np.exp(logits - logits.max())
-            p /= p.sum()
-            hits.append(int(np.argmax(logits)) == target)
-            selfs.append(int(np.argmax(logits)) == fed_row)
-            entropies.append(-sum(q * np.log(q) for q in p if q > 0))
-    assert len(hits) == 9
+        g_hits, g_selfs, g_entropy = _pointer_signals(w, c, targets)
+        for j in range(len(idx)):
+            want = direct_signals(w.data[j], c.data[j], targets[j])
+            assert (g_hits[j], g_selfs[j]) == want[:2]
+            assert g_entropy[j] == pytest.approx(want[2], rel=1e-9)
+            hits += want[0]
+            selfs += want[1]
+            entropies.append(want[2])
+        steps += targets.size
+    assert steps == 15
     # an untrained pointer is saturated on a wrong row: no step hits
-    assert bundle.pointer_acc == sum(hits) / len(hits) == 0.0
-    assert bundle.pointer_self == sum(selfs) / len(selfs)
-    assert bundle.pointer_entropy == pytest.approx(np.mean(entropies),
+    assert bundle.pointer_acc == hits / steps == 0.0
+    assert bundle.pointer_self == selfs / steps
+    assert bundle.pointer_entropy == pytest.approx(sum(entropies) / steps,
                                                    rel=1e-9)
 
 
 def test_pointer_signals_on_hand_built_rows():
-    # step 0 is uniform over the four candidates (entropy ln 4) and its
-    # argmax, row 0, misses; step 1 hits row 1; step 2 prefers row 2
-    # over its target, row 3. The rows fed in are 0, 1 and 1: steps 0
-    # and 1 point at their own input, step 2 does not
-    c = Tensor(np.array([[[0, 0], [1, 0], [0, 1], [-1, -1]]], dtype=np.float32))
-    w = Tensor(np.array([[[0, 0], [3, 0], [0, 3]]], dtype=np.float32))
-    hits, self_hits, entropy = _pointer_signals(w, c, np.array([1, 1, 3]))
+    # example 0: step 0 is uniform over the four candidates (entropy
+    # ln 4) and its argmax, row 0, misses; step 1 hits row 1; step 2
+    # prefers row 2 over its target, row 3. The rows fed in are 0, 1 and
+    # 1: steps 0 and 1 point at their own input, step 2 does not.
+    # Example 1 has the same rows and targets 2, 3, 2: only step 2 hits,
+    # and of the rows fed in (0, 2, 3) only step 0's is its argmax
+    c = Tensor(np.array([[[0, 0], [1, 0], [0, 1], [-1, -1]]] * 2,
+                        dtype=np.float32))
+    w = Tensor(np.array([[[0, 0], [3, 0], [0, 3]]] * 2, dtype=np.float32))
+    hits, self_hits, entropy = _pointer_signals(
+        w, c, np.array([[1, 1, 3], [2, 3, 2]]))
 
     def h(logits):
         p = np.exp(logits) / np.exp(logits).sum()
         return -np.sum(p * np.log(p))
-    assert hits == 1
-    assert self_hits == 2
-    assert entropy == pytest.approx(
-        np.log(4) + h(np.array([0, 3, 0, -3.0])) + h(np.array([0, 0, 3, -3.0])),
-        rel=1e-12)
+    assert list(hits) == [1, 1]
+    assert list(self_hits) == [2, 1]
+    want = np.log(4) + h(np.array([0, 3, 0, -3.0])) + h(np.array([0, 0, 3, -3.0]))
+    assert entropy == [pytest.approx(want, rel=1e-12)] * 2
+
+
+def per_example_bundle(params, cfg, examples, rng=None):
+    """``pretrain_bundle`` as it was before the decoder ran in groups:
+    one summary gather, one decoder pass, one pointer cross-entropy and
+    one pass of signals per example, the terms added in example order.
+    Returns the loss and the float fields a bundle reports."""
+    from slm import tensor as T
+    from slm.reconstructor import causal_bias, decoder_stack
+    from slm.shuffling import summary_positions
+
+    h = encode_batch(params, cfg, examples, rng, rng is not None)
+    labels = np.stack([
+        ex.mlm_labels if ex.mlm_labels is not None
+        else np.full_like(ex.token_ids, IGNORE)
+        for ex in examples])[:, :h.shape[1]]
+    l_mlm, _ = mlm_loss(h, params, labels)
+    bsz, length, hidden = h.shape
+    per_example = []
+    hits, self_hits, entropy, slm_steps = 0, 0, 0.0, 0
+    for b, ex in enumerate(examples):
+        n = ex.num_sentences
+        targets = order_targets(ex.perm, n)
+        c = T.take(h.reshape(bsz * length, hidden),
+                   b * length + summary_positions(ex)).reshape(1, n + 2,
+                                                               hidden)
+        x = T.take(c, np.concatenate([[0], targets[:n]]), axis=1)
+        w = decoder_stack(params, cfg, x, c, causal_bias(n + 1), rng)
+        logits = T.matmul(w, c.swapaxes(-1, -2)).reshape(n + 1, n + 2)
+        per_example.append(T.cross_entropy(logits, targets))
+        slm_steps += len(targets)
+        direct = np.matmul(w.data[0], c.data[0].T).astype(np.float64)
+        shifted = direct - direct.max(axis=1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        best = direct.argmax(axis=1)
+        hits += int(np.count_nonzero(best == targets))
+        fed = np.concatenate([[0], targets[:-1]])
+        self_hits += int(np.count_nonzero(best == fed))
+        entropy += float(-(np.exp(logp) * logp).sum())
+    acc = per_example[0]
+    for term in per_example[1:]:
+        acc = acc + term
+    l_slm = T.mul(acc, 1.0 / len(per_example))
+    loss = l_mlm + l_slm
+    return loss, (float(l_slm.data), float(loss.data), hits / slm_steps,
+                  entropy / slm_steps, self_hits / slm_steps)
+
+
+def test_grouped_bundle_is_the_per_example_loop_bit_for_bit():
+    """Two micro-batches of mixed N, out of order, with dropout on and
+    gradients accumulated over both: the grouped bundle and backward
+    give the per-example loop's losses, pointer signals, every
+    parameter gradient and dropout rng state, bit for bit."""
+    cfg = small_config(decoder_layers=2, dropout=0.1, accum_steps=2)
+    params = build_params(cfg, seed=30)
+    rng = np.random.default_rng(33)
+    micro = []
+    for counts in ((3, 2, 3, 1, 2, 3, 4, 1), (4, 2, 4, 4, 1)):
+        batch = []
+        for n in counts:
+            ex = masked_example(cfg, rng, n_sents=n)
+            batch.append(apply_shuffle(ex, sample_permutation(n, rng)))
+        micro.append(batch)
+
+    def run(step):
+        for p in params.values():
+            p.grad = None
+        drop = np.random.default_rng(32)
+        seen = []
+        for batch in micro:
+            loss, fields = step(batch, drop)
+            backward(loss)
+            seen.append((loss.data.tobytes(), np.float64(fields).tobytes(),
+                         [params[n].grad.tobytes() for n in sorted(params)],
+                         drop.bit_generator.state))
+        return seen
+
+    def grouped(batch, drop):
+        bundle = pretrain_bundle(params, cfg, batch, drop)
+        return bundle.loss, (bundle.l_slm, bundle.total, bundle.pointer_acc,
+                             bundle.pointer_entropy, bundle.pointer_self)
+
+    got = run(grouped)
+    want = run(lambda batch, drop: per_example_bundle(params, cfg, batch,
+                                                      drop))
+    for g, w in zip(got, want):
+        assert g[0] == w[0]
+        assert g[1] == w[1]
+        bad = [n for n, a, b in zip(sorted(params), g[2], w[2]) if a != b]
+        assert not bad
+        assert g[3] == w[3]

@@ -21,7 +21,7 @@ def test_decode_n1_gives_two_steps():
     cfg = small_config()
     params = build_params(cfg)
     c = rand_c(1, cfg.hidden)
-    w = decode_sequence(params, cfg, c, order_targets(np.array([0]), 1))
+    w = decode_sequence(params, cfg, c, order_targets(np.array([0]), 1)[None])
     assert w.shape == (1, 2, cfg.hidden)
 
 
@@ -30,7 +30,7 @@ def test_zero_layer_decoder_returns_inputs():
     params = build_params(cfg)
     c = rand_c(3, cfg.hidden, seed=1)
     targets = order_targets(np.array([2, 0, 1]), 3)
-    w = decode_sequence(params, cfg, c, targets)
+    w = decode_sequence(params, cfg, c, targets[None])
     expect = c.data[0][np.concatenate([[0], targets[:3]])]
     np.testing.assert_array_equal(w.data[0], expect)
 
@@ -49,8 +49,8 @@ def test_causal_mask_blocks_future_inputs():
     c2 = Tensor(c1.data.copy())
     late_row = targets[n - 1]  # enters the input sequence at step n only
     c2.data[0, late_row] += 1.0
-    w1 = decode_sequence(params, cfg, c1, targets)
-    w2 = decode_sequence(params, cfg, c2, targets)
+    w1 = decode_sequence(params, cfg, c1, targets[None])
+    w2 = decode_sequence(params, cfg, c2, targets[None])
     np.testing.assert_array_equal(w1.data[0, :n], w2.data[0, :n])
     assert not np.allclose(w1.data[0, n], w2.data[0, n])
 
@@ -59,8 +59,10 @@ def test_pointer_uniform_when_c_is_zero():
     cfg = small_config()
     c = Tensor(np.zeros((1, 4, cfg.hidden), dtype=np.float32))
     w = Tensor(np.random.default_rng(0).normal(size=(1, 3, cfg.hidden)).astype(np.float32))
-    np.testing.assert_array_equal(pointer_logits(w, c).data, np.zeros((3, 4)))
-    loss = pointer_nll(w, c, np.array([1, 2, 3]))
+    np.testing.assert_array_equal(pointer_logits(w, c).data,
+                                  np.zeros((1, 3, 4)))
+    loss = pointer_nll(w, c, np.array([[1, 2, 3]]))
+    assert loss.shape == (1,)
     np.testing.assert_allclose(loss.data, np.log(4.0), atol=1e-6)
 
 
@@ -69,15 +71,15 @@ def test_pointer_scores_match_numpy_oracle():
     w = Tensor(rng.normal(size=(1, 3, 8)).astype(np.float32))
     c = Tensor(rng.normal(size=(1, 4, 8)).astype(np.float32))
     targets = np.array([2, 1, 3])
-    logits = pointer_logits(w, c).data
-    assert logits.shape == (3, 4)
+    logits = pointer_logits(w, c).data[0]
+    assert pointer_logits(w, c).shape == (1, 3, 4)
     np.testing.assert_allclose(logits, w.data[0] @ c.data[0].T, atol=1e-6)
     x = logits.astype(np.float64)
     logp = x - x.max(axis=1, keepdims=True)
     logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
     want = -logp[np.arange(3), targets].mean()
-    np.testing.assert_allclose(float(pointer_nll(w, c, targets).data), want,
-                               atol=1e-6)
+    got = float(pointer_nll(w, c, targets[None]).data[0])
+    np.testing.assert_allclose(got, want, atol=1e-6)
 
 
 def eye_c(n_plus_2, dtype=np.float64):
@@ -90,13 +92,13 @@ def eye_c(n_plus_2, dtype=np.float64):
 def test_slm_loss_perfect_prediction_is_zero():
     logits = np.array([[0.0, 50.0, 0.0], [0.0, 0.0, 50.0]], dtype=np.float32)
     loss = pointer_nll(Tensor(logits[None]), eye_c(3, np.float32),
-                       np.array([1, 2]))
+                       np.array([[1, 2]]))
     np.testing.assert_allclose(loss.data, 0.0, atol=1e-7)
 
 
 def test_slm_loss_uniform_n1_is_ln3():
     w = Tensor(np.zeros((1, 2, 3), dtype=np.float32))
-    loss = pointer_nll(w, eye_c(3, np.float32), np.array([1, 2]))
+    loss = pointer_nll(w, eye_c(3, np.float32), np.array([[1, 2]]))
     np.testing.assert_allclose(loss.data, np.log(3.0), atol=1e-6)
 
 
@@ -107,7 +109,8 @@ def test_slm_loss_matches_double_loop_oracle():
         logits = rng.normal(scale=2.0, size=(n + 1, n + 2))
         targets = np.append(rng.integers(1, n + 2, size=n), n + 1)
         got = float(pointer_nll(Tensor(logits[None].astype(np.float32)),
-                                eye_c(n + 2, np.float32), targets).data)
+                                eye_c(n + 2, np.float32),
+                                targets[None]).data[0])
         acc = 0.0
         for i in range(n + 1):
             lse = np.log(np.exp(logits[i]).sum())
@@ -120,7 +123,7 @@ def test_slm_loss_matches_double_loop_oracle():
 def test_slm_loss_rejects_cls_target():
     w = Tensor(np.zeros((1, 2, 3), dtype=np.float32))
     with pytest.raises(ContractError):
-        pointer_nll(w, eye_c(3, np.float32), np.array([0, 2]))
+        pointer_nll(w, eye_c(3, np.float32), np.array([[0, 2]]))
 
 
 def test_loss_invariant_under_candidate_reordering():
@@ -135,9 +138,10 @@ def test_loss_invariant_under_candidate_reordering():
     c2 = Tensor(c1.data[:, swap, :].copy())
     remap = np.argsort(swap)
     targets2 = remap[targets1]
+    targets1, targets2 = targets1[None], targets2[None]
     l1 = pointer_nll(decode_sequence(params, cfg, c1, targets1), c1, targets1)
     l2 = pointer_nll(decode_sequence(params, cfg, c2, targets2), c2, targets2)
-    np.testing.assert_allclose(float(l1.data), float(l2.data), atol=1e-6)
+    np.testing.assert_allclose(l1.data, l2.data, atol=1e-6)
 
 
 def test_full_loss_gradients_match_finite_differences():
@@ -160,6 +164,27 @@ def test_full_loss_gradients_match_finite_differences():
     # near-zero gradient entries
     names = list(params)
     assert grad_check(f, [params[n] for n in names], eps=1e-4) < 1e-3
+
+
+def test_grouped_loss_gradients_match_finite_differences():
+    # a batch of two groups, N = 2 and N = 1, with the N = 2 examples on
+    # both sides of the other: every decoder parameter reaches the
+    # groups through fan_out views
+    cfg = small_config(encoder_layers=1, decoder_layers=1, hidden=8, ffn=16,
+                       seq_len=16, vocab_size=20, heads=2, max_sentences=4)
+    params = build_params(cfg, dtype=np.float64)
+    rng = np.random.default_rng(14)
+    batch = []
+    for n in (2, 1, 2):
+        ex = masked_example(cfg, rng, n_sents=n)
+        batch.append(apply_shuffle(ex, sample_permutation(n, rng)))
+
+    from slm.objectives import pretrain_bundle
+
+    def f():
+        return pretrain_bundle(params, cfg, batch).loss
+
+    assert grad_check(f, list(params.values()), eps=1e-4) < 1e-3
 
 
 def test_greedy_unshuffle_single_sentence():

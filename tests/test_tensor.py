@@ -548,6 +548,74 @@ def test_one_dim_cross_entropy_is_the_one_row_call_bit_for_bit(dtype):
     assert flat.grad.tobytes() == row.grad.reshape(9).tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stacked_cross_entropy_is_each_slice_bit_for_bit(dtype):
+    """[k, m, n] logits give each entry the loss and the gradient of the
+    2-D call on its slice, whatever weight its mean gets downstream."""
+    rng = np.random.default_rng(14)
+    logits = rng.normal(scale=3.0, size=(3, 5, 7)).astype(dtype)
+    targets = rng.integers(0, 7, size=(3, 5))
+    weights = rng.normal(size=3).astype(dtype)
+    stacked = t(logits, dtype=dtype)
+    loss = cross_entropy(stacked, targets)
+    assert loss.shape == (3, 1, 1)
+    backward(T.mul(loss, Tensor(weights.reshape(3, 1, 1))).sum())
+    for j in range(3):
+        row = t(logits[j], dtype=dtype)
+        one = cross_entropy(row, targets[j])
+        assert loss.data[j, 0, 0].tobytes() == one.data.tobytes()
+        backward(T.mul(one, Tensor(np.asarray(weights[j]))))
+        assert stacked.grad[j].tobytes() == row.grad.tobytes()
+
+
+def test_per_example_take_is_each_example_take():
+    """[B, R] indices on axis 1 give each example its own rows, and the
+    backward adds each example's gradient into its own slice, repeats
+    and negative indices as a 1-D take does."""
+    rng = np.random.default_rng(15)
+    table = t(rng.normal(size=(3, 6, 4)), dtype=np.float64)
+    idx = rng.integers(-6, 6, size=(3, 5))
+    out = take(table, idx, axis=1)
+    g = rng.normal(size=out.shape)
+    backward(T.mul(out, Tensor(g)).sum())
+    for b in range(3):
+        np.testing.assert_array_equal(out.data[b], table.data[b][idx[b]])
+        expect = np.zeros((6, 4))
+        np.add.at(expect, idx[b], g[b])
+        np.testing.assert_allclose(table.grad[b], expect, rtol=0,
+                                   atol=1e-12)
+
+
+@pytest.mark.parametrize("groups", [[[2, 0], [1]], [[0, 1, 2]]],
+                         ids=["two-groups", "whole-batch"])
+def test_fan_out_views_share_the_data_and_add_in_example_order(groups):
+    """Each group's view is the parameter, stacked without a copy; the
+    parameter's gradient is the examples' contributions added one by
+    one in example order, after what it held before."""
+    rng = np.random.default_rng(16)
+    w = t(rng.normal(size=(4, 3)).astype(np.float32))
+    b = t(rng.normal(size=3).astype(np.float32))
+    w.grad = rng.normal(size=(4, 3)).astype(np.float32)
+    held = w.grad.copy()
+    groups = [np.array(idx) for idx in groups]
+    views, b_views = T.fan_out([w, b], groups)
+    assert [v.shape for v in views] == [(len(i), 4, 3) for i in groups]
+    assert [v.shape for v in b_views] == [(len(i), 1, 3) for i in groups]
+    assert all(np.shares_memory(v.data, w.data) for v in views)
+    g = rng.normal(size=(3, 4, 3)).astype(np.float32)
+    loss = None
+    for v, idx in zip(views, groups):
+        term = T.mul(v, Tensor(g[idx])).sum()
+        loss = term if loss is None else loss + term
+    backward(loss)
+    expect = held
+    for row in g:
+        expect = expect + row
+    assert w.grad.tobytes() == expect.tobytes()
+    with pytest.raises(ContractError):
+        T.fan_out([w], [np.array([0, 2])])
+
+
 @pytest.mark.parametrize("cols", [[0, 3], [-1, 0]])
 def test_gather_elements_rejects_columns_outside_the_row(cols):
     with pytest.raises(IndexError):
@@ -1693,3 +1761,19 @@ def test_kernels_leave_their_inputs_and_upstream_gradient_alone(kernel):
     before = [_digest(a) for a in arrays + [g]]
     _run(op, arrays, g)
     assert [_digest(a) for a in arrays + [g]] == before
+
+
+def test_backward_names_the_op_whose_output_got_no_gradient():
+    """A node that the sweep reaches with a closure but no gradient ends
+    the sweep in a ContractError naming its op, before its closure runs
+    and before any leaf below it gets a gradient."""
+    from util import add_skipping_right_operand
+
+    add = add_skipping_right_operand()
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    y = Tensor(np.ones(3), requires_grad=True)
+    loss = add(T.tsum(x), T.tsum(T.mul(y, 2.0)))
+    with pytest.raises(ContractError, match=r"tsum\.<locals>\.bw with no "
+                                            r"gradient"):
+        backward(loss)
+    assert y.grad is None

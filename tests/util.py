@@ -2,9 +2,13 @@
 physical-shuffle constructor used as the equivalence oracle, a
 full-length encode used as the oracle for the trimmed one, and an
 every-row encode used as the oracle for the row-selected one, and the
-word ids of a packed example in memory order."""
+word ids of a packed example in memory order, and an ``add`` whose
+backward leaves its right operand out."""
+import inspect
+
 import numpy as np
 
+from slm import tensor as T
 from slm.config import RunConfig
 from slm.encoder import attention_bias, embed, encode, encode_batch
 from slm.masking import apply_span_masking
@@ -129,3 +133,15 @@ def physical_shuffle(ex: PackedExample, perm: np.ndarray) -> PackedExample:
         mlm_labels=labels,
         perm=np.asarray(perm).copy(),
     )
+
+
+def add_skipping_right_operand():
+    """``tensor.add`` rebuilt from its source without the accumulate into
+    its right operand: a backward that leaves an input out."""
+    source = inspect.getsource(T.add)
+    old = "            b._accumulate(_unbroadcast(out.grad, b.shape))\n"
+    assert source.count(old) == 1
+    scope = {}
+    exec(compile(source.replace(old, "            pass\n"), T.__file__,
+                 "exec"), vars(T), scope)
+    return scope["add"]
