@@ -23,24 +23,39 @@ fewer rows can round differently, but one block of (example, head)
 slices at a time: it gathers each block's R rows before the softmax, so
 the full [B, heads, L, L] scores are never stored. The softmax, the
 weighted values, the output projection, the residual, both norms and
-the FFN run on the R rows only. Unshuffle eval asks for the summary
+the FFN run on the R rows only. Pretraining asks for the rows its
+losses read (``objectives.read_rows``), unshuffle eval for the summary
 rows (``pad_rows`` fills a short example's tail with [CLS]) and decodes
 that padded batch as it is, probe export for the [SENT] rows, and
-classification fine-tuning and scoring for the feature rows. Under a
-recorded graph the backward runs on the same rows: the last layer's
-weight gradients sum over the R rows only and its dropout draws masks
-of their shape, so fine-tuning's bits differ from a full encode's,
-while with dropout off its loss and gradients equal them to float64
-round-off. Pretraining reads every row of the full encode, and QA reads
-nearly every row.
+classification fine-tuning and scoring for the feature rows. QA reads
+nearly every row and keeps the full encode.
 
-The selected rows equal the full encode's bit for bit wherever numpy's
-matrix product rounds a row alike for any row count, as it does on the
-shapes the tests cover (the tiny profile and the learning check's
-model). One row alone is encoded as two, because numpy multiplies a
-single row by a matrix-vector product, which rounds differently.
-OpenBLAS's small-matrix kernel can still round a few-row FFN product
-differently on other shapes (seen at ffn 512).
+Under a recorded graph the backward runs on the same rows, and the
+rows, their gradients and the dropout rng's state equal the full
+encode's followed by the rows, by four rules:
+
+- the dropout of the last layer's attention and of its two post-norms
+  draws the uniforms of every row, as the full encode does, and keeps
+  the rows' keep bits;
+- weight, bias, gain and shift gradients sum over the R rows only,
+  where the full encode adds exact zeros for the other rows;
+- ``g @ W^T`` of the output projection and of the FFN multiplies by a
+  contiguous copy of ``W^T`` (``selected`` in ``tensor.linear`` and
+  ``tensor.feed_forward``), against which two or more rows round as the
+  full product's rows round against the transposed view;
+- attention's ``g @ V^T`` is the full-width product of the rows'
+  gradients scattered into zeros, then its rows. A position repeated
+  in an example (the [CLS] tail of ``pad_rows``) hands its gradient to
+  its first entry, and its own is zero.
+
+This holds bit for bit wherever numpy's matrix product rounds a row
+alike for any row count, as it does on the shapes the tests cover (the
+tiny profile at the benchmark's lengths and the learning check's
+model); at the suite's small hidden-16 model the last layer's attention
+gradients differ in the last bits. One row alone is encoded as two,
+because numpy multiplies a single row by a matrix-vector product, which
+rounds differently. OpenBLAS's small-matrix kernel can still round a
+few-row FFN product differently on other shapes (seen at ffn 512).
 """
 from __future__ import annotations
 
@@ -85,11 +100,11 @@ def embed(params: dict, cfg: RunConfig, token_ids: np.ndarray,
                        rng)
 
 
-def pad_rows(positions: list) -> np.ndarray:
+def pad_rows(positions: list, fill: int = 0) -> np.ndarray:
     """[B, R] positions from one list per example, each padded with 0
-    ([CLS]) to the longest list."""
-    rows = np.zeros((len(positions), max(map(len, positions))),
-                    dtype=np.int64)
+    ([CLS]), or ``fill``, to the longest list."""
+    rows = np.full((len(positions), max(map(len, positions))), fill,
+                   dtype=np.int64)
     for b, p in enumerate(positions):
         rows[b, :len(p)] = p
     return rows
@@ -113,15 +128,19 @@ def encode(params: dict, cfg: RunConfig, h0: Tensor, bias: Tensor,
             out = encode(params, cfg, h0, bias, rng, np.repeat(rows, 2, 1))
             return select_rows(out, np.zeros_like(rows))
     last = cfg.encoder_layers - 1
+    length = h0.shape[1]
     x = h0
     for i in range(cfg.encoder_layers):
         keep = None if i < last else rows
         q = x if keep is None else select_rows(x, keep)
         attn = multi_head_attention(
             params, f"enc.{i}.attn", x, x, bias, cfg, rng, rows=keep)
-        x = post_norm(params, f"enc.{i}.ln1", q, attn, cfg, rng)
-        ffn = feed_forward(params, f"enc.{i}.ffn", x)
-        x = post_norm(params, f"enc.{i}.ln2", x, ffn, cfg, rng)
+        x = post_norm(params, f"enc.{i}.ln1", q, attn, cfg, rng, keep,
+                      length)
+        ffn = feed_forward(params, f"enc.{i}.ffn", x,
+                           selected=keep is not None)
+        x = post_norm(params, f"enc.{i}.ln2", x, ffn, cfg, rng, keep,
+                      length)
     return x
 
 
@@ -145,18 +164,25 @@ def encode_batch(params: dict, cfg: RunConfig, examples: list[PackedExample],
     return encode(params, cfg, h0, bias, rng, rows)
 
 
-def extract_summary(h: Tensor, ex, batch_index) -> Tensor:
+def extract_summary(h: Tensor, ex, batch_index, rows=None) -> Tensor:
     """Rows of C: [CLS], display-ordered [SENT]s, [SEP].
 
     ``ex`` and ``batch_index`` are one example and its row of ``h``,
     which gives [1, N+2, hidden], or lists of examples that share one N
     and their rows, which give [k, N+2, hidden] in one gather. Its rows
-    are exactly the encoder output rows at the recorded indices.
+    are exactly the encoder output rows at the recorded indices. With
+    ``rows`` ([B, R] positions), ``h`` holds only those rows of each
+    example, and each position is read at its first entry there.
     """
     if isinstance(ex, PackedExample):
         ex, batch_index = [ex], [batch_index]
     bsz, length, hidden = h.shape
     positions = np.stack([summary_positions(e) for e in ex])
-    rows = np.asarray(batch_index)[:, None] * length + positions
-    c = T.take(h.reshape(bsz * length, hidden), rows.reshape(-1))
+    if rows is not None:
+        hit = np.asarray(rows)[batch_index][:, :, None] == positions[:, None]
+        if not hit.any(axis=1).all():
+            raise ContractError("a summary position is not among the rows")
+        positions = hit.argmax(axis=1)
+    flat = np.asarray(batch_index)[:, None] * length + positions
+    c = T.take(h.reshape(bsz * length, hidden), flat.reshape(-1))
     return c.reshape(*positions.shape, hidden)

@@ -144,14 +144,16 @@ def multi_head_attention(params: dict, prefix: str, x_q: Tensor,
     scores every row of ``x_q``, so each score is the product the full
     attention computes, with its rounding, then gathers the R rows, and
     the softmax, the weighted values and the output projection run on
-    them: [B, R, hidden].
+    them: [B, R, hidden]. The attention op draws the dropout of every
+    row, and the output projection takes its input's gradient as a full
+    pass rounds it (``tensor.linear``'s ``selected``).
     """
     nh = cfg.heads
     dh = cfg.hidden // nh
 
-    def proj(x, name, heads=None):
+    def proj(x, name, heads=None, selected=False):
         return T.linear(x, params[f"{prefix}.w{name}"],
-                        params[f"{prefix}.b{name}"], heads)
+                        params[f"{prefix}.b{name}"], heads, selected)
 
     q = proj(x_q, "q", nh)
     if x_kv is None:
@@ -168,17 +170,23 @@ def multi_head_attention(params: dict, prefix: str, x_q: Tensor,
 
     ctx = T.attention(q, k, v, 1.0 / np.sqrt(dh), bias, cfg.dropout, rng,
                       rows)
-    return proj(ctx, "o")
+    return proj(ctx, "o", selected=rows is not None)
 
 
-def feed_forward(params: dict, prefix: str, x: Tensor) -> Tensor:
-    """``linear(gelu(linear(x)))``, one graph node."""
+def feed_forward(params: dict, prefix: str, x: Tensor,
+                 selected: bool = False) -> Tensor:
+    """``linear(gelu(linear(x)))``, one graph node; ``selected`` marks
+    ``x`` as selected rows (``tensor.linear``)."""
     return T.feed_forward(x, *(params[f"{prefix}.{name}"]
-                               for name in ("w1", "b1", "w2", "b2")))
+                               for name in ("w1", "b1", "w2", "b2")),
+                          selected=selected)
 
 
 def post_norm(params: dict, prefix: str, residual: Tensor, out: Tensor,
-              cfg: RunConfig, rng) -> Tensor:
-    """``layer_norm(residual + dropout(out))``, one graph node."""
+              cfg: RunConfig, rng, rows=None,
+              length: int | None = None) -> Tensor:
+    """``layer_norm(residual + dropout(out))``, one graph node; with
+    ``rows`` the operands are those rows of a ``length``-row step."""
     return T.residual_norm(residual, out, params[f"{prefix}.g"],
-                           params[f"{prefix}.b"], cfg.dropout, rng)
+                           params[f"{prefix}.b"], cfg.dropout, rng, rows,
+                           length)

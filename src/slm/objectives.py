@@ -6,6 +6,16 @@ the tied token embedding plus a bias; the reconstruction term is
 logits, averaged over the N+1 steps of each example and then over the
 batch. The two terms add with no weighting.
 
+Both terms read a few encoder rows: the masked positions and the rows
+of C. ``read_rows`` gathers each example's sorted union of them, with
+[CLS] always among them, and the encoder's last layer runs only there
+(``encoder.encode_batch`` with ``rows``); the word labels are read at
+those rows, ``IGNORE`` on the [CLS] padding, and ``extract_summary``
+finds each summary position among them. The row path follows the four
+rules in ``encoder``'s docstring, so the losses, every gradient and the
+dropout rng's state are those of the full encode, bit for bit on the
+tiny profile.
+
 The reconstructor runs once per group of examples with the same N
 (``equal_n_groups``), one ``decode_sequence`` and one ``pointer_nll``
 each, and its result keeps the bits of one pass per example: each
@@ -34,11 +44,11 @@ import numpy as np
 
 from . import tensor as T
 from .config import RunConfig
-from .encoder import encode_batch, extract_summary
+from .encoder import encode_batch, extract_summary, pad_rows
 from .errors import TrainingAbort
 from .masking import IGNORE
 from .reconstructor import decode_sequence, pointer_nll, replay_dropout
-from .shuffling import order_targets
+from .shuffling import order_targets, summary_positions
 from .tensor import Tensor
 from .textpipe import PackedExample
 
@@ -98,17 +108,32 @@ def equal_n_groups(examples: list[PackedExample]) -> list[np.ndarray]:
     return [np.asarray(idx) for idx in groups.values()]
 
 
+def read_rows(cfg: RunConfig, examples: list[PackedExample]):
+    """The rows the losses read and the word labels at them: [B, R]
+    positions, each example's sorted union of its labelled positions,
+    [CLS] and, with the ordering objective, its summary positions,
+    padded with [CLS] (``pad_rows``); and [B, R] labels, ``IGNORE`` at
+    the padding."""
+    positions, labels = [], []
+    for ex in examples:
+        lab = ex.mlm_labels if ex.mlm_labels is not None \
+            else np.full_like(ex.token_ids, IGNORE)
+        read = [[0], np.flatnonzero(lab != IGNORE)]
+        if cfg.sr_enabled:
+            read.append(summary_positions(ex))
+        positions.append(np.unique(np.concatenate(read)))
+        labels.append(lab[positions[-1]])
+    return pad_rows(positions), pad_rows(labels, IGNORE)
+
+
 def pretrain_bundle(params: dict, cfg: RunConfig,
                     examples: list[PackedExample], rng=None) -> LossBundle:
     """Forward pass over one batch of masked (and possibly shuffled)
     examples, returning losses plus the scalar graph root; dropout runs
-    exactly where ``rng`` is given."""
-    h = encode_batch(params, cfg, examples, rng, rng is not None)
-
-    labels = np.stack([
-        ex.mlm_labels if ex.mlm_labels is not None
-        else np.full_like(ex.token_ids, IGNORE)
-        for ex in examples])[:, :h.shape[1]]  # the encode stops at L_max
+    exactly where ``rng`` is given. The last encoder layer runs only at
+    the rows the losses read (``read_rows``)."""
+    rows, labels = read_rows(cfg, examples)
+    h = encode_batch(params, cfg, examples, rng, rng is not None, rows=rows)
     l_mlm, masked_count = mlm_loss(h, params, labels)
 
     pointer_acc = pointer_entropy = pointer_self = float("nan")
@@ -125,7 +150,7 @@ def pretrain_bundle(params: dict, cfg: RunConfig,
             group = [examples[b] for b in idx]
             targets = np.stack([order_targets(ex.perm, ex.num_sentences)
                                 for ex in group])
-            c = extract_summary(h, group, idx)
+            c = extract_summary(h, group, idx, rows)
             w = decode_sequence({name: v[g] for name, v in zip(names, views)},
                                 cfg, c, targets, drops[g])
             nll = pointer_nll(w, c, targets)

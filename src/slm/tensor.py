@@ -70,9 +70,10 @@ the leaves promotes the whole graph, which the finite-difference
 checker uses to keep its own roundoff below the tolerance it asserts.
 A Python or numpy scalar operand becomes a constant of the other
 operand's dtype, so it neither promotes a float32 graph nor rounds a
-float64 one. Each op has one kernel: 1-D ``cross_entropy`` is its
-one-row case, 3-D its stack of 2-D cases, and ``gather_elements`` a
-``take`` over the flattened rows.
+float64 one. ``Tensor`` itself keeps the dtype of a float32 or float64
+array or numpy scalar and makes anything else float32. Each op has one
+kernel: 1-D ``cross_entropy`` is its one-row case, 3-D its stack of 2-D
+cases, and ``gather_elements`` a ``take`` over the flattened rows.
 Forward results are deterministic for fixed inputs: all reductions run
 through sequential numpy kernels with a fixed ordering.
 
@@ -121,6 +122,9 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev")
 
     def __init__(self, data, requires_grad: bool = False):
+        if isinstance(data, (np.float32, np.float64)):
+            # a numpy scalar keeps its dtype, as a 0-d array would
+            data = np.asarray(data)
         if isinstance(data, np.ndarray):
             if data.dtype == np.float32 or data.dtype == np.float64:
                 self.data = data
@@ -285,14 +289,30 @@ def _check_matmul(a: Tensor, b: Tensor) -> None:
             f"matmul dimension mismatch: {a.shape} @ {b.shape}")
 
 
-def _matmul_grads(g: np.ndarray, a: Tensor, b: Tensor) -> None:
-    """Accumulate the gradients of ``a @ b`` from its output's ``g``."""
+def _matmul_grads(g: np.ndarray, a: Tensor, b: Tensor,
+                  selected: bool = False) -> None:
+    """Accumulate the gradients of ``a @ b`` from its output's ``g``.
+    ``selected`` is ``_transpose``'s."""
     if a.requires_grad:
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+        ga = np.matmul(g, _transpose(b.data, selected))
         a._accumulate(_unbroadcast(ga, a.shape), owned=True)
     if b.requires_grad:
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         b._accumulate(_unbroadcast(gb, b.shape), owned=True)
+
+
+def _transpose(w: np.ndarray, selected: bool = False) -> np.ndarray:
+    """``w`` with its last two axes swapped, for an input's gradient
+    ``g @ w^T``: a view, or with ``selected`` a contiguous copy.
+
+    ``selected`` marks ``g`` as the gradient of selected rows of a
+    product that a full pass takes over every row (the last encoder
+    layer at the rows its readers ask for). Against the copy each of two
+    or more rows rounds as the full product's rows round against the
+    view; against the view a product of a few rows rounds differently.
+    """
+    wt = np.swapaxes(w, -1, -2)
+    return np.ascontiguousarray(wt) if selected else wt
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -316,14 +336,15 @@ def _check_linear(x, w, b: Tensor) -> None:
                             f"got shape {b.shape}")
 
 
-def _linear_grads(g: np.ndarray, x: Tensor, w: Tensor, b: Tensor) -> None:
+def _linear_grads(g: np.ndarray, x: Tensor, w: Tensor, b: Tensor,
+                  selected: bool = False) -> None:
     """Accumulate the gradients of ``x @ w + b`` from its output's ``g``:
     ``add``'s bias reduction, then ``matmul``'s two products."""
     if b.requires_grad:
         # a fresh sum, or, for a stacked bias beside one row per entry,
         # ``g`` itself, which the closures here only read
         b._accumulate(_unbroadcast(g, b.shape), owned=True)
-    _matmul_grads(g, x, w)
+    _matmul_grads(g, x, w, selected)
 
 
 def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
@@ -340,8 +361,8 @@ def _merge_heads(a: np.ndarray) -> np.ndarray:
         bsz, length, heads * dh)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor,
-           heads: int | None = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor, heads: int | None = None,
+           selected: bool = False) -> Tensor:
     """An affine layer, ``x @ w + b``, as one op.
 
     ``b`` is [w.shape[-1]]. The product is ``matmul``'s and the bias is
@@ -355,6 +376,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor,
     heads, [B, heads, L, h / heads], the copy the chain's ``reshape``
     and ``swapaxes`` made; the backward merges the heads of its
     gradient as the chain's did. The [B, L, h] product is not kept.
+
+    ``selected`` marks ``x`` as selected rows of an input a full pass
+    would run whole: the backward then takes ``x``'s gradient against
+    ``_transpose``'s copy, so each row keeps the full pass's bits.
     """
     _check_linear(x, w, b)
     if heads is not None and (x.ndim != 3 or w.shape[-1] % heads):
@@ -368,7 +393,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor,
 
     def bw(out):
         g = out.grad if heads is None else _merge_heads(out.grad)
-        _linear_grads(g, x, w, b)
+        _linear_grads(g, x, w, b, selected)
 
     # the chain's input order, so the sweep visits the inputs as before
     return _make(out_data, (x, w, b), bw)
@@ -601,10 +626,16 @@ def _scaled_mask(keep: np.ndarray, p: float, dtype,
     return out
 
 
-def _keep_mask(rng, shape, p: float) -> np.ndarray:
+def _keep_mask(rng, shape, p: float, rows=None) -> np.ndarray:
     """The one-byte keep mask of a hidden dropout: one float64 draw per
-    element, kept where it is at least ``p``."""
-    return rng.random(shape) >= p
+    element, kept where it is at least ``p``. With ``rows`` ([B, R]
+    positions on axis 1 of ``shape``) the whole shape is drawn and only
+    those rows are kept, [B, R, ...]."""
+    draw = rng.random(shape)
+    if rows is not None:
+        draw = np.take_along_axis(
+            draw, rows.reshape(rows.shape + (1,) * (len(shape) - 2)), axis=1)
+    return draw >= p
 
 
 def _dropped(keep: np.ndarray, p: float, a: np.ndarray) -> np.ndarray:
@@ -629,6 +660,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale,
     scores: a key-padding or a causal mask. ``rows`` ([B, R]
     positions below Lq) scores every query row and keeps only those
     rows from the softmax on: [B, R, H * dh].
+
+    The kept rows are the whole op's rows, gradients and dropout
+    included, wherever the selected rows' upstream gradient is that of
+    the whole op with zeros elsewhere: the dropout draws every row's
+    uniforms, as the whole op does, and keeps the rows' bits; the
+    gradient through the values, ``g @ V^T``, is the full-width
+    product of the rows' gradients scattered into zeros, then its rows,
+    since a product of the R rows alone rounds differently. An entry
+    that repeats an earlier entry's position (the [CLS] tail that
+    ``encoder.pad_rows`` adds) hands its gradient to that entry there,
+    and its own is zero; the values' gradient still adds each entry's
+    gradient apart, so a repeated entry whose gradient is not zero
+    moves that gradient's last bits.
 
     The B * H (example, head) slices run in blocks whose scores fit
     ``ATTENTION_BLOCK_BYTES`` (one slice at least). Each block runs the
@@ -685,6 +729,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale,
         # each slice's rows as rows of its block's [n * Lq, Lk] scores
         local = ((np.arange(slices) % step)[:, None] * lq
                  + np.repeat(rows, heads, axis=0)).reshape(-1)
+        # the entries whose position an earlier entry of the example
+        # holds: the backward hands their gradient to that entry
+        repeat = np.ones(rows.shape, bool)
+        for e, positions in zip(repeat, rows):
+            e[np.unique(positions, return_index=True)[1]] = False
+        repeat = np.repeat(repeat, heads, axis=0).reshape(-1)
     # each query row's softmax max and sum, taken by the forward
     row_max = np.empty((slices, r, 1), dtype)
     row_sum = np.empty_like(row_max)
@@ -725,13 +775,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale,
 
     if drop:
         keep = np.empty((slices, r, lk), bool)
-        draw = np.empty((n0, r, lk))
+        draw = np.empty((n0, lq, lk))
         wbuf = np.empty((n0, r, lk), dtype)
     ctx = np.empty((slices, r, dh), dtype)
     for a, b, _, y in probs(True):
         if drop:
             n = b - a
-            np.greater_equal(rng.random(out=draw[:n]), p, out=keep[a:b])
+            # every row's draw, as the whole op draws; the rows' bits kept
+            u = rng.random(out=draw[:n])
+            if rows is not None:
+                u = u.reshape(n * lq, lk)[local[a * r:b * r]]
+            np.greater_equal(u.reshape(n, r, lk), p, out=keep[a:b])
             w = _scaled_mask(keep[a:b], p, dtype, out=wbuf[:n])
             w *= y
             y = w
@@ -752,7 +806,21 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale,
                           out=dv[a:b])
             if dq is None and dk is None:
                 continue
-            gy = np.matmul(gb, np.swapaxes(vd[a:b], 1, 2))
+            vt = np.swapaxes(vd[a:b], 1, 2)
+            if rows is None:
+                gy = np.matmul(gb, vt)
+            else:
+                # the rows of the whole op's product, which a product of
+                # the R rows alone does not round alike; a repeated
+                # entry's gradient is its first entry's
+                n = b - a
+                sel, rep = local[a * r:b * r], repeat[a * r:b * r]
+                gfull = np.zeros((n * lq, dh), dtype)
+                _scatter_add(gfull, sel, gb.reshape(n * r, dh))
+                gy = np.matmul(gfull.reshape(n, lq, dh), vt).reshape(
+                    n * lq, lk)[sel]
+                gy[rep] = 0.0
+                gy = gy.reshape(n, r, lk)
             if drop:
                 gy *= w
             gx = _softmax_grad(gy, y)
@@ -839,7 +907,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 def residual_norm(residual: Tensor, out: Tensor, gamma: Tensor,
-                  beta: Tensor, p: float = 0.0, rng=None) -> Tensor:
+                  beta: Tensor, p: float = 0.0, rng=None, rows=None,
+                  length: int | None = None) -> Tensor:
     """The post-norm residual step as one op: ``layer_norm(residual +
     dropout(out, p, rng), gamma, beta)``.
 
@@ -852,13 +921,26 @@ def residual_norm(residual: Tensor, out: Tensor, gamma: Tensor,
     ``xhat`` from it (``_xhat``), and the scaled float mask from the
     byte mask. The chain kept the dropped output, a float32 mask, the
     sum and ``xhat``.
+
+    With ``rows`` ([B, R] positions below ``length``) the operands,
+    [B, R, h], are those rows of a [B, ``length``, h] step: the dropout
+    draws the whole step's uniforms and keeps the rows' bits, so the rng
+    ends where the whole step leaves it and each row drops out as there.
     """
     if residual.shape != out.shape:
         raise ContractError(f"residual_norm operands differ in shape: "
                             f"{residual.shape} and {out.shape}")
+    if rows is not None:
+        rows = np.asarray(rows)
+        if (rows.shape != out.shape[:2] or length is None or rows.size
+                and (rows.min() < 0 or rows.max() >= length)):
+            raise ContractError(f"rows must be {out.shape[:2]} positions "
+                                f"below the step's length {length}")
     keep = None
     if rng is not None and p > 0.0:
-        keep = _keep_mask(rng, out.shape, p)
+        shape = out.shape if rows is None else \
+            (out.shape[0], length) + out.shape[2:]
+        keep = _keep_mask(rng, shape, p, rows)
 
     def summed():
         if keep is None:
@@ -974,7 +1056,7 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
-                 b2: Tensor) -> Tensor:
+                 b2: Tensor, selected: bool = False) -> Tensor:
     """The position-wise FFN as one op: ``linear(gelu(linear(x, w1, b1)),
     w2, b2)``.
 
@@ -990,7 +1072,8 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
     ``FFN_BLOCK_BYTES`` that stay in cache; the forward writes gelu's
     output over ``u``. Inputs are listed, and their gradients
     accumulated, in the chain's order: ``b2``, ``w2``, then ``b1``,
-    ``x``, ``w1``.
+    ``x``, ``w1``. ``selected`` is ``linear``'s: both input gradients,
+    gelu's output's and ``x``'s, multiply by ``_transpose``'s copy.
     """
     _check_linear(x, w1, b1)
 
@@ -1024,10 +1107,10 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
         if w2.requires_grad:
             gw = np.matmul(np.swapaxes(hg, -1, -2), g)
             w2._accumulate(_unbroadcast(gw, w2.shape), owned=True)
-        gu = np.matmul(g, np.swapaxes(w2.data, -1, -2), out=hg)
+        gu = np.matmul(g, _transpose(w2.data, selected), out=hg)
         gu *= u
         del u, rows
-        _linear_grads(gu, x, w1, b1)
+        _linear_grads(gu, x, w1, b1, selected)
 
     return _make(out_data, (x, w1, b1, w2, b2), bw)
 

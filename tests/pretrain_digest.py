@@ -18,6 +18,12 @@ unshuffling:
   positions wide; the two story legs (about 52 positions) run attention
   in one block.
 
+Every pretraining step runs the encoder's last layer only at the rows
+its losses read (``objectives.read_rows``): about 14 of 52 rows in the
+story legs and about 58 of 256 in ``long-dropout``, so the three legs
+cover the row path's dropout draws and gradients in one block and in
+several.
+
 For each run it prints the sha256 of ``metrics.csv`` and of
 ``ckpt-final.bin``, and two digests that leave out the config echo:
 ``metrics-rows`` (the CSV without its ``#`` header lines) and
@@ -38,6 +44,9 @@ and runs ``finetune_cls`` and ``finetune_qa`` on pairs and questions
 built from held-out stories, dropout still on. It prints a digest of
 each returned head and of the encoder tensors each one trained, and the
 ``qa_metrics`` scores of the trained QA head on its questions.
+``finetune_cls`` runs the last layer at the feature rows, with the
+dropout draws and gradients of the full encode; ``finetune_qa`` runs
+the full encode.
 
 Run it from the repository root at two commits and compare the lines:
 

@@ -10,7 +10,10 @@ encoder replaced by the full-``seq_len`` oracle
 agree to float64 round-off. Classification fine-tuning is also checked
 against ``util.encode_all_rows``, which runs every row through the last
 layer. Dropout is off because its masks are drawn per position, so the
-two widths, and the two row counts, draw different masks.
+two widths draw different masks. The row-selected last layer draws the
+masks of every row and keeps the selected rows' bits, so at the tiny
+profile a classification step with dropout on equals the every-row
+encode's bit for bit.
 """
 import numpy as np
 import pytest
@@ -169,6 +172,45 @@ def test_finetune_cls_step_matches_every_row_encode(monkeypatch, layers,
     assert compared
 
 
+def test_finetune_cls_step_with_dropout_is_the_every_row_encode_bit_for_bit(
+        monkeypatch):
+    """The tiny profile, dropout on, two steps on sentence pairs of mixed
+    widths: the losses and every gradient of the last step equal those
+    of the every-row encode, bit for bit."""
+    from dataclasses import replace
+
+    from slm.config import resolve_config
+
+    vocab = Vocab(SPECIAL_TOKENS + WORDS)
+    cfg = replace(resolve_config("tiny"), vocab_size=len(vocab.id_to_token),
+                  batch_size=4).validate()
+    assert cfg.dropout > 0 and cfg.hidden == 64
+    rng = np.random.default_rng(6)
+
+    def text():
+        return " ".join(
+            " ".join(rng.choice(WORDS, size=int(rng.integers(2, 7)))) + "."
+            for _ in range(int(rng.integers(1, 5))))
+
+    examples = []
+    for i in range(cfg.batch_size):
+        examples.append(pack_pair(text(), text(), vocab, cfg))
+        examples[-1].label = float(i % 3)
+    assert len({ex.packed.attention_len for ex in examples}) > 1
+
+    def make_run():
+        params = build_params(cfg, seed=7)
+        return lambda: finetune_cls(params, cfg, examples, 3, steps=2, seed=8)
+
+    rows = one_step(monkeypatch, make_run())
+    every = one_step(monkeypatch, make_run(), stand_in=encode_all_rows)
+    assert len(rows[1]) == 2 and rows[1] == every[1]
+    assert rows[2].keys() == every[2].keys()
+    assert "enc.1.ffn.w1" in every[2]
+    for name, grad in every[2].items():
+        np.testing.assert_array_equal(rows[2][name], grad, err_msg=name)
+
+
 def test_finetune_qa_step_matches_full_width(monkeypatch):
     vocab, cfg = setup()
     data = [("the cat sat. the dog ran.", "the cat", 1, 1),
@@ -197,15 +239,19 @@ def test_pretraining_step_matches_full_width(monkeypatch):
         params = build_params(cfg, seed=2, dtype=np.float64)
         for p in params.values():
             p.requires_grad = True
-        widths = []
+        widths, embed = [], encoder.embed
 
-        def spy(*args, **kwargs):
-            h = encode(*args, **kwargs)
-            widths.append(h.shape[1])
-            return h
+        # the embedded width, since pretraining asks the encoder for the
+        # rows its losses read
+        def spy_embed(*args, **kwargs):
+            h0 = embed(*args, **kwargs)
+            widths.append(h0.shape[1])
+            return h0
 
         with monkeypatch.context() as m:
-            m.setattr(objectives, "encode_batch", spy)
+            m.setattr(objectives, "encode_batch", encode)
+            m.setattr(encoder, "embed", spy_embed)
+            m.setattr(util, "embed", spy_embed)
             bundle = pretrain_bundle(params, cfg, batch,
                                      np.random.default_rng(0))
         T.backward(bundle.loss)

@@ -6,10 +6,10 @@ import pytest
 from slm.encoder import encode_batch, extract_summary
 from slm.masking import IGNORE
 from slm.objectives import (_pointer_signals, equal_n_groups, mlm_loss,
-                            pretrain_bundle)
+                            pretrain_bundle, read_rows)
 from slm.reconstructor import decode_sequence
 from slm.shuffling import (apply_shuffle, identity_record, order_targets,
-                           sample_permutation)
+                           sample_permutation, summary_positions)
 from slm.tensor import Tensor, backward
 
 from util import build_params, masked_example, small_config
@@ -260,16 +260,14 @@ def per_example_bundle(params, cfg, examples, rng=None):
     """``pretrain_bundle`` as it was before the decoder ran in groups:
     one summary gather, one decoder pass, one pointer cross-entropy and
     one pass of signals per example, the terms added in example order.
+    The encoder runs as the bundle runs it, at the rows its losses read.
     Returns the loss and the float fields a bundle reports."""
     from slm import tensor as T
     from slm.reconstructor import causal_bias, decoder_stack
-    from slm.shuffling import summary_positions
 
-    h = encode_batch(params, cfg, examples, rng, rng is not None)
-    labels = np.stack([
-        ex.mlm_labels if ex.mlm_labels is not None
-        else np.full_like(ex.token_ids, IGNORE)
-        for ex in examples])[:, :h.shape[1]]
+    # the encode the bundle asks for: the last layer at the read rows
+    rows, labels = read_rows(cfg, examples)
+    h = encode_batch(params, cfg, examples, rng, rng is not None, rows=rows)
     l_mlm, _ = mlm_loss(h, params, labels)
     bsz, length, hidden = h.shape
     per_example = []
@@ -277,9 +275,9 @@ def per_example_bundle(params, cfg, examples, rng=None):
     for b, ex in enumerate(examples):
         n = ex.num_sentences
         targets = order_targets(ex.perm, n)
+        at = [list(rows[b]).index(p) for p in summary_positions(ex)]
         c = T.take(h.reshape(bsz * length, hidden),
-                   b * length + summary_positions(ex)).reshape(1, n + 2,
-                                                               hidden)
+                   b * length + np.asarray(at)).reshape(1, n + 2, hidden)
         x = T.take(c, np.concatenate([[0], targets[:n]]), axis=1)
         w = decoder_stack(params, cfg, x, c, causal_bias(n + 1), rng)
         logits = T.matmul(w, c.swapaxes(-1, -2)).reshape(n + 1, n + 2)
@@ -345,3 +343,135 @@ def test_grouped_bundle_is_the_per_example_loop_bit_for_bit():
         bad = [n for n, a, b in zip(sorted(params), g[2], w[2]) if a != b]
         assert not bad
         assert g[3] == w[3]
+
+
+def bundle_steps(params, cfg, micro, monkeypatch, full=False):
+    """Each micro-batch's bundle and backward, dropout on, gradients
+    accumulated over the micro-batches. ``full`` stands a full encode
+    followed by ``select_rows`` (``util.encode_all_rows``) in for the
+    bundle's row-selected one. Returns, per micro-batch, the bundle's
+    losses and pointer signals, every gradient and the rng's state."""
+    import util
+    from slm import objectives
+
+    for p in params.values():
+        p.requires_grad = True
+        p.grad = None
+    drop = np.random.default_rng(34)
+    seen = []
+    with monkeypatch.context() as m:
+        if full:
+            m.setattr(objectives, "encode_batch", util.encode_all_rows)
+        for batch in micro:
+            bundle = pretrain_bundle(params, cfg, batch, drop)
+            backward(bundle.loss)
+            seen.append((
+                [bundle.loss.data, bundle.l_mlm, bundle.l_slm, bundle.total,
+                 bundle.masked_count, bundle.pointer_acc,
+                 bundle.pointer_entropy, bundle.pointer_self],
+                {n: p.grad.copy() for n, p in params.items()},
+                drop.bit_generator.state))
+    return seen
+
+
+def story_batches(long_docs: bool):
+    """The tiny profile with dropout on and two micro-batches as training
+    prepares them, of stories like the benchmark's, or at the long-docs
+    shape of documents of five stories run together. Every fourth
+    sentence loses its last word, which makes the batches' widths odd
+    (49 and 233), a width where a product of a few rows can round
+    unlike the full product's rows."""
+    from dataclasses import replace
+
+    from corpus_gen import corpus_assets
+    from slm.config import resolve_config
+    from slm.textpipe import Document
+    from slm.trainer import pack_corpus, prepare_batch
+
+    docs, _, vocab = corpus_assets(40, 1, 0)
+    docs = [Document([s[:-1] if (k + j) % 4 == 0 else s
+                      for j, s in enumerate(d.sentences)])
+            for k, d in enumerate(docs)]
+    cfg = replace(resolve_config("tiny"), vocab_size=len(vocab.id_to_token),
+                  accum_steps=2, shuffle_fraction=1.0)
+    if long_docs:
+        cfg = replace(cfg, seq_len=256, max_sentences=20)
+        docs = [Document([s for d in docs[k:k + 5] for s in d.sentences])
+                for k in range(0, 40, 5)]
+    cfg = cfg.validate()
+    packed = pack_corpus(docs, cfg)
+    return cfg, [prepare_batch(packed, step, cfg)[0] for step in range(2)]
+
+
+@pytest.mark.parametrize("long_docs", [False, True], ids=["stories",
+                                                          "long-docs"])
+def test_bundle_at_the_read_rows_is_the_full_encode_bit_for_bit(long_docs,
+                                                                monkeypatch):
+    """The tiny profile, dropout on, two micro-batches: the bundle, whose
+    last encoder layer runs only at the rows its losses read, gives the
+    losses, pointer signals, every accumulated gradient and the dropout
+    rng's state of a full encode that then keeps those rows."""
+    cfg, micro = story_batches(long_docs)
+    assert cfg.dropout == 0.1 and cfg.hidden == 64 and cfg.ffn == 256
+    rows, _ = read_rows(cfg, micro[0])
+    width = max(ex.attention_len for ex in micro[0])
+    assert rows.shape[1] < width / 2
+    assert width % 2
+    if long_docs:
+        assert width > 200 and micro[0][0].num_sentences >= 18
+    params = build_params(cfg, seed=35)
+    got = bundle_steps(params, cfg, micro, monkeypatch)
+    want = bundle_steps(params, cfg, micro, monkeypatch, full=True)
+    for (g_fields, g_grads, g_state), (w_fields, w_grads, w_state) in zip(
+            got, want):
+        np.testing.assert_array_equal(np.float64(g_fields),
+                                      np.float64(w_fields))
+        assert g_grads.keys() == w_grads.keys()
+        for name in w_grads:
+            np.testing.assert_array_equal(g_grads[name], w_grads[name],
+                                          err_msg=name)
+        assert g_state == w_state
+
+
+def test_bundle_at_the_read_rows_matches_the_full_encode_in_float64(
+        monkeypatch):
+    """At the suite's small model (hidden 16) the last layer's attention
+    gradients round differently in the last bits, so there the bundle
+    matches the full encode to float64 round-off: losses, signals and
+    every gradient, with the same dropout draws."""
+    cfg = small_config(dropout=0.1, accum_steps=2)
+    rng = np.random.default_rng(36)
+    micro = []
+    for counts in ((3, 1, 4, 2), (2, 4, 1)):
+        micro.append([apply_shuffle(ex, sample_permutation(n, rng))
+                      for n in counts
+                      for ex in [masked_example(cfg, rng, n_sents=n)]])
+    params = build_params(cfg, seed=37, dtype=np.float64)
+    got = bundle_steps(params, cfg, micro, monkeypatch)
+    want = bundle_steps(params, cfg, micro, monkeypatch, full=True)
+    for (g_fields, g_grads, g_state), (w_fields, w_grads, w_state) in zip(
+            got, want):
+        np.testing.assert_allclose(np.float64(g_fields),
+                                   np.float64(w_fields), rtol=1e-12)
+        for name in w_grads:
+            np.testing.assert_allclose(g_grads[name], w_grads[name],
+                                       rtol=0, atol=1e-12, err_msg=name)
+        assert g_state == w_state
+
+
+def test_read_rows_are_the_labelled_and_summary_positions():
+    cfg = small_config()
+    examples = bundle_inputs(cfg, seed=38, n_examples=3)
+    rows, labels = read_rows(cfg, examples)
+    for b, ex in enumerate(examples):
+        want = sorted({0, *np.flatnonzero(ex.mlm_labels != IGNORE),
+                       *summary_positions(ex)})
+        np.testing.assert_array_equal(rows[b, :len(want)], want)
+        assert not rows[b, len(want):].any()
+        np.testing.assert_array_equal(labels[b, :len(want)],
+                                      ex.mlm_labels[want])
+        assert (labels[b, len(want):] == IGNORE).all()
+    no_sr = small_config(sr_enabled=False)
+    rows, _ = read_rows(no_sr, examples)
+    assert rows.shape[1] == max(
+        len({0, *np.flatnonzero(ex.mlm_labels != IGNORE)}) for ex in examples)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import slm.tensor as T
+from slm.encoder import pad_rows
 from slm.errors import ContractError
+from slm.model import select_rows
 from slm.tensor import (Tensor, backward, cross_entropy, dropout, gather_elements,
                         gelu, grad_check, layer_norm, log, matmul, softmax_rows,
                         take)
@@ -19,6 +21,19 @@ def t(data, grad=True, dtype=np.float32):
 
 
 # -- forward oracles ------------------------------------------------------
+
+def test_a_numpy_float_scalar_keeps_its_dtype():
+    """``Tensor(a[j])`` holds what ``Tensor(a[j:j+1])`` holds, so a
+    float64 graph takes no float32 constant from an indexed element."""
+    a64 = np.random.default_rng(0).normal(size=4)
+    for j in range(4):
+        one, row = Tensor(a64[j]), Tensor(a64[j:j + 1])
+        assert one.data.dtype == row.data.dtype == np.float64
+        assert one.shape == () and one.data.reshape(1).tobytes() == \
+            row.data.tobytes()
+    assert Tensor(np.float32(0.1)).data.dtype == np.float32
+    assert Tensor(0.1).data.dtype == np.float32     # a Python float
+
 
 def test_matmul_identity():
     a = t([[1.0, 2.0], [3.0, 4.0]])
@@ -791,19 +806,16 @@ def _float_mask_dropout(x, p, rng):
 
 
 def _attention_chain(q, k, v, scale, bias=None, p=0.0, rng=None, rows=None):
-    """The chain: scores matmul, row gather, attention softmax, dropout,
-    context matmul and the heads merged, one graph node each."""
+    """The chain: scores matmul, attention softmax, dropout, context
+    matmul and the heads merged, one graph node each. With ``rows`` it
+    runs every query row and then keeps those rows (``select_rows``),
+    which the row-selected op must equal."""
     scores = matmul(q, k.swapaxes(-1, -2))
-    if rows is not None:
-        b, h, lq, lk = scores.shape
-        flat = (np.arange(b * h).reshape(b, h, 1) * lq
-                + rows[:, None, :]).reshape(-1)
-        scores = take(scores.reshape(-1, lk), flat).reshape(
-            b, h, rows.shape[1], lk)
     probs = _float_mask_dropout(T.attention_softmax(scores, scale, bias), p,
                                 rng)
     ctx = matmul(probs, v).swapaxes(1, 2)
-    return ctx.reshape(ctx.shape[0], ctx.shape[1], -1)
+    out = ctx.reshape(ctx.shape[0], ctx.shape[1], -1)
+    return out if rows is None else select_rows(out, rows)
 
 
 def _attention_run(op, arrays, g, bias, p, rows):
@@ -822,6 +834,29 @@ def _attention_run(op, arrays, g, bias, p, rows):
 _PAD_ROWS = np.array([[0, 3, 9, 31], [0, 5, 0, 0], [0, 0, 0, 0]])
 
 
+def _read_rows(lengths, seed):
+    """[B, R] rows as pretraining asks for them: [CLS] and a sorted set of
+    positions below each example's length, padded by ``pad_rows``, and
+    an upstream gradient that is zero on the padding."""
+    rng = np.random.default_rng(seed)
+    rows = pad_rows([np.unique(np.r_[0, rng.integers(
+        0, n, size=int(rng.integers(1, 16)))]) for n in lengths])
+    real = np.array([[j == 0 or r[j] != 0 for j in range(len(r))]
+                     for r in rows])
+    return rows, real
+
+
+def _tiny_attention(length, seed):
+    """The tiny profile's last-layer attention: q, k and v of
+    [8, 2, ``length``, 32], the padding lengths of a batch whose longest
+    example is ``length``, and its read rows."""
+    rng = np.random.default_rng(seed)
+    arrays = [_f32((8, 2, length, 32), seed + 1 + i, scale=2.0)
+              for i in range(3)]
+    lengths = [length] + [int(n) for n in rng.integers(4, length, size=7)]
+    return arrays, lengths, _read_rows(lengths, seed + 4)
+
+
 @pytest.mark.parametrize("blocks", ["one", "several"])
 @pytest.mark.parametrize("mask,rows", [("padding", False), ("causal", False),
                                        ("none", False), ("padding", True),
@@ -829,24 +864,51 @@ _PAD_ROWS = np.array([[0, 3, 9, 31], [0, 5, 0, 0], [0, 0, 0, 0]])
 @pytest.mark.parametrize("p", [0.0, 0.1])
 def test_attention_is_the_op_chain_bit_for_bit(blocks, mask, rows, p,
                                                monkeypatch):
-    bsz, heads, length, dh = 3, 2, 32, 8
+    """Without rows the op is the chain. With rows it is the chain over
+    every query row followed by those rows: at the tiny profile's
+    last-layer shapes, [8, 2, 52 or 256, 32], its rows padded as
+    ``pad_rows`` pads them and no gradient on the padding."""
+    if rows:
+        length = 52 if blocks == "one" else 256
+        arrays, lengths, (rows, real) = _tiny_attention(length, 42)
+    else:
+        length, lengths, rows = 32, [32, 20, 7], None
+        arrays = [_f32((3, 2, length, 8), 42 + i, scale=2.0)
+                  for i in range(3)]
+    bsz, heads, _, dh = arrays[0].shape
     if blocks == "several":
-        # four float32 slices per block: blocks of 4 and 2 slices
+        # four float32 slices per block
         monkeypatch.setattr(T, "ATTENTION_BLOCK_BYTES",
                             4 * length * length * 4)
-    arrays = [_f32((bsz, heads, length, dh), 42 + i, scale=2.0)
-              for i in range(3)]
-    bias = {"padding": _padding_bias([32, 20, 7], length),
+    bias = {"padding": _padding_bias(lengths, length),
             "causal": _causal_bias(length), "none": None}[mask]
-    rows = _PAD_ROWS if rows else None
     width = length if rows is None else rows.shape[1]
     g = _f32((bsz, width, heads * dh), 45)
+    if rows is not None:
+        g *= real[:, :, None]
     got, got_state = _attention_run(T.attention, arrays, g, bias, p, rows)
     want, want_state = _attention_run(_attention_chain, arrays, g, bias, p,
                                       rows)
+    _assert_same_bytes(got, want)
+    assert got_state == want_state
+
+
+@pytest.mark.parametrize("p", [0.0, 0.1])
+def test_attention_rows_with_gradient_on_repeats_match_the_chain(p):
+    """A repeated row that carries a gradient of its own: its first entry
+    takes both gradients through the softmax, and the values' gradient
+    adds the entries apart, so the op matches the chain over every row
+    followed by the rows to float64 round-off, with the chain's draws."""
+    arrays = [_f32((3, 2, 32, 8), 42 + i, scale=2.0).astype(np.float64)
+              for i in range(3)]
+    g = _f32((3, _PAD_ROWS.shape[1], 16), 45).astype(np.float64)
+    bias = _padding_bias([32, 20, 7], 32)
+    got, got_state = _attention_run(T.attention, arrays, g, bias, p,
+                                    _PAD_ROWS)
+    want, want_state = _attention_run(_attention_chain, arrays, g, bias, p,
+                                      _PAD_ROWS)
     for a, b in zip(got, want):
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert a.tobytes() == b.tobytes()
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13)
     assert got_state == want_state
 
 
@@ -907,6 +969,19 @@ def test_attention_rejects_a_trained_bias_and_bad_rows(case):
         T.attention(q, k, v, 0.5, bias, rows=rows)
 
 
+@pytest.mark.parametrize("case", ["no-length", "row-past-the-length",
+                                  "rows-wrong-shape"])
+def test_residual_norm_refuses_rows_it_cannot_place(case):
+    x = t(np.zeros((2, 3, 4)))
+    gamma, beta = t(np.ones(4)), t(np.zeros(4))
+    rows, length = {"no-length": ([[0, 1, 2], [0, 1, 1]], None),
+                    "row-past-the-length": ([[0, 1, 5], [0, 1, 1]], 5),
+                    "rows-wrong-shape": ([[0, 1], [0, 1]], 5)}[case]
+    with pytest.raises(ContractError, match="rows must be"):
+        T.residual_norm(x, x, gamma, beta, 0.1, np.random.default_rng(0),
+                        rows, length)
+
+
 def _held_array_bytes(build):
     """Bytes of numpy data that ``build()``'s result keeps alive, its own
     data left out."""
@@ -951,21 +1026,23 @@ def test_two_attention_ops_in_one_graph_are_the_chain_bit_for_bit(
     backward must rebuild its own probabilities from its own row
     statistics and keep mask: a causal self-attention, then an op that
     reads the same leaves as queries, keys and values in another order,
-    with a padding mask and selected rows. Dropout on, several blocks."""
-    bsz, heads, length, dh = 3, 2, 32, 8
+    with a padding mask and selected rows, whose oracle is the chain
+    over every row followed by the rows. Dropout on, several blocks, at
+    the tiny profile's stories shape."""
+    length = 52
+    arrays, lengths, (rows, real) = _tiny_attention(length, 53)
+    bsz, heads, _, dh = arrays[0].shape
     monkeypatch.setattr(T, "ATTENTION_BLOCK_BYTES", 4 * length * length * 4)
-    arrays = [_f32((bsz, heads, length, dh), 53 + i, scale=2.0)
-              for i in range(3)]
     g1 = _f32((bsz, length, heads * dh), 56)
-    g2 = _f32((bsz, _PAD_ROWS.shape[1], heads * dh), 57)
+    g2 = _f32((bsz, rows.shape[1], heads * dh), 57) * real[:, :, None]
     causal = Tensor(_causal_bias(length))
-    padding = Tensor(_padding_bias([32, 20, 7], length))
+    padding = Tensor(_padding_bias(lengths, length))
 
     def run(op):
         q, k, v = (t(a) for a in arrays)
         rng = np.random.default_rng(58)
         first = op(q, k, v, 0.25, causal, 0.1, rng)
-        second = op(v, q, k, 0.25, padding, 0.1, rng, _PAD_ROWS)
+        second = op(v, q, k, 0.25, padding, 0.1, rng, rows)
         backward(T.mul(first, Tensor(g1)).sum()
                  + T.mul(second, Tensor(g2)).sum())
         return ([first.data, second.data, q.grad, k.grad, v.grad],
@@ -1296,7 +1373,9 @@ def _mha_chain(params, prefix, x_q, x_kv, bias, cfg, rng, cache=None,
     return proj(ctx, "o")
 
 
-def _ffn_chain(params, prefix, x):
+def _ffn_chain(params, prefix, x, selected=False):
+    # the chain oracles run every row through every layer
+    assert not selected
     return _feed_forward_chain(x, *(params[f"{prefix}.{n}"]
                                     for n in ("w1", "b1", "w2", "b2")))
 
@@ -1511,14 +1590,17 @@ def test_cached_greedy_decode_is_the_chain_bit_for_bit(monkeypatch):
 def test_pretraining_batch_is_the_chain_bit_for_bit(monkeypatch):
     """One pretraining batch with dropout on: the loss, every parameter's
     gradient and the dropout rng's state, against the encoder and the
-    decoder built from the chains."""
-    from slm import encoder, reconstructor
+    decoder built from the chains, the encoder running every row through
+    every layer and then keeping the rows the losses read. At the tiny
+    profile's widths, where the row-selected last layer is exact."""
+    from slm import encoder, objectives, reconstructor
     from slm.objectives import pretrain_bundle
     from slm.trainer import pack_corpus, prepare_batch
 
-    from util import random_document
+    from util import encode_all_rows, random_document
 
-    cfg, params = _tiny_model(seq_len=32, max_sentences=6, batch_size=4)
+    cfg, params = _tiny_model(hidden=64, ffn=256, seq_len=32,
+                              max_sentences=6, batch_size=4)
     rng = np.random.default_rng(126)
     docs = [random_document(rng, n_sents=4) for _ in range(8)]
     batch, _ = prepare_batch(pack_corpus(docs, cfg), 0, cfg)
@@ -1544,6 +1626,7 @@ def test_pretraining_batch_is_the_chain_bit_for_bit(monkeypatch):
         monkeypatch.setattr(module, "multi_head_attention", _mha_chain)
         monkeypatch.setattr(module, "feed_forward", _ffn_chain)
     monkeypatch.setattr(encoder, "embed", embed_chain)
+    monkeypatch.setattr(objectives, "encode_batch", encode_all_rows)
     want, want_state = run()
     _assert_same_bytes(got, want)
     assert got_state == want_state
