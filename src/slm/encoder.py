@@ -17,26 +17,26 @@ row, so the real rows equal the full-length ones up to float rounding,
 and every caller reads only rows below ``attention_len``.
 
 Readers that need a few rows ask ``encode_batch`` for them (``rows``,
-[B, R] positions) and get [B, R, hidden]. The last layer's attention
-op still scores every query row against every key, since a product of
-fewer rows can round differently, but one block of (example, head)
-slices at a time: it gathers each block's R rows before the softmax, so
-the full [B, heads, L, L] scores are never stored. The softmax, the
-weighted values, the output projection, the residual, both norms and
-the FFN run on the R rows only. Pretraining asks for the rows its
-losses read (``objectives.read_rows``), unshuffle eval for the summary
-rows (``pad_rows`` fills a short example's tail with [CLS]) and decodes
-that padded batch as it is, probe export for the [SENT] rows, and
-classification fine-tuning and scoring for the feature rows. QA reads
-nearly every row and keeps the full encode.
+[B, R] positions, distinct within each example) and get
+[B, R, hidden]. The last layer's attention op still scores every query
+row against every key, since a product of fewer rows can round
+differently, but one block of (example, head) slices at a time: it
+gathers each block's R rows before the softmax, so the full
+[B, heads, L, L] scores are never stored. The softmax, the weighted
+values, the output projection, the residual, both norms and the FFN
+run on the R rows only. Pretraining asks for the rows its losses read
+(``objectives.read_rows``), unshuffle eval for the summary rows
+(``pad_rows`` fills a short example's tail with the smallest positions
+it lacks) and decodes that padded batch as it is, probe export for
+the [SENT] rows, and classification fine-tuning and scoring for the
+feature rows. QA reads nearly every row and keeps the full encode.
 
-Under a recorded graph the backward runs on the same rows, and the
-rows, their gradients and the dropout rng's state equal the full
-encode's followed by the rows, by four rules:
+Under a recorded graph the backward runs on the same rows. The last
+layer's dropout draws the masks of the R rows only, as the trimmed
+encode draws at the width it computes. Without dropout the rows and
+their gradients equal the full encode's followed by the rows, by three
+rules:
 
-- the dropout of the last layer's attention and of its two post-norms
-  draws the uniforms of every row, as the full encode does, and keeps
-  the rows' keep bits;
 - weight, bias, gain and shift gradients sum over the R rows only,
   where the full encode adds exact zeros for the other rows;
 - ``g @ W^T`` of the output projection and of the FFN multiplies by a
@@ -44,18 +44,17 @@ encode's followed by the rows, by four rules:
   ``tensor.feed_forward``), against which two or more rows round as the
   full product's rows round against the transposed view;
 - attention's ``g @ V^T`` is the full-width product of the rows'
-  gradients scattered into zeros, then its rows. A position repeated
-  in an example (the [CLS] tail of ``pad_rows``) hands its gradient to
-  its first entry, and its own is zero.
+  gradients scattered into zeros, then its rows.
 
 This holds bit for bit wherever numpy's matrix product rounds a row
 alike for any row count, as it does on the shapes the tests cover (the
 tiny profile at the benchmark's lengths and the learning check's
 model); at the suite's small hidden-16 model the last layer's attention
-gradients differ in the last bits. One row alone is encoded as two,
-because numpy multiplies a single row by a matrix-vector product, which
-rounds differently. OpenBLAS's small-matrix kernel can still round a
-few-row FFN product differently on other shapes (seen at ffn 512).
+gradients differ in the last bits. One row alone is encoded with a
+second, distinct one, because numpy multiplies a single row by a
+matrix-vector product, which rounds differently. OpenBLAS's
+small-matrix kernel can still round a few-row FFN product differently
+on other shapes (seen at ffn 512).
 """
 from __future__ import annotations
 
@@ -100,13 +99,20 @@ def embed(params: dict, cfg: RunConfig, token_ids: np.ndarray,
                        rng)
 
 
-def pad_rows(positions: list, fill: int = 0) -> np.ndarray:
-    """[B, R] positions from one list per example, each padded with 0
-    ([CLS]), or ``fill``, to the longest list."""
-    rows = np.full((len(positions), max(map(len, positions))), fill,
-                   dtype=np.int64)
-    for b, p in enumerate(positions):
-        rows[b, :len(p)] = p
+def pad_rows(positions: list) -> np.ndarray:
+    """[B, R] positions from one list of distinct positions per example,
+    each padded to the longest list with the smallest positions it
+    lacks. Those lie below R, so below the width of a batch whose
+    longest list lies below it."""
+    r = max(map(len, positions))
+    rows = np.empty((len(positions), r), dtype=np.int64)
+    for row, p in zip(rows, positions):
+        n = len(p)
+        row[:n] = p
+        if n < r:
+            free = np.ones(r, bool)
+            free[row[:n][row[:n] < r]] = False
+            row[n:] = np.flatnonzero(free)[:r - n]
     return rows
 
 
@@ -124,23 +130,22 @@ def encode(params: dict, cfg: RunConfig, h0: Tensor, bias: Tensor,
             return select_rows(h0, rows)
         if rows.shape[-1:] == (1,):
             # numpy multiplies one row by a matrix-vector product, which
-            # rounds unlike the full encode's matrix product: encode two
-            out = encode(params, cfg, h0, bias, rng, np.repeat(rows, 2, 1))
+            # rounds unlike the full encode's matrix product: encode the
+            # row with a second, distinct one
+            pair = np.concatenate([rows, (rows == 0).astype(rows.dtype)], 1)
+            out = encode(params, cfg, h0, bias, rng, pair)
             return select_rows(out, np.zeros_like(rows))
     last = cfg.encoder_layers - 1
-    length = h0.shape[1]
     x = h0
     for i in range(cfg.encoder_layers):
         keep = None if i < last else rows
         q = x if keep is None else select_rows(x, keep)
         attn = multi_head_attention(
             params, f"enc.{i}.attn", x, x, bias, cfg, rng, rows=keep)
-        x = post_norm(params, f"enc.{i}.ln1", q, attn, cfg, rng, keep,
-                      length)
+        x = post_norm(params, f"enc.{i}.ln1", q, attn, cfg, rng)
         ffn = feed_forward(params, f"enc.{i}.ffn", x,
                            selected=keep is not None)
-        x = post_norm(params, f"enc.{i}.ln2", x, ffn, cfg, rng, keep,
-                      length)
+        x = post_norm(params, f"enc.{i}.ln2", x, ffn, cfg, rng)
     return x
 
 
@@ -172,7 +177,7 @@ def extract_summary(h: Tensor, ex, batch_index, rows=None) -> Tensor:
     and their rows, which give [k, N+2, hidden] in one gather. Its rows
     are exactly the encoder output rows at the recorded indices. With
     ``rows`` ([B, R] positions), ``h`` holds only those rows of each
-    example, and each position is read at its first entry there.
+    example, and each position is read at its entry there.
     """
     if isinstance(ex, PackedExample):
         ex, batch_index = [ex], [batch_index]

@@ -144,9 +144,9 @@ def multi_head_attention(params: dict, prefix: str, x_q: Tensor,
     scores every row of ``x_q``, so each score is the product the full
     attention computes, with its rounding, then gathers the R rows, and
     the softmax, the weighted values and the output projection run on
-    them: [B, R, hidden]. The attention op draws the dropout of every
-    row, and the output projection takes its input's gradient as a full
-    pass rounds it (``tensor.linear``'s ``selected``).
+    them: [B, R, hidden]. The attention op draws the dropout of those
+    rows only, and the output projection takes its input's gradient as
+    a full pass rounds it (``tensor.linear``'s ``selected``).
     """
     nh = cfg.heads
     dh = cfg.hidden // nh
@@ -183,10 +183,7 @@ def feed_forward(params: dict, prefix: str, x: Tensor,
 
 
 def post_norm(params: dict, prefix: str, residual: Tensor, out: Tensor,
-              cfg: RunConfig, rng, rows=None,
-              length: int | None = None) -> Tensor:
-    """``layer_norm(residual + dropout(out))``, one graph node; with
-    ``rows`` the operands are those rows of a ``length``-row step."""
+              cfg: RunConfig, rng) -> Tensor:
+    """``layer_norm(residual + dropout(out))``, one graph node."""
     return T.residual_norm(residual, out, params[f"{prefix}.g"],
-                           params[f"{prefix}.b"], cfg.dropout, rng, rows,
-                           length)
+                           params[f"{prefix}.b"], cfg.dropout, rng)

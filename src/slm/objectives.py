@@ -10,21 +10,22 @@ Both terms read a few encoder rows: the masked positions and the rows
 of C. ``read_rows`` gathers each example's sorted union of them, with
 [CLS] always among them, and the encoder's last layer runs only there
 (``encoder.encode_batch`` with ``rows``); the word labels are read at
-those rows, ``IGNORE`` on the [CLS] padding, and ``extract_summary``
-finds each summary position among them. The row path follows the four
-rules in ``encoder``'s docstring, so the losses, every gradient and the
-dropout rng's state are those of the full encode, bit for bit on the
-tiny profile.
+those rows, ``IGNORE`` on the padding (``pad_rows``' unread
+positions), and ``extract_summary`` finds each summary position among
+them. The last layer's dropout draws the masks of those rows only.
+Without dropout the row path follows the three rules in ``encoder``'s
+docstring, so the losses and every gradient are those of the full
+encode, bit for bit on the tiny profile.
 
 The reconstructor runs once per group of examples with the same N
 (``equal_n_groups``), one ``decode_sequence`` and one ``pointer_nll``
-each, and its result keeps the bits of one pass per example: each
-decoder parameter reaches the groups through ``tensor.fan_out``, whose
-backward adds the examples' gradients in example order, also after an
-earlier micro-batch's; ``reconstructor.replay_dropout`` draws the
-decoder's dropout example by example before any group runs; and each
-example keeps its own loss term, the terms added in example order
-before the mean over the batch, ``mul(((t0 + t1) + ...), 1/B)``.
+each, drawing its dropout group by group. Without dropout its result
+keeps the bits of one pass per example: each decoder parameter reaches
+the groups through ``tensor.fan_out``, whose backward adds the
+examples' gradients in example order, also after an earlier
+micro-batch's; and each example keeps its own loss term, the terms
+added in example order before the mean over the batch,
+``mul(((t0 + t1) + ...), 1/B)``.
 
 The bundle also reports three training signals of the teacher-forced
 pointer, read from each group's decoder output with plain numpy (no
@@ -47,7 +48,7 @@ from .config import RunConfig
 from .encoder import encode_batch, extract_summary, pad_rows
 from .errors import TrainingAbort
 from .masking import IGNORE
-from .reconstructor import decode_sequence, pointer_nll, replay_dropout
+from .reconstructor import decode_sequence, pointer_nll
 from .shuffling import order_targets, summary_positions
 from .tensor import Tensor
 from .textpipe import PackedExample
@@ -112,8 +113,8 @@ def read_rows(cfg: RunConfig, examples: list[PackedExample]):
     """The rows the losses read and the word labels at them: [B, R]
     positions, each example's sorted union of its labelled positions,
     [CLS] and, with the ordering objective, its summary positions,
-    padded with [CLS] (``pad_rows``); and [B, R] labels, ``IGNORE`` at
-    the padding."""
+    padded with positions it leaves unread (``pad_rows``); and the
+    [B, R] labels at them, ``IGNORE`` at the padding."""
     positions, labels = [], []
     for ex in examples:
         lab = ex.mlm_labels if ex.mlm_labels is not None \
@@ -122,8 +123,9 @@ def read_rows(cfg: RunConfig, examples: list[PackedExample]):
         if cfg.sr_enabled:
             read.append(summary_positions(ex))
         positions.append(np.unique(np.concatenate(read)))
-        labels.append(lab[positions[-1]])
-    return pad_rows(positions), pad_rows(labels, IGNORE)
+        labels.append(lab)
+    rows = pad_rows(positions)
+    return rows, np.stack([lab[r] for lab, r in zip(labels, rows)])
 
 
 def pretrain_bundle(params: dict, cfg: RunConfig,
@@ -142,8 +144,6 @@ def pretrain_bundle(params: dict, cfg: RunConfig,
         groups = equal_n_groups(examples)
         names = [name for name in params if name.startswith("dec.")]
         views = T.fan_out([params[name] for name in names], groups)
-        drops = replay_dropout(cfg, rng, [ex.num_sentences for ex in examples],
-                               groups)
         terms, entropies = [None] * bsz, [0.0] * bsz
         hits = self_hits = slm_steps = 0
         for g, idx in enumerate(groups):
@@ -152,7 +152,7 @@ def pretrain_bundle(params: dict, cfg: RunConfig,
                                 for ex in group])
             c = extract_summary(h, group, idx, rows)
             w = decode_sequence({name: v[g] for name, v in zip(names, views)},
-                                cfg, c, targets, drops[g])
+                                cfg, c, targets, rng)
             nll = pointer_nll(w, c, targets)
             g_hits, g_self, g_entropy = _pointer_signals(w, c, targets)
             hits += int(g_hits.sum())

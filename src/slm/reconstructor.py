@@ -13,14 +13,12 @@ Teacher forcing runs once per group of examples with the same N: their
 summaries stack into [k, N+2, hidden] and their decoder inputs into
 [k, N+1, hidden] under one causal mask, and one cross-entropy gives
 each example its own mean. Every op computes each example's slice as
-that example alone would, and the rest of a one-example-at-a-time
-pass's order is kept outside the ops: each decoder parameter reaches
-the group as a ``tensor.fan_out`` view, which adds the examples'
-gradients to the parameter in example order, and ``replay_dropout``
-draws every example's decoder dropout in example order before any
-group runs, then hands each group its examples' draws in the order its
-pass asks for them. So the loss, every gradient and the dropout rng end
-with the bits of a pass per example.
+that example alone would, and each decoder parameter reaches the group
+as a ``tensor.fan_out`` view, which adds the examples' gradients to the
+parameter in example order. Without dropout the loss and every
+gradient therefore have the bits of a pass per example. The group's
+dropout draws its masks at the group's shapes, in the order the pass
+runs.
 
 Greedy decoding runs the same decoder layers one step at a time over a
 padded batch of summaries, as the row-selected encode returns them: a
@@ -86,8 +84,7 @@ def decode_sequence(params: dict, cfg: RunConfig, c: Tensor,
     that example alone, so slice j of W has the bits of a one-example
     pass. ``params`` may hold each decoder parameter as the group's
     ``tensor.fan_out`` view, which hands the gradient of every example
-    to the parameter separately. ``rng`` draws the group's dropout in
-    the order the pass asks for it (a ``DropoutReplay`` in pretraining).
+    to the parameter separately. ``rng`` draws the group's dropout.
     Zero decoder layers return the input rows unchanged.
     """
     k, n_plus_2 = c.shape[:2]
@@ -101,53 +98,6 @@ def decode_sequence(params: dict, cfg: RunConfig, c: Tensor,
     x = T.take(c, inputs, axis=1)
     bias = causal_bias(n + 1, dtype=c.data.dtype)
     return decoder_stack(params, cfg, x, c, bias, rng)
-
-
-class DropoutReplay:
-    """Uniform draws made ahead of time and handed out in order by
-    ``random``, the one rng call dropout makes (``size`` or ``out``)."""
-
-    def __init__(self, draws: np.ndarray):
-        self.draws = draws
-        self.used = 0
-
-    def random(self, size=None, out=None):
-        count = out.size if out is not None else int(np.prod(size))
-        if self.used + count > self.draws.size:
-            raise ContractError("dropout asked for more draws than were "
-                                "made for it")
-        block = self.draws[self.used:self.used + count]
-        self.used += count
-        if out is None:
-            return block.reshape(size)
-        out[...] = block.reshape(out.shape)
-        return out
-
-
-def replay_dropout(cfg: RunConfig, rng, counts, groups) -> list:
-    """The decoder dropout of each group of a batch, for
-    ``decode_sequence``. Examples with ``counts`` sentences draw from
-    ``rng`` one after the other in batch order, each with the shapes of
-    a one-example pass, so ``rng`` ends as that loop left it; each group
-    gets a ``DropoutReplay`` that hands its examples' draws out in the
-    order its grouped pass asks: per draw, example by example. None for
-    every group of a pass that draws nothing."""
-    if rng is None or cfg.dropout <= 0.0 or not cfg.decoder_layers:
-        return [None] * len(groups)
-
-    def shapes(n):
-        # one example's draws in decoder_stack's order: per layer the
-        # self-attention probabilities, ln1, the cross-attention
-        # probabilities, ln2 and ln3
-        rows, nh, width = n + 1, cfg.heads, cfg.hidden
-        return [(nh, rows, rows), (1, rows, width), (nh, rows, rows + 1),
-                (1, rows, width), (1, rows, width)] * cfg.decoder_layers
-
-    draws = [[rng.random(shape) for shape in shapes(n)] for n in counts]
-    slots = range(len(draws[0]))
-    return [DropoutReplay(np.concatenate(
-        [draws[b][s].reshape(-1) for s in slots for b in idx]))
-        for idx in groups]
 
 
 def pointer_logits(w: Tensor, c: Tensor) -> Tensor:

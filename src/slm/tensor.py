@@ -45,10 +45,9 @@ Seven ops have no caller in the package: ``log``,
 ``layer_norm`` and ``dropout``. They stay only because the benchmark's
 tracer (``TENSOR_OPS`` in ``perfbench/spans.py``) hooks each of them by
 name and fails on a missing one; they go when the tracer drops them.
-The fused ``attention_softmax`` (scale, mask and row softmax) now
-serves only ``softmax_rows`` and the tests, and goes with it. The
-kernels of ``gelu``, ``layer_norm`` and ``dropout`` live on in the
-fused ops, which share them (``_gelu_tanh``, ``_norm``,
+The kernels of ``softmax_rows``, ``gelu``, ``layer_norm`` and
+``dropout`` live on in the fused ops, which share them
+(``_softmax_grad``, ``_gelu_tanh``, ``_gelu_parts``, ``_norm``,
 ``_keep_mask``).
 
 The heavy kernels (softmax, attention, ``linear``, ``feed_forward``,
@@ -568,9 +567,17 @@ def log(a: Tensor) -> Tensor:
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Softmax over the last axis, stabilized by per-row max subtraction;
-    ``attention_softmax`` with scale 1, which is exact."""
-    return attention_softmax(x, 1.0)
+    """Softmax over the last axis, stabilized by per-row max subtraction,
+    in one buffer."""
+    y = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+
+    def bw(out):
+        if x.requires_grad:
+            x._accumulate(_softmax_grad(out.grad, y), owned=True)
+
+    return _make(y, (x,), bw)
 
 
 def _softmax_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -580,36 +587,6 @@ def _softmax_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
     np.subtract(g, dot, out=gx)
     gx *= y
     return gx
-
-
-def attention_softmax(scores: Tensor, scale,
-                      bias: Tensor | None = None) -> Tensor:
-    """Row softmax of ``scores * scale + bias`` in one buffer.
-
-    ``scale`` is a scalar, cast to the scores' dtype as ``mul`` casts
-    it; ``bias`` (None for no mask) broadcasts onto the scores' shape.
-    Each element goes through the same ufuncs in the same order as the
-    three-op chain, so the values and gradients are the chain's bits,
-    without its intermediate arrays and graph nodes.
-    """
-    scale = np.asarray(scale, dtype=scores.data.dtype)
-    y = scores.data * scale
-    if bias is not None:
-        y += bias.data
-    y -= y.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
-
-    def bw(out):
-        gx = _softmax_grad(out.grad, y)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(_unbroadcast(gx, bias.shape))
-        if scores.requires_grad:
-            gx *= scale
-            scores._accumulate(gx, owned=True)
-
-    prev = (scores,) if bias is None else (scores, bias)
-    return _make(y, prev, bw)
 
 
 def _scaled_mask(keep: np.ndarray, p: float, dtype,
@@ -626,16 +603,10 @@ def _scaled_mask(keep: np.ndarray, p: float, dtype,
     return out
 
 
-def _keep_mask(rng, shape, p: float, rows=None) -> np.ndarray:
+def _keep_mask(rng, shape, p: float) -> np.ndarray:
     """The one-byte keep mask of a hidden dropout: one float64 draw per
-    element, kept where it is at least ``p``. With ``rows`` ([B, R]
-    positions on axis 1 of ``shape``) the whole shape is drawn and only
-    those rows are kept, [B, R, ...]."""
-    draw = rng.random(shape)
-    if rows is not None:
-        draw = np.take_along_axis(
-            draw, rows.reshape(rows.shape + (1,) * (len(shape) - 2)), axis=1)
-    return draw >= p
+    element, kept where it is at least ``p``."""
+    return rng.random(shape) >= p
 
 
 def _dropped(keep: np.ndarray, p: float, a: np.ndarray) -> np.ndarray:
@@ -658,30 +629,25 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale,
     ``mul`` casts a scalar. ``bias`` (None for no mask) is a constant
     that every head shares, [B or 1, 1, Lq or 1, Lk], added to the
     scores: a key-padding or a causal mask. ``rows`` ([B, R]
-    positions below Lq) scores every query row and keeps only those
-    rows from the softmax on: [B, R, H * dh].
+    positions below Lq, distinct within each example) scores every
+    query row and keeps only those rows from the softmax on:
+    [B, R, H * dh]. The dropout then draws the R rows' uniforms only.
 
-    The kept rows are the whole op's rows, gradients and dropout
+    Without dropout the kept rows are the whole op's rows, gradients
     included, wherever the selected rows' upstream gradient is that of
-    the whole op with zeros elsewhere: the dropout draws every row's
-    uniforms, as the whole op does, and keeps the rows' bits; the
-    gradient through the values, ``g @ V^T``, is the full-width
-    product of the rows' gradients scattered into zeros, then its rows,
-    since a product of the R rows alone rounds differently. An entry
-    that repeats an earlier entry's position (the [CLS] tail that
-    ``encoder.pad_rows`` adds) hands its gradient to that entry there,
-    and its own is zero; the values' gradient still adds each entry's
-    gradient apart, so a repeated entry whose gradient is not zero
-    moves that gradient's last bits.
+    the whole op with zeros elsewhere: the gradient through the values,
+    ``g @ V^T``, is the full-width product of the rows' gradients
+    scattered into zeros, then its rows, since a product of the R rows
+    alone rounds differently.
 
     The B * H (example, head) slices run in blocks whose scores fit
     ``ATTENTION_BLOCK_BYTES`` (one slice at least). Each block runs the
     steps of the unfused op chain with the same ufuncs in the same
     order: the scores matmul against contiguous transposed keys, the
-    row gather, scale, mask and row softmax, the dropout draw (block by
-    block, the C order of one whole draw) and the context matmul. The
-    output, the gradients and the rng's state are therefore the chain's
-    bits. For the backward the op keeps each query row's softmax max
+    row gather, scale, mask and row softmax, the dropout draw of the
+    kept rows (block by block, the C order of one whole draw) and the
+    context matmul. The output, the gradients and the rng's state are
+    therefore the chain's bits. For the backward the op keeps each query row's softmax max
     and sum (two floats per row) and a one-byte keep mask, not the
     probabilities: the backward rebuilds each block's probabilities
     with the forward's routine (``probs``), subtracting the kept max
@@ -705,6 +671,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale,
                                 f"got shape {rows.shape}")
         if rows.size and (rows.min() < 0 or rows.max() >= lq):
             raise ContractError(f"row positions must lie in [0, {lq})")
+        if (np.diff(np.sort(rows, axis=1), axis=1) == 0).any():
+            raise ContractError("row positions must not repeat within an "
+                                "example")
         r = rows.shape[1]
     if bias is not None:
         if bias.requires_grad:
@@ -729,12 +698,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale,
         # each slice's rows as rows of its block's [n * Lq, Lk] scores
         local = ((np.arange(slices) % step)[:, None] * lq
                  + np.repeat(rows, heads, axis=0)).reshape(-1)
-        # the entries whose position an earlier entry of the example
-        # holds: the backward hands their gradient to that entry
-        repeat = np.ones(rows.shape, bool)
-        for e, positions in zip(repeat, rows):
-            e[np.unique(positions, return_index=True)[1]] = False
-        repeat = np.repeat(repeat, heads, axis=0).reshape(-1)
     # each query row's softmax max and sum, taken by the forward
     row_max = np.empty((slices, r, 1), dtype)
     row_sum = np.empty_like(row_max)
@@ -775,17 +738,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale,
 
     if drop:
         keep = np.empty((slices, r, lk), bool)
-        draw = np.empty((n0, lq, lk))
+        draw = np.empty((n0, r, lk))
         wbuf = np.empty((n0, r, lk), dtype)
     ctx = np.empty((slices, r, dh), dtype)
     for a, b, _, y in probs(True):
         if drop:
             n = b - a
-            # every row's draw, as the whole op draws; the rows' bits kept
-            u = rng.random(out=draw[:n])
-            if rows is not None:
-                u = u.reshape(n * lq, lk)[local[a * r:b * r]]
-            np.greater_equal(u.reshape(n, r, lk), p, out=keep[a:b])
+            np.greater_equal(rng.random(out=draw[:n]), p, out=keep[a:b])
             w = _scaled_mask(keep[a:b], p, dtype, out=wbuf[:n])
             w *= y
             y = w
@@ -811,16 +770,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale,
                 gy = np.matmul(gb, vt)
             else:
                 # the rows of the whole op's product, which a product of
-                # the R rows alone does not round alike; a repeated
-                # entry's gradient is its first entry's
+                # the R rows alone does not round alike
                 n = b - a
-                sel, rep = local[a * r:b * r], repeat[a * r:b * r]
+                sel = local[a * r:b * r]
                 gfull = np.zeros((n * lq, dh), dtype)
-                _scatter_add(gfull, sel, gb.reshape(n * r, dh))
+                gfull[sel] += gb.reshape(n * r, dh)
                 gy = np.matmul(gfull.reshape(n, lq, dh), vt).reshape(
-                    n * lq, lk)[sel]
-                gy[rep] = 0.0
-                gy = gy.reshape(n, r, lk)
+                    n * lq, lk)[sel].reshape(n, r, lk)
             if drop:
                 gy *= w
             gx = _softmax_grad(gy, y)
@@ -828,7 +784,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale,
             if rows is not None:
                 n = b - a
                 gs = np.zeros((n * lq, lk), dtype)
-                _scatter_add(gs, local[a * r:b * r], gx.reshape(n * r, lk))
+                gs[local[a * r:b * r]] += gx.reshape(n * r, lk)
                 gx = gs.reshape(n, lq, lk)
             if dq is not None:
                 np.matmul(gx, np.swapaxes(kt, 1, 2), out=dq[a:b])
@@ -907,8 +863,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 def residual_norm(residual: Tensor, out: Tensor, gamma: Tensor,
-                  beta: Tensor, p: float = 0.0, rng=None, rows=None,
-                  length: int | None = None) -> Tensor:
+                  beta: Tensor, p: float = 0.0, rng=None) -> Tensor:
     """The post-norm residual step as one op: ``layer_norm(residual +
     dropout(out, p, rng), gamma, beta)``.
 
@@ -921,26 +876,13 @@ def residual_norm(residual: Tensor, out: Tensor, gamma: Tensor,
     ``xhat`` from it (``_xhat``), and the scaled float mask from the
     byte mask. The chain kept the dropped output, a float32 mask, the
     sum and ``xhat``.
-
-    With ``rows`` ([B, R] positions below ``length``) the operands,
-    [B, R, h], are those rows of a [B, ``length``, h] step: the dropout
-    draws the whole step's uniforms and keeps the rows' bits, so the rng
-    ends where the whole step leaves it and each row drops out as there.
     """
     if residual.shape != out.shape:
         raise ContractError(f"residual_norm operands differ in shape: "
                             f"{residual.shape} and {out.shape}")
-    if rows is not None:
-        rows = np.asarray(rows)
-        if (rows.shape != out.shape[:2] or length is None or rows.size
-                and (rows.min() < 0 or rows.max() >= length)):
-            raise ContractError(f"rows must be {out.shape[:2]} positions "
-                                f"below the step's length {length}")
     keep = None
     if rng is not None and p > 0.0:
-        shape = out.shape if rows is None else \
-            (out.shape[0], length) + out.shape[2:]
-        keep = _keep_mask(rng, shape, p, rows)
+        keep = _keep_mask(rng, out.shape, p)
 
     def summed():
         if keep is None:
@@ -993,33 +935,14 @@ def _gelu_out(xd: np.ndarray, th: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def _gelu_local(xd: np.ndarray, th: np.ndarray) -> np.ndarray:
-    """Gelu's derivative at ``xd`` from ``th``, in a fresh buffer."""
-    # local = 0.5 * (1 + th)
-    #         + 0.5 * x * sech2 * C * (1 + 3 * 0.044715 * x^2)
-    sech2 = th * th
-    np.subtract(1.0, sech2, out=sech2)
-    local = 0.5 * xd
-    local *= sech2
-    local *= _GELU_C
-    poly = np.square(xd, out=sech2)
-    poly *= 3 * 0.044715
-    poly += 1.0
-    local *= poly
-    half = np.add(th, 1.0, out=poly)
-    half *= 0.5
-    local += half
-    return local
-
-
 def _gelu_parts(xd: np.ndarray, out: np.ndarray) -> None:
     """Gelu's output at ``xd`` into ``out``, then its derivative over
-    ``xd``. The steps are ``_gelu_tanh``'s, ``_gelu_out``'s and
-    ``_gelu_local``'s, with ``x^2``, ``0.5 * x`` and ``1 + th`` taken once
-    for both (``np.square`` rounds as ``x * x`` does, and a product or
-    sum of two operands rounds alike in either order), so both keep
-    their bits. A function of its own, so one block's temporaries are
-    freed before the next block's are made."""
+    ``xd``: the one kernel of gelu's derivative. The output's steps are
+    ``_gelu_tanh``'s and ``_gelu_out``'s, with ``x^2``, ``0.5 * x`` and
+    ``1 + th`` taken once for both (a product or sum of two operands
+    rounds alike in either order), so it keeps ``gelu``'s forward bits.
+    A function of its own, so one block's temporaries are freed before
+    the next block's are made."""
     sq = xd * xd
     th = sq * xd
     th *= 0.044715
@@ -1044,15 +967,14 @@ def _gelu_parts(xd: np.ndarray, out: np.ndarray) -> None:
 
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh form (matches x*Phi(x) to ~1e-3)."""
-    th = _gelu_tanh(x.data)
-
     def bw(out):
         if x.requires_grad:
-            local = _gelu_local(x.data, th)
+            local = x.data.copy()
+            _gelu_parts(local, np.empty_like(local))
             local *= out.grad
             x._accumulate(local, owned=True)
 
-    return _make(_gelu_out(x.data, th), (x,), bw)
+    return _make(_gelu_out(x.data, _gelu_tanh(x.data)), (x,), bw)
 
 
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,

@@ -226,7 +226,8 @@ ROW_SHAPES = [
                                                  for k, v in kw.items()))
 def test_selected_rows_equal_the_full_encode_bit_for_bit(shape, dtype):
     """Random batches of mixed attention_len, rows drawn anywhere below
-    the width: real, repeated and padding positions, one row or many."""
+    the width, distinct within each example: real and padding
+    positions, one row or many."""
     cfg = small_config(**shape)
     params = build_params(cfg, dtype=dtype)
     rng = np.random.default_rng(11)
@@ -237,9 +238,9 @@ def test_selected_rows_equal_the_full_encode_bit_for_bit(shape, dtype):
             for _ in range(int(rng.integers(1, 6)))]
         width = max(ex.attention_len for ex in batch)
         mixed |= len({ex.attention_len for ex in batch}) > 1
-        count = 1 if trial == 0 else int(rng.integers(2, 25))
-        rows = rng.integers(0, width, size=(len(batch), count))
-        rows[:, -1] = rows[:, 0]                    # a repeated position
+        count = 1 if trial == 0 else int(rng.integers(2, min(width, 25) + 1))
+        rows = np.stack([rng.choice(width, size=count, replace=False)
+                         for _ in batch])
         with T.no_grad():
             full = encode_batch(params, cfg, batch).data
             picked = encode_batch(params, cfg, batch, rows=rows)
@@ -280,9 +281,10 @@ def test_rows_outside_the_width_or_badly_shaped_are_refused():
             encode_batch(params, cfg, batch, rows=rows)
 
 
-def test_pad_rows_fills_with_cls():
-    rows = pad_rows([[0, 3, 5], [0], np.array([0, 2])])
-    np.testing.assert_array_equal(rows, [[0, 3, 5], [0, 0, 0], [0, 2, 0]])
+def test_pad_rows_fills_with_the_missing_positions():
+    rows = pad_rows([[0, 3, 5, 7], [0], np.array([0, 2]), [2, 1]])
+    np.testing.assert_array_equal(
+        rows, [[0, 3, 5, 7], [0, 1, 2, 3], [0, 2, 1, 3], [2, 1, 0, 3]])
     assert rows.dtype == np.int64
 
 

@@ -10,10 +10,9 @@ encoder replaced by the full-``seq_len`` oracle
 agree to float64 round-off. Classification fine-tuning is also checked
 against ``util.encode_all_rows``, which runs every row through the last
 layer. Dropout is off because its masks are drawn per position, so the
-two widths draw different masks. The row-selected last layer draws the
-masks of every row and keeps the selected rows' bits, so at the tiny
-profile a classification step with dropout on equals the every-row
-encode's bit for bit.
+two widths draw different masks: every dropout draws the masks of the
+rows it computes, and the row-selected last layer those of its rows
+only, which a counting rng checks.
 """
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ import util
 from slm import encoder, heads, objectives
 from slm import tensor as T
 from slm.heads import finetune_cls, finetune_qa, pack_pair, pack_qa
-from slm.objectives import pretrain_bundle
+from slm.objectives import equal_n_groups, pretrain_bundle, read_rows
 from slm.shuffling import apply_shuffle, sample_permutation
 from slm.textpipe import SPECIAL_TOKENS, Vocab
 
@@ -172,9 +171,9 @@ def test_finetune_cls_step_matches_every_row_encode(monkeypatch, layers,
     assert compared
 
 
-def test_finetune_cls_step_with_dropout_is_the_every_row_encode_bit_for_bit(
+def test_finetune_cls_step_at_the_tiny_profile_is_the_every_row_encode(
         monkeypatch):
-    """The tiny profile, dropout on, two steps on sentence pairs of mixed
+    """The tiny profile, dropout off, two steps on sentence pairs of mixed
     widths: the losses and every gradient of the last step equal those
     of the every-row encode, bit for bit."""
     from dataclasses import replace
@@ -183,8 +182,8 @@ def test_finetune_cls_step_with_dropout_is_the_every_row_encode_bit_for_bit(
 
     vocab = Vocab(SPECIAL_TOKENS + WORDS)
     cfg = replace(resolve_config("tiny"), vocab_size=len(vocab.id_to_token),
-                  batch_size=4).validate()
-    assert cfg.dropout > 0 and cfg.hidden == 64
+                  batch_size=4, dropout=0.0).validate()
+    assert cfg.hidden == 64
     rng = np.random.default_rng(6)
 
     def text():
@@ -209,6 +208,84 @@ def test_finetune_cls_step_with_dropout_is_the_every_row_encode_bit_for_bit(
     assert "enc.1.ffn.w1" in every[2]
     for name, grad in every[2].items():
         np.testing.assert_array_equal(rows[2][name], grad, err_msg=name)
+
+
+class CountingRng:
+    """An rng that records the shape of every uniform draw it makes, the
+    one call dropout makes (``size`` or ``out``)."""
+
+    def __init__(self, rng):
+        self.rng, self.shapes = rng, []
+
+    def random(self, size=None, out=None):
+        self.shapes.append(tuple(np.shape(out) if out is not None
+                                 else np.atleast_1d(size)))
+        return self.rng.random(size, out=out)
+
+
+def encoder_draws(cfg, bsz, width, rows):
+    """The dropout draws of an encode of ``bsz`` examples ``width``
+    positions wide whose last layer runs at ``rows`` per example: the
+    embedding's and, per layer, the attention probabilities' (its
+    (example, head) slices in one block) and the two post-norms'."""
+    h, nh = cfg.hidden, cfg.heads
+    shapes = [(bsz, width, h)]
+    for i in range(cfg.encoder_layers):
+        r = rows if i == cfg.encoder_layers - 1 else width
+        shapes += [(bsz * nh, r, width), (bsz, r, h), (bsz, r, h)]
+    return shapes
+
+
+@pytest.mark.parametrize("run", ["pretrain", "finetune-cls"])
+def test_dropout_draws_exactly_the_masks_it_applies(monkeypatch, run):
+    """Every dropout draws the uniforms of the masks it applies, in the
+    order the pass runs: the last encoder layer B * H * R * Lk for its
+    attention and B * R * hidden for each post-norm, the other layers
+    and each group's decoder layers their full shapes."""
+    monkeypatch.setattr(T, "ATTENTION_BLOCK_BYTES", 1 << 40)
+    if run == "pretrain":
+        cfg = small_config(decoder_layers=2, dropout=0.1)
+        rng = np.random.default_rng(9)
+        batch = [apply_shuffle(ex, sample_permutation(n, rng))
+                 for n in (3, 1, 3, 2)
+                 for ex in [masked_example(cfg, rng, n_sents=n)]]
+        drop = CountingRng(np.random.default_rng(10))
+        pretrain_bundle(build_params(cfg), cfg, batch, drop)
+        rows, _ = read_rows(cfg, batch)
+        width = max(ex.attention_len for ex in batch)
+        want = encoder_draws(cfg, len(batch), width, rows.shape[1])
+        for idx in equal_n_groups(batch):
+            k, n = len(idx), batch[idx[0]].num_sentences + 1
+            want += [(k * cfg.heads, n, n), (k, n, cfg.hidden),
+                     (k * cfg.heads, n, n + 1), (k, n, cfg.hidden),
+                     (k, n, cfg.hidden)] * cfg.decoder_layers
+    else:
+        vocab = Vocab(SPECIAL_TOKENS + WORDS)
+        cfg = small_config(vocab_size=len(vocab.id_to_token), seq_len=48,
+                           batch_size=3, dropout=0.1)
+        examples = [pack_pair(a, b, vocab, cfg) for a, b in (
+            ("the cat sat. the dog ran fast.", "one red sun rose"),
+            ("blue", "the bird flew home now"),
+            ("two birds", "the sun rose. the cat sat. one dog ran."))]
+        for i, ex in enumerate(examples):
+            ex.label = float(i % 2)
+        draws = []
+
+        def counting(params, cfg, batch, rng=None, training=False, *,
+                     rows=None):
+            draws.append(CountingRng(rng))
+            return encoder.encode_batch(params, cfg, batch, draws[-1],
+                                        training, rows=rows)
+
+        monkeypatch.setattr(heads, "encode_batch", counting)
+        finetune_cls(build_params(cfg), cfg, examples, 2, steps=1)
+        drop = draws[0]
+        rows = heads.feature_rows(examples)
+        assert rows.shape[1] == 3
+        width = max(ex.packed.attention_len for ex in examples)
+        want = encoder_draws(cfg, len(examples), width, rows.shape[1])
+    assert rows.shape[1] < width
+    assert drop.shapes == want
 
 
 def test_finetune_qa_step_matches_full_width(monkeypatch):

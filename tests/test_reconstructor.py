@@ -249,8 +249,8 @@ def full_prefix_greedy(params, cfg, c):
 
 def padded_batch(summaries, pad=None):
     """The summaries as one [B, W, hidden] batch, and their sentence
-    counts. Rows past a document's own repeat its [CLS] row, as the
-    row-selected encode pads them, or are those of ``pad`` if given."""
+    counts. Rows past a document's own repeat its [CLS] row, or are
+    those of ``pad`` if given."""
     counts = [s.shape[1] - 2 for s in summaries]
     width = max(counts) + 2
     if pad is None:

@@ -250,8 +250,9 @@ def _random_graph(seed):
     """Leaves and a scalar loss over a seeded random graph: shared operands
     (``a + a``, ``x * x``), tensors feeding several ops, reshape and
     swapaxes chains, a reshape feeding two ops, adds that broadcast
-    either operand, attention softmaxes whose full-shape bias requires
-    grad (a leaf or a graph node), attention with dropout, 2-D and 3-D
+    either operand, row softmaxes of scaled scores plus a full-shape
+    bias that requires grad (a leaf or a graph node), attention with
+    dropout, 2-D and 3-D
     linears and residual norms with dropout, with one tensor as both
     operands or with a residual that takes no gradient, FFNs with one
     weight as both of theirs, heads-split linears, and embeddings whose
@@ -290,8 +291,8 @@ def _random_graph(seed):
             lambda: twice(a.reshape(8, 4)),
             lambda: gelu(a),
             lambda: layer_norm(a, gamma, beta),
-            lambda: T.attention_softmax(a, 0.5, bias),
-            lambda: T.attention_softmax(a, 0.5, b),
+            lambda: softmax_rows(T.mul(a, 0.5) + bias),
+            lambda: softmax_rows(T.mul(a, 0.5) + b),
             lambda: dropout(a, 0.25, drop),
             lambda: T.attention(heads(a), heads(b), heads(a), 0.5,
                                 p=0.25, rng=drop),
@@ -638,7 +639,7 @@ def test_gather_elements_rejects_columns_outside_the_row(cols):
 
 
 # -- kernels that write into their own buffers, bit for bit ---------------
-# softmax_rows, attention_softmax, gelu, layer_norm and dropout compute in
+# softmax_rows, gelu, layer_norm and dropout compute in
 # place in arrays they allocate. Each must give exactly the bits of the
 # plain expressions below (the kernels before that rewrite): pretraining's
 # bits, and with them the seeded learning check, hang on them. Shapes are
@@ -744,58 +745,27 @@ def _causal_bias(width):
                    k=1)[None, None]
 
 
-@pytest.mark.parametrize("mask", ["causal", "padding", "none"])
-def test_attention_softmax_is_the_three_op_chain_bit_for_bit(mask):
-    scores = _f32((4, 4, 64, 64), 31, scale=8.0)
-    g = _f32(scores.shape, 32)
-    bias = {"causal": _causal_bias(64),
-            "padding": _padding_bias([64, 40, 17, 1], 64),
-            "none": None}[mask]
-    scale = 1.0 / np.sqrt(32)
-
-    def grads(build):
-        s = t(scores)
-        out = build(s)
-        backward(T.mul(out, Tensor(g)).sum())
-        return out.data, s.grad
-
-    def chain(s):
-        scaled = T.mul(s, scale)
-        return softmax_rows(scaled if bias is None else scaled + Tensor(bias))
-
-    fused = grads(lambda s: T.attention_softmax(
-        s, scale, None if bias is None else Tensor(bias)))
-    want = grads(chain)
-    assert fused[0].dtype == want[0].dtype == np.float32
-    assert np.array_equal(fused[0], want[0])
-    assert np.array_equal(fused[1], want[1])
-
-
-def test_attention_softmax_grads_match_fd_with_masked_keys():
-    rng = np.random.default_rng(33)
-    scores = t(rng.normal(scale=2.0, size=(2, 2, 3, 5)), dtype=np.float64)
-    bias = rng.normal(size=(2, 1, 1, 5))
-    bias[1, ..., 3:] = -1e9
-    bias = t(bias, dtype=np.float64)
-    w = Tensor(rng.normal(size=(2, 2, 3, 5)))
-
-    def f():
-        return T.mul(T.attention_softmax(scores, 0.7, bias), w).sum()
-
-    assert grad_check(f, [scores, bias], eps=1e-5) < 1e-6
-
-
 # -- attention as one blocked op -------------------------------------------
 # ``attention`` must give the bits of the op chain multi_head_attention ran
 # before it: output, gradients and the rng's state after the dropout draw.
 
-def _float_mask_dropout(x, p, rng):
+def _float_mask_dropout(x, p, rng, rows=None):
     """``tensor.dropout`` as it was before one-byte masks: the graph keeps
-    the scaled float mask the forward multiplied by."""
+    the scaled float mask the forward multiplied by. With ``rows``
+    ([B, R] positions on the next-to-last axis of ``x``) it draws and
+    applies the masks of those rows only and leaves the others as they
+    are."""
     if rng is None or p <= 0.0:
         return x
-    keep = np.empty(x.shape, dtype=x.data.dtype)
-    np.greater_equal(rng.random(x.shape), p, out=keep)
+    if rows is None:
+        keep = np.empty(x.shape, dtype=x.data.dtype)
+        np.greater_equal(rng.random(x.shape), p, out=keep)
+    else:
+        keep = np.ones(x.shape, dtype=x.data.dtype)
+        bsz, heads = x.shape[:2]
+        drawn = rng.random((bsz, heads, rows.shape[1], x.shape[-1])) >= p
+        keep[np.arange(bsz)[:, None, None], np.arange(heads)[:, None],
+             rows[:, None, :]] = drawn
     keep /= 1.0 - p
 
     def bw(out):
@@ -806,13 +776,15 @@ def _float_mask_dropout(x, p, rng):
 
 
 def _attention_chain(q, k, v, scale, bias=None, p=0.0, rng=None, rows=None):
-    """The chain: scores matmul, attention softmax, dropout, context
-    matmul and the heads merged, one graph node each. With ``rows`` it
-    runs every query row and then keeps those rows (``select_rows``),
-    which the row-selected op must equal."""
-    scores = matmul(q, k.swapaxes(-1, -2))
-    probs = _float_mask_dropout(T.attention_softmax(scores, scale, bias), p,
-                                rng)
+    """The chain: scores matmul, scale, mask, row softmax, dropout,
+    context matmul and the heads merged, one graph node each. With
+    ``rows`` it runs every query row, drops out only those rows and then
+    keeps them (``select_rows``), which the row-selected op must
+    equal."""
+    scores = T.mul(matmul(q, k.swapaxes(-1, -2)), scale)
+    if bias is not None:
+        scores = scores + bias
+    probs = _float_mask_dropout(softmax_rows(scores), p, rng, rows)
     ctx = matmul(probs, v).swapaxes(1, 2)
     out = ctx.reshape(ctx.shape[0], ctx.shape[1], -1)
     return out if rows is None else select_rows(out, rows)
@@ -830,19 +802,17 @@ def _attention_run(op, arrays, g, bias, p, rows):
     return [out.data] + [leaf.grad for leaf in leaves], rng.bit_generator.state
 
 
-# each example's rows as pad_rows makes them: [CLS] (0) fills the tail
-_PAD_ROWS = np.array([[0, 3, 9, 31], [0, 5, 0, 0], [0, 0, 0, 0]])
-
-
 def _read_rows(lengths, seed):
     """[B, R] rows as pretraining asks for them: [CLS] and a sorted set of
     positions below each example's length, padded by ``pad_rows``, and
-    an upstream gradient that is zero on the padding."""
+    a mask that is False on the padding, where the upstream gradient is
+    zero."""
     rng = np.random.default_rng(seed)
-    rows = pad_rows([np.unique(np.r_[0, rng.integers(
-        0, n, size=int(rng.integers(1, 16)))]) for n in lengths])
-    real = np.array([[j == 0 or r[j] != 0 for j in range(len(r))]
-                     for r in rows])
+    positions = [np.unique(np.r_[0, rng.integers(
+        0, n, size=int(rng.integers(1, 16)))]) for n in lengths]
+    rows = pad_rows(positions)
+    real = np.arange(rows.shape[1]) < np.array([[len(p)]
+                                                for p in positions])
     return rows, real
 
 
@@ -865,8 +835,8 @@ def _tiny_attention(length, seed):
 def test_attention_is_the_op_chain_bit_for_bit(blocks, mask, rows, p,
                                                monkeypatch):
     """Without rows the op is the chain. With rows it is the chain over
-    every query row followed by those rows: at the tiny profile's
-    last-layer shapes, [8, 2, 52 or 256, 32], its rows padded as
+    every query row, dropping out only those rows, followed by those
+    rows: at the tiny profile's last-layer shapes, [8, 2, 52 or 256, 32], its rows padded as
     ``pad_rows`` pads them and no gradient on the padding."""
     if rows:
         length = 52 if blocks == "one" else 256
@@ -890,25 +860,6 @@ def test_attention_is_the_op_chain_bit_for_bit(blocks, mask, rows, p,
     want, want_state = _attention_run(_attention_chain, arrays, g, bias, p,
                                       rows)
     _assert_same_bytes(got, want)
-    assert got_state == want_state
-
-
-@pytest.mark.parametrize("p", [0.0, 0.1])
-def test_attention_rows_with_gradient_on_repeats_match_the_chain(p):
-    """A repeated row that carries a gradient of its own: its first entry
-    takes both gradients through the softmax, and the values' gradient
-    adds the entries apart, so the op matches the chain over every row
-    followed by the rows to float64 round-off, with the chain's draws."""
-    arrays = [_f32((3, 2, 32, 8), 42 + i, scale=2.0).astype(np.float64)
-              for i in range(3)]
-    g = _f32((3, _PAD_ROWS.shape[1], 16), 45).astype(np.float64)
-    bias = _padding_bias([32, 20, 7], 32)
-    got, got_state = _attention_run(T.attention, arrays, g, bias, p,
-                                    _PAD_ROWS)
-    want, want_state = _attention_run(_attention_chain, arrays, g, bias, p,
-                                      _PAD_ROWS)
-    for a, b in zip(got, want):
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13)
     assert got_state == want_state
 
 
@@ -942,7 +893,7 @@ def test_attention_grads_match_fd(p, monkeypatch):
     bias = rng.normal(size=(2, 1, 1, 5))
     bias[1, ..., 3:] = -1e9
     bias = Tensor(bias)
-    rows = np.array([[0, 2, 2], [3, 0, 1]])
+    rows = np.array([[0, 2, 3], [3, 0, 1]])
     w = Tensor(rng.normal(size=(2, 3, 9)))
 
     def f():
@@ -954,7 +905,7 @@ def test_attention_grads_match_fd(p, monkeypatch):
 
 @pytest.mark.parametrize("case", ["bias-requires-grad", "row-negative",
                                   "row-past-the-end", "rows-1d",
-                                  "rows-wrong-batch"])
+                                  "rows-wrong-batch", "row-repeated"])
 def test_attention_rejects_a_trained_bias_and_bad_rows(case):
     q, k, v = (t(np.zeros((2, 2, 4, 3))) for _ in range(3))
     bias, rows = None, None
@@ -964,22 +915,10 @@ def test_attention_rejects_a_trained_bias_and_bad_rows(case):
         rows = {"row-negative": np.array([[0, -1], [0, 1]]),
                 "row-past-the-end": np.array([[0, 4], [0, 1]]),
                 "rows-1d": np.array([0, 1]),
-                "rows-wrong-batch": np.array([[0, 1]])}[case]
+                "rows-wrong-batch": np.array([[0, 1]]),
+                "row-repeated": np.array([[0, 1], [2, 2]])}[case]
     with pytest.raises(ContractError):
         T.attention(q, k, v, 0.5, bias, rows=rows)
-
-
-@pytest.mark.parametrize("case", ["no-length", "row-past-the-length",
-                                  "rows-wrong-shape"])
-def test_residual_norm_refuses_rows_it_cannot_place(case):
-    x = t(np.zeros((2, 3, 4)))
-    gamma, beta = t(np.ones(4)), t(np.zeros(4))
-    rows, length = {"no-length": ([[0, 1, 2], [0, 1, 1]], None),
-                    "row-past-the-length": ([[0, 1, 5], [0, 1, 1]], 5),
-                    "rows-wrong-shape": ([[0, 1], [0, 1]], 5)}[case]
-    with pytest.raises(ContractError, match="rows must be"):
-        T.residual_norm(x, x, gamma, beta, 0.1, np.random.default_rng(0),
-                        rows, length)
 
 
 def _held_array_bytes(build):
@@ -1324,8 +1263,9 @@ def test_graph_census_names_the_closure_that_sets_the_peak():
 # bits of the chains model.py and encoder.py ran before them: output, every
 # input gradient and the rng's state, compared by bytes.
 
-def _feed_forward_chain(x, w1, b1, w2, b2):
-    return T.linear(gelu(T.linear(x, w1, b1)), w2, b2)
+def _feed_forward_chain(x, w1, b1, w2, b2, selected=False):
+    return T.linear(gelu(T.linear(x, w1, b1, selected=selected)), w2, b2,
+                    selected=selected)
 
 
 def _heads_linear_chain(x, w, b, heads):
@@ -1350,9 +1290,9 @@ def _mha_chain(params, prefix, x_q, x_kv, bias, cfg, rng, cache=None,
     heads by a ``reshape`` and a ``swapaxes`` copy of its linear."""
     nh = cfg.heads
 
-    def proj(x, name):
+    def proj(x, name, selected=False):
         return T.linear(x, params[f"{prefix}.w{name}"],
-                        params[f"{prefix}.b{name}"])
+                        params[f"{prefix}.b{name}"], selected=selected)
 
     def split(x):
         return x.reshape(x.shape[0], x.shape[1], nh, -1).swapaxes(1, 2)
@@ -1370,14 +1310,13 @@ def _mha_chain(params, prefix, x_q, x_kv, bias, cfg, rng, cache=None,
             cache[prefix] = (k, v)
     ctx = T.attention(q, k, v, 1.0 / np.sqrt(cfg.hidden // nh), bias,
                       cfg.dropout, rng, rows)
-    return proj(ctx, "o")
+    return proj(ctx, "o", rows is not None)
 
 
 def _ffn_chain(params, prefix, x, selected=False):
-    # the chain oracles run every row through every layer
-    assert not selected
     return _feed_forward_chain(x, *(params[f"{prefix}.{n}"]
-                                    for n in ("w1", "b1", "w2", "b2")))
+                                    for n in ("w1", "b1", "w2", "b2")),
+                               selected=selected)
 
 
 def _tiny_model(dtype=np.float32, **kw):
@@ -1590,14 +1529,13 @@ def test_cached_greedy_decode_is_the_chain_bit_for_bit(monkeypatch):
 def test_pretraining_batch_is_the_chain_bit_for_bit(monkeypatch):
     """One pretraining batch with dropout on: the loss, every parameter's
     gradient and the dropout rng's state, against the encoder and the
-    decoder built from the chains, the encoder running every row through
-    every layer and then keeping the rows the losses read. At the tiny
-    profile's widths, where the row-selected last layer is exact."""
-    from slm import encoder, objectives, reconstructor
+    decoder built from the chains, the encoder's last layer running at
+    the rows the losses read as the bundle runs it."""
+    from slm import encoder, reconstructor
     from slm.objectives import pretrain_bundle
     from slm.trainer import pack_corpus, prepare_batch
 
-    from util import encode_all_rows, random_document
+    from util import random_document
 
     cfg, params = _tiny_model(hidden=64, ffn=256, seq_len=32,
                               max_sentences=6, batch_size=4)
@@ -1626,7 +1564,6 @@ def test_pretraining_batch_is_the_chain_bit_for_bit(monkeypatch):
         monkeypatch.setattr(module, "multi_head_attention", _mha_chain)
         monkeypatch.setattr(module, "feed_forward", _ffn_chain)
     monkeypatch.setattr(encoder, "embed", embed_chain)
-    monkeypatch.setattr(objectives, "encode_batch", encode_all_rows)
     want, want_state = run()
     _assert_same_bytes(got, want)
     assert got_state == want_state
@@ -1740,8 +1677,8 @@ def test_embedding_rejects_mismatched_tables_and_ids(case):
 
 
 def test_feed_forward_keeps_no_array_for_its_backward():
-    """The chain kept the pre-activation, gelu's output and its tanh,
-    each [.., ffn]."""
+    """The chain keeps the pre-activation and gelu's output, each
+    [.., ffn]; gelu rebuilds its tanh in its backward."""
     x = t(_f32((4, 64, 64), 132))
     w1, b1 = t(_f32((64, 256), 133)), t(_f32((256,), 134))
     w2, b2 = t(_f32((256, 64), 135)), t(_f32((64,), 136))
@@ -1749,7 +1686,7 @@ def test_feed_forward_keeps_no_array_for_its_backward():
     assert _held_array_bytes(
         lambda: T.feed_forward(x, w1, b1, w2, b2)) <= 64
     assert _held_array_bytes(
-        lambda: _feed_forward_chain(x, w1, b1, w2, b2)) >= 3 * n_ffn
+        lambda: _feed_forward_chain(x, w1, b1, w2, b2)) >= 2 * n_ffn
 
 
 def test_heads_split_linear_keeps_no_array_for_its_backward():
@@ -1802,8 +1739,7 @@ def _digest(a):
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
 
 
-@pytest.mark.parametrize("kernel", ["softmax_rows", "attention_softmax",
-                                    "gelu", "layer_norm", "dropout",
+@pytest.mark.parametrize("kernel", ["softmax_rows", "gelu", "layer_norm", "dropout",
                                     "linear", "residual_norm", "feed_forward",
                                     "heads_split_linear", "embedding"])
 def test_kernels_leave_their_inputs_and_upstream_gradient_alone(kernel):
@@ -1812,9 +1748,6 @@ def test_kernels_leave_their_inputs_and_upstream_gradient_alone(kernel):
            for n in (20, 16)]
     ops = {
         "softmax_rows": (softmax_rows, [x]),
-        "attention_softmax": (
-            lambda s, b: T.attention_softmax(s, 0.25, b),
-            [x, _padding_bias([16, 9], 16)]),
         "gelu": (gelu, [x]),
         "layer_norm": (layer_norm, [x, _f32((16,), 35), _f32((16,), 36)]),
         "dropout": (lambda a: dropout(a, 0.3, np.random.default_rng(37)),
