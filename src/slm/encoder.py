@@ -34,17 +34,16 @@ feature rows. QA reads nearly every row and keeps the full encode.
 Under a recorded graph the backward runs on the same rows. The last
 layer's dropout draws the masks of the R rows only, as the trimmed
 encode draws at the width it computes. Without dropout the rows and
-their gradients equal the full encode's followed by the rows, by three
-rules:
+their gradients equal the full encode's followed by the rows, by two
+rules and one property of the ops:
 
 - weight, bias, gain and shift gradients sum over the R rows only,
   where the full encode adds exact zeros for the other rows;
-- ``g @ W^T`` of the output projection and of the FFN multiplies by a
-  contiguous copy of ``W^T`` (``selected`` in ``tensor.linear`` and
-  ``tensor.feed_forward``), against which two or more rows round as the
-  full product's rows round against the transposed view;
 - attention's ``g @ V^T`` is the full-width product of the rows'
-  gradients scattered into zeros, then its rows.
+  gradients scattered into zeros, then its rows;
+- every 2-D weight's input gradient ``g @ W^T`` (``tensor.linear``,
+  ``tensor.feed_forward``) multiplies by a contiguous copy of ``W^T``,
+  against which two or more rows round as the full product's rows do.
 
 This holds bit for bit wherever numpy's matrix product rounds a row
 alike for any row count, as it does on the shapes the tests cover (the
@@ -143,8 +142,7 @@ def encode(params: dict, cfg: RunConfig, h0: Tensor, bias: Tensor,
         attn = multi_head_attention(
             params, f"enc.{i}.attn", x, x, bias, cfg, rng, rows=keep)
         x = post_norm(params, f"enc.{i}.ln1", q, attn, cfg, rng)
-        ffn = feed_forward(params, f"enc.{i}.ffn", x,
-                           selected=keep is not None)
+        ffn = feed_forward(params, f"enc.{i}.ffn", x)
         x = post_norm(params, f"enc.{i}.ln2", x, ffn, cfg, rng)
     return x
 

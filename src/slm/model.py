@@ -145,15 +145,15 @@ def multi_head_attention(params: dict, prefix: str, x_q: Tensor,
     attention computes, with its rounding, then gathers the R rows, and
     the softmax, the weighted values and the output projection run on
     them: [B, R, hidden]. The attention op draws the dropout of those
-    rows only, and the output projection takes its input's gradient as
-    a full pass rounds it (``tensor.linear``'s ``selected``).
+    rows only; the output projection's input gradient rounds as a full
+    pass's rows do (``tensor.linear``).
     """
     nh = cfg.heads
     dh = cfg.hidden // nh
 
-    def proj(x, name, heads=None, selected=False):
+    def proj(x, name, heads=None):
         return T.linear(x, params[f"{prefix}.w{name}"],
-                        params[f"{prefix}.b{name}"], heads, selected)
+                        params[f"{prefix}.b{name}"], heads)
 
     q = proj(x_q, "q", nh)
     if x_kv is None:
@@ -170,16 +170,15 @@ def multi_head_attention(params: dict, prefix: str, x_q: Tensor,
 
     ctx = T.attention(q, k, v, 1.0 / np.sqrt(dh), bias, cfg.dropout, rng,
                       rows)
-    return proj(ctx, "o", selected=rows is not None)
+    return proj(ctx, "o")
 
 
-def feed_forward(params: dict, prefix: str, x: Tensor,
-                 selected: bool = False) -> Tensor:
-    """``linear(gelu(linear(x)))``, one graph node; ``selected`` marks
-    ``x`` as selected rows (``tensor.linear``)."""
+def feed_forward(params: dict, prefix: str, x: Tensor) -> Tensor:
+    """``linear(gelu(linear(x)))``, one graph node; the input gradient of
+    selected rows is the whole input's at those rows
+    (``tensor.feed_forward``)."""
     return T.feed_forward(x, *(params[f"{prefix}.{name}"]
-                               for name in ("w1", "b1", "w2", "b2")),
-                          selected=selected)
+                               for name in ("w1", "b1", "w2", "b2")))
 
 
 def post_norm(params: dict, prefix: str, residual: Tensor, out: Tensor,

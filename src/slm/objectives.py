@@ -13,9 +13,9 @@ of C. ``read_rows`` gathers each example's sorted union of them, with
 those rows, ``IGNORE`` on the padding (``pad_rows``' unread
 positions), and ``extract_summary`` finds each summary position among
 them. The last layer's dropout draws the masks of those rows only.
-Without dropout the row path follows the three rules in ``encoder``'s
-docstring, so the losses and every gradient are those of the full
-encode, bit for bit on the tiny profile.
+Without dropout the row path follows the two rules and the ops'
+property in ``encoder``'s docstring, so the losses and every gradient
+are those of the full encode, bit for bit on the tiny profile.
 
 The reconstructor runs once per group of examples with the same N
 (``equal_n_groups``), one ``decode_sequence`` and one ``pointer_nll``

@@ -34,7 +34,8 @@ import numpy as np
 from . import tensor as T
 from .config import RunConfig
 from .errors import ContractError
-from .model import NEG_INF, feed_forward, multi_head_attention, post_norm
+from .model import (NEG_INF, feed_forward, multi_head_attention, post_norm,
+                    select_rows)
 from .tensor import Tensor
 
 
@@ -95,7 +96,7 @@ def decode_sequence(params: dict, cfg: RunConfig, c: Tensor,
                             "each example")
     inputs = np.concatenate([np.zeros((k, 1), dtype=targets.dtype),
                              targets[:, :n]], axis=1)
-    x = T.take(c, inputs, axis=1)
+    x = select_rows(c, inputs)
     bias = causal_bias(n + 1, dtype=c.data.dtype)
     return decoder_stack(params, cfg, x, c, bias, rng)
 

@@ -36,9 +36,10 @@ slice computed as that example alone would be: ``linear``,
 ``feed_forward`` and ``residual_norm`` take stacked weights [k, h, f]
 and stacked biases, gains and shifts [k, 1, f], and reduce their
 gradients over each entry's rows apart; 3-D ``cross_entropy`` gives
-each entry its own mean; ``take`` with [B, R] indices gathers rows per
-example. ``fan_out`` hands a parameter to the groups as zero-copy
-stacked views and adds the examples' gradients to it in example order.
+each entry its own mean; one ``take`` over the flattened rows gathers
+[B, R] rows per example (``model.select_rows``). ``fan_out`` hands a
+parameter to the groups as zero-copy stacked views and adds the
+examples' gradients to it in example order.
 
 Seven ops have no caller in the package: ``log``,
 ``gather_elements``, ``softmax_rows``, ``tsum``, ``gelu``,
@@ -288,30 +289,29 @@ def _check_matmul(a: Tensor, b: Tensor) -> None:
             f"matmul dimension mismatch: {a.shape} @ {b.shape}")
 
 
-def _matmul_grads(g: np.ndarray, a: Tensor, b: Tensor,
-                  selected: bool = False) -> None:
-    """Accumulate the gradients of ``a @ b`` from its output's ``g``.
-    ``selected`` is ``_transpose``'s."""
+def _matmul_grads(g: np.ndarray, a: Tensor, b: Tensor) -> None:
+    """Accumulate the gradients of ``a @ b`` from its output's ``g``."""
     if a.requires_grad:
-        ga = np.matmul(g, _transpose(b.data, selected))
+        ga = np.matmul(g, _transpose(b.data))
         a._accumulate(_unbroadcast(ga, a.shape), owned=True)
     if b.requires_grad:
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         b._accumulate(_unbroadcast(gb, b.shape), owned=True)
 
 
-def _transpose(w: np.ndarray, selected: bool = False) -> np.ndarray:
+def _transpose(w: np.ndarray) -> np.ndarray:
     """``w`` with its last two axes swapped, for an input's gradient
-    ``g @ w^T``: a view, or with ``selected`` a contiguous copy.
+    ``g @ w^T``.
 
-    ``selected`` marks ``g`` as the gradient of selected rows of a
-    product that a full pass takes over every row (the last encoder
-    layer at the rows its readers ask for). Against the copy each of two
-    or more rows rounds as the full product's rows round against the
-    view; against the view a product of a few rows rounds differently.
+    A 2-D weight's transpose is a contiguous copy, so a 2-D weight's
+    input gradient over two or more rows rounds as the full product's
+    rows do, on the shapes the tests pin; against the transposed view a
+    product of a few rows can round differently. A ``fan_out`` stack
+    [k, f, h] stays a view: a copy of its stride-0 data would be k-fold,
+    and the view gives the decoder its bits.
     """
     wt = np.swapaxes(w, -1, -2)
-    return np.ascontiguousarray(wt) if selected else wt
+    return np.ascontiguousarray(wt) if w.ndim == 2 else wt
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -335,15 +335,14 @@ def _check_linear(x, w, b: Tensor) -> None:
                             f"got shape {b.shape}")
 
 
-def _linear_grads(g: np.ndarray, x: Tensor, w: Tensor, b: Tensor,
-                  selected: bool = False) -> None:
+def _linear_grads(g: np.ndarray, x: Tensor, w: Tensor, b: Tensor) -> None:
     """Accumulate the gradients of ``x @ w + b`` from its output's ``g``:
     ``add``'s bias reduction, then ``matmul``'s two products."""
     if b.requires_grad:
         # a fresh sum, or, for a stacked bias beside one row per entry,
         # ``g`` itself, which the closures here only read
         b._accumulate(_unbroadcast(g, b.shape), owned=True)
-    _matmul_grads(g, x, w, selected)
+    _matmul_grads(g, x, w)
 
 
 def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
@@ -360,8 +359,8 @@ def _merge_heads(a: np.ndarray) -> np.ndarray:
         bsz, length, heads * dh)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor, heads: int | None = None,
-           selected: bool = False) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor,
+           heads: int | None = None) -> Tensor:
     """An affine layer, ``x @ w + b``, as one op.
 
     ``b`` is [w.shape[-1]]. The product is ``matmul``'s and the bias is
@@ -376,9 +375,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor, heads: int | None = None,
     and ``swapaxes`` made; the backward merges the heads of its
     gradient as the chain's did. The [B, L, h] product is not kept.
 
-    ``selected`` marks ``x`` as selected rows of an input a full pass
-    would run whole: the backward then takes ``x``'s gradient against
-    ``_transpose``'s copy, so each row keeps the full pass's bits.
+    ``x``'s gradient multiplies by ``_transpose(w)``: with a 2-D ``w``,
+    two or more selected rows of an input get those rows of the whole
+    input's gradient, bits included.
     """
     _check_linear(x, w, b)
     if heads is not None and (x.ndim != 3 or w.shape[-1] % heads):
@@ -392,7 +391,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, heads: int | None = None,
 
     def bw(out):
         g = out.grad if heads is None else _merge_heads(out.grad)
-        _linear_grads(g, x, w, b, selected)
+        _linear_grads(g, x, w, b)
 
     # the chain's input order, so the sweep visits the inputs as before
     return _make(out_data, (x, w, b), bw)
@@ -485,34 +484,18 @@ def _scatter_add(dst: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
 
 
 def take(a: Tensor, indices, axis: int = 0) -> Tensor:
-    """Gather slices along an axis; repeated indices accumulate in backward.
-
-    ``indices`` is 1-D, or [B, R] with ``axis=1``: then each example
-    ``a[b]`` gives its own R slices, ``indices[b]``, and its backward
-    scatters into ``a[b]``'s gradient as a 1-D take on ``a[b]`` would.
-    """
+    """Gather slices along an axis; repeated indices accumulate in backward."""
     idx = np.asarray(indices)
-    per_example = idx.ndim == 2 and axis == 1 and len(idx) == a.shape[0]
-    if idx.ndim != 1 and not per_example:
-        raise ContractError("take expects a 1-D index array, or [B, R] "
-                            "rows of each example on axis 1")
-    if per_example:
-        out_data = np.take_along_axis(
-            a.data, idx.reshape(idx.shape + (1,) * (a.ndim - 2)), axis=1)
-    else:
-        out_data = np.take(a.data, idx, axis=axis)
+    if idx.ndim != 1:
+        raise ContractError("take expects a 1-D index array")
+    out_data = np.take(a.data, idx, axis=axis)
 
     def bw(out):
         if a.requires_grad:
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
-            rows = idx % a.shape[axis]
-            if per_example:
-                for dst, r, g in zip(a.grad, rows, out.grad):
-                    _scatter_add(dst, r, g)
-            else:
-                _scatter_add(np.moveaxis(a.grad, axis, 0), rows,
-                             np.moveaxis(out.grad, axis, 0))
+            _scatter_add(np.moveaxis(a.grad, axis, 0), idx % a.shape[axis],
+                         np.moveaxis(out.grad, axis, 0))
 
     return _make(out_data, (a,), bw)
 
@@ -978,7 +961,7 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
-                 b2: Tensor, selected: bool = False) -> Tensor:
+                 b2: Tensor) -> Tensor:
     """The position-wise FFN as one op: ``linear(gelu(linear(x, w1, b1)),
     w2, b2)``.
 
@@ -994,8 +977,8 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
     ``FFN_BLOCK_BYTES`` that stay in cache; the forward writes gelu's
     output over ``u``. Inputs are listed, and their gradients
     accumulated, in the chain's order: ``b2``, ``w2``, then ``b1``,
-    ``x``, ``w1``. ``selected`` is ``linear``'s: both input gradients,
-    gelu's output's and ``x``'s, multiply by ``_transpose``'s copy.
+    ``x``, ``w1``. Both input gradients, gelu's output's and ``x``'s,
+    multiply by ``_transpose``'s W^T, as ``linear``'s does.
     """
     _check_linear(x, w1, b1)
 
@@ -1029,10 +1012,10 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
         if w2.requires_grad:
             gw = np.matmul(np.swapaxes(hg, -1, -2), g)
             w2._accumulate(_unbroadcast(gw, w2.shape), owned=True)
-        gu = np.matmul(g, _transpose(w2.data, selected), out=hg)
+        gu = np.matmul(g, _transpose(w2.data), out=hg)
         gu *= u
         del u, rows
-        _linear_grads(gu, x, w1, b1, selected)
+        _linear_grads(gu, x, w1, b1)
 
     return _make(out_data, (x, w1, b1, w2, b2), bw)
 

@@ -257,11 +257,14 @@ def test_pointer_signals_on_hand_built_rows():
 
 
 def per_example_bundle(params, cfg, examples, rng=None):
-    """``pretrain_bundle`` as it was before the decoder ran in groups:
-    one summary gather, one decoder pass, one pointer cross-entropy and
-    one pass of signals per example, the terms added in example order.
-    The encoder runs as the bundle runs it, at the rows its losses read.
-    Returns the loss and the float fields a bundle reports."""
+    """``pretrain_bundle`` with every group a single example, in example
+    order: one summary gather, one decoder pass, one pointer
+    cross-entropy and one pass of signals per example, the terms added
+    in example order. The decoder runs on one-example ``fan_out`` views
+    of its parameters, as the bundle's groups do, so its input gradients
+    multiply by the stacks' transposed views. The encoder runs as the
+    bundle runs it, at the rows its losses read. Returns the loss and
+    the float fields a bundle reports."""
     from slm import tensor as T
     from slm.reconstructor import causal_bias, decoder_stack
 
@@ -270,6 +273,9 @@ def per_example_bundle(params, cfg, examples, rng=None):
     h = encode_batch(params, cfg, examples, rng, rng is not None, rows=rows)
     l_mlm, _ = mlm_loss(h, params, labels)
     bsz, length, hidden = h.shape
+    names = [name for name in params if name.startswith("dec.")]
+    views = T.fan_out([params[name] for name in names],
+                      [[b] for b in range(bsz)])
     per_example = []
     hits, self_hits, entropy, slm_steps = 0, 0, 0.0, 0
     for b, ex in enumerate(examples):
@@ -279,7 +285,8 @@ def per_example_bundle(params, cfg, examples, rng=None):
         c = T.take(h.reshape(bsz * length, hidden),
                    b * length + np.asarray(at)).reshape(1, n + 2, hidden)
         x = T.take(c, np.concatenate([[0], targets[:n]]), axis=1)
-        w = decoder_stack(params, cfg, x, c, causal_bias(n + 1), rng)
+        w = decoder_stack({name: v[b] for name, v in zip(names, views)},
+                          cfg, x, c, causal_bias(n + 1), rng)
         logits = T.matmul(w, c.swapaxes(-1, -2)).reshape(n + 1, n + 2)
         per_example.append(T.cross_entropy(logits, targets))
         slm_steps += len(targets)

@@ -585,21 +585,21 @@ def test_stacked_cross_entropy_is_each_slice_bit_for_bit(dtype):
 
 
 def test_per_example_take_is_each_example_take():
-    """[B, R] indices on axis 1 give each example its own rows, and the
-    backward adds each example's gradient into its own slice, repeats
-    and negative indices as a 1-D take does."""
+    """``select_rows`` with [B, R] positions gives each example its own
+    rows, and the backward adds each example's gradient into its own
+    slice, repeats summed, as a 1-D take of that example does."""
     rng = np.random.default_rng(15)
     table = t(rng.normal(size=(3, 6, 4)), dtype=np.float64)
-    idx = rng.integers(-6, 6, size=(3, 5))
-    out = take(table, idx, axis=1)
+    idx = rng.integers(0, 6, size=(3, 5))
+    idx[:, 1] = idx[:, 3]
+    out = select_rows(table, idx)
     g = rng.normal(size=out.shape)
     backward(T.mul(out, Tensor(g)).sum())
     for b in range(3):
-        np.testing.assert_array_equal(out.data[b], table.data[b][idx[b]])
-        expect = np.zeros((6, 4))
-        np.add.at(expect, idx[b], g[b])
-        np.testing.assert_allclose(table.grad[b], expect, rtol=0,
-                                   atol=1e-12)
+        one = t(table.data[b], dtype=np.float64)
+        backward(T.mul(take(one, idx[b]), Tensor(g[b])).sum())
+        assert out.data[b].tobytes() == table.data[b][idx[b]].tobytes()
+        assert table.grad[b].tobytes() == one.grad.tobytes()
 
 
 @pytest.mark.parametrize("groups", [[[2, 0], [1]], [[0, 1, 2]]],
@@ -1060,6 +1060,52 @@ def test_linear_is_matmul_plus_bias_bit_for_bit(shape, dtype):
     _assert_same_bytes(got, want)
 
 
+def _input_grad(op, x, g):
+    leaf = t(x)
+    backward(T.mul(op(leaf), Tensor(g)).sum())
+    return leaf.grad
+
+
+@pytest.mark.parametrize("op", ["linear", "feed_forward"])
+@pytest.mark.parametrize("hidden", [64, 63])
+def test_a_2d_weights_input_gradient_at_selected_rows_is_the_full_ones(
+        op, hidden):
+    """For 2 <= R < 48 distinct rows of each of two examples, the input
+    gradient of the R rows is those rows of the full 48-row input's
+    gradient, bit for bit. Against a transposed view of W the few-row
+    product rounds differently (at hidden 64 for R up to 18)."""
+    length = 48
+    x, g = _f32((2, length, hidden), 160), _f32((2, length, hidden), 161)
+    ffn = 4 * hidden
+    w, b = t(_f32((hidden, hidden), 162)), t(_f32((hidden,), 163))
+    w1, b1 = t(_f32((hidden, ffn), 164)), t(_f32((ffn,), 165))
+    w2, b2 = t(_f32((ffn, hidden), 166)), t(_f32((hidden,), 167))
+    run = {"linear": lambda a: T.linear(a, w, b),
+           "feed_forward": lambda a: T.feed_forward(a, w1, b1, w2, b2)}[op]
+    full = _input_grad(run, x, g)
+    rng = np.random.default_rng(168)
+    for r in range(2, length):
+        rows = np.sort(np.stack([rng.choice(length, r, replace=False)
+                                 for _ in range(2)]), axis=1)[:, :, None]
+        got = _input_grad(run, np.take_along_axis(x, rows, 1),
+                          np.take_along_axis(g, rows, 1))
+        assert got.tobytes() == np.take_along_axis(full, rows, 1).tobytes()
+
+
+def test_a_fan_out_stacks_input_gradient_multiplies_by_the_view():
+    """``_transpose`` copies a 2-D weight but keeps a ``fan_out`` stack's
+    transpose a view of its stride-0 data, and a stack's input gradient
+    is the product against that view, bit for bit."""
+    w, b = t(_f32((64, 64), 170)), t(_f32((64,), 171))
+    (wv,), (bv,) = T.fan_out([w, b], [np.arange(2)])
+    assert not np.shares_memory(T._transpose(w.data), w.data)
+    assert np.shares_memory(T._transpose(wv.data), w.data)
+    x, g = _f32((2, 5, 64), 172), _f32((2, 5, 64), 173)
+    got = _input_grad(lambda a: T.linear(a, wv, bv), x, g)
+    want = np.matmul(g, np.swapaxes(wv.data, -1, -2))
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("shape", [(24, 96), (4, 12, 96)], ids=["2d", "3d"])
 @pytest.mark.parametrize("p", [0.0, 0.1, 0.5])
 def test_residual_norm_is_the_post_norm_chain_bit_for_bit(shape, p):
@@ -1263,9 +1309,8 @@ def test_graph_census_names_the_closure_that_sets_the_peak():
 # bits of the chains model.py and encoder.py ran before them: output, every
 # input gradient and the rng's state, compared by bytes.
 
-def _feed_forward_chain(x, w1, b1, w2, b2, selected=False):
-    return T.linear(gelu(T.linear(x, w1, b1, selected=selected)), w2, b2,
-                    selected=selected)
+def _feed_forward_chain(x, w1, b1, w2, b2):
+    return T.linear(gelu(T.linear(x, w1, b1)), w2, b2)
 
 
 def _heads_linear_chain(x, w, b, heads):
@@ -1290,9 +1335,9 @@ def _mha_chain(params, prefix, x_q, x_kv, bias, cfg, rng, cache=None,
     heads by a ``reshape`` and a ``swapaxes`` copy of its linear."""
     nh = cfg.heads
 
-    def proj(x, name, selected=False):
+    def proj(x, name):
         return T.linear(x, params[f"{prefix}.w{name}"],
-                        params[f"{prefix}.b{name}"], selected=selected)
+                        params[f"{prefix}.b{name}"])
 
     def split(x):
         return x.reshape(x.shape[0], x.shape[1], nh, -1).swapaxes(1, 2)
@@ -1310,13 +1355,12 @@ def _mha_chain(params, prefix, x_q, x_kv, bias, cfg, rng, cache=None,
             cache[prefix] = (k, v)
     ctx = T.attention(q, k, v, 1.0 / np.sqrt(cfg.hidden // nh), bias,
                       cfg.dropout, rng, rows)
-    return proj(ctx, "o", rows is not None)
+    return proj(ctx, "o")
 
 
-def _ffn_chain(params, prefix, x, selected=False):
+def _ffn_chain(params, prefix, x):
     return _feed_forward_chain(x, *(params[f"{prefix}.{n}"]
-                                    for n in ("w1", "b1", "w2", "b2")),
-                               selected=selected)
+                                    for n in ("w1", "b1", "w2", "b2")))
 
 
 def _tiny_model(dtype=np.float32, **kw):
