@@ -18,8 +18,12 @@ dropout masks and per-row statistics (attention's softmax max and sum,
 layer norm's mean and ``inv``); each backward rebuilds what else it
 reads from them with the forward's own calls, so the rebuilt arrays
 have the forward's bits. This relies on no op writing into an input's
-``.data``. Every dropout keeps its mask as one byte per element and
-rebuilds the scaled float mask (``_scaled_mask``) where it multiplies.
+``.data``. Every dropout keeps its mask (``_keep_mask``) as one byte
+per element and builds no float mask: a hidden dropout multiplies by
+1 / (1 - p), then by the mask (``_dropped``), and ``attention`` its
+probabilities by the mask and its context by 1 / (1 - p). Only dropout-on
+runs reach this arithmetic, so a change to it moves only the dropout
+lines of ``tests/pretrain_digest.py``, never the ``learning`` ones.
 
 Every op records a backward closure on its output; calling
 ``backward(loss)`` walks the recorded graph once in reverse topological
@@ -85,6 +89,8 @@ non-finite value is caught once, at the training loss
 (``optim.adam_update``) and where a checkpoint or probe index is read.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -483,19 +489,18 @@ def _scatter_add(dst: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
     dst[idx[starts]] += np.add.reduceat(g[order], starts, axis=0)
 
 
-def take(a: Tensor, indices, axis: int = 0) -> Tensor:
-    """Gather slices along an axis; repeated indices accumulate in backward."""
+def take(a: Tensor, indices) -> Tensor:
+    """Gather slices along axis 0; repeated indices accumulate in backward."""
     idx = np.asarray(indices)
     if idx.ndim != 1:
         raise ContractError("take expects a 1-D index array")
-    out_data = np.take(a.data, idx, axis=axis)
+    out_data = np.take(a.data, idx, axis=0)
 
     def bw(out):
         if a.requires_grad:
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
-            _scatter_add(np.moveaxis(a.grad, axis, 0), idx % a.shape[axis],
-                         np.moveaxis(out.grad, axis, 0))
+            _scatter_add(a.grad, idx % a.shape[0], out.grad)
 
     return _make(out_data, (a,), bw)
 
@@ -572,31 +577,24 @@ def _softmax_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
     return gx
 
 
-def _scaled_mask(keep: np.ndarray, p: float, dtype,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """Inverted dropout's multiplier from a one-byte keep mask: the mask
-    as 0/1 in ``dtype``, divided by 1 - p (into ``out`` when given).
-    Every dropout builds its multiplier here, in its forward and again
-    in its backward, so the graph keeps one byte per element."""
-    if out is None:
-        out = keep.astype(dtype)
-    else:
-        out[...] = keep
-    out /= 1.0 - p
-    return out
+def _keep_mask(rng, shape, p: float, out=None) -> np.ndarray:
+    """A dropout's one-byte keep mask (into ``out`` when given): element
+    i is kept where lane i of ``ceil(n / 2)`` raw 64-bit words, read as
+    uint32 in C order, is at least ``ceil(p * 2^32)``, clamped into
+    uint32. The drop rate is ``p`` to within 2^-32."""
+    n = math.prod(shape)
+    lanes = rng.bit_generator.random_raw(-(-n // 2)).view(np.uint32)[:n]
+    threshold = np.uint32(min(math.ceil(p * 2.0 ** 32), 2 ** 32 - 1))
+    return np.greater_equal(lanes.reshape(shape), threshold, out=out)
 
 
-def _keep_mask(rng, shape, p: float) -> np.ndarray:
-    """The one-byte keep mask of a hidden dropout: one float64 draw per
-    element, kept where it is at least ``p``."""
-    return rng.random(shape) >= p
-
-
-def _dropped(keep: np.ndarray, p: float, a: np.ndarray) -> np.ndarray:
-    """``a`` times inverted dropout's multiplier, in a fresh buffer: the
-    scaled float mask times ``a``, as ``dropout`` multiplies."""
-    out = _scaled_mask(keep, p, a.dtype)
-    out *= a
+def _dropped(keep: np.ndarray, p: float, a: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """``a`` times 1 / (1 - p), then times the byte mask, into a fresh
+    buffer or ``out``: given the mask, the bits of ``a`` times a float
+    mask of 0 and 1 / (1 - p)."""
+    out = np.multiply(a, np.divide(1.0, 1.0 - p, dtype=a.dtype), out=out)
+    out *= keep
     return out
 
 
@@ -614,7 +612,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale,
     scores: a key-padding or a causal mask. ``rows`` ([B, R]
     positions below Lq, distinct within each example) scores every
     query row and keeps only those rows from the softmax on:
-    [B, R, H * dh]. The dropout then draws the R rows' uniforms only.
+    [B, R, H * dh]. The dropout then draws the R rows' masks only.
 
     Without dropout the kept rows are the whole op's rows, gradients
     included, wherever the selected rows' upstream gradient is that of
@@ -627,16 +625,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale,
     ``ATTENTION_BLOCK_BYTES`` (one slice at least). Each block runs the
     steps of the unfused op chain with the same ufuncs in the same
     order: the scores matmul against contiguous transposed keys, the
-    row gather, scale, mask and row softmax, the dropout draw of the
-    kept rows (block by block, the C order of one whole draw) and the
-    context matmul. The output, the gradients and the rng's state are
-    therefore the chain's bits. For the backward the op keeps each query row's softmax max
-    and sum (two floats per row) and a one-byte keep mask, not the
-    probabilities: the backward rebuilds each block's probabilities
-    with the forward's routine (``probs``), subtracting the kept max
-    and dividing by the kept sum, so they are the forward's bits, and
-    rebuilds its float mask from the byte mask. The forward and the
-    backward each score and normalise in block buffers of their own.
+    row gather, scale, mask and row softmax, the product by the kept
+    rows' byte keep mask (drawn per block: a whole draw's lanes while
+    each block's count is even), the context matmul and its product by
+    1 / (1 - p). The output, the gradients and the rng's state are
+    therefore the chain's bits. For the backward the op keeps each
+    query row's softmax max and sum (two floats per row) and the byte
+    mask, not the probabilities: the backward rebuilds each block's
+    probabilities with the forward's routine (``probs``), subtracting
+    the kept max and dividing by the kept sum, so they are the forward's
+    bits. The forward and the backward each score and normalise in block
+    buffers of their own.
     """
     if q.ndim != 4 or k.ndim != 4 or v.shape != k.shape \
             or k.shape[:2] + k.shape[3:] != q.shape[:2] + q.shape[3:]:
@@ -721,31 +720,30 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale,
 
     if drop:
         keep = np.empty((slices, r, lk), bool)
-        draw = np.empty((n0, r, lk))
-        wbuf = np.empty((n0, r, lk), dtype)
+        kept = np.divide(1.0, 1.0 - p, dtype=dtype)
     ctx = np.empty((slices, r, dh), dtype)
     for a, b, _, y in probs(True):
         if drop:
-            n = b - a
-            np.greater_equal(rng.random(out=draw[:n]), p, out=keep[a:b])
-            w = _scaled_mask(keep[a:b], p, dtype, out=wbuf[:n])
-            w *= y
-            y = w
+            y *= _keep_mask(rng, y.shape, p, out=keep[a:b])
         np.matmul(y, vd[a:b], out=ctx[a:b])
+        if drop:
+            ctx[a:b] *= kept
     out_data = _merge_heads(ctx.reshape(bsz, heads, r, dh))
 
     def bw(out):
         g = _split_heads(out.grad, heads).reshape(slices, r, dh)
+        if drop:
+            g = g * kept    # out.grad stays as it is
+            dropped = np.empty((n0, r, lk), dtype)
         dq = np.empty_like(qd) if q.requires_grad else None
         dk = np.empty_like(kd) if k.requires_grad else None
         dv = np.empty_like(vd) if v.requires_grad else None
         for a, b, kt, y in probs(False):
             gb = g[a:b]
-            if drop:
-                w = _scaled_mask(keep[a:b], p, dtype)
             if dv is not None:
-                np.matmul(np.swapaxes(y * w if drop else y, 1, 2), gb,
-                          out=dv[a:b])
+                yd = np.multiply(y, keep[a:b], out=dropped[:b - a]) \
+                    if drop else y
+                np.matmul(np.swapaxes(yd, 1, 2), gb, out=dv[a:b])
             if dq is None and dk is None:
                 continue
             vt = np.swapaxes(vd[a:b], 1, 2)
@@ -761,7 +759,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale,
                 gy = np.matmul(gfull.reshape(n, lq, dh), vt).reshape(
                     n * lq, lk)[sel].reshape(n, r, lk)
             if drop:
-                gy *= w
+                gy *= keep[a:b]
             gx = _softmax_grad(gy, y)
             gx *= scale
             if rows is not None:
@@ -856,9 +854,9 @@ def residual_norm(residual: Tensor, out: Tensor, gamma: Tensor,
     and the gradients are the chain's bits. The graph keeps a one-byte
     keep mask and layer norm's per-row mean and ``inv``: the backward
     rebuilds the sum with the forward's calls from the inputs and
-    ``xhat`` from it (``_xhat``), and the scaled float mask from the
-    byte mask. The chain kept the dropped output, a float32 mask, the
-    sum and ``xhat``.
+    ``xhat`` from it (``_xhat``), and drops its gradient out through the
+    byte mask (``_dropped``). The chain kept the dropped output, a
+    float32 mask, the sum and ``xhat``.
     """
     if residual.shape != out.shape:
         raise ContractError(f"residual_norm operands differ in shape: "
@@ -1058,7 +1056,7 @@ def embedding(tables, ids, gamma: Tensor, beta: Tensor, p: float = 0.0,
     keep = None
     if rng is not None and p > 0.0:
         keep = _keep_mask(rng, out_data.shape, p)
-        out_data = _dropped(keep, p, out_data)
+        _dropped(keep, p, out_data, out=out_data)
 
     def bw(out):
         g = out.grad if keep is None else _dropped(keep, p, out.grad)
@@ -1122,7 +1120,7 @@ def dropout(x: Tensor, p: float, rng) -> Tensor:
     if rng is None or p <= 0.0:
         return x
     # the graph keeps the one-byte mask; forward and backward each
-    # multiply by the scaled float mask rebuilt from it
+    # multiply by 1 / (1 - p) and then by it
     keep = _keep_mask(rng, x.shape, p)
 
     def bw(out):

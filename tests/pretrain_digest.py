@@ -67,7 +67,12 @@ decoding, the readers above and fine-tuning as it was, so criterion 5
 escapes at the same leg and needs no escape-leg rerun. The config echo
 enters only the two file digests, so a change that only adds or retires
 a config key moves the ``metrics.csv`` and ``ckpt-final.bin`` lines of
-each pretraining run and none of the others.
+each pretraining run and none of the others. A change confined to
+dropout-on arithmetic (how a mask is drawn or applied) moves only the
+``tiny-dropout``, ``long-dropout`` and ``finetune`` lines: the
+``learning`` leg and criterion 5's escape legs (``learning_setup``)
+run with dropout off, so its 8 lines reading ``same`` shows that no
+escape leg can move.
 Digests match only on the same Python, numpy and BLAS. pytest does not
 collect this file.
 """

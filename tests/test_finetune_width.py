@@ -14,6 +14,8 @@ two widths draw different masks: every dropout draws the masks of the
 rows it computes, and the row-selected last layer those of its rows
 only, which a counting rng checks.
 """
+import math
+
 import numpy as np
 import pytest
 
@@ -211,16 +213,23 @@ def test_finetune_cls_step_at_the_tiny_profile_is_the_every_row_encode(
 
 
 class CountingRng:
-    """An rng that records the shape of every uniform draw it makes, the
-    one call dropout makes (``size`` or ``out``)."""
+    """An rng that records how many raw 64-bit words each draw takes, in
+    the one call every dropout makes (``tensor._keep_mask``'s
+    ``bit_generator.random_raw``)."""
 
     def __init__(self, rng):
-        self.rng, self.shapes = rng, []
+        self.rng, self.words = rng, []
+        self.bit_generator = self
 
-    def random(self, size=None, out=None):
-        self.shapes.append(tuple(np.shape(out) if out is not None
-                                 else np.atleast_1d(size)))
-        return self.rng.random(size, out=out)
+    def random_raw(self, size=None):
+        self.words.append(size)
+        return self.rng.bit_generator.random_raw(size)
+
+
+def raw_words(shapes):
+    """The raw words the masks of ``shapes`` take: ceil(n / 2) for n
+    elements, one 32-bit lane each."""
+    return [-(-math.prod(shape) // 2) for shape in shapes]
 
 
 def encoder_draws(cfg, bsz, width, rows):
@@ -238,10 +247,11 @@ def encoder_draws(cfg, bsz, width, rows):
 
 @pytest.mark.parametrize("run", ["pretrain", "finetune-cls"])
 def test_dropout_draws_exactly_the_masks_it_applies(monkeypatch, run):
-    """Every dropout draws the uniforms of the masks it applies, in the
+    """Every dropout draws the lanes of the masks it applies, in the
     order the pass runs: the last encoder layer B * H * R * Lk for its
     attention and B * R * hidden for each post-norm, the other layers
-    and each group's decoder layers their full shapes."""
+    and each group's decoder layers their full shapes; each draw takes
+    the raw words of its lanes and no more."""
     monkeypatch.setattr(T, "ATTENTION_BLOCK_BYTES", 1 << 40)
     if run == "pretrain":
         cfg = small_config(decoder_layers=2, dropout=0.1)
@@ -285,7 +295,7 @@ def test_dropout_draws_exactly_the_masks_it_applies(monkeypatch, run):
         width = max(ex.packed.attention_len for ex in examples)
         want = encoder_draws(cfg, len(examples), width, rows.shape[1])
     assert rows.shape[1] < width
-    assert drop.shapes == want
+    assert drop.words == raw_words(want)
 
 
 def test_finetune_qa_step_matches_full_width(monkeypatch):

@@ -284,7 +284,8 @@ def per_example_bundle(params, cfg, examples, rng=None):
         at = [list(rows[b]).index(p) for p in summary_positions(ex)]
         c = T.take(h.reshape(bsz * length, hidden),
                    b * length + np.asarray(at)).reshape(1, n + 2, hidden)
-        x = T.take(c, np.concatenate([[0], targets[:n]]), axis=1)
+        x = T.take(c.reshape(n + 2, hidden), np.concatenate(
+            [[0], targets[:n]])).reshape(1, n + 1, hidden)
         w = decoder_stack({name: v[b] for name, v in zip(names, views)},
                           cfg, x, c, causal_bias(n + 1), rng)
         logits = T.matmul(w, c.swapaxes(-1, -2)).reshape(n + 1, n + 2)

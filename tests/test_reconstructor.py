@@ -230,7 +230,8 @@ def full_prefix_greedy(params, cfg, c):
     with T.no_grad():
         input_idx = [0]
         for _ in range(n):
-            x = T.take(c, np.asarray(input_idx), axis=1)
+            x = T.take(c.reshape(n + 2, -1), np.asarray(
+                input_idx)).reshape(1, len(input_idx), -1)
             bias = causal_bias(len(input_idx), dtype=c.data.dtype)
             w = decoder_stack(params, cfg, x, c, bias)
             rows.append(w.data[0, -1])

@@ -399,18 +399,21 @@ def test_take_backward_accumulates_repeats():
                          ids=["axis0", "axis1", "axis0-empty", "axis1-empty"])
 def test_take_backward_matches_add_at(axis, size):
     """Two takes of one table, random repeated (and negative) indices:
-    the second backward adds into the first one's gradient."""
+    the second backward adds into the first one's gradient. ``take``
+    gathers along axis 0, so axis 1 gathers from the table with its
+    first two axes swapped."""
     rng = np.random.default_rng(13)
     table = t(rng.normal(size=(7, 9, 3)), dtype=np.float64)
     n = table.shape[axis]
     idx = [rng.integers(-n, n, size=size) for _ in range(2)]
-    outs = [take(table, i, axis=axis) for i in idx]
+    moved = table if axis == 0 else table.swapaxes(0, 1)
+    outs = [take(moved, i) for i in idx]
     gs = [rng.normal(size=o.shape) for o in outs]
     backward(T.mul(outs[0], Tensor(gs[0])).sum()
              + T.mul(outs[1], Tensor(gs[1])).sum())
     expect = np.zeros_like(table.data)
     for i, g in zip(idx, gs):
-        np.add.at(np.moveaxis(expect, axis, 0), i, np.moveaxis(g, axis, 0))
+        np.add.at(np.moveaxis(expect, axis, 0), i, g)
     np.testing.assert_allclose(table.grad, expect, rtol=0, atol=1e-12)
 
 
@@ -729,7 +732,7 @@ def test_layer_norm_bits_match_the_plain_expression(hidden):
 def test_dropout_bits_match_the_plain_expression(p):
     x = _f32((4, 4, 64, 64), 28)
     g = _f32(x.shape, 29)
-    keep = (np.random.default_rng(30).random(x.shape) >= p).astype(
+    keep = T._keep_mask(np.random.default_rng(30), x.shape, p).astype(
         np.float32) / (1.0 - p)
     got = _run(lambda a: dropout(a, p, np.random.default_rng(30)), [x], g)
     _assert_bits(got, (x * keep, [g * keep]))
@@ -748,24 +751,30 @@ def _causal_bias(width):
 # -- attention as one blocked op -------------------------------------------
 # ``attention`` must give the bits of the op chain multi_head_attention ran
 # before it: output, gradients and the rng's state after the dropout draw.
+# With dropout the chain multiplies the probabilities by the 0/1 keep mask
+# that ``tensor._keep_mask`` draws, and the context by 1 / (1 - p).
 
-def _float_mask_dropout(x, p, rng, rows=None):
+def _keep_floats(shape, p, rng, dtype, rows=None):
+    """A dropout's keep mask over ``shape`` as 0 and 1 in ``dtype``, drawn
+    through ``tensor._keep_mask``. With ``rows`` ([B, R] positions on the
+    next-to-last axis) it draws the masks of those rows only and keeps
+    every other element."""
+    if rows is None:
+        return T._keep_mask(rng, shape, p).astype(dtype)
+    keep = np.ones(shape, dtype)
+    bsz, heads = shape[:2]
+    keep[np.arange(bsz)[:, None, None], np.arange(heads)[:, None],
+         rows[:, None, :]] = T._keep_mask(
+        rng, (bsz, heads, rows.shape[1], shape[-1]), p)
+    return keep
+
+
+def _float_mask_dropout(x, p, rng):
     """``tensor.dropout`` as it was before one-byte masks: the graph keeps
-    the scaled float mask the forward multiplied by. With ``rows``
-    ([B, R] positions on the next-to-last axis of ``x``) it draws and
-    applies the masks of those rows only and leaves the others as they
-    are."""
+    the scaled float mask the forward multiplied by."""
     if rng is None or p <= 0.0:
         return x
-    if rows is None:
-        keep = np.empty(x.shape, dtype=x.data.dtype)
-        np.greater_equal(rng.random(x.shape), p, out=keep)
-    else:
-        keep = np.ones(x.shape, dtype=x.data.dtype)
-        bsz, heads = x.shape[:2]
-        drawn = rng.random((bsz, heads, rows.shape[1], x.shape[-1])) >= p
-        keep[np.arange(bsz)[:, None, None], np.arange(heads)[:, None],
-             rows[:, None, :]] = drawn
+    keep = _keep_floats(x.shape, p, rng, x.data.dtype)
     keep /= 1.0 - p
 
     def bw(out):
@@ -776,16 +785,23 @@ def _float_mask_dropout(x, p, rng, rows=None):
 
 
 def _attention_chain(q, k, v, scale, bias=None, p=0.0, rng=None, rows=None):
-    """The chain: scores matmul, scale, mask, row softmax, dropout,
-    context matmul and the heads merged, one graph node each. With
-    ``rows`` it runs every query row, drops out only those rows and then
-    keeps them (``select_rows``), which the row-selected op must
-    equal."""
+    """The chain: scores matmul, scale, mask, row softmax, the product by
+    the 0/1 keep mask, the context matmul, the context's product by
+    1 / (1 - p) and the heads merged, one graph node each. With ``rows``
+    it runs every query row, drops out only those rows and then keeps
+    them (``select_rows``), which the row-selected op must equal."""
     scores = T.mul(matmul(q, k.swapaxes(-1, -2)), scale)
     if bias is not None:
         scores = scores + bias
-    probs = _float_mask_dropout(softmax_rows(scores), p, rng, rows)
-    ctx = matmul(probs, v).swapaxes(1, 2)
+    probs = softmax_rows(scores)
+    drop = rng is not None and p > 0.0
+    if drop:
+        probs = T.mul(probs, Tensor(_keep_floats(
+            probs.shape, p, rng, probs.data.dtype, rows)))
+    ctx = matmul(probs, v)
+    if drop:
+        ctx = T.mul(ctx, np.divide(1.0, 1.0 - p, dtype=ctx.data.dtype))
+    ctx = ctx.swapaxes(1, 2)
     out = ctx.reshape(ctx.shape[0], ctx.shape[1], -1)
     return out if rows is None else select_rows(out, rows)
 
@@ -901,6 +917,86 @@ def test_attention_grads_match_fd(p, monkeypatch):
         return T.mul(T.attention(q, k, v, 0.7, bias, p, drop, rows), w).sum()
 
     assert grad_check(f, [q, k, v], eps=1e-5) < 1e-6
+
+
+@pytest.mark.parametrize("rows", [False, True], ids=["all-rows", "rows"])
+def test_attention_with_dropout_grads_match_fd_on_a_fixed_mask(rows,
+                                                              monkeypatch):
+    """Float64 differences through the dropped probabilities and the
+    context's 1 / (1 - p), one mask for every call, in several blocks."""
+    monkeypatch.setattr(T, "ATTENTION_BLOCK_BYTES", 2 * 6 * 6 * 8)
+    rng = np.random.default_rng(180)
+    q, k, v = (t(rng.normal(size=(2, 2, 6, 3)), dtype=np.float64)
+               for _ in range(3))
+    bias = Tensor(_padding_bias([6, 4], 6).astype(np.float64))
+    rows = np.array([[5, 0, 2], [1, 3, 4]]) if rows else None
+    r = 6 if rows is None else 3
+    keep = T._keep_mask(np.random.default_rng(181), (4, r, 6), 0.4)
+    assert keep.any() and not keep.all()
+    w = Tensor(rng.normal(size=(2, r, 6)))
+
+    def f():
+        drop = np.random.default_rng(181)    # the mask above on every call
+        return T.mul(T.attention(q, k, v, 0.7, bias, 0.4, drop, rows),
+                     w).sum()
+
+    assert grad_check(f, [q, k, v], eps=1e-5) < 1e-6
+
+
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+def test_keep_mask_drops_at_rate_p(p):
+    """Over 2^20 elements the dropped share lies within 5 sigma of p."""
+    n = 1 << 20
+    keep = T._keep_mask(np.random.default_rng(182), (1024, 1024), p)
+    assert keep.dtype == np.bool_ and keep.shape == (1024, 1024)
+    dropped = n - np.count_nonzero(keep)
+    assert abs(dropped - n * p) < 5 * np.sqrt(n * p * (1 - p))
+
+
+class _RawLanes:
+    """A stand-in rng whose raw 64-bit words hold the given 32-bit
+    lanes."""
+
+    def __init__(self, lanes):
+        self.bit_generator = self
+        self.words = np.asarray(lanes, np.uint32).view(np.uint64)
+
+    def random_raw(self, size):
+        return self.words[:size]
+
+
+@pytest.mark.parametrize("p,threshold", [(0.0, 0), (0.3, 1288490189),
+                                         (1 - 2.0 ** -40, 2 ** 32 - 1)])
+def test_keep_mask_keeps_a_lane_at_the_threshold(p, threshold):
+    """The threshold is ceil(p * 2^32): a lane equal to it is kept and one
+    below it dropped. p = 0 keeps every lane; a p whose threshold rounds
+    up to 2^32 is clamped into uint32 and keeps the top lane only."""
+    assert threshold == min(np.ceil(p * 2.0 ** 32), 2 ** 32 - 1)
+    lanes = [0, max(threshold - 1, 0), threshold, min(threshold + 1,
+                                                     2 ** 32 - 1)]
+    keep = T._keep_mask(_RawLanes(lanes), (4,), p)
+    assert keep.tolist() == [lane >= threshold for lane in lanes]
+    assert keep[2] and (p == 0 or not keep[1])
+
+
+@pytest.mark.parametrize("shape", [(3, 5, 7), (4, 6), (1,), (0, 3)],
+                         ids=["odd", "even", "one", "empty"])
+def test_keep_mask_reads_one_lane_per_element(shape):
+    """Element i is kept where lane i of ceil(n / 2) raw words is at least
+    ceil(p * 2^32), in C order, and the rng ends where that raw draw
+    leaves it, an odd count's spare lane unread; ``out`` gets the same
+    mask."""
+    n = int(np.prod(shape))
+    words = -(-n // 2)
+    raw = np.random.default_rng(184)
+    lanes = raw.bit_generator.random_raw(words).view(np.uint32)[:n]
+    want = (lanes >= np.ceil(0.3 * 2.0 ** 32)).reshape(shape)
+    for out in (None, np.empty(shape, bool)):
+        rng = np.random.default_rng(184)
+        keep = T._keep_mask(rng, shape, 0.3, out=out)
+        assert keep.tolist() == want.tolist()
+        assert out is None or keep is out
+        assert rng.bit_generator.state == raw.bit_generator.state
 
 
 @pytest.mark.parametrize("case", ["bias-requires-grad", "row-negative",
